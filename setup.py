@@ -1,26 +1,17 @@
 """Build script for the optional compiled tree-edit-distance core.
 
-The extension is a pure speedup: if Cython or a C compiler is missing the
-install still succeeds and tsrkit falls back to the pure-Python kernel.
+The extension is a pure speedup: if no C compiler is available the install
+still succeeds and tsrkit falls back to the pure-Python kernel.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "tsrkit.teds._speedup",
-                sources=["src/tsrkit/teds/_speedup.pyx"],
-                extra_compile_args=["-O2"],
-                optional=True,
-            )
-        ],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "tsrkit.teds._speedup",
+            sources=["src/tsrkit/teds/_speedup.c"],
+            optional=True,
+        )
+    ]
+)

@@ -20,7 +20,7 @@ from .anchors import (
     generate_anchors,
 )
 from .cocoeval import evaluate_corpus
-from .errors import EmptyStructureError, TsrkitError
+from .errors import TsrkitError
 from .fixtures import FixtureSpec, generate_fixtures
 from .labels import AnnotationSet, ComponentClass, LabelMode, decode_pseudo, encode_pseudo
 from .misalign import ALL_CLASSES, PerturbationMode, PerturbationSpec, misalignment_report
@@ -154,7 +154,7 @@ def cmd_reconstruct(args) -> int:
     for ann in sets:
         try:
             html = grid_to_html(build_grid(ann))
-        except (EmptyStructureError, TsrkitError) as exc:
+        except TsrkitError as exc:
             failures.append((ann.image_id, str(exc)))
             continue
         formats.atomic_write_text(os.path.join(args.output, f"{ann.image_id}.html"), html)

@@ -4,8 +4,9 @@ The lattice comes from Row and Column boxes (rows sorted by top edge, columns
 by left edge). Spanning Cells absorb grid cells they overlap sufficiently and
 the absorbed set is rectangularized. Column Header boxes mark header rows by
 row-center containment; a Projected Row Header collapses its matching row
-into one full-width cell. The HTML output is structure-only: lowercase tags,
-double-quoted span attributes, no whitespace, no text.
+into one full-width cell. The grid becomes the structure tree TEDS scores;
+its HTML is structure-only: lowercase tags, double-quoted span attributes,
+no whitespace, no text.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Iterable, Mapping
 from .errors import EmptyStructureError, LabelModeError
 from .geometry import BBox, intersection_area, iou
 from .labels import AnnotationSet, ComponentClass, ComponentInstance, LabelMode, boxes_match
+from .teds.tree import TableTree
 
 
 @dataclass(frozen=True)
@@ -237,45 +239,24 @@ def build_grid(detections: AnnotationSet, cfg: ReconstructionConfig | None = Non
     )
 
 
-def _emit_row(grid: TableGrid, r: int, matrix, merge_at) -> str:
-    if r in grid.projected_rows:
-        span_attr = f' colspan="{grid.n_cols}"' if grid.n_cols > 1 else ""
-        return f"<tr><td{span_attr}></td></tr>"
-    cells = []
-    for c in range(grid.n_cols):
-        if matrix[r][c] != (r, c):
-            continue
-        m = merge_at.get((r, c))
-        attrs = ""
-        if m is not None:
-            if m.col_span != 1:
-                attrs += f' colspan="{m.col_span}"'
-            if m.row_span != 1:
-                attrs += f' rowspan="{m.row_span}"'
-        cells.append(f"<td{attrs}></td>")
-    return "<tr>" + "".join(cells) + "</tr>"
+def grid_to_tree(grid: TableGrid) -> TableTree:
+    """Structure tree: thead holds exactly the header rows, tbody the rest."""
+    matrix = grid.cell_matrix()
+    spans = {(m.row_start, m.col_start): (m.col_span, m.row_span) for m in grid.merges}
+    thead, tbody = TableTree("thead"), TableTree("tbody")
+    for r in range(grid.n_rows):
+        tr = TableTree("tr")
+        if r in grid.projected_rows:
+            tr.children.append(TableTree("td", colspan=grid.n_cols))
+        else:
+            for c in range(grid.n_cols):
+                if matrix[r][c] == (r, c):
+                    colspan, rowspan = spans.get((r, c), (1, 1))
+                    tr.children.append(TableTree("td", colspan=colspan, rowspan=rowspan))
+        (thead if r in grid.header_rows else tbody).children.append(tr)
+    return TableTree("table", children=[thead, tbody] if thead.children else [tbody])
 
 
 def grid_to_html(grid: TableGrid) -> str:
-    """Structure-only HTML: thead holds exactly the header rows, tbody the rest."""
-    matrix = grid.cell_matrix()
-    merge_at = {(m.row_start, m.col_start): m for m in grid.merges}
-    header = [r for r in range(grid.n_rows) if r in grid.header_rows]
-    body = [r for r in range(grid.n_rows) if r not in grid.header_rows]
-    parts = ["<table>"]
-    if header:
-        parts.append("<thead>")
-        parts.extend(_emit_row(grid, r, matrix, merge_at) for r in header)
-        parts.append("</thead>")
-    parts.append("<tbody>")
-    parts.extend(_emit_row(grid, r, matrix, merge_at) for r in body)
-    parts.append("</tbody>")
-    parts.append("</table>")
-    return "".join(parts)
-
-
-def classify_complexity(grid: TableGrid) -> str:
-    """'complex' when merges exist or a projected row spans multiple columns."""
-    if grid.merges or (grid.projected_rows and grid.n_cols > 1):
-        return "complex"
-    return "simple"
+    """Structure-only HTML of ``grid_to_tree(grid)``."""
+    return grid_to_tree(grid).to_html()

@@ -1,7 +1,7 @@
 """Pure-Python ordered-tree edit distance kernel (keyroot/forest DP).
 
 Operates on flattened trees: postorder arrays of leftmost-leaf-descendant
-indices and interned label ids. The compiled extension in _speedup.pyx
+indices and interned label ids. The compiled extension in _speedup.c
 implements the identical recurrence; this module is the fallback and the
 reference for backend-equivalence tests.
 """

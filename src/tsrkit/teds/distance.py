@@ -1,9 +1,9 @@
 """Tree-edit-distance similarity over table structure trees.
 
-The distance kernel exists twice: a compiled Cython extension for corpus
-scoring (the DP dominates evaluation runtime) and a pure-Python fallback
-with the same recurrence. Selection happens at import; set TSRKIT_PURE_PYTHON=1
-to force the fallback.
+The distance kernel exists twice: a compiled C extension (_speedup.c) for
+corpus scoring (the DP dominates evaluation runtime) and a pure-Python
+fallback with the same recurrence. Selection happens at import; set
+TSRKIT_PURE_PYTHON=1 to force the fallback.
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ from tsrkit.reconstruct import (
     ReconstructionConfig,
     TableGrid,
     build_grid,
-    classify_complexity,
     grid_to_html,
+    grid_to_tree,
 )
-from tsrkit.teds import parse_table_html
+from tsrkit.teds import parse_table_html, tree_is_complex
 
 
 def inst(cls, x1, y1, x2, y2, score=None):
@@ -327,18 +327,18 @@ def test_random_grids_round_trip_exactly():
 # --------------------------------------------------------------- complexity
 
 def test_complexity_simple():
-    assert classify_complexity(TableGrid(3, 3)) == "simple"
+    assert not tree_is_complex(grid_to_tree(TableGrid(3, 3)))
 
 
 def test_complexity_merge():
     grid = TableGrid(2, 2, merges=(MergedCell(0, 0, 1, 2),))
-    assert classify_complexity(grid) == "complex"
+    assert tree_is_complex(grid_to_tree(grid))
 
 
 def test_complexity_one_by_one():
-    assert classify_complexity(TableGrid(1, 1)) == "simple"
+    assert not tree_is_complex(grid_to_tree(TableGrid(1, 1)))
 
 
 def test_complexity_projected_single_column():
-    assert classify_complexity(TableGrid(2, 1, projected_rows={1})) == "simple"
-    assert classify_complexity(TableGrid(2, 2, projected_rows={1})) == "complex"
+    assert not tree_is_complex(grid_to_tree(TableGrid(2, 1, projected_rows={1})))
+    assert tree_is_complex(grid_to_tree(TableGrid(2, 2, projected_rows={1})))

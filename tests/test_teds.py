@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from oracles import brute_force_tree_distance, random_small_tree
 
@@ -120,22 +121,69 @@ def test_distance_triangle_inequality_sampled():
         assert ac <= ab + bc + 1e-9
 
 
-def test_backends_agree():
-    pytest.importorskip("tsrkit.teds._speedup")
-    import numpy as np
+def random_table_tree(rng, n_rows, n_cols=6):
+    """table > tbody > n_rows rows of n_cols cells: 2 + 7 * n_rows nodes at 6 columns."""
+    body = TableTree("tbody")
+    for _ in range(n_rows):
+        body.children.append(
+            TableTree(
+                "tr",
+                children=[
+                    TableTree("td", colspan=rng.choice((1, 1, 1, 2)), rowspan=rng.choice((1, 1, 2)))
+                    for _ in range(n_cols)
+                ],
+            )
+        )
+    return TableTree("table", children=[body])
 
-    from tsrkit.teds import _speedup
 
+def as_int64(args):
+    return tuple(np.ascontiguousarray(seq, dtype=np.int64) for seq in args)
+
+
+def test_backends_agree(compiled_kernel):
     rng = random.Random(99)
-    for _ in range(40):
+    pairs = [(random_small_tree(rng, max_nodes=12), random_small_tree(rng, max_nodes=12)) for _ in range(40)]
+    pairs += [(random_small_tree(rng, max_nodes=100), random_small_tree(rng, max_nodes=100)) for _ in range(3)]
+    # corpus-sized tables: 100 and 282 nodes, against a table a few rows shorter
+    pairs += [(random_table_tree(rng, 14), random_table_tree(rng, 12)) for _ in range(2)]
+    pairs.append((random_table_tree(rng, 40), random_table_tree(rng, 37)))
+    assert pairs[-1][0].size() == 282
+    for a, b in pairs:
         interner = {}
-        flat_a = _flatten(random_small_tree(rng, max_nodes=12), interner)
-        flat_b = _flatten(random_small_tree(rng, max_nodes=12), interner)
-        args = (*flat_a, *flat_b)
-        d_py = _ted_py.tree_distance(*args, 1.0, 1.0, 1.0)
-        arrays = tuple(np.ascontiguousarray(seq, dtype=np.int64) for seq in args)
-        d_cy = _speedup.tree_distance(*arrays, 1.0, 1.0, 1.0)
-        assert d_py == d_cy
+        args = (*_flatten(a, interner), *_flatten(b, interner))
+        for costs in ((1.0, 1.0, 1.0), (0.5, 2.0, 0.75)):
+            d_py = _ted_py.tree_distance(*args, *costs)
+            d_c = compiled_kernel.tree_distance(*as_int64(args), *costs)
+            assert d_py == d_c
+    flat = _flatten(random_table_tree(rng, 3), {})
+    empty = ((), (), ())
+    for args in ((*empty, *flat), (*flat, *empty), (*empty, *empty)):
+        d_py = _ted_py.tree_distance(*args, 1.0, 2.0, 1.0)
+        assert compiled_kernel.tree_distance(*as_int64(args), 1.0, 2.0, 1.0) == d_py
+
+
+def test_compiled_kernel_rejects_bad_buffers(compiled_kernel):
+    good = as_int64(_flatten(parse_table_html(MINIMAL), {}))
+    for bad in (
+        good[0].astype(np.int32),
+        good[0].reshape(1, -1),
+        np.repeat(good[0], 2)[::2],  # strided view
+        good[0].astype(np.float64),
+        list(good[0]),
+    ):
+        with pytest.raises(TypeError):
+            compiled_kernel.tree_distance(bad, *good[1:], *good, 1.0, 1.0, 1.0)
+    # index arrays outside the tree are refused before the DP reads them
+    lmld, labels, keyroots = good
+    for bad_tree in (
+        (lmld + 1, labels, keyroots),
+        (lmld, labels[:-1], keyroots),
+        (lmld, labels, keyroots + len(lmld)),
+        (np.array([0, 0, 1]), np.array([1, 2, 3]), np.array([2])),
+    ):
+        with pytest.raises(ValueError):
+            compiled_kernel.tree_distance(*bad_tree, *good, 1.0, 1.0, 1.0)
 
 
 # ------------------------------------------------------------------- teds
