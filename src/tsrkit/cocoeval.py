@@ -3,11 +3,29 @@
 Average precision uses the 101-point interpolation with the right-max
 precision envelope. Matching is per image and per class: predictions sorted
 by descending confidence greedily claim the unmatched ground truth with the
-highest IoU at or above the threshold.
+highest IoU at or above the threshold. Confidence ties keep image order
+(sorted ids), then input order. Each class and size bucket is evaluated in
+one pass: its IoU rows and its confidence order are built once and matched
+at every threshold, AP50 and AP75 included, which are reported even when
+the thresholds omit them.
+
+The semantics differ from pycocotools' COCOeval in five ways:
+
+- Size buckets filter ground truth and predictions each by their own area.
+  pycocotools instead ignores out-of-range ground truth and drops only the
+  unmatched out-of-range detections.
+- A class with predictions but no ground truth, in the corpus or in a
+  bucket, counts as AP 0 in every mean; pycocotools leaves it out. A class
+  with neither is left out here too.
+- IoU ties go to the lowest ground-truth index; pycocotools takes the last.
+- The medium/large area boundary is 64**2; COCO's is 96**2.
+- At most 300 detections per image and class are kept, by confidence;
+  pycocotools keeps 100.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import CorpusError
@@ -125,29 +143,20 @@ def average_precision(
         precisions[k] = max(precisions[k], precisions[k + 1])
     total = 0.0
     for level in recall_levels:
-        idx = _first_index_at_least(recalls, level)
-        if idx is not None:
+        idx = bisect_left(recalls, level)
+        if idx < len(recalls):
             total += precisions[idx]
     return total / len(recall_levels)
 
 
-def _first_index_at_least(sorted_values: list[float], threshold: float) -> int | None:
-    lo, hi = 0, len(sorted_values)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sorted_values[mid] < threshold:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo < len(sorted_values) else None
-
-
 class _ClassEvalData:
-    """Per-image confidence-ordered IoU matrices for one class and size bucket."""
+    """One class and size bucket: per-image IoU rows in confidence order, and the
+    corpus-wide order, a stable sort on confidence over the rows of all images."""
 
     def __init__(self, preds_by_image, gts_by_image, cls, cfg, bucket):
-        self.images = []  # (scores, iou_rows) per image
+        self.rows_by_image = []
         self.n_gt = 0
+        neg_scores = []
         for image_id in sorted(gts_by_image):
             gts = [g for g in gts_by_image[image_id] if g.cls == cls]
             preds = [p for p in preds_by_image.get(image_id, []) if p.cls == cls]
@@ -156,21 +165,13 @@ class _ClassEvalData:
                 preds = [p for p in preds if classify_size(p.box) == bucket]
             preds = _sort_by_confidence(preds)[: cfg.max_detections_per_image]
             self.n_gt += len(gts)
-            rows = [[iou(p.box, g.box) for g in gts] for p in preds]
-            self.images.append(([p.score for p in preds], rows))
-        self.n_preds = sum(len(scores) for scores, _ in self.images)
-
-    @property
-    def empty(self) -> bool:
-        return self.n_gt == 0 and self.n_preds == 0
+            self.rows_by_image.append([[iou(p.box, g.box) for g in gts] for p in preds])
+            neg_scores.extend(-p.score for p in preds)
+        self.order = sorted(range(len(neg_scores)), key=neg_scores.__getitem__)
 
     def ap_at(self, threshold: float, recall_levels) -> float:
-        scored: list[tuple[float, bool]] = []
-        for scores, rows in self.images:
-            labels = _greedy_match(rows, threshold)
-            scored.extend(zip(scores, labels))
-        scored.sort(key=lambda pair: -pair[0])
-        return average_precision([tp for _, tp in scored], self.n_gt, recall_levels)
+        labels = [tp for rows in self.rows_by_image for tp in _greedy_match(rows, threshold)]
+        return average_precision([labels[i] for i in self.order], self.n_gt, recall_levels)
 
 
 def evaluate_corpus(
@@ -195,41 +196,33 @@ def evaluate_corpus(
         | {i.cls for insts in preds_by_image.values() for i in insts}
     )
 
-    def bucket_mean(bucket: SizeBucket | None, thresholds) -> float | None:
-        class_aps = []
+    def class_aps(bucket: SizeBucket | None, thresholds) -> dict[ComponentClass, dict[float, float]]:
+        """AP at each threshold for every class with ground truth or predictions in the bucket."""
+        tables = {}
         for cls in classes:
             data = _ClassEvalData(preds_by_image, gts_by_image, cls, cfg, bucket)
-            if data.empty:
-                continue
-            aps = [data.ap_at(t, cfg.recall_levels) for t in thresholds]
-            class_aps.append(sum(aps) / len(aps))
-        if not class_aps:
-            return None
-        return sum(class_aps) / len(class_aps)
+            if data.n_gt or data.order:
+                tables[cls] = {t: data.ap_at(t, cfg.recall_levels) for t in thresholds}
+        return tables
 
-    per_class: dict[ComponentClass, float] = {}
-    mean_ap_acc = []
-    ap50_acc = []
-    ap75_acc = []
-    for cls in classes:
-        data = _ClassEvalData(preds_by_image, gts_by_image, cls, cfg, None)
-        if data.empty:
-            continue
-        aps = [data.ap_at(t, cfg.recall_levels) for t in cfg.iou_thresholds]
-        per_class[cls] = sum(aps) / len(aps)
-        mean_ap_acc.append(per_class[cls])
-        ap50_acc.append(data.ap_at(0.5, cfg.recall_levels))
-        ap75_acc.append(data.ap_at(0.75, cfg.recall_levels))
+    def coco_ap(table: dict[float, float]) -> float:
+        return sum(table[t] for t in cfg.iou_thresholds) / len(cfg.iou_thresholds)
 
     def mean_or_none(values):
+        values = list(values)
         return sum(values) / len(values) if values else None
 
+    def bucket_ap(bucket: SizeBucket) -> float | None:
+        return mean_or_none(map(coco_ap, class_aps(bucket, cfg.iou_thresholds).values()))
+
+    all_sizes = class_aps(None, dict.fromkeys((*cfg.iou_thresholds, 0.5, 0.75)))
+    per_class = {cls: coco_ap(table) for cls, table in all_sizes.items()}
     return ApReport(
-        mean_ap=mean_or_none(mean_ap_acc),
-        ap50=mean_or_none(ap50_acc),
-        ap75=mean_or_none(ap75_acc),
-        ap_small=bucket_mean(SizeBucket.SMALL, cfg.iou_thresholds),
-        ap_medium=bucket_mean(SizeBucket.MEDIUM, cfg.iou_thresholds),
-        ap_large=bucket_mean(SizeBucket.LARGE, cfg.iou_thresholds),
+        mean_ap=mean_or_none(per_class.values()),
+        ap50=mean_or_none(table[0.5] for table in all_sizes.values()),
+        ap75=mean_or_none(table[0.75] for table in all_sizes.values()),
+        ap_small=bucket_ap(SizeBucket.SMALL),
+        ap_medium=bucket_ap(SizeBucket.MEDIUM),
+        ap_large=bucket_ap(SizeBucket.LARGE),
         per_class=per_class,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .formats import DetectionFile, GroundTruthFile, ImageRecord, InstanceRecord
+from .formats import CorpusFile, ImageRecord, InstanceRecord
 from .geometry import BBox
 from .labels import ComponentClass, LabelMode
 
@@ -232,7 +232,7 @@ def layout_instances(layout: TableLayout) -> list[InstanceRecord]:
     return records
 
 
-def generate_fixtures(spec: FixtureSpec) -> tuple[GroundTruthFile, DetectionFile]:
+def generate_fixtures(spec: FixtureSpec) -> tuple[CorpusFile, CorpusFile]:
     """Ground truth plus perfect-copy predictions, reproducible from the seed."""
     rng = random.Random(spec.seed)
     gt_images = []
@@ -264,6 +264,6 @@ def generate_fixtures(spec: FixtureSpec) -> tuple[GroundTruthFile, DetectionFile
                 ],
             )
         )
-    gt = GroundTruthFile(label_mode=LabelMode.MULTI, images=gt_images)
-    det = DetectionFile(label_mode=LabelMode.MULTI, images=det_images)
+    gt = CorpusFile(label_mode=LabelMode.MULTI, images=gt_images)
+    det = CorpusFile(label_mode=LabelMode.MULTI, images=det_images)
     return gt, det

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ from .teds import parse_table_html
 SCHEMA_VERSION = 1
 
 log = logging.getLogger("tsrkit.formats")
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -55,7 +57,7 @@ class ImageRecord:
 
 @dataclass
 class CorpusFile:
-    """Shared container; DetectionFile and GroundTruthFile fix the variant."""
+    """One corpus file: detections or ground truth, by which loader read it."""
 
     label_mode: LabelMode
     images: list[ImageRecord] = field(default_factory=list)
@@ -75,14 +77,6 @@ class CorpusFile:
         return {rec.image_id: rec.html for rec in self.images if rec.html is not None}
 
 
-class DetectionFile(CorpusFile):
-    pass
-
-
-class GroundTruthFile(CorpusFile):
-    pass
-
-
 def instance_record_from(inst: ComponentInstance, with_score: bool) -> InstanceRecord:
     return InstanceRecord(
         bbox=inst.box.as_tuple(),
@@ -97,16 +91,18 @@ def _require(condition: bool, path: str, message: str):
         raise SchemaError(f"{path}: {message}")
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number within float range: booleans, infinities and NaN are not."""
+    return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
 def _clamped_bbox(raw, width: float, height: float, path: str):
-    _require(
-        isinstance(raw, (list, tuple)) and len(raw) == 4,
-        path,
-        f"bbox must be a 4-element array, got {raw!r}",
-    )
-    try:
-        x1, y1, x2, y2 = (float(v) for v in raw)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}: bbox holds non-numeric values {raw!r}") from None
+    # runs once per box, so each message is formatted only when its check fails
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
+        raise SchemaError(f"{path}: bbox must be a 4-element array, got {raw!r}")
+    if not all(map(_is_finite_number, raw)):
+        raise SchemaError(f"{path}: bbox holds non-finite or non-numeric values {raw!r}")
+    x1, y1, x2, y2 = map(float, raw)
     clamped = (
         min(max(x1, 0.0), width),
         min(max(y1, 0.0), height),
@@ -115,11 +111,8 @@ def _clamped_bbox(raw, width: float, height: float, path: str):
     )
     if clamped != (x1, y1, x2, y2):
         log.warning("%s: bbox %s clamped to %s", path, (x1, y1, x2, y2), clamped)
-    _require(
-        clamped[2] >= clamped[0] and clamped[3] >= clamped[1],
-        path,
-        f"bbox {raw!r} inverted after clamping",
-    )
+    if not (clamped[2] >= clamped[0] and clamped[3] >= clamped[1]):
+        raise SchemaError(f"{path}: bbox {raw!r} inverted after clamping")
     return clamped
 
 
@@ -132,7 +125,7 @@ def _parse_instance(raw, width, height, label_mode, is_ground_truth, path) -> In
 
     class_id = raw["class_id"]
     _require(
-        isinstance(class_id, int) and 0 <= class_id <= 6,
+        type(class_id) is int and 0 <= class_id <= 6,
         f"{path}.class_id",
         f"must be an integer in 0..6, got {class_id!r}",
     )
@@ -147,7 +140,7 @@ def _parse_instance(raw, width, height, label_mode, is_ground_truth, path) -> In
         _require(score is None, f"{path}.score", "ground truth must not carry scores")
     elif score is not None:
         _require(
-            isinstance(score, (int, float)) and 0.0 <= score <= 1.0,
+            _is_finite_number(score) and 0.0 <= score <= 1.0,
             f"{path}.score",
             f"must lie in [0, 1], got {score!r}",
         )
@@ -171,19 +164,21 @@ def _parse_image(raw, label_mode, is_ground_truth, path) -> ImageRecord:
     _require(isinstance(image_id, str) and image_id, f"{path}.image_id", "must be a non-empty string")
     width, height = raw["width"], raw["height"]
     _require(
-        isinstance(width, (int, float)) and width > 0,
+        _is_finite_number(width) and width > 0,
         f"{path}.width",
-        f"must be positive, got {width!r}",
+        f"must be a positive finite number, got {width!r}",
     )
     _require(
-        isinstance(height, (int, float)) and height > 0,
+        _is_finite_number(height) and height > 0,
         f"{path}.height",
-        f"must be positive, got {height!r}",
+        f"must be a positive finite number, got {height!r}",
     )
+    instances_raw = raw.get("instances", [])
+    _require(isinstance(instances_raw, list), f"{path}.instances", "must be an array")
     instances = [
         _parse_instance(inst, float(width), float(height), label_mode, is_ground_truth,
                         f"{path}.instances[{i}]")
-        for i, inst in enumerate(raw.get("instances", []))
+        for i, inst in enumerate(instances_raw)
     ]
     html = raw.get("html")
     if html is not None:
@@ -224,15 +219,14 @@ def _load(path: str, is_ground_truth: bool) -> CorpusFile:
         _require(rec.image_id not in seen, f"$.images[{i}].image_id", f"duplicate id {rec.image_id!r}")
         seen.add(rec.image_id)
     extra = {k: v for k, v in raw.items() if k not in ("schema_version", "label_mode", "images")}
-    cls = GroundTruthFile if is_ground_truth else DetectionFile
-    return cls(label_mode=label_mode, images=images, extra=extra)
+    return CorpusFile(label_mode=label_mode, images=images, extra=extra)
 
 
-def load_detections(path: str) -> DetectionFile:
+def load_detections(path: str) -> CorpusFile:
     return _load(path, is_ground_truth=False)
 
 
-def load_ground_truth(path: str) -> GroundTruthFile:
+def load_ground_truth(path: str) -> CorpusFile:
     return _load(path, is_ground_truth=True)
 
 

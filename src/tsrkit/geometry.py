@@ -50,9 +50,6 @@ class BBox:
     def contains_point(self, x: float, y: float) -> bool:
         return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
 
-    def translate(self, dx: float, dy: float) -> "BBox":
-        return BBox(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
-
     def inflate(self, margin: float) -> "BBox":
         """Grow (or shrink, for negative margin) by ``margin`` px on every side."""
         box = BBox(
@@ -116,10 +113,3 @@ def classify_size(b: BBox) -> SizeBucket:
     if area < MEDIUM_AREA_LIMIT:
         return SizeBucket.MEDIUM
     return SizeBucket.LARGE
-
-
-def aspect_ratio(b: BBox) -> float:
-    """Height over width; zero-width boxes have no defined ratio."""
-    if b.width <= 0.0:
-        raise ValueError(f"aspect ratio undefined for zero-width box {b.as_tuple()}")
-    return b.height / b.width

@@ -89,25 +89,6 @@ class TableGrid:
                     anchors[r][c] = (m.row_start, m.col_start)
         return anchors
 
-    def logical_cells(self) -> list[tuple[int, int, int, int]]:
-        """(row, col, row_span, col_span) per logical cell, reading order."""
-        cells = []
-        matrix = self.cell_matrix()
-        merge_at = {(m.row_start, m.col_start): m for m in self.merges}
-        for r in range(self.n_rows):
-            if r in self.projected_rows:
-                cells.append((r, 0, 1, self.n_cols))
-                continue
-            for c in range(self.n_cols):
-                if matrix[r][c] != (r, c):
-                    continue
-                m = merge_at.get((r, c))
-                if m is None:
-                    cells.append((r, c, 1, 1))
-                else:
-                    cells.append((r, c, m.row_span, m.col_span))
-        return cells
-
 
 @dataclass(frozen=True)
 class ReconstructionConfig:

@@ -42,11 +42,6 @@ class EditCosts:
     delete_cost: float = 1.0
     rename_mismatch_cost: float = 1.0
 
-    def rename_cost(self, u: TableTree, v: TableTree) -> float:
-        if _label_key(u) == _label_key(v):
-            return 0.0
-        return self.rename_mismatch_cost
-
 
 def _label_key(node: TableTree):
     if node.tag == "td":

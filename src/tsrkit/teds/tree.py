@@ -98,8 +98,10 @@ class _Scanner:
         closing = raw.startswith("/")
         if closing:
             raw = raw[1:].strip()
-        name, _, attr_text = raw.partition(" ")
-        name = name.strip().lower()
+        # any whitespace separates the name from the attributes, as in HTML
+        parts = raw.split(None, 1)
+        name = parts[0].lower() if parts else ""
+        attr_text = parts[1] if len(parts) > 1 else ""
         if not name:
             self.error("empty tag", start)
         if closing and attr_text.strip():
@@ -118,7 +120,7 @@ def _parse_attrs(text: str, scanner: _Scanner, offset: int) -> dict[str, str]:
         if i >= n:
             break
         j = i
-        while j < n and text[j] not in "=\t\n ":
+        while j < n and text[j] != "=" and not text[j].isspace():
             j += 1
         key = text[i:j].lower()
         while j < n and text[j].isspace():

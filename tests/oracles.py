@@ -44,6 +44,14 @@ def _subtree_intervals(root: TableTree) -> list[tuple[int, int]]:
     return intervals
 
 
+def rename_cost(costs: EditCosts, u: TableTree, v: TableTree) -> float:
+    """Free between equal tags (and, for cells, equal spans); the mismatch cost otherwise."""
+    def key(node):
+        return (node.tag, node.colspan, node.rowspan) if node.tag == "td" else (node.tag,)
+
+    return 0.0 if key(u) == key(v) else costs.rename_mismatch_cost
+
+
 def brute_force_tree_distance(a: TableTree, b: TableTree, costs: EditCosts | None = None) -> float:
     """Minimum edit-mapping cost by exhaustive backtracking (small trees only).
 
@@ -85,7 +93,7 @@ def brute_force_tree_distance(a: TableTree, b: TableTree, costs: EditCosts | Non
                     ai + 1,
                     bj + 1,
                     pairs,
-                    rename_total + costs.rename_cost(nodes_a[ai], nodes_b[bj]),
+                    rename_total + rename_cost(costs, nodes_a[ai], nodes_b[bj]),
                 )
                 pairs.pop()
 

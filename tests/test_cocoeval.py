@@ -4,6 +4,7 @@ import pytest
 from oracles import interpolated_ap_oracle
 
 from tsrkit.cocoeval import (
+    ApReport,
     MatchConfig,
     average_precision,
     evaluate_corpus,
@@ -12,7 +13,7 @@ from tsrkit.cocoeval import (
 from tsrkit.errors import CorpusError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.geometry import BBox
-from tsrkit.labels import ComponentClass, ComponentInstance
+from tsrkit.labels import MULTI_LABEL_CLASSES, ComponentClass, ComponentInstance
 
 
 def box(x1, y1, x2, y2):
@@ -207,3 +208,100 @@ def test_corpus_threshold_monotonicity():
         jittered, gts, MatchConfig(iou_thresholds=(0.95,))
     )
     assert report.ap50 >= report.mean_ap >= strict.mean_ap
+
+
+def noisy_corpus(seed=6, n_tables=12):
+    """Jittered, partly dropped predictions plus false positives of every class.
+
+    Scores are rounded to 0.1, so confidence ties cross images and classes
+    and the tie order decides the AP.
+    """
+    rng = random.Random(seed)
+    preds, gts = corpus_from_fixture(n_tables=n_tables, seed=seed)
+    noisy = {}
+    for image_id, insts in preds.items():
+        out = []
+        for p in insts:
+            if rng.random() < 0.1:
+                continue
+            b = p.box
+            x1, x2 = sorted((b.x1 + rng.uniform(-3, 3), b.x2 + rng.uniform(-3, 3)))
+            y1, y2 = sorted((b.y1 + rng.uniform(-3, 3), b.y2 + rng.uniform(-3, 3)))
+            out.append(ComponentInstance(BBox(x1, y1, x2, y2), p.cls, round(rng.uniform(0.3, 1.0), 1)))
+        for _ in range(rng.randint(0, 4)):
+            x, y = rng.uniform(0, 300), rng.uniform(0, 150)
+            fp = BBox(x, y, x + rng.uniform(5, 150), y + rng.uniform(5, 60))
+            out.append(ComponentInstance(fp, rng.choice(MULTI_LABEL_CLASSES), round(rng.uniform(0.0, 0.6), 1)))
+        noisy[image_id] = out
+    return noisy, gts
+
+
+# Exact reports on the noisy corpus. They pin the cross-image order of
+# confidence ties, the per-image cap and AP50/AP75 under thresholds that
+# omit them, so any restructuring of the evaluation must keep every float.
+PINNED_REPORTS = [
+    (
+        MatchConfig(),
+        ApReport(
+            mean_ap=0.698209787391939,
+            ap50=0.8814923616903814,
+            ap75=0.8401245802235904,
+            ap_small=0.35069306930693067,
+            ap_medium=0.4143963801142019,
+            ap_large=0.8195219385233068,
+            per_class={
+                ComponentClass.TABLE: 0.9238566713814249,
+                ComponentClass.COLUMN: 0.7594071128461086,
+                ComponentClass.ROW: 0.6751447122441697,
+                ComponentClass.SPANNING_CELL: 0.46435643564356444,
+                ComponentClass.PROJECTED_ROW_HEADER: 0.7504950495049505,
+                ComponentClass.COLUMN_HEADER: 0.6159987427314154,
+            },
+        ),
+    ),
+    (
+        MatchConfig(max_detections_per_image=3),
+        ApReport(
+            mean_ap=0.6287333666306977,
+            ap50=0.7912410288647912,
+            ap75=0.7536206001552537,
+            ap_small=0.35069306930693067,
+            ap_medium=0.35633731230265875,
+            ap_large=0.732376685332943,
+            per_class={
+                ComponentClass.TABLE: 0.9238566713814249,
+                ComponentClass.COLUMN: 0.5777130579930829,
+                ComponentClass.ROW: 0.4399802425297474,
+                ComponentClass.SPANNING_CELL: 0.46435643564356444,
+                ComponentClass.PROJECTED_ROW_HEADER: 0.7504950495049505,
+                ComponentClass.COLUMN_HEADER: 0.6159987427314154,
+            },
+        ),
+    ),
+    (
+        # AP50 and AP75 are still reported when the thresholds omit them
+        MatchConfig(iou_thresholds=(0.95,)),
+        ApReport(
+            mean_ap=0.11296925938015055,
+            ap50=0.8814923616903814,
+            ap75=0.8401245802235904,
+            ap_small=0.0,
+            ap_medium=0.0,
+            ap_large=0.21470527327458017,
+            per_class={
+                ComponentClass.TABLE: 0.47194719471947233,
+                ComponentClass.COLUMN: 0.1072592149324823,
+                ComponentClass.ROW: 0.02788778877887789,
+                ComponentClass.SPANNING_CELL: 0.0,
+                ComponentClass.PROJECTED_ROW_HEADER: 0.0,
+                ComponentClass.COLUMN_HEADER: 0.0707213578500707,
+            },
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg,expected", PINNED_REPORTS, ids=["default", "cap3", "only0.95"])
+def test_corpus_pinned_reports(cfg, expected):
+    preds, gts = noisy_corpus()
+    assert evaluate_corpus(preds, gts, cfg) == expected

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import pytest
 
@@ -135,6 +136,35 @@ def test_duplicate_image_ids_rejected(tmp_path):
     data["images"].append(dict(data["images"][0]))
     with pytest.raises(SchemaError, match="duplicate"):
         load_ground_truth(write(tmp_path, data))
+
+
+@pytest.mark.parametrize(
+    "field_path,value,loader",
+    [
+        pytest.param("instances", 5, load_ground_truth, id="instances-int"),
+        pytest.param("instances[0].class_id", True, load_ground_truth, id="class_id-bool"),
+        pytest.param("instances[0].score", True, load_detections, id="score-bool"),
+        pytest.param("width", True, load_ground_truth, id="width-bool"),
+        pytest.param("width", float("inf"), load_ground_truth, id="width-inf"),
+        pytest.param("height", True, load_ground_truth, id="height-bool"),
+        pytest.param("instances[0].bbox", [0.0, 0.0, True, 10.0], load_ground_truth, id="bbox-bool"),
+        pytest.param("instances[0].bbox", [0.0, 0.0, float("inf"), 10.0], load_ground_truth, id="bbox-inf"),
+        pytest.param("instances[0].bbox", [0, 0, 10**400, 10], load_ground_truth, id="bbox-huge-int"),
+        pytest.param(
+            "instances[0].content_bbox", [0.0, float("-inf"), 10.0, 10.0], load_ground_truth,
+            id="content_bbox-neg-inf",
+        ),
+    ],
+)
+def test_wrong_json_type_rejected_with_path(tmp_path, field_path, value, loader):
+    data = base_file()
+    image = data["images"][0]
+    if field_path.startswith("instances[0]."):
+        image["instances"][0][field_path.split(".", 1)[1]] = value
+    else:
+        image[field_path] = value
+    with pytest.raises(SchemaError, match=re.escape(f"$.images[0].{field_path}:")):
+        loader(write(tmp_path, data))
 
 
 def test_inverted_bbox_rejected(tmp_path):

@@ -2,7 +2,19 @@ import random
 
 import pytest
 
-from tsrkit.geometry import BBox, SizeBucket, aspect_ratio, classify_size, iou
+from tsrkit.anchors import dataset_stats, fold_ratio
+from tsrkit.geometry import BBox, SizeBucket, classify_size, iou
+from tsrkit.labels import AnnotationSet, ComponentClass, ComponentInstance, LabelMode
+
+
+def translate(box, dx, dy):
+    return BBox(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy)
+
+
+def ratio_histogram(box):
+    """The library's one use of a box's height / width: dataset_stats' folded histogram."""
+    ann = AnnotationSet("a", (ComponentInstance(box, ComponentClass.ROW),), LabelMode.MULTI)
+    return dataset_stats([ann]).folded_aspect_ratio_histogram
 
 
 def random_box(rng, span=100.0):
@@ -47,7 +59,7 @@ def test_iou_properties_randomized():
         assert 0.0 <= v <= 1.0
         assert v == iou(b, a)
         dx, dy = rng.uniform(-50, 50), rng.uniform(-50, 50)
-        shifted = iou(a.translate(dx, dy), b.translate(dx, dy))
+        shifted = iou(translate(a, dx, dy), translate(b, dx, dy))
         assert shifted == pytest.approx(v, abs=1e-9)
         if a.area > 0:
             assert iou(a, a) == 1.0
@@ -83,9 +95,8 @@ def test_classify_size_total_and_exclusive():
     ],
 )
 def test_aspect_ratio(box, expected):
-    assert aspect_ratio(box) == pytest.approx(expected)
+    assert ratio_histogram(box) == {int(fold_ratio(expected)): 1}
 
 
 def test_aspect_ratio_zero_width():
-    with pytest.raises(ValueError):
-        aspect_ratio(BBox(5, 0, 5, 10))
+    assert ratio_histogram(BBox(5, 0, 5, 10)) == {}

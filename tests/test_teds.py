@@ -56,6 +56,16 @@ def test_parse_rejects(fragment):
         parse_table_html(fragment)
 
 
+@pytest.mark.parametrize("ws", ["\n", "\t", "\r\n"], ids=["lf", "tab", "crlf"])
+def test_parse_any_whitespace_in_tags(ws):
+    fragment = (
+        f"<table{ws}><tbody><tr{ws}><td{ws}rowspan=1{ws}colspan{ws}={ws}\"2\"></td>"
+        f"</tr{ws}></tbody></table>"
+    )
+    expected = '<table><tbody><tr><td colspan="2"></td></tr></tbody></table>'
+    assert parse_table_html(fragment).to_html() == expected
+
+
 def test_parse_error_carries_offset():
     fragment = "<table><tbody><banner></tbody></table>"
     with pytest.raises(HtmlParseError) as err:
@@ -231,14 +241,16 @@ def test_teds_monotone_under_deletion():
 
 
 def test_rename_cost_model():
-    costs = EditCosts()
+    # one-node trees: the distance is the rename cost, which never exceeds delete + insert
     td1 = TableTree("td", colspan=2)
     td2 = TableTree("td", colspan=2)
     td3 = TableTree("td", rowspan=3)
-    assert costs.rename_cost(td1, td2) == 0.0
-    assert costs.rename_cost(td1, td3) == 1.0
-    assert costs.rename_cost(TableTree("tr"), TableTree("tr")) == 0.0
-    assert costs.rename_cost(TableTree("tr"), TableTree("tbody")) == 1.0
+    assert tree_edit_distance(td1, td2) == 0.0
+    assert tree_edit_distance(td1, td3) == 1.0
+    assert tree_edit_distance(TableTree("tr"), TableTree("tr")) == 0.0
+    assert tree_edit_distance(TableTree("tr"), TableTree("tbody")) == 1.0
+    half = EditCosts(rename_mismatch_cost=0.5)
+    assert tree_edit_distance(td1, td3, half) == 0.5
 
 
 # ----------------------------------------------------------------- corpus
