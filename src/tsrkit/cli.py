@@ -122,17 +122,8 @@ def _transform_labels(args, encode: bool) -> int:
     if corpus.label_mode is not expected:
         _fail(f"input must be label_mode={expected.value}")
     transform = encode_pseudo if encode else decode_pseudo
-    for image in corpus.images:
-        ann = AnnotationSet(
-            image.image_id,
-            tuple(rec.to_instance() for rec in image.instances),
-            corpus.label_mode,
-        )
-        out = transform(ann)
-        image.instances = [
-            formats.instance_record_from(inst, with_score=True)
-            for inst in out.instances
-        ]
+    for image, ann in zip(corpus.images, corpus.annotation_sets()):
+        image.instances = list(transform(ann).instances)
     corpus.label_mode = LabelMode.SINGLE if encode else LabelMode.MULTI
     formats.save(corpus, args.output)
     print(f"wrote {args.output}")
@@ -171,6 +162,7 @@ def cmd_teds(args) -> int:
     if missing_html:
         _fail(f"ground truth without html for: {missing_html[:5]}")
     pairs = []
+    missing = set()
     ids = sorted(html)
     for image_id in ids:
         pred_path = os.path.join(args.predictions_dir, f"{image_id}.html")
@@ -179,17 +171,17 @@ def cmd_teds(args) -> int:
                 pred = handle.read()
         else:
             pred = ""  # scores 0: an absent prediction cannot match anything
+            missing.add(image_id)
         pairs.append((pred, html[image_id]))
     report = corpus_teds(pairs)
     for line in report.format_lines():
         print(line)
-    failures = [
-        (ids[p.index], p.prediction_error)
-        for p in report.pairs
-        if p.prediction_error is not None
-    ]
-    for image_id, message in failures:
-        print(f"prediction failed {image_id}: {message}", file=sys.stderr)
+    for p in report.pairs:
+        image_id = ids[p.index]
+        if image_id in missing:
+            print(f"prediction missing {image_id}", file=sys.stderr)
+        elif p.prediction_error is not None:
+            print(f"prediction failed {image_id}: {p.prediction_error}", file=sys.stderr)
     return 0
 
 

@@ -43,6 +43,10 @@ class MatchConfig:
     max_detections_per_image: int = 300
 
     def __post_init__(self):
+        if not self.iou_thresholds:
+            raise ValueError("iou_thresholds must not be empty")
+        if not self.recall_levels:
+            raise ValueError("recall_levels must not be empty")
         if any(b <= a for a, b in zip(self.iou_thresholds, self.iou_thresholds[1:])):
             raise ValueError("iou_thresholds must be strictly increasing")
         if self.max_detections_per_image < 1:

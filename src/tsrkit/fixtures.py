@@ -11,11 +11,11 @@ score 1.0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .formats import CorpusFile, ImageRecord, InstanceRecord
+from .formats import CorpusFile, ImageRecord
 from .geometry import BBox
-from .labels import ComponentClass, LabelMode
+from .labels import ComponentClass, ComponentInstance, LabelMode
 
 # component annotation padding; kept small against the minimum cell extents
 # (rows >= 9 px, columns >= 18 px) so padded boxes never absorb a grid
@@ -200,16 +200,19 @@ def generate_layout(rng: random.Random, spec: FixtureSpec) -> TableLayout:
     )
 
 
-def layout_instances(layout: TableLayout) -> list[InstanceRecord]:
+def _rounded(box: BBox) -> BBox:
+    return BBox(*(round(v, 2) for v in box.as_tuple()))
+
+
+def layout_instances(layout: TableLayout) -> list[ComponentInstance]:
     """Padded component annotations with content extents, in class order."""
     pad = layout.padding
 
-    def record(cls: ComponentClass, content: BBox, padding: float) -> InstanceRecord:
-        padded = content.inflate(padding)
-        return InstanceRecord(
-            bbox=tuple(round(v, 2) for v in padded.as_tuple()),
-            class_id=int(cls),
-            content_bbox=tuple(round(v, 2) for v in content.as_tuple()),
+    def record(cls: ComponentClass, content: BBox, padding: float) -> ComponentInstance:
+        return ComponentInstance(
+            box=_rounded(content.inflate(padding)),
+            cls=cls,
+            content_box=_rounded(content),
         )
 
     records = [record(ComponentClass.TABLE, layout.table_content_box(), layout.table_padding)]
@@ -240,9 +243,9 @@ def generate_fixtures(spec: FixtureSpec) -> tuple[CorpusFile, CorpusFile]:
     for index in range(spec.n_tables):
         layout = generate_layout(rng, spec)
         instances = layout_instances(layout)
-        table_box = instances[0].bbox
-        width = round(table_box[2] + 25.0, 2)
-        height = round(table_box[3] + 25.0, 2)
+        table_box = instances[0].box
+        width = round(table_box.x2 + 25.0, 2)
+        height = round(table_box.y2 + 25.0, 2)
         image_id = f"table_{index:03d}"
         gt_images.append(
             ImageRecord(
@@ -258,10 +261,7 @@ def generate_fixtures(spec: FixtureSpec) -> tuple[CorpusFile, CorpusFile]:
                 image_id=image_id,
                 width=width,
                 height=height,
-                instances=[
-                    InstanceRecord(bbox=rec.bbox, class_id=rec.class_id, score=1.0)
-                    for rec in instances
-                ],
+                instances=[replace(inst, score=1.0, content_box=None) for inst in instances],
             )
         )
     gt = CorpusFile(label_mode=LabelMode.MULTI, images=gt_images)

@@ -1,11 +1,13 @@
 """Corpus file schemas: detection and ground-truth records as versioned JSON.
 
 One schema family covers both directions of every pipeline: per-image
-records with instance lists. Ground truth may carry the structure HTML and
+records of ``labels.ComponentInstance``, the one instance type every stage
+uses from file to metric. Ground truth may carry the structure HTML and
 per-instance content extents; detections carry confidences. Out-of-range
 coordinates are clamped into the image with a warning because real
-annotations contain padding-induced excursions; unknown fields survive a
-load/save round trip untouched.
+annotations contain padding-induced excursions. Unknown fields at every
+level survive a load/save round trip untouched; instance-level ones ride in
+``ComponentInstance.extra`` through both label transforms too.
 """
 
 from __future__ import annotations
@@ -29,28 +31,11 @@ _FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
-class InstanceRecord:
-    bbox: tuple[float, float, float, float]
-    class_id: int
-    score: float | None = None
-    content_bbox: tuple[float, float, float, float] | None = None
-    extra: dict = field(default_factory=dict)
-
-    def to_instance(self) -> ComponentInstance:
-        return ComponentInstance(
-            box=BBox(*self.bbox),
-            cls=ComponentClass(self.class_id),
-            score=self.score,
-            content_box=BBox(*self.content_bbox) if self.content_bbox else None,
-        )
-
-
-@dataclass
 class ImageRecord:
     image_id: str
     width: float
     height: float
-    instances: list[InstanceRecord] = field(default_factory=list)
+    instances: list[ComponentInstance] = field(default_factory=list)
     html: str | None = None
     extra: dict = field(default_factory=dict)
 
@@ -65,11 +50,7 @@ class CorpusFile:
 
     def annotation_sets(self) -> list[AnnotationSet]:
         return [
-            AnnotationSet(
-                rec.image_id,
-                tuple(inst.to_instance() for inst in rec.instances),
-                self.label_mode,
-            )
+            AnnotationSet(rec.image_id, tuple(rec.instances), self.label_mode)
             for rec in self.images
         ]
 
@@ -77,18 +58,14 @@ class CorpusFile:
         return {rec.image_id: rec.html for rec in self.images if rec.html is not None}
 
 
-def instance_record_from(inst: ComponentInstance, with_score: bool) -> InstanceRecord:
-    return InstanceRecord(
-        bbox=inst.box.as_tuple(),
-        class_id=int(inst.cls),
-        score=inst.score if with_score else None,
-        content_bbox=inst.content_box.as_tuple() if inst.content_box else None,
-    )
+# The parsers below run once per image and instance: they carry record
+# indices and format a JSON path or message only when a check fails.
 
 
-def _require(condition: bool, path: str, message: str):
-    if not condition:
-        raise SchemaError(f"{path}: {message}")
+def _at(image: int, instance: int | None = None) -> str:
+    """The JSON path of one image record, or of one of its instances."""
+    path = f"$.images[{image}]"
+    return path if instance is None else f"{path}.instances[{instance}]"
 
 
 def _is_finite_number(value) -> bool:
@@ -96,12 +73,11 @@ def _is_finite_number(value) -> bool:
     return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
-def _clamped_bbox(raw, width: float, height: float, path: str):
-    # runs once per box, so each message is formatted only when its check fails
+def _clamped_bbox(raw, width: float, height: float, image: int, instance: int, key: str) -> BBox:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
-        raise SchemaError(f"{path}: bbox must be a 4-element array, got {raw!r}")
+        raise SchemaError(f"{_at(image, instance)}.{key}: bbox must be a 4-element array, got {raw!r}")
     if not all(map(_is_finite_number, raw)):
-        raise SchemaError(f"{path}: bbox holds non-finite or non-numeric values {raw!r}")
+        raise SchemaError(f"{_at(image, instance)}.{key}: bbox holds non-finite or non-numeric values {raw!r}")
     x1, y1, x2, y2 = map(float, raw)
     clamped = (
         min(max(x1, 0.0), width),
@@ -110,86 +86,84 @@ def _clamped_bbox(raw, width: float, height: float, path: str):
         min(max(y2, 0.0), height),
     )
     if clamped != (x1, y1, x2, y2):
-        log.warning("%s: bbox %s clamped to %s", path, (x1, y1, x2, y2), clamped)
+        log.warning("%s.%s: bbox %s clamped to %s", _at(image, instance), key, (x1, y1, x2, y2), clamped)
     if not (clamped[2] >= clamped[0] and clamped[3] >= clamped[1]):
-        raise SchemaError(f"{path}: bbox {raw!r} inverted after clamping")
-    return clamped
+        raise SchemaError(f"{_at(image, instance)}.{key}: bbox {raw!r} inverted after clamping")
+    return BBox(*clamped)
 
 
-def _parse_instance(raw, width, height, label_mode, is_ground_truth, path) -> InstanceRecord:
-    _require(isinstance(raw, dict), path, "instance must be an object")
-    known = {"bbox", "class_id", "score", "content_bbox"}
-    _require("bbox" in raw, path, "missing bbox")
-    _require("class_id" in raw, path, "missing class_id")
-    bbox = _clamped_bbox(raw["bbox"], width, height, f"{path}.bbox")
+_INSTANCE_FIELDS = frozenset({"bbox", "class_id", "score", "content_bbox"})
+_CLASS_BY_ID = tuple(ComponentClass)  # indexing skips the enum's value lookup
+
+
+def _parse_instance(raw, width, height, label_mode, is_ground_truth, image, instance) -> ComponentInstance:
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{_at(image, instance)}: instance must be an object")
+    if "bbox" not in raw:
+        raise SchemaError(f"{_at(image, instance)}: missing bbox")
+    if "class_id" not in raw:
+        raise SchemaError(f"{_at(image, instance)}: missing class_id")
+    box = _clamped_bbox(raw["bbox"], width, height, image, instance, "bbox")
 
     class_id = raw["class_id"]
-    _require(
-        type(class_id) is int and 0 <= class_id <= 6,
-        f"{path}.class_id",
-        f"must be an integer in 0..6, got {class_id!r}",
-    )
-    _require(
-        class_id != 6 or label_mode is LabelMode.SINGLE,
-        f"{path}.class_id",
-        "class 6 (pseudo header row) requires label_mode = single",
-    )
+    if not (type(class_id) is int and 0 <= class_id <= 6):
+        raise SchemaError(f"{_at(image, instance)}.class_id: must be an integer in 0..6, got {class_id!r}")
+    if class_id == 6 and label_mode is not LabelMode.SINGLE:
+        raise SchemaError(
+            f"{_at(image, instance)}.class_id: class 6 (pseudo header row) requires label_mode = single"
+        )
 
     score = raw.get("score")
-    if is_ground_truth:
-        _require(score is None, f"{path}.score", "ground truth must not carry scores")
-    elif score is not None:
-        _require(
-            _is_finite_number(score) and 0.0 <= score <= 1.0,
-            f"{path}.score",
-            f"must lie in [0, 1], got {score!r}",
-        )
+    if score is not None:
+        if is_ground_truth:
+            raise SchemaError(f"{_at(image, instance)}.score: ground truth must not carry scores")
+        if not (_is_finite_number(score) and 0.0 <= score <= 1.0):
+            raise SchemaError(f"{_at(image, instance)}.score: must lie in [0, 1], got {score!r}")
         score = float(score)
 
-    content_bbox = None
+    content_box = None
     if raw.get("content_bbox") is not None:
-        _require(is_ground_truth, f"{path}.content_bbox", "only ground truth carries content extents")
-        content_bbox = _clamped_bbox(raw["content_bbox"], width, height, f"{path}.content_bbox")
+        if not is_ground_truth:
+            raise SchemaError(f"{_at(image, instance)}.content_bbox: only ground truth carries content extents")
+        content_box = _clamped_bbox(raw["content_bbox"], width, height, image, instance, "content_bbox")
 
-    extra = {k: v for k, v in raw.items() if k not in known}
-    return InstanceRecord(bbox, class_id, score, content_bbox, extra)
+    extra = {k: v for k, v in raw.items() if k not in _INSTANCE_FIELDS}
+    return ComponentInstance(box, _CLASS_BY_ID[class_id], score, content_box, extra)
 
 
-def _parse_image(raw, label_mode, is_ground_truth, path) -> ImageRecord:
-    _require(isinstance(raw, dict), path, "image record must be an object")
+def _parse_image(raw, label_mode, is_ground_truth, image) -> ImageRecord:
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{_at(image)}: image record must be an object")
     known = {"image_id", "width", "height", "instances", "html"}
     for key in ("image_id", "width", "height"):
-        _require(key in raw, path, f"missing {key}")
+        if key not in raw:
+            raise SchemaError(f"{_at(image)}: missing {key}")
     image_id = raw["image_id"]
-    _require(isinstance(image_id, str) and image_id, f"{path}.image_id", "must be a non-empty string")
-    width, height = raw["width"], raw["height"]
-    _require(
-        _is_finite_number(width) and width > 0,
-        f"{path}.width",
-        f"must be a positive finite number, got {width!r}",
-    )
-    _require(
-        _is_finite_number(height) and height > 0,
-        f"{path}.height",
-        f"must be a positive finite number, got {height!r}",
-    )
+    if not (isinstance(image_id, str) and image_id):
+        raise SchemaError(f"{_at(image)}.image_id: must be a non-empty string")
+    for key in ("width", "height"):
+        if not (_is_finite_number(raw[key]) and raw[key] > 0):
+            raise SchemaError(f"{_at(image)}.{key}: must be a positive finite number, got {raw[key]!r}")
+    width, height = float(raw["width"]), float(raw["height"])
     instances_raw = raw.get("instances", [])
-    _require(isinstance(instances_raw, list), f"{path}.instances", "must be an array")
+    if not isinstance(instances_raw, list):
+        raise SchemaError(f"{_at(image)}.instances: must be an array")
     instances = [
-        _parse_instance(inst, float(width), float(height), label_mode, is_ground_truth,
-                        f"{path}.instances[{i}]")
+        _parse_instance(inst, width, height, label_mode, is_ground_truth, image, i)
         for i, inst in enumerate(instances_raw)
     ]
     html = raw.get("html")
     if html is not None:
-        _require(is_ground_truth, f"{path}.html", "only ground truth carries structure html")
-        _require(isinstance(html, str), f"{path}.html", "must be a string")
+        if not is_ground_truth:
+            raise SchemaError(f"{_at(image)}.html: only ground truth carries structure html")
+        if not isinstance(html, str):
+            raise SchemaError(f"{_at(image)}.html: must be a string")
         try:
             parse_table_html(html)
         except HtmlParseError as exc:
-            raise SchemaError(f"{path}.html: does not parse: {exc}") from exc
+            raise SchemaError(f"{_at(image)}.html: does not parse: {exc}") from exc
     extra = {k: v for k, v in raw.items() if k not in known}
-    return ImageRecord(image_id, float(width), float(height), instances, html, extra)
+    return ImageRecord(image_id, width, height, instances, html, extra)
 
 
 def _load(path: str, is_ground_truth: bool) -> CorpusFile:
@@ -198,25 +172,23 @@ def _load(path: str, is_ground_truth: bool) -> CorpusFile:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    _require(isinstance(raw, dict), "$", "top level must be an object")
+    if not isinstance(raw, dict):
+        raise SchemaError("$: top level must be an object")
     version = raw.get("schema_version")
-    _require(
-        version == SCHEMA_VERSION,
-        "$.schema_version",
-        f"unsupported version {version!r} (expected {SCHEMA_VERSION})",
-    )
+    if version != SCHEMA_VERSION:
+        raise SchemaError(f"$.schema_version: unsupported version {version!r} (expected {SCHEMA_VERSION})")
     mode_raw = raw.get("label_mode")
-    _require(mode_raw in ("multi", "single"), "$.label_mode", f"must be 'multi' or 'single', got {mode_raw!r}")
+    if mode_raw not in ("multi", "single"):
+        raise SchemaError(f"$.label_mode: must be 'multi' or 'single', got {mode_raw!r}")
     label_mode = LabelMode(mode_raw)
     images_raw = raw.get("images")
-    _require(isinstance(images_raw, list), "$.images", "must be an array")
-    images = [
-        _parse_image(img, label_mode, is_ground_truth, f"$.images[{i}]")
-        for i, img in enumerate(images_raw)
-    ]
+    if not isinstance(images_raw, list):
+        raise SchemaError("$.images: must be an array")
+    images = [_parse_image(img, label_mode, is_ground_truth, i) for i, img in enumerate(images_raw)]
     seen = set()
     for i, rec in enumerate(images):
-        _require(rec.image_id not in seen, f"$.images[{i}].image_id", f"duplicate id {rec.image_id!r}")
+        if rec.image_id in seen:
+            raise SchemaError(f"{_at(i)}.image_id: duplicate id {rec.image_id!r}")
         seen.add(rec.image_id)
     extra = {k: v for k, v in raw.items() if k not in ("schema_version", "label_mode", "images")}
     return CorpusFile(label_mode=label_mode, images=images, extra=extra)
@@ -230,13 +202,13 @@ def load_ground_truth(path: str) -> CorpusFile:
     return _load(path, is_ground_truth=True)
 
 
-def _instance_json(rec: InstanceRecord) -> dict:
-    out: dict = {"bbox": [float(v) for v in rec.bbox], "class_id": rec.class_id}
-    if rec.score is not None:
-        out["score"] = float(rec.score)
-    if rec.content_bbox is not None:
-        out["content_bbox"] = [float(v) for v in rec.content_bbox]
-    out.update(rec.extra)
+def _instance_json(inst: ComponentInstance) -> dict:
+    out: dict = {"bbox": [float(v) for v in inst.box.as_tuple()], "class_id": int(inst.cls)}
+    if inst.score is not None:
+        out["score"] = float(inst.score)
+    if inst.content_box is not None:
+        out["content_bbox"] = [float(v) for v in inst.content_box.as_tuple()]
+    out.update(inst.extra)
     return out
 
 

@@ -11,7 +11,7 @@ inverse transform duplicates predictions back into the multi-label form.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import LabelConsistencyError, LabelModeError
 from .geometry import BBox
@@ -46,13 +46,15 @@ class ComponentInstance:
 
     ``score`` is absent for ground truth. ``content_box`` is the minimum box
     covering the component's content, carried only by synthetic fixtures that
-    feed the metric-misalignment experiments.
+    feed the metric-misalignment experiments. ``extra`` holds the record's
+    unknown JSON fields; it takes no part in equality or hashing.
     """
 
     box: BBox
     cls: ComponentClass
     score: float | None = None
     content_box: BBox | None = None
+    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.score is not None and not (0.0 <= self.score <= 1.0):
@@ -67,9 +69,6 @@ class AnnotationSet:
 
     def __post_init__(self):
         object.__setattr__(self, "instances", tuple(self.instances))
-
-    def by_class(self, cls: ComponentClass) -> list[ComponentInstance]:
-        return [inst for inst in self.instances if inst.cls == cls]
 
     def as_pairs(self) -> set[tuple[tuple[float, float, float, float], ComponentClass]]:
         """The (box, class) set; collapses duplicates, which the transforms never emit."""

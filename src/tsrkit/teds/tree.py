@@ -2,12 +2,14 @@
 
 The grammar covers exactly the tags that carry structure: table, thead,
 tbody, tr, td (th is accepted and normalized to td). Everything inside a td
-is content and is discarded; span attributes must be positive integers.
-Parse errors report the byte offset of the offending token.
+is content and is discarded. Span attributes must be positive integers in
+ASCII digits, at most 1000 for colspan and 65534 for rowspan (the WHATWG
+HTML limits). Parse errors report the byte offset of the offending token.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from ..errors import HtmlParseError
@@ -146,16 +148,27 @@ def _parse_attrs(text: str, scanner: _Scanner, offset: int) -> dict[str, str]:
     return attrs
 
 
+# int() alone would also take "_" separators and non-ASCII digits
+_SPAN_VALUE = re.compile(r"\s*[+-]?[0-9]+\s*")
+# the WHATWG HTML limits for td/th spans
+_SPAN_LIMITS = {"colspan": 1000, "rowspan": 65534}
+
+
 def _span_value(attrs: dict[str, str], key: str, scanner: _Scanner, offset: int) -> int:
     raw = attrs.get(key)
     if raw is None:
         return 1
+    if _SPAN_VALUE.fullmatch(raw) is None:
+        scanner.error(f"non-integer {key} value {raw!r}", offset)
+    limit = _SPAN_LIMITS[key]
     try:
         value = int(raw)
-    except ValueError:
-        scanner.error(f"non-integer {key} value {raw!r}", offset)
+    except ValueError:  # int() converts at most 4300 digits
+        scanner.error(f"{key} value of {len(raw)} characters exceeds {limit}", offset)
     if value < 1:
         scanner.error(f"{key} value {value} < 1", offset)
+    if value > limit:
+        scanner.error(f"{key} value {value} exceeds {limit}", offset)
     return value
 
 

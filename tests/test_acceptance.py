@@ -84,14 +84,18 @@ ACCEPTANCE_SPEC = FixtureSpec(n_tables=30, seed=7)
 
 def corpus_features(gt):
     sets = gt.annotation_sets()
-    has_span = any(ann.by_class(ComponentClass.SPANNING_CELL) for ann in sets)
-    has_header = any(ann.by_class(ComponentClass.COLUMN_HEADER) for ann in sets)
-    has_projected = any(ann.by_class(ComponentClass.PROJECTED_ROW_HEADER) for ann in sets)
+
+    def of_class(ann, cls):
+        return [inst for inst in ann.instances if inst.cls == cls]
+
+    has_span = any(of_class(ann, ComponentClass.SPANNING_CELL) for ann in sets)
+    has_header = any(of_class(ann, ComponentClass.COLUMN_HEADER) for ann in sets)
+    has_projected = any(of_class(ann, ComponentClass.PROJECTED_ROW_HEADER) for ann in sets)
     has_pseudo_pattern = any(
         header.box == row.box
         for ann in sets
-        for header in ann.by_class(ComponentClass.COLUMN_HEADER)
-        for row in ann.by_class(ComponentClass.ROW)
+        for header in of_class(ann, ComponentClass.COLUMN_HEADER)
+        for row in of_class(ann, ComponentClass.ROW)
     )
     return has_span, has_header, has_projected, has_pseudo_pattern
 

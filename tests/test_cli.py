@@ -97,8 +97,9 @@ def test_teds_missing_prediction_scores_zero(fixture_files, capsys, tmp_path):
     os.unlink(os.path.join(html_dir, "table_000.html"))
     capsys.readouterr()
     assert main(["teds", html_dir, gt]) == 0
-    out = capsys.readouterr().out
-    assert "TEDS overall = 1.0000" not in out
+    captured = capsys.readouterr()
+    assert "TEDS overall = 1.0000" not in captured.out
+    assert captured.err == "prediction missing table_000\n"
 
 
 def test_reconstruct_accepts_single_label_detections(tmp_path, capsys):
@@ -156,6 +157,26 @@ def test_encode_decode_round_trip(fixture_files, tmp_path):
     assert all(
         inst["class_id"] != 6 for img in raw["images"] for inst in img["instances"]
     )
+
+
+def test_instance_unknown_fields_survive_label_transforms(fixture_files, tmp_path):
+    gt, _ = fixture_files
+    with open(gt) as handle:
+        raw = json.load(handle)
+    raw["images"][0]["instances"][0]["flagged"] = True  # the table box, kept by both transforms
+    annotated = str(tmp_path / "annotated.json")
+    with open(annotated, "w") as handle:
+        json.dump(raw, handle)
+
+    encoded = str(tmp_path / "single.json")
+    decoded = str(tmp_path / "multi.json")
+    assert main(["encode-labels", annotated, "-o", encoded]) == 0
+    assert main(["decode-labels", encoded, "-o", decoded]) == 0
+    for path in (encoded, decoded):
+        with open(path) as handle:
+            first = json.load(handle)["images"][0]["instances"][0]
+        assert first["class_id"] == 0
+        assert first["flagged"] is True
 
 
 def test_misalign_cli(fixture_files, capsys, tmp_path):

@@ -210,6 +210,13 @@ def test_corpus_threshold_monotonicity():
     assert report.ap50 >= report.mean_ap >= strict.mean_ap
 
 
+@pytest.mark.parametrize("field", ["iou_thresholds", "recall_levels"])
+def test_match_config_rejects_empty_tuples(field):
+    # both used to reach evaluate_corpus and divide by zero there
+    with pytest.raises(ValueError, match=f"{field} must not be empty"):
+        MatchConfig(**{field: ()})
+
+
 def noisy_corpus(seed=6, n_tables=12):
     """Jittered, partly dropped predictions plus false positives of every class.
 

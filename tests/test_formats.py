@@ -93,7 +93,7 @@ def test_negative_coordinate_clamped_with_warning(tmp_path, caplog):
     data["images"][0]["instances"][0]["bbox"] = [-3.0, 0.0, 10.0, 10.0]
     with caplog.at_level(logging.WARNING, logger="tsrkit.formats"):
         loaded = load_ground_truth(write(tmp_path, data))
-    assert loaded.images[0].instances[0].bbox == (0.0, 0.0, 10.0, 10.0)
+    assert loaded.images[0].instances[0].box.as_tuple() == (0.0, 0.0, 10.0, 10.0)
     assert any("clamped" in record.message for record in caplog.records)
 
 
@@ -208,9 +208,9 @@ def test_fixture_predictions_are_perfect_copies():
     assert det.label_mode is LabelMode.MULTI
     for gt_img, det_img in zip(gt.images, det.images):
         assert gt_img.image_id == det_img.image_id
-        assert [(r.bbox, r.class_id) for r in gt_img.instances] == [
-            (r.bbox, r.class_id) for r in det_img.instances
+        assert [(r.box, r.cls) for r in gt_img.instances] == [
+            (r.box, r.cls) for r in det_img.instances
         ]
         assert all(r.score == 1.0 for r in det_img.instances)
-        assert all(r.content_bbox is None for r in det_img.instances)
-        assert all(r.content_bbox is not None for r in gt_img.instances)
+        assert all(r.content_box is None for r in det_img.instances)
+        assert all(r.content_box is not None for r in gt_img.instances)

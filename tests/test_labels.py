@@ -34,6 +34,13 @@ def test_confidence_range_checked():
         ComponentInstance(B, ComponentClass.ROW, score=1.5)
 
 
+def test_extra_fields_ignored_by_equality_and_hash():
+    plain = ComponentInstance(B, ComponentClass.ROW, 0.5)
+    flagged = ComponentInstance(B, ComponentClass.ROW, 0.5, extra={"flagged": True})
+    assert plain == flagged
+    assert hash(plain) == hash(flagged)
+
+
 def test_boxes_match_tolerance():
     a = BBox(0, 0, 10, 10)
     assert boxes_match(a, BBox(0.5, -0.5, 10.9, 9.2), 1.0)

@@ -66,6 +66,34 @@ def test_parse_any_whitespace_in_tags(ws):
     assert parse_table_html(fragment).to_html() == expected
 
 
+@pytest.mark.parametrize(
+    "attr",
+    [
+        'colspan="1_0"',  # int() reads 10
+        'colspan="\u0662"',  # ARABIC-INDIC DIGIT TWO, int() reads 2
+        'rowspan="\uff13"',  # FULLWIDTH DIGIT THREE
+        'colspan="1001"',
+        'rowspan="65535"',
+        'colspan="99999999999"',
+    ],
+    ids=["underscore", "arabic-indic", "fullwidth", "colspan-1001", "rowspan-65535", "huge"],
+)
+def test_parse_rejects_bad_span_values(attr):
+    fragment = f"<table><tbody><tr><td></td><td {attr}></td></tr></tbody></table>"
+    with pytest.raises(HtmlParseError) as err:
+        parse_table_html(fragment)
+    assert err.value.offset == fragment.index(f"<td {attr}")
+
+
+def test_parse_span_values_at_the_limits():
+    fragment = '<table><tbody><tr><td colspan=" +1000 " rowspan="065534"></td></tr></tbody></table>'
+    cell = parse_table_html(fragment).children[0].children[0].children[0]
+    assert (cell.colspan, cell.rowspan) == (1000, 65534)
+    too_long = f'<table><tbody><tr><td colspan="{"9" * 5000}"></td></tr></tbody></table>'
+    with pytest.raises(HtmlParseError):
+        parse_table_html(too_long)
+
+
 def test_parse_error_carries_offset():
     fragment = "<table><tbody><banner></tbody></table>"
     with pytest.raises(HtmlParseError) as err:
