@@ -5,10 +5,27 @@ Table components are extreme in aspect ratio compared with common objects
 ratio list matters. Ratios below 1 fold onto their multiplicative inverse for
 histogramming. Coverage quantifies how well a ratio list serves a corpus:
 the fraction of ground-truth boxes whose best anchor IoU clears 0.5 / 0.7.
+
+Coverage never scans every anchor. Within one pyramid level and one ratio
+all anchors have the same size and differ only by their centre. For a fixed
+box, the overlap along x is a non-increasing function of |dx|, the distance
+between the two centres along x, and likewise along y; the intersection is
+their product and IoU increases with the intersection. So the best anchor of
+that (level, ratio) sits on the grid column nearest the box centre,
+``clip(floor(cx / stride), 0, width - 1)``, and on the nearest row. Each box
+therefore has levels x ratios candidates, and the best over them is the best
+over every anchor: O(G * L * R) instead of O(G * N). The candidates are read
+from the generated anchor array and scored with the same IoU expression, so
+each candidate's IoU is the one a full scan computes for that anchor. The
+two maxima differ only where another anchor of the same (level, ratio) ties
+the nearest one, as when several anchors contain the box: rounding in the
+anchor coordinates can then move a full scan's maximum by a few units in the
+last place.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +92,13 @@ def dataset_stats(annotations: list[AnnotationSet]) -> DatasetStats:
     )
 
 
+def _require_positive_finite(name: str, values) -> None:
+    if len(values) == 0:
+        raise ValueError(f"{name}: need at least one value")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValueError(f"{name}: values must be finite and positive, got {list(values)}")
+
+
 @dataclass(frozen=True)
 class AnchorConfig:
     """Sliding-anchor parameters: one scale (side at ratio 1) per pyramid level."""
@@ -84,17 +108,29 @@ class AnchorConfig:
     scales: tuple[float, ...] | None = None  # default 8 * stride per level
 
     def __post_init__(self):
-        if any(r <= 0 for r in self.aspect_ratios):
-            raise ValueError("aspect ratios must be positive")
+        _require_positive_finite("aspect_ratios", self.aspect_ratios)
         if list(self.aspect_ratios) != sorted(self.aspect_ratios):
-            raise ValueError("aspect ratios must be sorted ascending")
-        if self.scales is not None and len(self.scales) != len(self.strides):
-            raise ValueError("need one scale per stride level")
+            raise ValueError("aspect_ratios: must be sorted ascending")
+        _require_positive_finite("strides", self.strides)
+        if self.scales is not None:
+            if len(self.scales) != len(self.strides):
+                raise ValueError("scales: need one scale per stride level")
+            _require_positive_finite("scales", self.scales)
 
     def level_scales(self) -> tuple[float, ...]:
         if self.scales is not None:
             return self.scales
         return tuple(8.0 * s for s in self.strides)
+
+
+def _check_feature_map_sizes(cfg: AnchorConfig, feature_map_sizes) -> None:
+    if len(feature_map_sizes) != len(cfg.strides):
+        raise ValueError("feature_map_sizes: need one (height, width) per stride level")
+    for height, width in feature_map_sizes:
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (height, width)):
+            raise ValueError(
+                f"feature_map_sizes: height and width must be integers >= 1, got {(height, width)}"
+            )
 
 
 def generate_anchors(
@@ -105,10 +141,9 @@ def generate_anchors(
     Anchor at grid position (i, j) of a level with stride s is centered at
     ((j + 0.5) s, (i + 0.5) s); a ratio rho and scale side a give width
     a / sqrt(rho) and height a * sqrt(rho). Returns an (N, 4) float array of
-    (x1, y1, x2, y2) rows.
+    (x1, y1, x2, y2) rows, ordered by level, row, column, then ratio.
     """
-    if len(feature_map_sizes) != len(cfg.strides):
-        raise ValueError("need one feature map size per stride level")
+    _check_feature_map_sizes(cfg, feature_map_sizes)
     ratios = np.asarray(cfg.aspect_ratios, dtype=np.float64)
     half_w = 0.5 / np.sqrt(ratios)
     half_h = 0.5 * np.sqrt(ratios)
@@ -160,29 +195,51 @@ def _as_array(boxes) -> np.ndarray:
     return arr
 
 
-def best_iou_per_gt(anchors, gts) -> np.ndarray:
-    """Maximum IoU over all anchors, per ground-truth box."""
+def best_iou_per_gt(anchors, gts, cfg: AnchorConfig, feature_map_sizes) -> np.ndarray:
+    """Maximum IoU over all anchors, per ground-truth box.
+
+    ``anchors`` is the array ``generate_anchors(cfg, feature_map_sizes)``
+    returns; only each box's nearest anchor per (level, ratio) is scored
+    (see the module docstring).
+    """
     anchor_arr = _as_array(anchors)
     gt_arr = _as_array(gts)
-    if anchor_arr.shape[0] == 0:
-        raise ValueError("empty anchor list")
-    anchor_area = (anchor_arr[:, 2] - anchor_arr[:, 0]) * (anchor_arr[:, 3] - anchor_arr[:, 1])
-    best = np.zeros(gt_arr.shape[0])
-    for i, gt in enumerate(gt_arr):
-        iw = np.minimum(anchor_arr[:, 2], gt[2]) - np.maximum(anchor_arr[:, 0], gt[0])
-        ih = np.minimum(anchor_arr[:, 3], gt[3]) - np.maximum(anchor_arr[:, 1], gt[1])
-        inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-        gt_area = (gt[2] - gt[0]) * (gt[3] - gt[1])
-        union = anchor_area + gt_area - inter
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ious = np.where(union > 0.0, inter / union, 0.0)
-        best[i] = ious.max()
-    return best
+    if not np.isfinite(gt_arr).all():
+        raise ValueError("gts: box coordinates must be finite")
+    if (gt_arr[:, 2] < gt_arr[:, 0]).any() or (gt_arr[:, 3] < gt_arr[:, 1]).any():
+        raise ValueError("gts: boxes need x2 >= x1 and y2 >= y1")
+    _check_feature_map_sizes(cfg, feature_map_sizes)
+    n_ratios = len(cfg.aspect_ratios)
+    cx = 0.5 * (gt_arr[:, 0] + gt_arr[:, 2])
+    cy = 0.5 * (gt_arr[:, 1] + gt_arr[:, 3])
+    first = []  # per level: index of each box's nearest anchor at the first ratio
+    offset = 0
+    for (height, width), stride in zip(feature_map_sizes, cfg.strides):
+        col = np.clip(np.floor(cx / stride), 0, width - 1).astype(np.intp)
+        row = np.clip(np.floor(cy / stride), 0, height - 1).astype(np.intp)
+        first.append(offset + (row * width + col) * n_ratios)
+        offset += height * width * n_ratios
+    if anchor_arr.shape[0] != offset:
+        raise ValueError(
+            f"anchors: the grid has {offset} anchors, got {anchor_arr.shape[0]}"
+        )
+    cand = anchor_arr[np.stack(first, axis=1)[:, :, None] + np.arange(n_ratios)]  # (G, L, R, 4)
+    gt = gt_arr[:, None, None, :]
+    anchor_area = (cand[..., 2] - cand[..., 0]) * (cand[..., 3] - cand[..., 1])
+    iw = np.minimum(cand[..., 2], gt[..., 2]) - np.maximum(cand[..., 0], gt[..., 0])
+    ih = np.minimum(cand[..., 3], gt[..., 3]) - np.maximum(cand[..., 1], gt[..., 1])
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    gt_area = (gt[..., 2] - gt[..., 0]) * (gt[..., 3] - gt[..., 1])
+    union = anchor_area + gt_area - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ious = np.where(union > 0.0, inter / union, 0.0)
+    return ious.max(axis=(1, 2))
 
 
-def anchor_coverage(anchors, gts) -> CoverageReport:
-    """Coverage statistics of a ground-truth corpus under an anchor set."""
-    best = best_iou_per_gt(anchors, gts)
+def anchor_coverage(anchors, gts, cfg: AnchorConfig, feature_map_sizes) -> CoverageReport:
+    """Coverage statistics of a ground-truth corpus under the anchors of
+    ``generate_anchors(cfg, feature_map_sizes)``."""
+    best = best_iou_per_gt(anchors, gts, cfg, feature_map_sizes)
     if best.size == 0:
         raise ValueError("empty ground-truth list")
     return CoverageReport(

@@ -95,7 +95,7 @@ def cmd_anchors(args) -> int:
         for stride in cfg.strides
     ]
     anchors = generate_anchors(cfg, sizes)
-    report = anchor_coverage(anchors, gt_boxes)
+    report = anchor_coverage(anchors, gt_boxes, cfg, sizes)
     print(f"ratios = {list(cfg.aspect_ratios)}")
     print(f"anchors = {anchors.shape[0]}")
     for line in report.format_lines():

@@ -2,8 +2,9 @@
 
 Nothing here shares code paths with the library: the tree distance oracle
 enumerates edit mappings instead of running the forest DP, the AP oracle
-evaluates the interpolation definition directly, and the convolution oracle
-is plain nested loops.
+evaluates the interpolation definition directly, the anchor oracle scores
+every anchor instead of the nearest one per level and ratio, and the
+convolution oracle is plain nested loops.
 """
 
 from __future__ import annotations
@@ -153,3 +154,25 @@ def naive_depthwise_conv(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
                             acc += kernels[c, dy, dx] * x[c, sy, sx]
                 out[c, y, xx] = acc
     return out
+
+
+def brute_force_best_iou(anchors: np.ndarray, gts: np.ndarray) -> np.ndarray:
+    """Best IoU per ground-truth box over every anchor.
+
+    The all-anchor scan that ``anchors.best_iou_per_gt`` replaced with the
+    nearest-centre method (ROADMAP item 2): O(G * N) against O(G * L * R).
+    """
+    anchors = np.asarray(anchors, dtype=np.float64)
+    gts = np.asarray(gts, dtype=np.float64)
+    anchor_area = (anchors[:, 2] - anchors[:, 0]) * (anchors[:, 3] - anchors[:, 1])
+    best = np.zeros(gts.shape[0])
+    for i, gt in enumerate(gts):
+        iw = np.minimum(anchors[:, 2], gt[2]) - np.maximum(anchors[:, 0], gt[0])
+        ih = np.minimum(anchors[:, 3], gt[3]) - np.maximum(anchors[:, 1], gt[1])
+        inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+        gt_area = (gt[2] - gt[0]) * (gt[3] - gt[1])
+        union = anchor_area + gt_area - inter
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ious = np.where(union > 0.0, inter / union, 0.0)
+        best[i] = ious.max()
+    return best

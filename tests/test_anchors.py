@@ -3,6 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_force_best_iou
 
 from tsrkit.anchors import (
     AnchorConfig,
@@ -122,22 +125,59 @@ def test_config_validation():
         AnchorConfig(scales=(8.0,), strides=(4, 8))
 
 
+ONE_LEVEL = AnchorConfig(aspect_ratios=(1.0,), strides=(8,))
+
+
+def one_level_best_iou(gts):
+    anchors = generate_anchors(ONE_LEVEL, [(2, 2)])
+    return best_iou_per_gt(anchors, np.asarray(gts), ONE_LEVEL, [(2, 2)])
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: AnchorConfig(aspect_ratios=(math.nan,)), "aspect_ratios"),
+        (lambda: AnchorConfig(aspect_ratios=(math.inf,)), "aspect_ratios"),
+        (lambda: AnchorConfig(aspect_ratios=(1.0, math.nan)), "aspect_ratios"),
+        (lambda: AnchorConfig(aspect_ratios=()), "aspect_ratios"),
+        (lambda: AnchorConfig(strides=()), "strides"),
+        (lambda: AnchorConfig(strides=(0,)), "strides"),
+        (lambda: AnchorConfig(strides=(-4,)), "strides"),
+        (lambda: AnchorConfig(strides=(4,), scales=(0.0,)), "scales"),
+        (lambda: AnchorConfig(strides=(4,), scales=(math.nan,)), "scales"),
+        (lambda: generate_anchors(ONE_LEVEL, [(0, 5)]), "feature_map_sizes"),
+        (lambda: generate_anchors(ONE_LEVEL, [(-2, 5)]), "feature_map_sizes"),
+        (lambda: one_level_best_iou([[0.0, 0.0, math.nan, 4.0]]), "gts"),
+        (lambda: one_level_best_iou([[0.0, 0.0, math.inf, 4.0]]), "gts"),
+        (lambda: one_level_best_iou([[5.0, 0.0, 1.0, 4.0]]), "gts"),
+    ],
+)
+def test_invalid_anchor_inputs_name_the_field(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 # ---------------------------------------------------------------- coverage
 
 CANVAS = 512.0
 
 
 def grid_anchors(ratios):
+    """Anchors over the canvas, with the config and sizes that made them."""
     cfg = AnchorConfig(aspect_ratios=tuple(sorted(ratios)))
     sizes = [
         (math.ceil(CANVAS / s), math.ceil(CANVAS / s)) for s in cfg.strides
     ]
-    return generate_anchors(cfg, sizes)
+    return generate_anchors(cfg, sizes), cfg, sizes
 
 
 def test_coverage_anchors_equal_gts():
-    anchors = np.asarray([[0, 0, 10, 10], [5, 5, 50, 50]], dtype=float)
-    report = anchor_coverage(anchors, anchors)
+    # one 1x1 level per box, its single anchor equal to the box
+    cfg = AnchorConfig(aspect_ratios=(1.0,), strides=(10, 55), scales=(10.0, 45.0))
+    sizes = [(1, 1), (1, 1)]
+    anchors = generate_anchors(cfg, sizes)
+    np.testing.assert_array_equal(anchors, [[0, 0, 10, 10], [5, 5, 50, 50]])
+    report = anchor_coverage(anchors, anchors, cfg, sizes)
     assert report.frac_iou50 == 1.0
     assert report.frac_iou70 == 1.0
     assert report.mean_best_iou == 1.0
@@ -146,17 +186,25 @@ def test_coverage_anchors_equal_gts():
 def test_extreme_ratio_needs_extreme_anchor():
     # height/width ratio 40, centered near an anchor center
     target = BBox(250.0, 50.0, 260.0, 450.0)
-    default = best_iou_per_gt(grid_anchors(DEFAULT_ASPECT_RATIOS), [target])
-    tuned = best_iou_per_gt(grid_anchors(TABLE_ASPECT_RATIOS), [target])
+    anchors, cfg, sizes = grid_anchors(DEFAULT_ASPECT_RATIOS)
+    default = best_iou_per_gt(anchors, [target], cfg, sizes)
+    anchors, cfg, sizes = grid_anchors(TABLE_ASPECT_RATIOS)
+    tuned = best_iou_per_gt(anchors, [target], cfg, sizes)
     assert default[0] < 0.5
     assert tuned[0] >= 0.5
 
 
 def test_coverage_errors():
+    anchors, cfg, sizes = grid_anchors(DEFAULT_ASPECT_RATIOS)
+    box = [BBox(0, 0, 1, 1)]
+    with pytest.raises(ValueError, match="anchors"):
+        anchor_coverage(np.zeros((0, 4)), box, cfg, sizes)
+    with pytest.raises(ValueError, match="anchors"):
+        anchor_coverage(anchors[:-1], box, cfg, sizes)
     with pytest.raises(ValueError):
-        anchor_coverage(np.zeros((0, 4)), [BBox(0, 0, 1, 1)])
-    with pytest.raises(ValueError):
-        anchor_coverage(np.zeros((1, 4)), [])
+        anchor_coverage(anchors, [], cfg, sizes)
+    with pytest.raises(ValueError, match="empty ground-truth"):
+        anchor_coverage(anchors, np.zeros((0, 4)), cfg, sizes)
 
 
 def synthetic_table_boxes(rng, count=120):
@@ -178,8 +226,10 @@ def synthetic_table_boxes(rng, count=120):
 def test_tuned_ratio_list_beats_defaults():
     rng = random.Random(1234)
     gts = synthetic_table_boxes(rng)
-    tuned = anchor_coverage(grid_anchors(TABLE_ASPECT_RATIOS), gts)
-    default = anchor_coverage(grid_anchors(DEFAULT_ASPECT_RATIOS), gts)
+    anchors, cfg, sizes = grid_anchors(TABLE_ASPECT_RATIOS)
+    tuned = anchor_coverage(anchors, gts, cfg, sizes)
+    anchors, cfg, sizes = grid_anchors(DEFAULT_ASPECT_RATIOS)
+    default = anchor_coverage(anchors, gts, cfg, sizes)
     assert tuned.frac_iou50 > default.frac_iou50
 
 
@@ -194,7 +244,47 @@ def test_coverage_monotone_in_ratio_set():
     ]
     previous = None
     for ratios in subsets:
-        best = best_iou_per_gt(grid_anchors(ratios), gts)
+        anchors, cfg, sizes = grid_anchors(ratios)
+        best = best_iou_per_gt(anchors, gts, cfg, sizes)
         if previous is not None:
             assert (best >= previous - 1e-12).all()
         previous = best
+
+
+# ------------------------------------------- nearest centre against the scan
+
+@st.composite
+def anchor_problems(draw):
+    """A random grid and boxes inside, across and outside its extent."""
+    ratios = draw(st.lists(st.sampled_from(TABLE_ASPECT_RATIOS), min_size=1, max_size=6, unique=True))
+    levels = draw(st.integers(1, 3))
+    strides = draw(st.lists(st.integers(1, 48), min_size=levels, max_size=levels))
+    scales = draw(
+        st.none() | st.lists(st.floats(1.0, 200.0), min_size=levels, max_size=levels).map(tuple)
+    )
+    cfg = AnchorConfig(aspect_ratios=tuple(sorted(ratios)), strides=tuple(strides), scales=scales)
+    sizes = [(draw(st.integers(1, 6)), draw(st.integers(1, 6))) for _ in strides]
+    extent = max(max(h, w) * s for (h, w), s in zip(sizes, strides))
+    boxes = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):  # integer coordinates
+            coord = st.integers(-extent, 2 * extent).map(float)
+            side = st.integers(0, extent).map(float)
+        else:
+            coord = st.floats(-extent, 2 * extent)
+            side = st.just(0.0) | st.floats(0.0, extent)
+        x1, y1 = draw(coord), draw(coord)
+        boxes.append([x1, y1, x1 + draw(side), y1 + draw(side)])
+    return cfg, sizes, np.asarray(boxes)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(anchor_problems())
+def test_nearest_centre_matches_full_scan(problem):
+    cfg, sizes, gts = problem
+    anchors = generate_anchors(cfg, sizes)
+    fast = best_iou_per_gt(anchors, gts, cfg, sizes)
+    oracle = brute_force_best_iou(anchors, gts)
+    np.testing.assert_allclose(fast, oracle, rtol=0.0, atol=1e-12)
+    for threshold in (0.5, 0.7):
+        np.testing.assert_array_equal(fast >= threshold, oracle >= threshold)

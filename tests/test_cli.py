@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from tsrkit.anchors import TABLE_ASPECT_RATIOS
 from tsrkit.cli import main, parse_perturbation_spec
 from tsrkit.labels import ComponentClass
 from tsrkit.misalign import ALL_CLASSES, PerturbationMode
@@ -215,6 +216,32 @@ def test_anchors_cli(fixture_files, capsys):
     assert main(["anchors", gt, "--ratios", "0.5", "1", "2"]) == 0
     out = capsys.readouterr().out
     assert "fraction best IoU >= 0.5" in out
+    assert out == (
+        "ratios = [0.5, 1.0, 2.0]\n"
+        "anchors = 46827\n"
+        "fraction best IoU >= 0.5 = 0.5200\n"
+        "fraction best IoU >= 0.7 = 0.2267\n"
+        "mean best IoU = 0.4905\n"
+    )
+    assert main(["anchors", gt, "--ratios", *map(str, TABLE_ASPECT_RATIOS)]) == 0
+    assert capsys.readouterr().out == (
+        "ratios = [0.0125, 0.025, 0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0, 80.0]\n"
+        "anchors = 202917\n"
+        "fraction best IoU >= 0.5 = 1.0000\n"
+        "fraction best IoU >= 0.7 = 0.4400\n"
+        "mean best IoU = 0.6911\n"
+    )
+
+
+@pytest.mark.parametrize("ratios", [["nan"], ["inf"], ["1", "nan"]])
+def test_anchors_cli_rejects_nonfinite_ratios(fixture_files, capsys, ratios):
+    gt, _ = fixture_files
+    with pytest.raises(SystemExit) as exc:
+        main(["anchors", gt, "--ratios", *ratios])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "aspect_ratios" in captured.err
 
 
 def test_schema_error_exit_code(tmp_path, capsys):
