@@ -109,8 +109,8 @@ class AnchorConfig:
 
     def __post_init__(self):
         _require_positive_finite("aspect_ratios", self.aspect_ratios)
-        if list(self.aspect_ratios) != sorted(self.aspect_ratios):
-            raise ValueError("aspect_ratios: must be sorted ascending")
+        if any(b <= a for a, b in zip(self.aspect_ratios, self.aspect_ratios[1:])):
+            raise ValueError("aspect_ratios: must be strictly ascending")
         _require_positive_finite("strides", self.strides)
         if self.scales is not None:
             if len(self.scales) != len(self.strides):

@@ -4,10 +4,19 @@ Average precision uses the 101-point interpolation with the right-max
 precision envelope. Matching is per image and per class: predictions sorted
 by descending confidence greedily claim the unmatched ground truth with the
 highest IoU at or above the threshold. Confidence ties keep image order
-(sorted ids), then input order. Each class and size bucket is evaluated in
-one pass: its IoU rows and its confidence order are built once and matched
-at every threshold, AP50 and AP75 included, which are reported even when
-the thresholds omit them.
+(sorted ids), then input order. AP50 and AP75 are reported even when the
+thresholds omit them.
+
+The images are walked once. Each image gets one prediction x ground-truth
+IoU matrix across all classes; the per-image caps are rank masks. The
+greedy walk visits only the pairs some threshold can accept (same class,
+IoU at or above the lowest threshold) and settles every threshold in one
+step per prediction, for all sizes and, on same-size pairs, for the size
+buckets. Class, size code, score and true-positive flags are kept for the
+whole corpus, and AP is computed with numpy per (class, bucket,
+threshold). The interpolated precisions are added in Python, left to
+right, so every value equals, float for float, a plain list-based
+evaluation of the same rules.
 
 The semantics differ from pycocotools' COCOeval in five ways:
 
@@ -25,13 +34,17 @@ The semantics differ from pycocotools' COCOeval in five ways:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import numbers
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
+
+import numpy as np
 
 from .errors import CorpusError
-from .geometry import SizeBucket, classify_size, iou
+from .geometry import MEDIUM_AREA_LIMIT, SMALL_AREA_LIMIT
 from .labels import ComponentClass, ComponentInstance
 
+_SIZE_LIMITS = np.array([SMALL_AREA_LIMIT, MEDIUM_AREA_LIMIT])
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 DEFAULT_RECALL_LEVELS = tuple(i / 100.0 for i in range(101))
 
@@ -43,14 +56,23 @@ class MatchConfig:
     max_detections_per_image: int = 300
 
     def __post_init__(self):
-        if not self.iou_thresholds:
-            raise ValueError("iou_thresholds must not be empty")
-        if not self.recall_levels:
-            raise ValueError("recall_levels must not be empty")
-        if any(b <= a for a, b in zip(self.iou_thresholds, self.iou_thresholds[1:])):
-            raise ValueError("iou_thresholds must be strictly increasing")
-        if self.max_detections_per_image < 1:
+        _check_increasing("iou_thresholds", self.iou_thresholds, lambda v: 0.0 < v <= 1.0, "(0, 1]")
+        _check_increasing("recall_levels", self.recall_levels, lambda v: 0.0 <= v <= 1.0, "[0, 1]")
+        cap = self.max_detections_per_image
+        if isinstance(cap, bool) or not isinstance(cap, int):
+            raise ValueError(f"max_detections_per_image: must be an int, got {cap!r}")
+        if cap < 1:
             raise ValueError("max_detections_per_image must be positive")
+
+
+def _check_increasing(name: str, values, in_range, interval: str) -> None:
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not in_range(v):
+            raise ValueError(f"{name}: {v!r} is not a number in {interval}")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -80,34 +102,90 @@ class ApReport:
         return lines
 
 
-def _sort_by_confidence(preds: list[ComponentInstance]) -> list[ComponentInstance]:
-    for p in preds:
-        if p.score is None:
-            raise ValueError("prediction without confidence")
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
-    return [preds[i] for i in order]
+def _boxes(instances: list[ComponentInstance]) -> np.ndarray:
+    coords = chain.from_iterable(inst.box.as_tuple() for inst in instances)
+    return np.fromiter(coords, dtype=np.float64, count=4 * len(instances)).reshape(-1, 4)
 
 
-def _greedy_match(iou_rows: list[list[float]], threshold: float) -> list[bool]:
-    """Greedy TP/FP labels from a per-prediction IoU matrix (rows ordered by confidence)."""
-    n_gt = len(iou_rows[0]) if iou_rows else 0
-    matched = [False] * n_gt
-    labels: list[bool] = []
-    for row in iou_rows:
-        best_iou = 0.0
-        best_idx = -1
-        for g in range(n_gt):
-            if matched[g]:
-                continue
-            if row[g] >= threshold and row[g] > best_iou:
-                best_iou = row[g]
-                best_idx = g
-        if best_idx >= 0:
-            matched[best_idx] = True
-            labels.append(True)
-        else:
-            labels.append(False)
-    return labels
+def _areas(boxes: np.ndarray) -> np.ndarray:
+    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+
+
+def _scores(preds: list[ComponentInstance]) -> np.ndarray:
+    if any(p.score is None for p in preds):
+        raise ValueError("prediction without confidence")
+    return np.fromiter((p.score for p in preds), dtype=np.float64, count=len(preds))
+
+
+def _classes_and_sizes(instances: list[ComponentInstance], boxes: np.ndarray):
+    """Class values and size codes: how many of ``classify_size``'s limits the area reaches,
+    0 small, 1 medium, 2 large."""
+    cls = np.fromiter((inst.cls for inst in instances), dtype=np.int8, count=len(instances))
+    return cls, np.searchsorted(_SIZE_LIMITS, _areas(boxes), side="right")
+
+
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``geometry.iou`` of every row of ``a`` with every row of ``b``, operation for operation."""
+    w = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    h = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.multiply(w, h, out=np.zeros_like(w), where=(w > 0.0) & (h > 0.0))
+    union = _areas(a)[:, None] + _areas(b)[None, :] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
+def _confidence_order(scores: np.ndarray) -> np.ndarray:
+    """Descending confidence; ties keep their order."""
+    return np.argsort(-scores, kind="stable")
+
+
+def _match(ious, allowed, thresholds, matched, tp, row_ids, col_offset) -> None:
+    """Greedy matching at every threshold of ``thresholds`` (ascending) at once.
+
+    Rows of ``ious`` are predictions in confidence order, columns ground
+    truth; ``allowed`` masks the pairs that may match (True: all). Each row
+    claims, per threshold, the unmatched allowed column of highest IoU at or
+    above it, the lowest column among ties. Only pairs that some threshold
+    accepts are visited. ``matched[i]`` and ``tp[i]``
+    are the claimed columns and the true-positive rows at ``thresholds[i]``,
+    indexed by ``col_offset + column`` and ``row_ids[row]``.
+    """
+    rows, cols = np.nonzero(allowed & (ious >= thresholds[0]) & (ious > 0.0))
+    if not rows.size:
+        return
+    values = ious[rows, cols]
+    order = np.lexsort((cols, -values, rows))  # per row: IoU descending, then column
+    rows = rows[order]
+    starts = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()]
+    row_ids = row_ids[rows].tolist()
+    values = values[order].tolist()
+    candidates = list(zip((cols[order] + col_offset).tolist(), values))
+    for start, end in zip(starts, starts[1:] + [len(candidates)]):
+        row = row_ids[start]
+        best = values[start]
+        for threshold, used, flags in zip(thresholds, matched, tp):
+            if best < threshold:
+                break
+            for col, value in candidates[start:end]:
+                if value < threshold:
+                    break
+                if not used[col]:
+                    used[col] = 1
+                    flags[row] = 1
+                    break
+
+
+def _interpolated_ap(tp_flags: np.ndarray, n_ground_truth: int, recall_levels: np.ndarray) -> float:
+    if n_ground_truth == 0:
+        return 0.0
+    tp = np.cumsum(tp_flags, dtype=np.int64)
+    recalls = tp / n_ground_truth
+    # right-max envelope: precision at recall r is the best achievable beyond r
+    precisions = np.maximum.accumulate((tp / np.arange(1, len(tp) + 1))[::-1])[::-1]
+    at = np.searchsorted(recalls, recall_levels, side="left")
+    total = 0.0
+    for value in precisions[at[at < len(tp)]].tolist():
+        total += value  # left to right: np.sum and sum() round differently
+    return total / len(recall_levels)
 
 
 def match_detections(
@@ -120,9 +198,12 @@ def match_detections(
     Each ground truth matches at most one prediction; confidence ties keep
     input order, IoU ties go to the lowest ground-truth index.
     """
-    ordered = _sort_by_confidence(preds)
-    rows = [[iou(p.box, g.box) for g in gts] for p in ordered]
-    return _greedy_match(rows, iou_threshold)
+    scores = _scores(preds)
+    order = _confidence_order(scores)
+    ious = _iou_matrix(_boxes(preds)[order], _boxes(gts))
+    tp = bytearray(len(preds))
+    _match(ious, True, (iou_threshold,), [bytearray(len(gts))], [tp], np.arange(len(preds)), 0)
+    return [bool(flag) for flag in tp]
 
 
 def average_precision(
@@ -133,49 +214,20 @@ def average_precision(
     """101-point interpolated AP from a confidence-ordered TP/FP sequence."""
     if n_ground_truth < 0:
         raise ValueError("negative ground-truth count")
-    if n_ground_truth == 0:
-        return 0.0
-    recalls: list[float] = []
-    precisions: list[float] = []
-    tp = 0
-    for k, is_tp in enumerate(tp_fp_sequence, start=1):
-        tp += int(is_tp)
-        recalls.append(tp / n_ground_truth)
-        precisions.append(tp / k)
-    # right-max envelope: precision at recall r is the best achievable beyond r
-    for k in range(len(precisions) - 2, -1, -1):
-        precisions[k] = max(precisions[k], precisions[k + 1])
-    total = 0.0
-    for level in recall_levels:
-        idx = bisect_left(recalls, level)
-        if idx < len(recalls):
-            total += precisions[idx]
-    return total / len(recall_levels)
+    return _interpolated_ap(
+        np.asarray(tp_fp_sequence, dtype=bool).reshape(-1),
+        n_ground_truth,
+        np.asarray(recall_levels, dtype=np.float64),
+    )
 
 
-class _ClassEvalData:
-    """One class and size bucket: per-image IoU rows in confidence order, and the
-    corpus-wide order, a stable sort on confidence over the rows of all images."""
-
-    def __init__(self, preds_by_image, gts_by_image, cls, cfg, bucket):
-        self.rows_by_image = []
-        self.n_gt = 0
-        neg_scores = []
-        for image_id in sorted(gts_by_image):
-            gts = [g for g in gts_by_image[image_id] if g.cls == cls]
-            preds = [p for p in preds_by_image.get(image_id, []) if p.cls == cls]
-            if bucket is not None:
-                gts = [g for g in gts if classify_size(g.box) == bucket]
-                preds = [p for p in preds if classify_size(p.box) == bucket]
-            preds = _sort_by_confidence(preds)[: cfg.max_detections_per_image]
-            self.n_gt += len(gts)
-            self.rows_by_image.append([[iou(p.box, g.box) for g in gts] for p in preds])
-            neg_scores.extend(-p.score for p in preds)
-        self.order = sorted(range(len(neg_scores)), key=neg_scores.__getitem__)
-
-    def ap_at(self, threshold: float, recall_levels) -> float:
-        labels = [tp for rows in self.rows_by_image for tp in _greedy_match(rows, threshold)]
-        return average_precision([labels[i] for i in self.order], self.n_gt, recall_levels)
+def _within_cap(keys: np.ndarray, by_confidence: np.ndarray, cap: int) -> np.ndarray:
+    """Mask of the items among the first ``cap`` of their key in confidence order."""
+    order = by_confidence[np.argsort(keys[by_confidence], kind="stable")]
+    grouped = keys[order]
+    keep = np.empty(len(keys), dtype=bool)
+    keep[order] = np.arange(len(keys)) - np.searchsorted(grouped, grouped) < cap
+    return keep
 
 
 def evaluate_corpus(
@@ -195,18 +247,77 @@ def evaluate_corpus(
             f"predictions for images absent from ground truth: {sorted(missing)[:5]}"
         )
 
-    classes = sorted(
-        {i.cls for insts in gts_by_image.values() for i in insts}
-        | {i.cls for insts in preds_by_image.values() for i in insts}
-    )
+    # Corpus-wide arrays hold what AP needs, images in id order; boxes and
+    # IoUs live one image at a time.
+    image_ids = sorted(gts_by_image)
+    gt_lists = [gts_by_image[i] for i in image_ids]
+    pred_lists = [preds_by_image.get(i, []) for i in image_ids]
+    gt_starts = list(accumulate(map(len, gt_lists), initial=0))
+    pred_starts = list(accumulate(map(len, pred_lists), initial=0))
+    n_gt, n_pred = gt_starts[-1], pred_starts[-1]
+    gt_cls, gt_size = np.empty(n_gt, dtype=np.int8), np.empty(n_gt, dtype=np.int8)
+    pred_cls, pred_size = np.empty(n_pred, dtype=np.int8), np.empty(n_pred, dtype=np.int8)
+    scores = np.empty(n_pred)
 
-    def class_aps(bucket: SizeBucket | None, thresholds) -> dict[ComponentClass, dict[float, float]]:
+    # Matching, image by image. The all-sizes pass also settles AP50 and
+    # AP75; a bucket pass pairs only predictions and ground truth of one
+    # size, and each ground truth falls in one bucket, so the three bucket
+    # passes share their matched state.
+    all_thresholds = sorted(set((*cfg.iou_thresholds, 0.5, 0.75)))
+    matched_all = [bytearray(n_gt) for _ in all_thresholds]
+    matched_size = [bytearray(n_gt) for _ in cfg.iou_thresholds]
+    tp_all = [bytearray(n_pred) for _ in all_thresholds]
+    tp_size = [bytearray(n_pred) for _ in cfg.iou_thresholds]
+    cap = cfg.max_detections_per_image
+    kept_all = np.ones(n_pred, dtype=bool)  # within the cap per image and class
+    kept_size = np.ones(n_pred, dtype=bool)  # ... per image, class and bucket
+    for k, (gts, preds) in enumerate(zip(gt_lists, pred_lists)):
+        g0, g1, p0, p1 = gt_starts[k], gt_starts[k + 1], pred_starts[k], pred_starts[k + 1]
+        g_box = _boxes(gts)
+        g_cls, g_size = gt_cls[g0:g1], gt_size[g0:g1]
+        g_cls[:], g_size[:] = _classes_and_sizes(gts, g_box)
+        if not preds:
+            continue
+        scores[p0:p1] = _scores(preds)
+        p_box = _boxes(preds)
+        p_cls, p_size = pred_cls[p0:p1], pred_size[p0:p1]
+        p_cls[:], p_size[:] = _classes_and_sizes(preds, p_box)
+        by_confidence = _confidence_order(scores[p0:p1])
+        if p1 - p0 > cap:
+            kept_all[p0:p1] = _within_cap(p_cls, by_confidence, cap)
+            kept_size[p0:p1] = _within_cap(3 * p_cls + p_size, by_confidence, cap)
+        if not gts:
+            continue
+        rows = p0 + by_confidence
+        ious = _iou_matrix(p_box[by_confidence], g_box)
+        same_class = p_cls[by_confidence, None] == g_cls[None, :]
+        allowed = same_class & kept_all[rows, None]
+        _match(ious, allowed, all_thresholds, matched_all, tp_all, rows, g0)
+        allowed = same_class & (p_size[by_confidence, None] == g_size[None, :]) & kept_size[rows, None]
+        _match(ious, allowed, cfg.iou_thresholds, matched_size, tp_size, rows, g0)
+
+    # AP per class and bucket, over the corpus-wide confidence order: ties
+    # keep image order, then input order.
+    order = _confidence_order(scores)
+    ordered_cls, ordered_size = pred_cls[order], pred_size[order]
+    classes = [ComponentClass(c) for c in sorted(set(gt_cls.tolist()).union(pred_cls.tolist()))]
+    levels = np.asarray(cfg.recall_levels, dtype=np.float64)
+
+    def class_aps(size: int | None, thresholds, tp) -> dict[ComponentClass, dict[float, float]]:
         """AP at each threshold for every class with ground truth or predictions in the bucket."""
+        flags = [np.frombuffer(t, dtype=np.uint8) for t in tp]
+        if size is None:
+            gt_in, pred_in = np.ones(len(gt_cls), dtype=bool), kept_all[order]
+        else:
+            gt_in, pred_in = gt_size == size, (ordered_size == size) & kept_size[order]
         tables = {}
         for cls in classes:
-            data = _ClassEvalData(preds_by_image, gts_by_image, cls, cfg, bucket)
-            if data.n_gt or data.order:
-                tables[cls] = {t: data.ap_at(t, cfg.recall_levels) for t in thresholds}
+            n_cls = int(np.count_nonzero(gt_in & (gt_cls == cls)))
+            ranked = order[pred_in & (ordered_cls == cls)]
+            if n_cls or ranked.size:
+                tables[cls] = {
+                    t: _interpolated_ap(f[ranked], n_cls, levels) for t, f in zip(thresholds, flags)
+                }
         return tables
 
     def coco_ap(table: dict[float, float]) -> float:
@@ -216,17 +327,17 @@ def evaluate_corpus(
         values = list(values)
         return sum(values) / len(values) if values else None
 
-    def bucket_ap(bucket: SizeBucket) -> float | None:
-        return mean_or_none(map(coco_ap, class_aps(bucket, cfg.iou_thresholds).values()))
+    def bucket_ap(size: int) -> float | None:
+        return mean_or_none(map(coco_ap, class_aps(size, cfg.iou_thresholds, tp_size).values()))
 
-    all_sizes = class_aps(None, dict.fromkeys((*cfg.iou_thresholds, 0.5, 0.75)))
+    all_sizes = class_aps(None, all_thresholds, tp_all)
     per_class = {cls: coco_ap(table) for cls, table in all_sizes.items()}
     return ApReport(
         mean_ap=mean_or_none(per_class.values()),
         ap50=mean_or_none(table[0.5] for table in all_sizes.values()),
         ap75=mean_or_none(table[0.75] for table in all_sizes.values()),
-        ap_small=bucket_ap(SizeBucket.SMALL),
-        ap_medium=bucket_ap(SizeBucket.MEDIUM),
-        ap_large=bucket_ap(SizeBucket.LARGE),
+        ap_small=bucket_ap(0),
+        ap_medium=bucket_ap(1),
+        ap_large=bucket_ap(2),
         per_class=per_class,
     )

@@ -34,6 +34,9 @@ class ComponentClass(enum.IntEnum):
 # Classes legal in the multi-label formulation.
 MULTI_LABEL_CLASSES = tuple(c for c in ComponentClass if c.value <= 5)
 
+# The extra field of a pseudo header row that holds its Column Header's fields.
+HEADER_EXTRA_KEY = "column_header_extra"
+
 
 class LabelMode(enum.Enum):
     MULTI = "multi"
@@ -144,7 +147,10 @@ def encode_pseudo(gt: AnnotationSet, box_match_tolerance: float = 1.0) -> Annota
             )
             if header_idx is not None:
                 consumed_headers.add(header_idx)
-                out.append((idx, replace(inst, cls=ComponentClass.PSEUDO_HEADER_ROW)))
+                extra = inst.extra
+                if instances[header_idx].extra != extra:
+                    extra = {**extra, HEADER_EXTRA_KEY: instances[header_idx].extra}
+                out.append((idx, replace(inst, cls=ComponentClass.PSEUDO_HEADER_ROW, extra=extra)))
                 continue
         out.append((idx, inst))
 
@@ -158,7 +164,8 @@ def decode_pseudo(pred: AnnotationSet) -> AnnotationSet:
 
     Each projected row header is duplicated once into a Row at the same box
     and confidence; each pseudo header row is replaced by a Row plus a Column
-    Header at its box and confidence.
+    Header at its box and confidence. Both carry the pseudo row's fields,
+    except that a dict under ``HEADER_EXTRA_KEY`` goes to the header alone.
     """
     if pred.mode is not LabelMode.SINGLE:
         raise LabelModeError(f"{pred.image_id}: input not in single-label mode")
@@ -169,8 +176,12 @@ def decode_pseudo(pred: AnnotationSet) -> AnnotationSet:
             out.append(inst)
             out.append(replace(inst, cls=ComponentClass.ROW))
         elif inst.cls == ComponentClass.PSEUDO_HEADER_ROW:
-            out.append(replace(inst, cls=ComponentClass.ROW))
-            out.append(replace(inst, cls=ComponentClass.COLUMN_HEADER))
+            row_extra = header_extra = inst.extra
+            if isinstance(inst.extra.get(HEADER_EXTRA_KEY), dict):
+                row_extra = {k: v for k, v in inst.extra.items() if k != HEADER_EXTRA_KEY}
+                header_extra = inst.extra[HEADER_EXTRA_KEY]
+            out.append(replace(inst, cls=ComponentClass.ROW, extra=row_extra))
+            out.append(replace(inst, cls=ComponentClass.COLUMN_HEADER, extra=header_extra))
         else:
             out.append(inst)
     return AnnotationSet(pred.image_id, tuple(out), LabelMode.MULTI)

@@ -44,16 +44,6 @@ class TableTree:
             yield from child.iter_postorder()
         yield self
 
-    def structure_equal(self, other: "TableTree") -> bool:
-        if (
-            self.tag != other.tag
-            or self.colspan != other.colspan
-            or self.rowspan != other.rowspan
-            or len(self.children) != len(other.children)
-        ):
-            return False
-        return all(a.structure_equal(b) for a, b in zip(self.children, other.children))
-
     def to_html(self) -> str:
         attrs = ""
         if self.tag == "td":

@@ -3,16 +3,22 @@
 Nothing here shares code paths with the library: the tree distance oracle
 enumerates edit mappings instead of running the forest DP, the AP oracle
 evaluates the interpolation definition directly, the anchor oracle scores
-every anchor instead of the nearest one per level and ratio, and the
-convolution oracle is plain nested loops.
+every anchor instead of the nearest one per level and ratio, the corpus AP
+reference is the list-based evaluation with ``geometry.iou`` and a greedy
+loop per threshold, and the convolution oracle is plain nested loops.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 import numpy as np
 
+from tsrkit.cocoeval import DEFAULT_RECALL_LEVELS, ApReport, MatchConfig
+from tsrkit.errors import CorpusError
+from tsrkit.geometry import SizeBucket, classify_size, iou
+from tsrkit.labels import ComponentClass, ComponentInstance
 from tsrkit.teds import EditCosts, TableTree
 
 
@@ -176,3 +182,146 @@ def brute_force_best_iou(anchors: np.ndarray, gts: np.ndarray) -> np.ndarray:
             ious = np.where(union > 0.0, inter / union, 0.0)
         best[i] = ious.max()
     return best
+
+
+# ------------------------------------------------------------ COCO AP
+# The list-based evaluation ``cocoeval.evaluate_corpus`` replaced with one
+# numpy pass per image: pure-Python IoU rows per (class, size bucket), a
+# greedy loop per threshold and a Python AP walk. Kept as it was, apart from
+# imports and names, so the array version is checked float for float.
+
+def _sort_by_confidence(preds: list[ComponentInstance]) -> list[ComponentInstance]:
+    for p in preds:
+        if p.score is None:
+            raise ValueError("prediction without confidence")
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
+    return [preds[i] for i in order]
+
+
+def _greedy_match(iou_rows: list[list[float]], threshold: float) -> list[bool]:
+    """Greedy TP/FP labels from a per-prediction IoU matrix (rows ordered by confidence)."""
+    n_gt = len(iou_rows[0]) if iou_rows else 0
+    matched = [False] * n_gt
+    labels: list[bool] = []
+    for row in iou_rows:
+        best_iou = 0.0
+        best_idx = -1
+        for g in range(n_gt):
+            if matched[g]:
+                continue
+            if row[g] >= threshold and row[g] > best_iou:
+                best_iou = row[g]
+                best_idx = g
+        if best_idx >= 0:
+            matched[best_idx] = True
+            labels.append(True)
+        else:
+            labels.append(False)
+    return labels
+
+
+def reference_average_precision(
+    tp_fp_sequence: list[bool],
+    n_ground_truth: int,
+    recall_levels: tuple[float, ...] = DEFAULT_RECALL_LEVELS,
+) -> float:
+    """101-point interpolated AP from a confidence-ordered TP/FP sequence."""
+    if n_ground_truth < 0:
+        raise ValueError("negative ground-truth count")
+    if n_ground_truth == 0:
+        return 0.0
+    recalls: list[float] = []
+    precisions: list[float] = []
+    tp = 0
+    for k, is_tp in enumerate(tp_fp_sequence, start=1):
+        tp += int(is_tp)
+        recalls.append(tp / n_ground_truth)
+        precisions.append(tp / k)
+    # right-max envelope: precision at recall r is the best achievable beyond r
+    for k in range(len(precisions) - 2, -1, -1):
+        precisions[k] = max(precisions[k], precisions[k + 1])
+    total = 0.0
+    for level in recall_levels:
+        idx = bisect_left(recalls, level)
+        if idx < len(recalls):
+            total += precisions[idx]
+    return total / len(recall_levels)
+
+
+class _ClassEvalData:
+    """One class and size bucket: per-image IoU rows in confidence order, and the
+    corpus-wide order, a stable sort on confidence over the rows of all images."""
+
+    def __init__(self, preds_by_image, gts_by_image, cls, cfg, bucket):
+        self.rows_by_image = []
+        self.n_gt = 0
+        neg_scores = []
+        for image_id in sorted(gts_by_image):
+            gts = [g for g in gts_by_image[image_id] if g.cls == cls]
+            preds = [p for p in preds_by_image.get(image_id, []) if p.cls == cls]
+            if bucket is not None:
+                gts = [g for g in gts if classify_size(g.box) == bucket]
+                preds = [p for p in preds if classify_size(p.box) == bucket]
+            preds = _sort_by_confidence(preds)[: cfg.max_detections_per_image]
+            self.n_gt += len(gts)
+            self.rows_by_image.append([[iou(p.box, g.box) for g in gts] for p in preds])
+            neg_scores.extend(-p.score for p in preds)
+        self.order = sorted(range(len(neg_scores)), key=neg_scores.__getitem__)
+
+    def ap_at(self, threshold: float, recall_levels) -> float:
+        labels = [tp for rows in self.rows_by_image for tp in _greedy_match(rows, threshold)]
+        return reference_average_precision([labels[i] for i in self.order], self.n_gt, recall_levels)
+
+
+def reference_evaluate_corpus(
+    preds_by_image: dict,
+    gts_by_image: dict,
+    cfg: MatchConfig | None = None,
+) -> ApReport:
+    """Aggregate AP metrics over a corpus of per-image instance lists.
+
+    Classes with no ground truth and no predictions anywhere are excluded
+    from every mean; a size bucket nothing falls into reports None.
+    """
+    cfg = cfg or MatchConfig()
+    missing = set(preds_by_image) - set(gts_by_image)
+    if missing:
+        raise CorpusError(
+            f"predictions for images absent from ground truth: {sorted(missing)[:5]}"
+        )
+
+    classes = sorted(
+        {i.cls for insts in gts_by_image.values() for i in insts}
+        | {i.cls for insts in preds_by_image.values() for i in insts}
+    )
+
+    def class_aps(bucket: SizeBucket | None, thresholds) -> dict[ComponentClass, dict[float, float]]:
+        """AP at each threshold for every class with ground truth or predictions in the bucket."""
+        tables = {}
+        for cls in classes:
+            data = _ClassEvalData(preds_by_image, gts_by_image, cls, cfg, bucket)
+            if data.n_gt or data.order:
+                tables[cls] = {t: data.ap_at(t, cfg.recall_levels) for t in thresholds}
+        return tables
+
+    def coco_ap(table: dict[float, float]) -> float:
+        return sum(table[t] for t in cfg.iou_thresholds) / len(cfg.iou_thresholds)
+
+    def mean_or_none(values):
+        values = list(values)
+        return sum(values) / len(values) if values else None
+
+    def bucket_ap(bucket: SizeBucket) -> float | None:
+        return mean_or_none(map(coco_ap, class_aps(bucket, cfg.iou_thresholds).values()))
+
+    all_sizes = class_aps(None, dict.fromkeys((*cfg.iou_thresholds, 0.5, 0.75)))
+    per_class = {cls: coco_ap(table) for cls, table in all_sizes.items()}
+    return ApReport(
+        mean_ap=mean_or_none(per_class.values()),
+        ap50=mean_or_none(table[0.5] for table in all_sizes.values()),
+        ap75=mean_or_none(table[0.75] for table in all_sizes.values()),
+        ap_small=bucket_ap(SizeBucket.SMALL),
+        ap_medium=bucket_ap(SizeBucket.MEDIUM),
+        ap_large=bucket_ap(SizeBucket.LARGE),
+        per_class=per_class,
+    )

@@ -140,6 +140,7 @@ def one_level_best_iou(gts):
         (lambda: AnchorConfig(aspect_ratios=(math.inf,)), "aspect_ratios"),
         (lambda: AnchorConfig(aspect_ratios=(1.0, math.nan)), "aspect_ratios"),
         (lambda: AnchorConfig(aspect_ratios=()), "aspect_ratios"),
+        (lambda: AnchorConfig(aspect_ratios=(1.0, 1.0)), "aspect_ratios"),
         (lambda: AnchorConfig(strides=()), "strides"),
         (lambda: AnchorConfig(strides=(0,)), "strides"),
         (lambda: AnchorConfig(strides=(-4,)), "strides"),

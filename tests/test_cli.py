@@ -180,6 +180,35 @@ def test_instance_unknown_fields_survive_label_transforms(fixture_files, tmp_pat
         assert first["flagged"] is True
 
 
+def test_header_row_fields_survive_label_transforms(fixture_files, tmp_path):
+    gt, _ = fixture_files
+    with open(gt) as handle:
+        raw = json.load(handle)
+    image = next(
+        img for img in raw["images"]
+        if any(i["class_id"] == 5 for i in img["instances"])
+    )
+    header = next(i for i in image["instances"] if i["class_id"] == 5)
+    row = next(i for i in image["instances"] if i["class_id"] == 2 and i["bbox"] == header["bbox"])
+    row["r"], header["h"] = 1, 1
+    annotated = str(tmp_path / "annotated.json")
+    with open(annotated, "w") as handle:
+        json.dump({**raw, "images": [image]}, handle)
+
+    encoded = str(tmp_path / "single.json")
+    decoded = str(tmp_path / "multi.json")
+    assert main(["encode-labels", annotated, "-o", encoded]) == 0
+    assert main(["decode-labels", encoded, "-o", decoded]) == 0
+    with open(decoded) as handle:
+        instances = json.load(handle)["images"][0]["instances"]
+    fields = {
+        i["class_id"]: {k: v for k, v in i.items() if k in ("r", "h")}
+        for i in instances
+        if i["bbox"] == header["bbox"]
+    }
+    assert fields == {2: {"r": 1}, 5: {"h": 1}}
+
+
 def test_misalign_cli(fixture_files, capsys, tmp_path):
     gt, _ = fixture_files
     csv_path = str(tmp_path / "report.csv")
@@ -233,7 +262,7 @@ def test_anchors_cli(fixture_files, capsys):
     )
 
 
-@pytest.mark.parametrize("ratios", [["nan"], ["inf"], ["1", "nan"]])
+@pytest.mark.parametrize("ratios", [["nan"], ["inf"], ["1", "nan"], ["1", "1"]])
 def test_anchors_cli_rejects_nonfinite_ratios(fixture_files, capsys, ratios):
     gt, _ = fixture_files
     with pytest.raises(SystemExit) as exc:

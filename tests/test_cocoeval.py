@@ -1,7 +1,10 @@
+import math
 import random
 
 import pytest
-from oracles import interpolated_ap_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import interpolated_ap_oracle, reference_evaluate_corpus
 
 from tsrkit.cocoeval import (
     ApReport,
@@ -217,6 +220,32 @@ def test_match_config_rejects_empty_tuples(field):
         MatchConfig(**{field: ()})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("iou_thresholds", (math.nan,)),  # used to report AP = 0.0
+        ("iou_thresholds", (0.0,)),
+        ("iou_thresholds", (-0.5, 0.5)),
+        ("iou_thresholds", (0.5, 1.5)),
+        ("iou_thresholds", (0.5, math.nan)),
+        ("iou_thresholds", (True,)),
+        ("iou_thresholds", ("0.5",)),
+        ("recall_levels", (math.nan,)),
+        ("recall_levels", (-0.01, 0.5)),
+        ("recall_levels", (0.5, 1.01)),
+        ("recall_levels", (0.5, 0.5)),
+        ("recall_levels", (0.6, 0.2)),
+        ("max_detections_per_image", True),
+        ("max_detections_per_image", 2.5),  # used to raise a bare TypeError when evaluated
+        ("max_detections_per_image", "3"),
+        ("max_detections_per_image", 0),
+    ],
+)
+def test_match_config_rejects_invalid_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        MatchConfig(**{field: value})
+
+
 def noisy_corpus(seed=6, n_tables=12):
     """Jittered, partly dropped predictions plus false positives of every class.
 
@@ -312,3 +341,62 @@ PINNED_REPORTS = [
 def test_corpus_pinned_reports(cfg, expected):
     preds, gts = noisy_corpus()
     assert evaluate_corpus(preds, gts, cfg) == expected
+
+
+# ------------------------------------------------- oracle: list-based AP
+
+# Every box of an image takes one of two sizes and sits at x = 0, 8 or 16
+# and y = 0 or 8. Equal boxes 16 px apart tie on IoU with the box halfway
+# between them; a later prediction on one of them makes the tie order show,
+# so images may carry that pattern on purpose. The sizes include zero areas and areas of exactly
+# 32**2 and 64**2. Ground truth has two classes; predictions add a third
+# that only they carry.
+SIDES = st.sampled_from((0.0, 8.0, 16.0, 32.0, 40.0, 64.0, 72.0))
+GT_CLASSES = (ComponentClass.ROW, ComponentClass.COLUMN)
+PRED_CLASSES = (*GT_CLASSES, ComponentClass.TABLE)
+SLOTS = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1))  # x, y, size
+ORACLE_CONFIGS = (
+    MatchConfig(),
+    MatchConfig(max_detections_per_image=1),
+    MatchConfig(max_detections_per_image=2),
+    MatchConfig(max_detections_per_image=3),
+    MatchConfig(iou_thresholds=(0.95,)),
+    MatchConfig(iou_thresholds=(0.6, 0.7)),
+    MatchConfig(iou_thresholds=(0.6, 0.7), max_detections_per_image=2),
+)
+
+
+@st.composite
+def ap_problems(draw):
+    preds, gts = {}, {}
+    for k in range(draw(st.integers(1, 4))):
+        sizes = [(draw(SIDES), draw(SIDES)) for _ in range(2)]
+
+        def box(slot):
+            i, j, s = slot
+            return BBox(8.0 * i, 8.0 * j, 8.0 * i + sizes[s][0], 8.0 * j + sizes[s][1])
+
+        gt_specs = st.tuples(SLOTS, st.sampled_from(GT_CLASSES))
+        pred_specs = st.tuples(SLOTS, st.sampled_from(PRED_CLASSES), st.integers(0, 10))
+        gt_list = draw(st.lists(gt_specs, max_size=5))
+        pred_list = draw(st.lists(pred_specs, max_size=8))
+        if draw(st.booleans()):  # two boxes 16 px apart, one prediction halfway, one on either box
+            size, cls = draw(st.integers(0, 1)), draw(st.sampled_from(GT_CLASSES))
+            gt_list += [((0, 0, size), cls), ((2, 0, size), cls)]
+            for x in (1, draw(st.sampled_from((0, 2)))):
+                pred_list.append(((x, 0, size), cls, draw(st.integers(0, 10))))
+        gts[f"img{k}"] = [ComponentInstance(box(slot), cls) for slot, cls in gt_list]
+        if draw(st.booleans()):
+            continue  # an image without predictions
+        preds[f"img{k}"] = [
+            ComponentInstance(box(slot), cls, tenths / 10)  # scores in tenths: confidence ties
+            for slot, cls, tenths in pred_list
+        ]
+    return preds, gts, draw(st.sampled_from(ORACLE_CONFIGS))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(ap_problems())
+def test_evaluate_corpus_matches_list_based_oracle(problem):
+    preds, gts, cfg = problem
+    assert evaluate_corpus(preds, gts, cfg) == reference_evaluate_corpus(preds, gts, cfg)

@@ -4,6 +4,7 @@ from tsrkit.errors import LabelConsistencyError, LabelModeError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.geometry import BBox
 from tsrkit.labels import (
+    HEADER_EXTRA_KEY,
     AnnotationSet,
     ComponentClass,
     ComponentInstance,
@@ -147,3 +148,21 @@ def test_round_trip_on_generated_corpus():
             assert key not in boxes or boxes[key] == i.cls
             boxes[key] = i.cls
         assert decode_pseudo(encoded).as_pairs() == ann.as_pairs()
+
+
+def test_round_trip_keeps_each_instance_extra():
+    row = ComponentInstance(B, ComponentClass.ROW, extra={"r": 1})
+    header = ComponentInstance(B, ComponentClass.COLUMN_HEADER, extra={"h": 1})
+    (pseudo,) = encode_pseudo(multi(row, header)).instances
+    assert pseudo.extra == {"r": 1, HEADER_EXTRA_KEY: {"h": 1}}
+    decoded = {i.cls: i.extra for i in decode_pseudo(single(pseudo)).instances}
+    assert decoded == {ComponentClass.ROW: {"r": 1}, ComponentClass.COLUMN_HEADER: {"h": 1}}
+
+
+@pytest.mark.parametrize("row_extra, header_extra", [({}, {}), ({"a": 1}, {"a": 1})])
+def test_equal_extra_fields_encode_as_before(row_extra, header_extra):
+    row = ComponentInstance(B, ComponentClass.ROW, extra=row_extra)
+    header = ComponentInstance(B, ComponentClass.COLUMN_HEADER, extra=header_extra)
+    (pseudo,) = encode_pseudo(multi(row, header)).instances
+    assert pseudo.extra == row_extra
+    assert [i.extra for i in decode_pseudo(single(pseudo)).instances] == [row_extra, row_extra]
