@@ -157,13 +157,13 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_teds(args) -> int:
     corpus = formats.load_ground_truth(args.ground_truth)
-    html = corpus.html_by_image()
-    missing_html = [img.image_id for img in corpus.images if img.image_id not in html]
+    trees = corpus.trees_by_image()
+    missing_html = [img.image_id for img in corpus.images if img.image_id not in trees]
     if missing_html:
         _fail(f"ground truth without html for: {missing_html[:5]}")
     pairs = []
     missing = set()
-    ids = sorted(html)
+    ids = sorted(trees)
     for image_id in ids:
         pred_path = os.path.join(args.predictions_dir, f"{image_id}.html")
         if os.path.exists(pred_path):
@@ -172,7 +172,7 @@ def cmd_teds(args) -> int:
         else:
             pred = ""  # scores 0: an absent prediction cannot match anything
             missing.add(image_id)
-        pairs.append((pred, html[image_id]))
+        pairs.append((pred, trees[image_id]))
     report = corpus_teds(pairs)
     for line in report.format_lines():
         print(line)
@@ -228,9 +228,8 @@ def parse_perturbation_spec(text: str) -> PerturbationSpec:
 
 def cmd_misalign(args) -> int:
     corpus = formats.load_ground_truth(args.ground_truth)
-    html = corpus.html_by_image()
     specs = [parse_perturbation_spec(s) for s in args.spec]
-    report = misalignment_report(corpus.annotation_sets(), html, specs)
+    report = misalignment_report(corpus.annotation_sets(), corpus.trees_by_image(), specs)
     for line in report.format_lines():
         print(line)
     if args.csv:

@@ -33,4 +33,4 @@ class SchemaError(TsrkitError):
 
 
 class CorpusError(TsrkitError):
-    """Corpus-level evaluation failure (inconsistent inputs, unparsable ground truth)."""
+    """Corpus-level evaluation failure (inconsistent inputs)."""

@@ -18,11 +18,12 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import HtmlParseError, SchemaError
 from .geometry import BBox
 from .labels import AnnotationSet, ComponentClass, ComponentInstance, LabelMode
-from .teds import parse_table_html
+from .teds import TableTree, parse_table_html
 
 SCHEMA_VERSION = 1
 
@@ -39,6 +40,11 @@ class ImageRecord:
     html: str | None = None
     extra: dict = field(default_factory=dict)
 
+    @cached_property
+    def tree(self) -> TableTree | None:
+        """The structure tree of ``html``, parsed on first use and kept."""
+        return None if self.html is None else parse_table_html(self.html)
+
 
 @dataclass
 class CorpusFile:
@@ -54,8 +60,8 @@ class CorpusFile:
             for rec in self.images
         ]
 
-    def html_by_image(self) -> dict[str, str]:
-        return {rec.image_id: rec.html for rec in self.images if rec.html is not None}
+    def trees_by_image(self) -> dict[str, TableTree]:
+        return {rec.image_id: rec.tree for rec in self.images if rec.html is not None}
 
 
 # The parsers below run once per image and instance: they carry record
@@ -158,12 +164,12 @@ def _parse_image(raw, label_mode, is_ground_truth, image) -> ImageRecord:
             raise SchemaError(f"{_at(image)}.html: only ground truth carries structure html")
         if not isinstance(html, str):
             raise SchemaError(f"{_at(image)}.html: must be a string")
-        try:
-            parse_table_html(html)
-        except HtmlParseError as exc:
-            raise SchemaError(f"{_at(image)}.html: does not parse: {exc}") from exc
-    extra = {k: v for k, v in raw.items() if k not in known}
-    return ImageRecord(image_id, width, height, instances, html, extra)
+    record = ImageRecord(image_id, width, height, instances, html, {k: v for k, v in raw.items() if k not in known})
+    try:
+        record.tree  # validates the html; scoring reads the kept tree
+    except HtmlParseError as exc:
+        raise SchemaError(f"{_at(image)}.html: does not parse: {exc}") from exc
+    return record
 
 
 def _load(path: str, is_ground_truth: bool) -> CorpusFile:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from .cocoeval import ApReport, MatchConfig, evaluate_corpus
+from .cocoeval import ApReport, evaluate_corpus
 from .errors import CorpusError
 from .labels import (
     MULTI_LABEL_CLASSES,
@@ -22,8 +22,8 @@ from .labels import (
     ComponentInstance,
     LabelMode,
 )
-from .reconstruct import ReconstructionConfig, build_grid, grid_to_html
-from .teds import corpus_teds
+from .reconstruct import build_grid, grid_to_html
+from .teds import TableTree, corpus_teds
 
 
 class PerturbationMode(enum.Enum):
@@ -131,17 +131,15 @@ class MisalignmentReport:
 
 def misalignment_report(
     gt_sets: list[AnnotationSet],
-    gt_html: dict[str, str],
+    gt_trees: dict[str, TableTree],
     specs: list[PerturbationSpec],
-    match_config: MatchConfig | None = None,
-    recon_config: ReconstructionConfig | None = None,
 ) -> MisalignmentReport:
     """Evaluate each perturbation with both metrics, in the order given.
 
-    ``gt_html`` maps image ids to ground-truth structure sequences; every
+    ``gt_trees`` maps image ids to ground-truth structure trees; every
     image needs one because structure similarity is half of the comparison.
     """
-    missing = [ann.image_id for ann in gt_sets if ann.image_id not in gt_html]
+    missing = [ann.image_id for ann in gt_sets if ann.image_id not in gt_trees]
     if missing:
         raise CorpusError(f"images without ground-truth html: {missing[:5]}")
 
@@ -150,9 +148,9 @@ def misalignment_report(
     for spec in specs:
         perturbed = [perturb(ann, spec) for ann in gt_sets]
         preds_by_image = {ann.image_id: list(ann.instances) for ann in perturbed}
-        ap: ApReport = evaluate_corpus(preds_by_image, gts_by_image, match_config)
+        ap: ApReport = evaluate_corpus(preds_by_image, gts_by_image)
         pairs = [
-            (grid_to_html(build_grid(ann, recon_config)), gt_html[ann.image_id])
+            (grid_to_html(build_grid(ann)), gt_trees[ann.image_id])
             for ann in perturbed
         ]
         teds_report = corpus_teds(pairs)

@@ -105,9 +105,9 @@ def test_criterion_2_perfect_prediction_end_to_end():
     assert len(gt.images) >= 20
     assert all(corpus_features(gt)), "fixture corpus must cover all four patterns"
 
-    html = gt.html_by_image()
+    trees = gt.trees_by_image()
     pairs = [
-        (grid_to_html(build_grid(ann)), html[ann.image_id])
+        (grid_to_html(build_grid(ann)), trees[ann.image_id])
         for ann in det.annotation_sets()
     ]
     result = corpus_teds(pairs)
@@ -309,7 +309,7 @@ def test_criterion_8_misalignment_reproduction():
         FixtureSpec(n_tables=8, seed=42, span_probability=0.0, header_probability=0.0)
     )
     sets = gt.annotation_sets()
-    html = gt.html_by_image()
+    trees = gt.trees_by_image()
     specs = [
         PerturbationSpec(PerturbationMode.DILATE, 2.0),
         PerturbationSpec(PerturbationMode.SNAP_TO_MINIMAL),
@@ -319,7 +319,7 @@ def test_criterion_8_misalignment_reproduction():
             target_classes=frozenset({ComponentClass.ROW}),
         ),
     ]
-    rows = misalignment_report(sets, html, specs).rows
+    rows = misalignment_report(sets, trees, specs).rows
     dilate, snap, shrink, merge = rows
     assert dilate.mean_ap > snap.mean_ap
     assert dilate.teds_overall == snap.teds_overall

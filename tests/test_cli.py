@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+import tsrkit.formats
+import tsrkit.teds.distance
 from tsrkit.anchors import TABLE_ASPECT_RATIOS
 from tsrkit.cli import main, parse_perturbation_spec
 from tsrkit.labels import ComponentClass
@@ -101,6 +103,68 @@ def test_teds_missing_prediction_scores_zero(fixture_files, capsys, tmp_path):
     captured = capsys.readouterr()
     assert "TEDS overall = 1.0000" not in captured.out
     assert captured.err == "prediction missing table_000\n"
+
+
+@pytest.fixture
+def parse_count(monkeypatch):
+    """Counts parse_table_html calls made by the loader and by TEDS scoring."""
+    calls = []
+    for module in (tsrkit.formats, tsrkit.teds.distance):
+        parse = module.parse_table_html
+
+        def counted(fragment, parse=parse):
+            calls.append(fragment)
+            return parse(fragment)
+
+        monkeypatch.setattr(module, "parse_table_html", counted)
+    return calls
+
+
+def test_teds_parses_each_table_twice(fixture_files, tmp_path, parse_count):
+    # the ground truth once, at load, and the prediction once
+    gt, pred = fixture_files
+    html_dir = str(tmp_path / "html")
+    assert main(["reconstruct", pred, "-o", html_dir]) == 0
+    parse_count.clear()
+    assert main(["teds", html_dir, gt]) == 0
+    assert len(parse_count) == 2 * 6
+
+
+def test_misalign_parses_ground_truth_once(fixture_files, parse_count):
+    # the ground truth once, at load, and one prediction per spec
+    gt, _ = fixture_files
+    specs = ["dilate:2", "snap", "merge:row"]
+    assert main(["misalign", gt, *(arg for spec in specs for arg in ("--spec", spec))]) == 0
+    assert len(parse_count) == (1 + len(specs)) * 6
+
+
+@pytest.fixture
+def gt_missing_html(fixture_files, tmp_path):
+    gt, _ = fixture_files
+    with open(gt, encoding="utf-8") as handle:
+        data = json.load(handle)
+    del data["images"][2]["html"]
+    path = tmp_path / "partial.gt.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_teds_rejects_ground_truth_without_html(gt_missing_html, capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["teds", str(tmp_path), gt_missing_html])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ground truth without html for: ['table_002']\n"
+
+
+def test_misalign_rejects_ground_truth_without_html(gt_missing_html, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["misalign", gt_missing_html, "--spec", "snap"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: CorpusError: images without ground-truth html: ['table_002']\n"
 
 
 def test_reconstruct_accepts_single_label_detections(tmp_path, capsys):

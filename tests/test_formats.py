@@ -13,6 +13,7 @@ from tsrkit.formats import (
     serialize,
 )
 from tsrkit.labels import LabelMode
+from tsrkit.teds import parse_table_html
 
 
 @pytest.fixture
@@ -124,6 +125,20 @@ def test_bad_html_rejected(tmp_path):
     data["images"][0]["html"] = "<table><tr>"
     with pytest.raises(SchemaError, match="html"):
         load_ground_truth(write(tmp_path, data))
+
+
+def test_ground_truth_tree_kept_from_load(corpus):
+    gt_path, det_path = corpus
+    for rec in load_ground_truth(str(gt_path)).images:
+        assert "tree" in vars(rec)  # parsed by the loader's validation
+        assert rec.tree == parse_table_html(rec.html)
+    assert all(rec.tree is None for rec in load_detections(str(det_path)).images)
+
+
+def test_generated_records_parse_lazily():
+    gt, _ = generate_fixtures(FixtureSpec(n_tables=3, seed=1))
+    assert not any("tree" in vars(rec) for rec in gt.images)
+    assert gt.trees_by_image() == {rec.image_id: parse_table_html(rec.html) for rec in gt.images}
 
 
 def test_unsupported_schema_version(tmp_path):

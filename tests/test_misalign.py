@@ -87,25 +87,25 @@ def misalign_fixture():
     gt_file, _ = generate_fixtures(
         FixtureSpec(n_tables=8, seed=42, span_probability=0.0, header_probability=0.0)
     )
-    return gt_file.annotation_sets(), gt_file.html_by_image()
+    return gt_file.annotation_sets(), gt_file.trees_by_image()
 
 
 def test_identity_report_row():
-    sets, html = misalign_fixture()
-    report = misalignment_report(sets, html, [PerturbationSpec(PerturbationMode.DILATE, 0.0)])
+    sets, trees = misalign_fixture()
+    report = misalignment_report(sets, trees, [PerturbationSpec(PerturbationMode.DILATE, 0.0)])
     assert report.rows[0].mean_ap == 1.0
     assert report.rows[0].teds_overall == 1.0
 
 
 def test_divergence_pattern():
-    sets, html = misalign_fixture()
+    sets, trees = misalign_fixture()
     specs = [
         PerturbationSpec(PerturbationMode.DILATE, 2.0),
         PerturbationSpec(PerturbationMode.SNAP_TO_MINIMAL),
         PerturbationSpec(PerturbationMode.SHRINK, 4.0),
         PerturbationSpec(PerturbationMode.MERGE_ADJACENT, target_classes=ROW_ONLY),
     ]
-    report = misalignment_report(sets, html, specs)
+    report = misalignment_report(sets, trees, specs)
     dilate, snap, shrink, merge = report.rows
 
     # a prediction hugging the padded ground truth beats the minimal box on
@@ -120,10 +120,10 @@ def test_divergence_pattern():
 
 
 def test_report_rows_keep_spec_order():
-    sets, html = misalign_fixture()
+    sets, trees = misalign_fixture()
     specs = [
         PerturbationSpec(PerturbationMode.SNAP_TO_MINIMAL),
         PerturbationSpec(PerturbationMode.DILATE, 1.0),
     ]
-    report = misalignment_report(sets, html, specs)
+    report = misalignment_report(sets, trees, specs)
     assert [r.label for r in report.rows] == ["snap", "dilate:1"]
