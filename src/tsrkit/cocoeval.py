@@ -118,8 +118,8 @@ def _scores(preds: list[ComponentInstance]) -> np.ndarray:
 
 
 def _classes_and_sizes(instances: list[ComponentInstance], boxes: np.ndarray):
-    """Class values and size codes: how many of ``classify_size``'s limits the area reaches,
-    0 small, 1 medium, 2 large."""
+    """Class values and size codes: how many of the ``geometry`` area limits the area
+    reaches, 0 small, 1 medium, 2 large."""
     cls = np.fromiter((inst.cls for inst in instances), dtype=np.int8, count=len(instances))
     return cls, np.searchsorted(_SIZE_LIMITS, _areas(boxes), side="right")
 

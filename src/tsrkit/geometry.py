@@ -1,4 +1,4 @@
-"""Axis-aligned box arithmetic: IoU, areas, and object-size buckets.
+"""Axis-aligned box arithmetic: IoU, areas, and the object-size area limits.
 
 Boxes are (x1, y1, x2, y2) in pixel coordinates with the origin at the
 top-left corner. Coordinates are continuous reals; annotations carry
@@ -7,17 +7,11 @@ fractional pixels.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
+# small < 32^2 <= medium < 64^2 <= large; a boundary area is in the upper bucket
 SMALL_AREA_LIMIT = 32.0 * 32.0
 MEDIUM_AREA_LIMIT = 64.0 * 64.0
-
-
-class SizeBucket(enum.Enum):
-    SMALL = "small"
-    MEDIUM = "medium"
-    LARGE = "large"
 
 
 @dataclass(frozen=True)
@@ -100,16 +94,3 @@ def iou(a: BBox, b: BBox) -> float:
         return 0.0
     return inter / union
 
-
-def classify_size(b: BBox) -> SizeBucket:
-    """Bucket by area: small < 32^2 <= medium < 64^2 <= large.
-
-    Both boundary areas land in the upper bucket so the buckets partition
-    all valid boxes.
-    """
-    area = b.area
-    if area < SMALL_AREA_LIMIT:
-        return SizeBucket.SMALL
-    if area < MEDIUM_AREA_LIMIT:
-        return SizeBucket.MEDIUM
-    return SizeBucket.LARGE

@@ -36,6 +36,9 @@ MULTI_LABEL_CLASSES = tuple(c for c in ComponentClass if c.value <= 5)
 
 # The extra field of a pseudo header row that holds its Column Header's fields.
 HEADER_EXTRA_KEY = "column_header_extra"
+# The extra field of a Projected Row Header that holds the fields of the Row
+# dropped under it.
+ROW_EXTRA_KEY = "row_extra"
 
 
 class LabelMode(enum.Enum):
@@ -106,6 +109,8 @@ def encode_pseudo(gt: AnnotationSet, box_match_tolerance: float = 1.0) -> Annota
       2. replace each remaining Row/Column-Header pair with matching boxes by
          a single pseudo-header-row instance at the Row's box.
 
+    The instance that stays keeps the fields of the one it absorbed under
+    ``ROW_EXTRA_KEY`` or ``HEADER_EXTRA_KEY``, and only when the two differ.
     A box shared by three or more classes has no sanctioned reading and is
     rejected.
     """
@@ -127,13 +132,20 @@ def encode_pseudo(gt: AnnotationSet, box_match_tolerance: float = 1.0) -> Annota
                 f"{gt.image_id}: box {a.box.as_tuple()} shared by classes {{{names}}}"
             )
 
-    prh_boxes = [inst.box for inst in instances if inst.cls == ComponentClass.PROJECTED_ROW_HEADER]
+    prh_indices = [
+        j for j, inst in enumerate(instances) if inst.cls == ComponentClass.PROJECTED_ROW_HEADER
+    ]
     consumed_headers: set[int] = set()
+    dropped_row_extra: dict[int, dict] = {}  # Projected Row Header index -> first Row's fields
 
     out: list[tuple[int, ComponentInstance]] = []
     for idx, inst in enumerate(instances):
         if inst.cls == ComponentClass.ROW:
-            if any(boxes_match(inst.box, p, tol) for p in prh_boxes):
+            prh_idx = next(
+                (j for j in prh_indices if boxes_match(inst.box, instances[j].box, tol)), None
+            )
+            if prh_idx is not None:
+                dropped_row_extra.setdefault(prh_idx, inst.extra)
                 continue
             header_idx = next(
                 (
@@ -147,16 +159,32 @@ def encode_pseudo(gt: AnnotationSet, box_match_tolerance: float = 1.0) -> Annota
             )
             if header_idx is not None:
                 consumed_headers.add(header_idx)
-                extra = inst.extra
-                if instances[header_idx].extra != extra:
-                    extra = {**extra, HEADER_EXTRA_KEY: instances[header_idx].extra}
+                extra = _merge_extra(inst.extra, HEADER_EXTRA_KEY, instances[header_idx].extra)
                 out.append((idx, replace(inst, cls=ComponentClass.PSEUDO_HEADER_ROW, extra=extra)))
                 continue
         out.append((idx, inst))
 
-    result = [inst for idx, inst in out if idx not in consumed_headers]
+    result = [
+        replace(inst, extra=_merge_extra(inst.extra, ROW_EXTRA_KEY, dropped_row_extra[idx]))
+        if idx in dropped_row_extra
+        else inst
+        for idx, inst in out
+        if idx not in consumed_headers
+    ]
     _check_single_label_invariants(result, tol)
     return AnnotationSet(gt.image_id, tuple(result), LabelMode.SINGLE)
+
+
+def _merge_extra(extra: dict, key: str, absorbed: dict) -> dict:
+    """``extra`` with the absorbed instance's fields under ``key`` when they differ."""
+    return extra if absorbed == extra else {**extra, key: absorbed}
+
+
+def _split_extra(extra: dict, key: str) -> tuple[dict, dict]:
+    """Undo ``_merge_extra``: (own fields, absorbed fields)."""
+    if isinstance(extra.get(key), dict):
+        return {k: v for k, v in extra.items() if k != key}, extra[key]
+    return extra, extra
 
 
 def decode_pseudo(pred: AnnotationSet) -> AnnotationSet:
@@ -164,8 +192,9 @@ def decode_pseudo(pred: AnnotationSet) -> AnnotationSet:
 
     Each projected row header is duplicated once into a Row at the same box
     and confidence; each pseudo header row is replaced by a Row plus a Column
-    Header at its box and confidence. Both carry the pseudo row's fields,
-    except that a dict under ``HEADER_EXTRA_KEY`` goes to the header alone.
+    Header at its box and confidence. Both carry the single instance's
+    fields, except that a dict under ``ROW_EXTRA_KEY`` goes to the Row alone
+    and one under ``HEADER_EXTRA_KEY`` to the header alone.
     """
     if pred.mode is not LabelMode.SINGLE:
         raise LabelModeError(f"{pred.image_id}: input not in single-label mode")
@@ -173,13 +202,11 @@ def decode_pseudo(pred: AnnotationSet) -> AnnotationSet:
     out: list[ComponentInstance] = []
     for inst in pred.instances:
         if inst.cls == ComponentClass.PROJECTED_ROW_HEADER:
-            out.append(inst)
-            out.append(replace(inst, cls=ComponentClass.ROW))
+            header_extra, row_extra = _split_extra(inst.extra, ROW_EXTRA_KEY)
+            out.append(inst if header_extra is inst.extra else replace(inst, extra=header_extra))
+            out.append(replace(inst, cls=ComponentClass.ROW, extra=row_extra))
         elif inst.cls == ComponentClass.PSEUDO_HEADER_ROW:
-            row_extra = header_extra = inst.extra
-            if isinstance(inst.extra.get(HEADER_EXTRA_KEY), dict):
-                row_extra = {k: v for k, v in inst.extra.items() if k != HEADER_EXTRA_KEY}
-                header_extra = inst.extra[HEADER_EXTRA_KEY]
+            row_extra, header_extra = _split_extra(inst.extra, HEADER_EXTRA_KEY)
             out.append(replace(inst, cls=ComponentClass.ROW, extra=row_extra))
             out.append(replace(inst, cls=ComponentClass.COLUMN_HEADER, extra=header_extra))
         else:

@@ -11,6 +11,7 @@ report makes the divergence concrete.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 from .cocoeval import ApReport, evaluate_corpus
@@ -41,9 +42,10 @@ class PerturbationSpec:
     mode: PerturbationMode
     magnitude: float = 0.0
     target_classes: frozenset[ComponentClass] = field(default_factory=lambda: ALL_CLASSES)
-    seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.magnitude):
+            raise ValueError(f"magnitude must be finite, got {self.magnitude!r}")
         if self.magnitude < 0:
             raise ValueError("magnitude must be non-negative")
         object.__setattr__(self, "target_classes", frozenset(self.target_classes))

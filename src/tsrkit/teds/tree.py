@@ -5,6 +5,13 @@ tbody, tr, td (th is accepted and normalized to td). Everything inside a td
 is content and is discarded. Span attributes must be positive integers in
 ASCII digits, at most 1000 for colspan and 65534 for rowspan (the WHATWG
 HTML limits). Parse errors report the byte offset of the offending token.
+
+Tokenizing is one regex: ``finditer`` finds each ``<`` and takes the tag up
+to the first ``>``, skipping the text between tags; a second regex reads
+the attributes one at a time. A single generator decodes every tag in
+order, cell content included, and the structure loop and the cell-content
+loop both consume it. Whitespace in these patterns is exactly what
+``str.isspace`` accepts, the same set ``str.strip`` removes.
 """
 
 from __future__ import annotations
@@ -14,9 +21,7 @@ from dataclasses import dataclass, field
 
 from ..errors import HtmlParseError
 
-STRUCTURE_TAGS = ("table", "thead", "tbody", "tr", "td")
-
-# parent tag -> tags allowed directly underneath
+# parent tag -> tags allowed directly underneath; the keys are the structure tags
 _ALLOWED_CHILDREN = {
     "table": ("thead", "tbody"),
     "thead": ("tr",),
@@ -55,87 +60,50 @@ class TableTree:
         return f"<{self.tag}{attrs}>{inner}</{self.tag}>"
 
 
-class _Scanner:
-    """Tokenizer over the raw fragment, tracking byte offsets for errors."""
+# A tag runs from "<" to the first ">": the "/" of a closing tag, the name,
+# the attribute text and the ">" itself, empty when the fragment ends first.
+_TAG = re.compile(r"<\s*(/?)\s*([^\s>]*)([^>]*)(>?)")
+# One attribute: its key, then after "=" a quoted or bare value. The group
+# that matched last says which; "key" alone means there was no "=", and
+# "unclosed" is an opening quote that never closes.
+_ATTR = re.compile(
+    r"""\s*(?P<key>[^\s=]*)\s*
+    (?:=\s*(?:"(?P<double>[^"]*)"|'(?P<single>[^']*)'|(?P<unclosed>["'])|(?P<bare>\S*)))?""",
+    re.VERBOSE,
+)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def error(self, message: str, offset: int | None = None):
-        raise HtmlParseError(message, self.pos if offset is None else offset)
+def _tags(text: str):
+    """Yield (name, closing, attributes, start, end) for each tag in ``text``.
 
-    def skip_text(self):
-        """Advance past inter-tag content; all text is discarded (structure only)."""
-        nxt = self.text.find("<", self.pos)
-        self.pos = len(self.text) if nxt < 0 else nxt
-
-    def at_end(self) -> bool:
-        self.skip_text()
-        return self.pos >= len(self.text)
-
-    def next_tag(self) -> tuple[str, bool, dict[str, str], int]:
-        """Return (name, is_closing, attributes, offset) for the next tag."""
-        self.skip_text()
-        start = self.pos
-        if start >= len(self.text) or self.text[start] != "<":
-            self.error("expected a tag")
-        end = self.text.find(">", start)
-        if end < 0:
-            self.error("unterminated tag", start)
-        raw = self.text[start + 1 : end].strip()
-        self.pos = end + 1
-        if raw.endswith("/"):
-            self.error("self-closing tags are not part of the table grammar", start)
-        closing = raw.startswith("/")
-        if closing:
-            raw = raw[1:].strip()
-        # any whitespace separates the name from the attributes, as in HTML
-        parts = raw.split(None, 1)
-        name = parts[0].lower() if parts else ""
-        attr_text = parts[1] if len(parts) > 1 else ""
+    Text between tags is skipped. Every tag is decoded, so a malformed tag
+    raises at its offset wherever it stands.
+    """
+    for tag in _TAG.finditer(text):
+        slash, name, body, closed = tag.groups()
+        start = tag.start()
+        if not closed:
+            raise HtmlParseError("unterminated tag", start)
+        body = body.strip()
+        if (body or name or slash).endswith("/"):
+            raise HtmlParseError("self-closing tags are not part of the table grammar", start)
         if not name:
-            self.error("empty tag", start)
-        if closing and attr_text.strip():
-            self.error(f"attributes on closing tag </{name}>", start)
-        attrs = _parse_attrs(attr_text, self, start)
-        return name, closing, attrs, start
-
-
-def _parse_attrs(text: str, scanner: _Scanner, offset: int) -> dict[str, str]:
-    attrs: dict[str, str] = {}
-    i = 0
-    n = len(text)
-    while i < n:
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        j = i
-        while j < n and text[j] != "=" and not text[j].isspace():
-            j += 1
-        key = text[i:j].lower()
-        while j < n and text[j].isspace():
-            j += 1
-        if j >= n or text[j] != "=":
-            scanner.error(f"attribute {key!r} without value", offset)
-        j += 1
-        while j < n and text[j].isspace():
-            j += 1
-        if j < n and text[j] in "\"'":
-            quote = text[j]
-            k = text.find(quote, j + 1)
-            if k < 0:
-                scanner.error(f"unterminated value for attribute {key!r}", offset)
-            attrs[key] = text[j + 1 : k]
-            i = k + 1
-        else:
-            k = j
-            while k < n and not text[k].isspace():
-                k += 1
-            attrs[key] = text[j:k]
-            i = k
-    return attrs
+            raise HtmlParseError("empty tag", start)
+        name = name.lower()
+        if slash and body:
+            raise HtmlParseError(f"attributes on closing tag </{name}>", start)
+        attrs: dict[str, str] = {}
+        pos = 0
+        while pos < len(body):
+            attr = _ATTR.match(body, pos)
+            key = attr["key"].lower()
+            if attr.lastgroup == "key":
+                raise HtmlParseError(f"attribute {key!r} without value", start)
+            if attr.lastgroup == "unclosed":
+                raise HtmlParseError(f"unterminated value for attribute {key!r}", start)
+            attrs[key] = attr[attr.lastgroup]
+            pos = attr.end()
+        yield name, bool(slash), attrs, start, tag.end()
 
 
 # int() alone would also take "_" separators and non-ASCII digits
@@ -144,40 +112,22 @@ _SPAN_VALUE = re.compile(r"\s*[+-]?[0-9]+\s*")
 _SPAN_LIMITS = {"colspan": 1000, "rowspan": 65534}
 
 
-def _span_value(attrs: dict[str, str], key: str, scanner: _Scanner, offset: int) -> int:
+def _span_value(attrs: dict[str, str], key: str, offset: int) -> int:
     raw = attrs.get(key)
     if raw is None:
         return 1
     if _SPAN_VALUE.fullmatch(raw) is None:
-        scanner.error(f"non-integer {key} value {raw!r}", offset)
+        raise HtmlParseError(f"non-integer {key} value {raw!r}", offset)
     limit = _SPAN_LIMITS[key]
     try:
         value = int(raw)
     except ValueError:  # int() converts at most 4300 digits
-        scanner.error(f"{key} value of {len(raw)} characters exceeds {limit}", offset)
+        raise HtmlParseError(f"{key} value of {len(raw)} characters exceeds {limit}", offset)
     if value < 1:
-        scanner.error(f"{key} value {value} < 1", offset)
+        raise HtmlParseError(f"{key} value {value} < 1", offset)
     if value > limit:
-        scanner.error(f"{key} value {value} exceeds {limit}", offset)
+        raise HtmlParseError(f"{key} value {value} exceeds {limit}", offset)
     return value
-
-
-def _skip_cell_content(scanner: _Scanner, cell_tag: str, cell_offset: int):
-    """Consume everything up to the matching closing tag.
-
-    Unknown tags (formatting, line breaks, ...) are dropped without balance
-    checks; structure tags inside a cell are rejected.
-    """
-    while True:
-        if scanner.at_end():
-            scanner.error(f"<{cell_tag}> never closed", cell_offset)
-        name, closing, _, offset = scanner.next_tag()
-        if name == cell_tag and closing:
-            return
-        if name in ("td", "th"):
-            scanner.error("nested table cell", offset)
-        if name in STRUCTURE_TAGS:
-            scanner.error(f"structure tag <{name}> inside a cell", offset)
 
 
 def parse_table_html(fragment: str) -> TableTree:
@@ -187,43 +137,57 @@ def parse_table_html(fragment: str) -> TableTree:
     dropped. Structural violations (unbalanced tags, td outside tr, bad span
     values) raise HtmlParseError with the byte offset.
     """
-    scanner = _Scanner(fragment)
-    name, closing, _, offset = scanner.next_tag()
+    tags = _tags(fragment)
+    first = next(tags, None)
+    if first is None:
+        raise HtmlParseError("expected a tag", len(fragment))
+    name, closing, _, offset, _ = first
     if closing or name != "table":
-        scanner.error("fragment must start with <table>", offset)
+        raise HtmlParseError("fragment must start with <table>", offset)
     root = TableTree("table")
     stack: list[TableTree] = [root]
 
-    while stack:
-        if scanner.at_end():
-            scanner.error(f"<{stack[-1].tag}> never closed", len(fragment))
-        name, closing, attrs, offset = scanner.next_tag()
+    for name, closing, attrs, offset, end in tags:
         normalized = "td" if name == "th" else name
-        if closing:
-            if normalized != stack[-1].tag:
-                scanner.error(
-                    f"</{name}> does not match open <{stack[-1].tag}>", offset
-                )
-            stack.pop()
-            continue
-        if normalized not in STRUCTURE_TAGS:
-            scanner.error(f"unexpected tag <{name}>", offset)
         parent = stack[-1]
-        if normalized not in _ALLOWED_CHILDREN[parent.tag]:
-            scanner.error(f"<{normalized}> not allowed inside <{parent.tag}>", offset)
-        if normalized == "td":
-            node = TableTree(
-                "td",
-                colspan=_span_value(attrs, "colspan", scanner, offset),
-                rowspan=_span_value(attrs, "rowspan", scanner, offset),
+        if closing:
+            if normalized != parent.tag:
+                raise HtmlParseError(f"</{name}> does not match open <{parent.tag}>", offset)
+            stack.pop()
+            if not stack:
+                break
+        elif normalized not in _ALLOWED_CHILDREN:
+            raise HtmlParseError(f"unexpected tag <{name}>", offset)
+        elif normalized not in _ALLOWED_CHILDREN[parent.tag]:
+            raise HtmlParseError(f"<{normalized}> not allowed inside <{parent.tag}>", offset)
+        elif normalized == "td":
+            parent.children.append(
+                TableTree(
+                    "td",
+                    colspan=_span_value(attrs, "colspan", offset),
+                    rowspan=_span_value(attrs, "rowspan", offset),
+                )
             )
-            parent.children.append(node)
-            _skip_cell_content(scanner, name, offset)
+            # cell content up to the matching closing tag; unknown tags are
+            # dropped without balance checks, structure tags are rejected
+            for inner, inner_closing, _, inner_offset, _ in tags:
+                if inner == name and inner_closing:
+                    break
+                if inner in ("td", "th"):
+                    raise HtmlParseError("nested table cell", inner_offset)
+                if inner in _ALLOWED_CHILDREN:
+                    raise HtmlParseError(f"structure tag <{inner}> inside a cell", inner_offset)
+            else:
+                raise HtmlParseError(f"<{name}> never closed", offset)
         else:
             node = TableTree(normalized)
             parent.children.append(node)
             stack.append(node)
+    else:
+        raise HtmlParseError(f"<{stack[-1].tag}> never closed", len(fragment))
 
-    if not scanner.at_end():
-        scanner.error("content after </table>")
+    # only the next "<" matters here; the tag it opens is not decoded
+    trailing = fragment.find("<", end)
+    if trailing >= 0:
+        raise HtmlParseError("content after </table>", trailing)
     return root

@@ -4,20 +4,24 @@ Nothing here shares code paths with the library: the tree distance oracle
 enumerates edit mappings instead of running the forest DP, the AP oracle
 evaluates the interpolation definition directly, the anchor oracle scores
 every anchor instead of the nearest one per level and ratio, the corpus AP
-reference is the list-based evaluation with ``geometry.iou`` and a greedy
-loop per threshold, and the convolution oracle is plain nested loops.
+reference is the list-based evaluation with ``geometry.iou``, a greedy loop
+per threshold and its own size buckets, the table-HTML parser reference is
+the character scanner that the regex tokenizer replaced, and the convolution
+oracle is plain nested loops.
 """
 
 from __future__ import annotations
 
+import enum
 import random
+import re
 from bisect import bisect_left
 
 import numpy as np
 
 from tsrkit.cocoeval import DEFAULT_RECALL_LEVELS, ApReport, MatchConfig
-from tsrkit.errors import CorpusError
-from tsrkit.geometry import SizeBucket, classify_size, iou
+from tsrkit.errors import CorpusError, HtmlParseError
+from tsrkit.geometry import BBox, iou
 from tsrkit.labels import ComponentClass, ComponentInstance
 from tsrkit.teds import EditCosts, TableTree
 
@@ -190,6 +194,26 @@ def brute_force_best_iou(anchors: np.ndarray, gts: np.ndarray) -> np.ndarray:
 # greedy loop per threshold and a Python AP walk. Kept as it was, apart from
 # imports and names, so the array version is checked float for float.
 
+class SizeBucket(enum.Enum):
+    SMALL = "small"
+    MEDIUM = "medium"
+    LARGE = "large"
+
+
+def classify_size(b: BBox) -> SizeBucket:
+    """Bucket by area: small < 32^2 <= medium < 64^2 <= large.
+
+    Both boundary areas land in the upper bucket so the buckets partition
+    all valid boxes.
+    """
+    area = b.area
+    if area < 32.0 * 32.0:
+        return SizeBucket.SMALL
+    if area < 64.0 * 64.0:
+        return SizeBucket.MEDIUM
+    return SizeBucket.LARGE
+
+
 def _sort_by_confidence(preds: list[ComponentInstance]) -> list[ComponentInstance]:
     for p in preds:
         if p.score is None:
@@ -325,3 +349,194 @@ def reference_evaluate_corpus(
         ap_large=bucket_ap(SizeBucket.LARGE),
         per_class=per_class,
     )
+
+
+# ---------------------------------------------------------- table HTML parser
+# The character scanner ``teds.tree.parse_table_html`` replaced with one
+# regex tokenizer. Kept as it was, apart from this name, so the two are held
+# to the same trees, the same error messages and the same byte offsets.
+
+STRUCTURE_TAGS = ("table", "thead", "tbody", "tr", "td")
+
+# parent tag -> tags allowed directly underneath
+_ALLOWED_CHILDREN = {
+    "table": ("thead", "tbody"),
+    "thead": ("tr",),
+    "tbody": ("tr",),
+    "tr": ("td",),
+    "td": (),
+}
+
+
+class _Scanner:
+    """Tokenizer over the raw fragment, tracking byte offsets for errors."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str, offset: int | None = None):
+        raise HtmlParseError(message, self.pos if offset is None else offset)
+
+    def skip_text(self):
+        """Advance past inter-tag content; all text is discarded (structure only)."""
+        nxt = self.text.find("<", self.pos)
+        self.pos = len(self.text) if nxt < 0 else nxt
+
+    def at_end(self) -> bool:
+        self.skip_text()
+        return self.pos >= len(self.text)
+
+    def next_tag(self) -> tuple[str, bool, dict[str, str], int]:
+        """Return (name, is_closing, attributes, offset) for the next tag."""
+        self.skip_text()
+        start = self.pos
+        if start >= len(self.text) or self.text[start] != "<":
+            self.error("expected a tag")
+        end = self.text.find(">", start)
+        if end < 0:
+            self.error("unterminated tag", start)
+        raw = self.text[start + 1 : end].strip()
+        self.pos = end + 1
+        if raw.endswith("/"):
+            self.error("self-closing tags are not part of the table grammar", start)
+        closing = raw.startswith("/")
+        if closing:
+            raw = raw[1:].strip()
+        # any whitespace separates the name from the attributes, as in HTML
+        parts = raw.split(None, 1)
+        name = parts[0].lower() if parts else ""
+        attr_text = parts[1] if len(parts) > 1 else ""
+        if not name:
+            self.error("empty tag", start)
+        if closing and attr_text.strip():
+            self.error(f"attributes on closing tag </{name}>", start)
+        attrs = _parse_attrs(attr_text, self, start)
+        return name, closing, attrs, start
+
+
+def _parse_attrs(text: str, scanner: _Scanner, offset: int) -> dict[str, str]:
+    attrs: dict[str, str] = {}
+    i = 0
+    n = len(text)
+    while i < n:
+        while i < n and text[i].isspace():
+            i += 1
+        if i >= n:
+            break
+        j = i
+        while j < n and text[j] != "=" and not text[j].isspace():
+            j += 1
+        key = text[i:j].lower()
+        while j < n and text[j].isspace():
+            j += 1
+        if j >= n or text[j] != "=":
+            scanner.error(f"attribute {key!r} without value", offset)
+        j += 1
+        while j < n and text[j].isspace():
+            j += 1
+        if j < n and text[j] in "\"'":
+            quote = text[j]
+            k = text.find(quote, j + 1)
+            if k < 0:
+                scanner.error(f"unterminated value for attribute {key!r}", offset)
+            attrs[key] = text[j + 1 : k]
+            i = k + 1
+        else:
+            k = j
+            while k < n and not text[k].isspace():
+                k += 1
+            attrs[key] = text[j:k]
+            i = k
+    return attrs
+
+
+# int() alone would also take "_" separators and non-ASCII digits
+_SPAN_VALUE = re.compile(r"\s*[+-]?[0-9]+\s*")
+# the WHATWG HTML limits for td/th spans
+_SPAN_LIMITS = {"colspan": 1000, "rowspan": 65534}
+
+
+def _span_value(attrs: dict[str, str], key: str, scanner: _Scanner, offset: int) -> int:
+    raw = attrs.get(key)
+    if raw is None:
+        return 1
+    if _SPAN_VALUE.fullmatch(raw) is None:
+        scanner.error(f"non-integer {key} value {raw!r}", offset)
+    limit = _SPAN_LIMITS[key]
+    try:
+        value = int(raw)
+    except ValueError:  # int() converts at most 4300 digits
+        scanner.error(f"{key} value of {len(raw)} characters exceeds {limit}", offset)
+    if value < 1:
+        scanner.error(f"{key} value {value} < 1", offset)
+    if value > limit:
+        scanner.error(f"{key} value {value} exceeds {limit}", offset)
+    return value
+
+
+def _skip_cell_content(scanner: _Scanner, cell_tag: str, cell_offset: int):
+    """Consume everything up to the matching closing tag.
+
+    Unknown tags (formatting, line breaks, ...) are dropped without balance
+    checks; structure tags inside a cell are rejected.
+    """
+    while True:
+        if scanner.at_end():
+            scanner.error(f"<{cell_tag}> never closed", cell_offset)
+        name, closing, _, offset = scanner.next_tag()
+        if name == cell_tag and closing:
+            return
+        if name in ("td", "th"):
+            scanner.error("nested table cell", offset)
+        if name in STRUCTURE_TAGS:
+            scanner.error(f"structure tag <{name}> inside a cell", offset)
+
+
+def reference_parse_table_html(fragment: str) -> TableTree:
+    """Parse a single table fragment into its structure tree.
+
+    th cells are normalized to td. Text and unknown tags inside cells are
+    dropped. Structural violations (unbalanced tags, td outside tr, bad span
+    values) raise HtmlParseError with the byte offset.
+    """
+    scanner = _Scanner(fragment)
+    name, closing, _, offset = scanner.next_tag()
+    if closing or name != "table":
+        scanner.error("fragment must start with <table>", offset)
+    root = TableTree("table")
+    stack: list[TableTree] = [root]
+
+    while stack:
+        if scanner.at_end():
+            scanner.error(f"<{stack[-1].tag}> never closed", len(fragment))
+        name, closing, attrs, offset = scanner.next_tag()
+        normalized = "td" if name == "th" else name
+        if closing:
+            if normalized != stack[-1].tag:
+                scanner.error(
+                    f"</{name}> does not match open <{stack[-1].tag}>", offset
+                )
+            stack.pop()
+            continue
+        if normalized not in STRUCTURE_TAGS:
+            scanner.error(f"unexpected tag <{name}>", offset)
+        parent = stack[-1]
+        if normalized not in _ALLOWED_CHILDREN[parent.tag]:
+            scanner.error(f"<{normalized}> not allowed inside <{parent.tag}>", offset)
+        if normalized == "td":
+            node = TableTree(
+                "td",
+                colspan=_span_value(attrs, "colspan", scanner, offset),
+                rowspan=_span_value(attrs, "rowspan", scanner, offset),
+            )
+            parent.children.append(node)
+            _skip_cell_content(scanner, name, offset)
+        else:
+            node = TableTree(normalized)
+            parent.children.append(node)
+            stack.append(node)
+
+    if not scanner.at_end():
+        scanner.error("content after </table>")
+    return root

@@ -298,6 +298,17 @@ def test_misalign_cli(fixture_files, capsys, tmp_path):
     assert lines[1].startswith("dilate:0,1.000000,1.000000")
 
 
+@pytest.mark.parametrize("spec", ["dilate:inf", "dilate:nan"])
+def test_misalign_cli_rejects_nonfinite_magnitude(fixture_files, capsys, spec):
+    gt, _ = fixture_files
+    with pytest.raises(SystemExit) as exc:
+        main(["misalign", gt, "--spec", spec])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "magnitude" in captured.err
+
+
 def test_kernels_check_cli(capsys):
     assert main(["kernels-check"]) == 0
     out = capsys.readouterr().out

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from oracles import SizeBucket, classify_size
 
 from tsrkit.anchors import dataset_stats, fold_ratio
-from tsrkit.geometry import BBox, SizeBucket, classify_size, iou
+from tsrkit.geometry import BBox, iou
 from tsrkit.labels import AnnotationSet, ComponentClass, ComponentInstance, LabelMode
 
 

@@ -5,6 +5,7 @@ from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.geometry import BBox
 from tsrkit.labels import (
     HEADER_EXTRA_KEY,
+    ROW_EXTRA_KEY,
     AnnotationSet,
     ComponentClass,
     ComponentInstance,
@@ -166,3 +167,21 @@ def test_equal_extra_fields_encode_as_before(row_extra, header_extra):
     (pseudo,) = encode_pseudo(multi(row, header)).instances
     assert pseudo.extra == row_extra
     assert [i.extra for i in decode_pseudo(single(pseudo)).instances] == [row_extra, row_extra]
+
+
+def test_round_trip_keeps_row_extra_under_projected_row_header():
+    row = ComponentInstance(B, ComponentClass.ROW, extra={"r": 1})
+    prh = ComponentInstance(B, ComponentClass.PROJECTED_ROW_HEADER, extra={"p": 1})
+    (encoded,) = encode_pseudo(multi(row, prh)).instances
+    assert encoded.extra == {"p": 1, ROW_EXTRA_KEY: {"r": 1}}
+    decoded = {i.cls: i.extra for i in decode_pseudo(single(encoded)).instances}
+    assert decoded == {ComponentClass.ROW: {"r": 1}, ComponentClass.PROJECTED_ROW_HEADER: {"p": 1}}
+
+
+@pytest.mark.parametrize("extra", [{}, {"a": 1}])
+def test_equal_row_and_projected_header_fields_encode_as_before(extra):
+    row = ComponentInstance(B, ComponentClass.ROW, extra=extra)
+    prh = ComponentInstance(B, ComponentClass.PROJECTED_ROW_HEADER, extra=extra)
+    (encoded,) = encode_pseudo(multi(row, prh)).instances
+    assert encoded.extra == extra
+    assert [i.extra for i in decode_pseudo(single(encoded)).instances] == [extra, extra]

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_tree_distance, random_small_tree
+from oracles import brute_force_tree_distance, random_small_tree, reference_parse_table_html
 
 from tsrkit.errors import HtmlParseError
+from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.teds import (
     EditCosts,
     TableTree,
@@ -151,6 +152,56 @@ grammar_trees = st.builds(
 @given(grammar_trees)
 def test_parse_inverts_to_html(tree):
     assert parse_table_html(tree.to_html()) == tree
+
+
+# Pieces of tags, whole tags and the characters the tokenizer branches on,
+# whitespace that str.isspace accepts beyond ASCII included.
+_FRAGMENTS = (
+    "<", ">", "/", "=", '"', "'", "0", "1", "2", "+", "-", "_",
+    " ", "\t", "\n", "\x1c", "\xa0", "\u3000", "x", "TD", "th", "tr", "br",
+    "colspan", "rowspan", "<table>", "</table>", "<thead>", "</thead>",
+    "<tbody>", "</tbody>", "<tr>", "</tr>", "<td>", "</td>", "<th>", "</th>",
+    "<td", "</", "<b>", "</b>", "<br/>", "< >", "<td colspan='2'>",
+    "<td rowspan=' 3 '>", '<td colspan="2">', "<td colspan=2>",
+)
+_FIXTURE_TABLES = [
+    image.html
+    for image in generate_fixtures(FixtureSpec(n_tables=8, seed=3, max_rows=3, max_cols=3))[0].images
+]
+# fragments after nothing, after an open table or row, or after a whole table
+_fragment_text = st.builds(
+    str.__add__,
+    st.sampled_from(("", "<table>", "<table><tbody><tr>", *_FIXTURE_TABLES)),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join),
+)
+
+
+@st.composite
+def _mutated_tables(draw):
+    """A fixture table with one to four insertions of a fragment or deletions of a short run."""
+    text = draw(st.sampled_from(_FIXTURE_TABLES))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:pos] + draw(st.sampled_from(_FRAGMENTS)) + text[pos:]
+        else:
+            text = text[:pos] + text[pos + draw(st.integers(1, 8)) :]
+    return text
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except HtmlParseError as exc:
+        return str(exc), exc.offset
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(_fragment_text | _mutated_tables())
+def test_parse_matches_reference_scanner(text):
+    """Any text gives a tree or an HtmlParseError, the scanner's tree or its message and offset."""
+    expected = _parse_outcome(reference_parse_table_html, text)
+    assert _parse_outcome(parse_table_html, text) == expected
 
 
 # --------------------------------------------------------------- distance
