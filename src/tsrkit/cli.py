@@ -219,6 +219,8 @@ def parse_perturbation_spec(text: str) -> PerturbationSpec:
         except ValueError:
             pass
         names = {p.strip().upper() for p in part.split("+") if p.strip()}
+        if not names:
+            raise ValueError(f"no component class in {text!r}")
         try:
             classes = frozenset(ComponentClass[name] for name in names)
         except KeyError as exc:

@@ -46,33 +46,29 @@ from .labels import ComponentClass, ComponentInstance
 
 _SIZE_LIMITS = np.array([SMALL_AREA_LIMIT, MEDIUM_AREA_LIMIT])
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
-DEFAULT_RECALL_LEVELS = tuple(i / 100.0 for i in range(101))
+# the 101 recall points i / 100; np.linspace rounds some of them differently
+_RECALL_LEVELS = np.arange(101) / 100.0
 
 
 @dataclass(frozen=True)
 class MatchConfig:
     iou_thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS
-    recall_levels: tuple[float, ...] = DEFAULT_RECALL_LEVELS
     max_detections_per_image: int = 300
 
     def __post_init__(self):
-        _check_increasing("iou_thresholds", self.iou_thresholds, lambda v: 0.0 < v <= 1.0, "(0, 1]")
-        _check_increasing("recall_levels", self.recall_levels, lambda v: 0.0 <= v <= 1.0, "[0, 1]")
+        thresholds = self.iou_thresholds
+        if not thresholds:
+            raise ValueError("iou_thresholds must not be empty")
+        for v in thresholds:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 < v <= 1.0:
+                raise ValueError(f"iou_thresholds: {v!r} is not a number in (0, 1]")
+        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+            raise ValueError("iou_thresholds must be strictly increasing")
         cap = self.max_detections_per_image
         if isinstance(cap, bool) or not isinstance(cap, int):
             raise ValueError(f"max_detections_per_image: must be an int, got {cap!r}")
         if cap < 1:
             raise ValueError("max_detections_per_image must be positive")
-
-
-def _check_increasing(name: str, values, in_range, interval: str) -> None:
-    if not values:
-        raise ValueError(f"{name} must not be empty")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not in_range(v):
-            raise ValueError(f"{name}: {v!r} is not a number in {interval}")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"{name} must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -174,18 +170,18 @@ def _match(ious, allowed, thresholds, matched, tp, row_ids, col_offset) -> None:
                     break
 
 
-def _interpolated_ap(tp_flags: np.ndarray, n_ground_truth: int, recall_levels: np.ndarray) -> float:
+def _interpolated_ap(tp_flags: np.ndarray, n_ground_truth: int) -> float:
     if n_ground_truth == 0:
         return 0.0
     tp = np.cumsum(tp_flags, dtype=np.int64)
     recalls = tp / n_ground_truth
     # right-max envelope: precision at recall r is the best achievable beyond r
     precisions = np.maximum.accumulate((tp / np.arange(1, len(tp) + 1))[::-1])[::-1]
-    at = np.searchsorted(recalls, recall_levels, side="left")
+    at = np.searchsorted(recalls, _RECALL_LEVELS, side="left")
     total = 0.0
     for value in precisions[at[at < len(tp)]].tolist():
         total += value  # left to right: np.sum and sum() round differently
-    return total / len(recall_levels)
+    return total / len(_RECALL_LEVELS)
 
 
 def match_detections(
@@ -206,19 +202,11 @@ def match_detections(
     return [bool(flag) for flag in tp]
 
 
-def average_precision(
-    tp_fp_sequence: list[bool],
-    n_ground_truth: int,
-    recall_levels: tuple[float, ...] = DEFAULT_RECALL_LEVELS,
-) -> float:
+def average_precision(tp_fp_sequence: list[bool], n_ground_truth: int) -> float:
     """101-point interpolated AP from a confidence-ordered TP/FP sequence."""
     if n_ground_truth < 0:
         raise ValueError("negative ground-truth count")
-    return _interpolated_ap(
-        np.asarray(tp_fp_sequence, dtype=bool).reshape(-1),
-        n_ground_truth,
-        np.asarray(recall_levels, dtype=np.float64),
-    )
+    return _interpolated_ap(np.asarray(tp_fp_sequence, dtype=bool).reshape(-1), n_ground_truth)
 
 
 def _within_cap(keys: np.ndarray, by_confidence: np.ndarray, cap: int) -> np.ndarray:
@@ -301,7 +289,6 @@ def evaluate_corpus(
     order = _confidence_order(scores)
     ordered_cls, ordered_size = pred_cls[order], pred_size[order]
     classes = [ComponentClass(c) for c in sorted(set(gt_cls.tolist()).union(pred_cls.tolist()))]
-    levels = np.asarray(cfg.recall_levels, dtype=np.float64)
 
     def class_aps(size: int | None, thresholds, tp) -> dict[ComponentClass, dict[float, float]]:
         """AP at each threshold for every class with ground truth or predictions in the bucket."""
@@ -316,7 +303,7 @@ def evaluate_corpus(
             ranked = order[pred_in & (ordered_cls == cls)]
             if n_cls or ranked.size:
                 tables[cls] = {
-                    t: _interpolated_ap(f[ranked], n_cls, levels) for t, f in zip(thresholds, flags)
+                    t: _interpolated_ap(f[ranked], n_cls) for t, f in zip(thresholds, flags)
                 }
         return tables
 

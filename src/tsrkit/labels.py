@@ -34,6 +34,9 @@ class ComponentClass(enum.IntEnum):
 # Classes legal in the multi-label formulation.
 MULTI_LABEL_CLASSES = tuple(c for c in ComponentClass if c.value <= 5)
 
+# Two boxes coincide when every coordinate differs by at most this many px.
+BOX_MATCH_TOLERANCE = 1.0
+
 # The extra field of a pseudo header row that holds its Column Header's fields.
 HEADER_EXTRA_KEY = "column_header_extra"
 # The extra field of a Projected Row Header that holds the fields of the Row
@@ -91,20 +94,20 @@ def boxes_match(a: BBox, b: BBox, tolerance: float) -> bool:
     )
 
 
-def _check_single_label_invariants(instances, tolerance: float):
+def _check_single_label_invariants(instances):
     for i, a in enumerate(instances):
         for b in instances[i + 1 :]:
-            if a.cls != b.cls and boxes_match(a.box, b.box, tolerance):
+            if a.cls != b.cls and boxes_match(a.box, b.box, BOX_MATCH_TOLERANCE):
                 raise LabelConsistencyError(
                     f"distinct classes {a.cls.name} and {b.cls.name} share box "
                     f"{a.box.as_tuple()} after pseudo-class encoding"
                 )
 
 
-def encode_pseudo(gt: AnnotationSet, box_match_tolerance: float = 1.0) -> AnnotationSet:
+def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
     """Multi-label ground truth to the single-label formulation.
 
-    Rules, applied in order:
+    Boxes match within ``BOX_MATCH_TOLERANCE``. Rules, applied in order:
       1. drop every Row whose box matches a Projected Row Header box;
       2. replace each remaining Row/Column-Header pair with matching boxes by
          a single pseudo-header-row instance at the Row's box.
@@ -117,14 +120,13 @@ def encode_pseudo(gt: AnnotationSet, box_match_tolerance: float = 1.0) -> Annota
     if gt.mode is LabelMode.SINGLE:
         raise LabelModeError(f"{gt.image_id}: input already in single-label mode")
 
-    tol = box_match_tolerance
     instances = list(gt.instances)
 
     # Reject box sharing beyond the two sanctioned two-class patterns.
     for i, a in enumerate(instances):
         sharers = {a.cls}
         for j, b in enumerate(instances):
-            if i != j and b.cls != a.cls and boxes_match(a.box, b.box, tol):
+            if i != j and b.cls != a.cls and boxes_match(a.box, b.box, BOX_MATCH_TOLERANCE):
                 sharers.add(b.cls)
         if len(sharers) > 2:
             names = ", ".join(sorted(c.name for c in sharers))
@@ -142,7 +144,7 @@ def encode_pseudo(gt: AnnotationSet, box_match_tolerance: float = 1.0) -> Annota
     for idx, inst in enumerate(instances):
         if inst.cls == ComponentClass.ROW:
             prh_idx = next(
-                (j for j in prh_indices if boxes_match(inst.box, instances[j].box, tol)), None
+                (j for j in prh_indices if boxes_match(inst.box, instances[j].box, BOX_MATCH_TOLERANCE)), None
             )
             if prh_idx is not None:
                 dropped_row_extra.setdefault(prh_idx, inst.extra)
@@ -153,7 +155,7 @@ def encode_pseudo(gt: AnnotationSet, box_match_tolerance: float = 1.0) -> Annota
                     for j, other in enumerate(instances)
                     if other.cls == ComponentClass.COLUMN_HEADER
                     and j not in consumed_headers
-                    and boxes_match(inst.box, other.box, tol)
+                    and boxes_match(inst.box, other.box, BOX_MATCH_TOLERANCE)
                 ),
                 None,
             )
@@ -171,7 +173,7 @@ def encode_pseudo(gt: AnnotationSet, box_match_tolerance: float = 1.0) -> Annota
         for idx, inst in out
         if idx not in consumed_headers
     ]
-    _check_single_label_invariants(result, tol)
+    _check_single_label_invariants(result)
     return AnnotationSet(gt.image_id, tuple(result), LabelMode.SINGLE)
 
 

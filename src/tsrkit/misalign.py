@@ -82,7 +82,13 @@ def perturb(gt: AnnotationSet, spec: PerturbationSpec) -> AnnotationSet:
 
 def _transform(inst: ComponentInstance, spec: PerturbationSpec) -> ComponentInstance:
     if spec.mode is PerturbationMode.DILATE:
-        return replace(inst, box=inst.box.inflate(spec.magnitude))
+        box = inst.box.inflate(spec.magnitude)
+        if not math.isfinite(box.area):
+            raise ValueError(
+                f"dilate by magnitude {spec.magnitude} overflows the area of box "
+                f"{inst.box.as_tuple()}"
+            )
+        return replace(inst, box=box)
     if spec.mode is PerturbationMode.SHRINK:
         if 2 * spec.magnitude >= min(inst.box.width, inst.box.height):
             raise ValueError(

@@ -12,11 +12,18 @@ no whitespace, no text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import EmptyStructureError, LabelModeError
 from .geometry import BBox, intersection_area, iou
-from .labels import AnnotationSet, ComponentClass, ComponentInstance, LabelMode, boxes_match
+from .labels import (
+    BOX_MATCH_TOLERANCE,
+    AnnotationSet,
+    ComponentClass,
+    ComponentInstance,
+    LabelMode,
+    boxes_match,
+)
 from .teds.tree import TableTree
 
 
@@ -90,17 +97,12 @@ class TableGrid:
         return anchors
 
 
-@dataclass(frozen=True)
-class ReconstructionConfig:
-    score_thresholds: Mapping[ComponentClass, float] | float = 0.5
-    span_overlap_threshold: float = 0.5
-    nms_iou: float = 0.5
-    box_match_tolerance: float = 1.0
-
-    def threshold_for(self, cls: ComponentClass) -> float:
-        if isinstance(self.score_thresholds, Mapping):
-            return self.score_thresholds.get(cls, 0.5)
-        return self.score_thresholds
+# A detection scored below this is dropped; ground truth carries no score.
+SCORE_THRESHOLD = 0.5
+# Greedy NMS suppresses a same-class detection at this IoU with a kept one.
+NMS_IOU = 0.5
+# A Spanning Cell absorbs a grid cell when it covers this fraction of it.
+SPAN_OVERLAP_THRESHOLD = 0.5
 
 
 def _canonical_order(instances: Iterable[ComponentInstance]) -> list[ComponentInstance]:
@@ -114,21 +116,20 @@ def _canonical_order(instances: Iterable[ComponentInstance]) -> list[ComponentIn
     )
 
 
-def _greedy_nms(instances: list[ComponentInstance], threshold: float) -> list[ComponentInstance]:
+def _greedy_nms(instances: list[ComponentInstance]) -> list[ComponentInstance]:
     kept: list[ComponentInstance] = []
     for inst in instances:
-        if all(iou(inst.box, k.box) < threshold for k in kept):
+        if all(iou(inst.box, k.box) < NMS_IOU for k in kept):
             kept.append(inst)
     return kept
 
 
-def build_grid(detections: AnnotationSet, cfg: ReconstructionConfig | None = None) -> TableGrid:
+def build_grid(detections: AnnotationSet) -> TableGrid:
     """Assemble the logical grid from multi-label component detections.
 
-    Pipeline: per-class score thresholds, class-wise greedy NMS, clipping of
+    Pipeline: the score threshold, class-wise greedy NMS, clipping of
     rows/columns to the Table box when one survives, then lattice assembly.
     """
-    cfg = cfg or ReconstructionConfig()
     if detections.mode is not LabelMode.MULTI:
         raise LabelModeError(
             f"{detections.image_id}: build_grid expects multi-label detections "
@@ -138,13 +139,11 @@ def build_grid(detections: AnnotationSet, cfg: ReconstructionConfig | None = Non
     survivors = [
         inst
         for inst in _canonical_order(detections.instances)
-        if inst.score is None or inst.score >= cfg.threshold_for(inst.cls)
+        if inst.score is None or inst.score >= SCORE_THRESHOLD
     ]
     by_class: dict[ComponentClass, list[ComponentInstance]] = {}
     for cls in ComponentClass:
-        by_class[cls] = _greedy_nms(
-            [i for i in survivors if i.cls == cls], cfg.nms_iou
-        )
+        by_class[cls] = _greedy_nms([i for i in survivors if i.cls == cls])
 
     table_box = by_class[ComponentClass.TABLE][0].box if by_class[ComponentClass.TABLE] else None
 
@@ -170,7 +169,7 @@ def build_grid(detections: AnnotationSet, cfg: ReconstructionConfig | None = Non
     projected_rows: set[int] = set()
     for prh in by_class[ComponentClass.PROJECTED_ROW_HEADER]:
         for r, row in enumerate(row_boxes):
-            if boxes_match(row, prh.box, cfg.box_match_tolerance):
+            if boxes_match(row, prh.box, BOX_MATCH_TOLERANCE):
                 projected_rows.add(r)
 
     header_rows: set[int] = set()
@@ -191,7 +190,7 @@ def build_grid(detections: AnnotationSet, cfg: ReconstructionConfig | None = Non
                 cell = cell_box(r, c)
                 if cell is None or cell.area <= 0.0:
                     continue
-                if intersection_area(span.box, cell) / cell.area >= cfg.span_overlap_threshold:
+                if intersection_area(span.box, cell) / cell.area >= SPAN_OVERLAP_THRESHOLD:
                     covered.append((r, c))
         if not covered:
             continue

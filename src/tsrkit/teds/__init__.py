@@ -1,6 +1,5 @@
 from .distance import (
     CorpusTedsReport,
-    EditCosts,
     PairScore,
     backend_name,
     corpus_teds,
@@ -12,7 +11,6 @@ from .tree import TableTree, parse_table_html
 
 __all__ = [
     "CorpusTedsReport",
-    "EditCosts",
     "PairScore",
     "TableTree",
     "backend_name",

@@ -1,10 +1,13 @@
 /* Compiled ordered-tree edit distance kernel.
  *
  * Same keyroot/forest recurrence (Zhang & Shasha, SIAM J. Comput. 1989) as
- * _ted_py.tree_distance, which stays the reference and the fallback. It is
- * selected at import by tsrkit.teds.distance when this extension is built.
- * Trees arrive flattened in postorder: leftmost-leaf-descendant indices,
- * interned label ids and keyroots, each a 1-d C-contiguous int64 buffer.
+ * _ted_py.tree_distance, which stays the reference and the fallback.
+ * tsrkit.teds.distance.backend_name() chooses between the two on every
+ * distance call; this one whenever it is built and TSRKIT_PURE_PYTHON is
+ * unset. Every edit has cost 1: insert, delete, and a rename between
+ * unequal labels. Trees arrive flattened in postorder: leftmost-leaf-
+ * descendant indices, interned label ids and keyroots, each a 1-d
+ * C-contiguous int64 buffer.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -53,8 +56,7 @@ bad:
 }
 
 /* a and len hold lmld1, labels1, keyroots1, lmld2, labels2, keyroots2. */
-static double distance(const int64_t *const *a, const Py_ssize_t *len, double ins, double del,
-                       double ren, double *td, double *fd)
+static double distance(const int64_t *const *a, const Py_ssize_t *len, double *td, double *fd)
 {
     const int64_t *lmld1 = a[0], *labels1 = a[1], *lmld2 = a[3], *labels2 = a[4];
     Py_ssize_t n1 = len[0], n2 = len[3], fs = n2 + 1;
@@ -64,9 +66,9 @@ static double distance(const int64_t *const *a, const Py_ssize_t *len, double in
             Py_ssize_t j = a[5][kj], lj = lmld2[j], n = j - lj + 2;
             fd[0] = 0.0;
             for (Py_ssize_t x = 1; x < m; x++)
-                fd[x * fs] = fd[(x - 1) * fs] + del;
+                fd[x * fs] = fd[(x - 1) * fs] + 1.0;
             for (Py_ssize_t y = 1; y < n; y++)
-                fd[y] = fd[y - 1] + ins;
+                fd[y] = fd[y - 1] + 1.0;
             for (Py_ssize_t x = 1; x < m; x++) {
                 Py_ssize_t node1 = x + li - 1, p = lmld1[node1] - li;
                 int whole1 = lmld1[node1] == li;
@@ -75,13 +77,13 @@ static double distance(const int64_t *const *a, const Py_ssize_t *len, double in
                     Py_ssize_t node2 = y + lj - 1, q = lmld2[node2] - lj;
                     double best, alt;
                     if (whole1 && q == 0)
-                        best = prev[y - 1] + (labels1[node1] == labels2[node2] ? 0.0 : ren);
+                        best = prev[y - 1] + (labels1[node1] == labels2[node2] ? 0.0 : 1.0);
                     else
                         best = fd[p * fs + q] + td[node1 * n2 + node2];
-                    alt = prev[y] + del;
+                    alt = prev[y] + 1.0;
                     if (alt < best)
                         best = alt;
-                    alt = row[y - 1] + ins;
+                    alt = row[y - 1] + 1.0;
                     if (alt < best)
                         best = alt;
                     row[y] = best;
@@ -94,15 +96,14 @@ static double distance(const int64_t *const *a, const Py_ssize_t *len, double in
     return td[(n1 - 1) * n2 + (n2 - 1)];
 }
 
-static PyObject *tree_distance(PyObject *self, PyObject *args)
+static PyObject *tree_distance(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *objs[6];
     Py_buffer views[6];
-    double ins, del, ren;
     int got = 0;
     PyObject *result = NULL;
-    if (!PyArg_ParseTuple(args, "OOOOOOddd:tree_distance", &objs[0], &objs[1], &objs[2],
-                          &objs[3], &objs[4], &objs[5], &ins, &del, &ren))
+    if (!PyArg_ParseTuple(args, "OOOOOO:tree_distance", &objs[0], &objs[1], &objs[2],
+                          &objs[3], &objs[4], &objs[5]))
         return NULL;
     for (; got < 6; got++)
         if (get_int64(objs[got], &views[got]) < 0)
@@ -116,14 +117,14 @@ static PyObject *tree_distance(PyObject *self, PyObject *args)
     if (check_tree(a, len) < 0 || check_tree(a + 3, len + 3) < 0)
         goto done;
     if (len[0] == 0 || len[3] == 0) {
-        result = PyFloat_FromDouble((double)len[0] * del + (double)len[3] * ins);
+        result = PyFloat_FromDouble((double)(len[0] + len[3]));
         goto done;
     }
     /* calloc checks the products for overflow; zeroed td keeps reads defined */
     double *td = calloc((size_t)len[0], (size_t)len[3] * sizeof(double));
     double *fd = calloc((size_t)len[0] + 1, ((size_t)len[3] + 1) * sizeof(double));
     if (td != NULL && fd != NULL)
-        result = PyFloat_FromDouble(distance(a, len, ins, del, ren, td, fd));
+        result = PyFloat_FromDouble(distance(a, len, td, fd));
     else
         PyErr_NoMemory();
     free(td);
@@ -136,12 +137,14 @@ done:
 
 static PyMethodDef methods[] = {
     {"tree_distance", tree_distance, METH_VARARGS,
-     "tree_distance(lmld1, labels1, keyroots1, lmld2, labels2, keyroots2, insert_cost, "
-     "delete_cost, rename_mismatch_cost)\n--\n\nMinimal edit cost between two flattened trees."},
+     "tree_distance(lmld1, labels1, keyroots1, lmld2, labels2, keyroots2)\n--\n\n"
+     "Minimal unit-cost edit distance between two flattened trees."},
     {NULL, NULL, 0, NULL},
 };
 
-static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_speedup", NULL, -1, methods};
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_speedup", NULL, -1, methods, NULL, NULL, NULL, NULL,
+};
 
 PyMODINIT_FUNC PyInit__speedup(void)
 {

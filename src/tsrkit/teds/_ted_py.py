@@ -9,21 +9,12 @@ reference for backend-equivalence tests.
 from __future__ import annotations
 
 
-def tree_distance(
-    lmld1,
-    labels1,
-    keyroots1,
-    lmld2,
-    labels2,
-    keyroots2,
-    insert_cost: float,
-    delete_cost: float,
-    rename_mismatch_cost: float,
-) -> float:
+def tree_distance(lmld1, labels1, keyroots1, lmld2, labels2, keyroots2) -> float:
+    """Unit-cost distance: insert, delete and a rename between unequal labels cost 1."""
     n1 = len(lmld1)
     n2 = len(lmld2)
     if n1 == 0 or n2 == 0:
-        return n1 * delete_cost + n2 * insert_cost
+        return float(n1 + n2)
 
     td = [[0.0] * n2 for _ in range(n1)]
     # one reusable forest-distance buffer, sized for the full trees
@@ -38,10 +29,10 @@ def tree_distance(
 
             fd[0][0] = 0.0
             for x in range(1, m):
-                fd[x][0] = fd[x - 1][0] + delete_cost
+                fd[x][0] = fd[x - 1][0] + 1.0
             row0 = fd[0]
             for y in range(1, n):
-                row0[y] = row0[y - 1] + insert_cost
+                row0[y] = row0[y - 1] + 1.0
 
             for x in range(1, m):
                 node1 = x + li - 1
@@ -51,16 +42,11 @@ def tree_distance(
                 for y in range(1, n):
                     node2 = y + lj - 1
                     if whole1 and lmld2[node2] == lj:
-                        rename = (
-                            0.0
-                            if labels1[node1] == labels2[node2]
-                            else rename_mismatch_cost
-                        )
-                        best = fprev[y - 1] + rename
-                        alt = fprev[y] + delete_cost
+                        best = fprev[y - 1] + (labels1[node1] != labels2[node2])
+                        alt = fprev[y] + 1.0
                         if alt < best:
                             best = alt
-                        alt = fx[y - 1] + insert_cost
+                        alt = fx[y - 1] + 1.0
                         if alt < best:
                             best = alt
                         fx[y] = best
@@ -69,10 +55,10 @@ def tree_distance(
                         p = lmld1[node1] - li
                         q = lmld2[node2] - lj
                         best = fd[p][q] + td[node1][node2]
-                        alt = fprev[y] + delete_cost
+                        alt = fprev[y] + 1.0
                         if alt < best:
                             best = alt
-                        alt = fx[y - 1] + insert_cost
+                        alt = fx[y - 1] + 1.0
                         if alt < best:
                             best = alt
                         fx[y] = best

@@ -1,5 +1,9 @@
 """Tree-edit-distance similarity over table structure trees.
 
+Every edit has cost 1: inserting a node, deleting one, and renaming one into
+a node with another tag or, for cells, other colspan or rowspan. Renaming
+into an equal node is free.
+
 The distance kernel exists twice: a compiled C extension (_speedup.c) for
 corpus scoring (the DP dominates evaluation runtime) and a pure-Python
 fallback with the same recurrence. ``backend_name()`` picks one on every
@@ -29,19 +33,6 @@ def backend_name() -> str:
     if _speedup is not None and not os.environ.get("TSRKIT_PURE_PYTHON"):
         return "compiled"
     return "python"
-
-
-@dataclass(frozen=True)
-class EditCosts:
-    """Unit-cost model of the structure-only similarity.
-
-    Renaming is free between nodes with equal tags (and, for cells, equal
-    colspan and rowspan) and costs ``rename_mismatch_cost`` otherwise.
-    """
-
-    insert_cost: float = 1.0
-    delete_cost: float = 1.0
-    rename_mismatch_cost: float = 1.0
 
 
 def _label_key(node: TableTree):
@@ -74,52 +65,18 @@ def _flatten(root: TableTree, interner: dict):
     return lmld, labels, keyroots
 
 
-def tree_edit_distance(
-    a: TableTree, b: TableTree, costs: EditCosts | None = None
-) -> float:
-    """Minimal edit cost transforming ``a`` into ``b`` (ordered-tree semantics)."""
-    costs = costs or EditCosts()
+def tree_edit_distance(a: TableTree, b: TableTree) -> float:
+    """Minimal unit-cost edit distance transforming ``a`` into ``b`` (ordered-tree semantics)."""
     interner: dict = {}
-    lmld1, labels1, keyroots1 = _flatten(a, interner)
-    lmld2, labels2, keyroots2 = _flatten(b, interner)
-
+    flat = (*_flatten(a, interner), *_flatten(b, interner))
     if backend_name() == "compiled":
-        def as_arr(seq):
-            return np.ascontiguousarray(seq, dtype=np.int64)
-
-        return _speedup.tree_distance(
-            as_arr(lmld1),
-            as_arr(labels1),
-            as_arr(keyroots1),
-            as_arr(lmld2),
-            as_arr(labels2),
-            as_arr(keyroots2),
-            costs.insert_cost,
-            costs.delete_cost,
-            costs.rename_mismatch_cost,
-        )
-    return _ted_py.tree_distance(
-        lmld1,
-        labels1,
-        keyroots1,
-        lmld2,
-        labels2,
-        keyroots2,
-        costs.insert_cost,
-        costs.delete_cost,
-        costs.rename_mismatch_cost,
-    )
+        return _speedup.tree_distance(*(np.ascontiguousarray(seq, dtype=np.int64) for seq in flat))
+    return _ted_py.tree_distance(*flat)
 
 
-def teds(a: TableTree, b: TableTree, costs: EditCosts | None = None) -> float:
-    """Similarity 1 - distance / max(|a|, |b|), clamped into [0, 1].
-
-    Two empty operands (degenerate construction only) score 1.0.
-    """
-    size = max(a.size(), b.size())
-    if size == 0:
-        return 1.0
-    value = 1.0 - tree_edit_distance(a, b, costs) / size
+def teds(a: TableTree, b: TableTree) -> float:
+    """Similarity 1 - distance / max(|a|, |b|), clamped into [0, 1]."""
+    value = 1.0 - tree_edit_distance(a, b) / max(a.size(), b.size())
     return min(1.0, max(0.0, value))
 
 

@@ -19,11 +19,11 @@ from bisect import bisect_left
 
 import numpy as np
 
-from tsrkit.cocoeval import DEFAULT_RECALL_LEVELS, ApReport, MatchConfig
+from tsrkit.cocoeval import ApReport, MatchConfig
 from tsrkit.errors import CorpusError, HtmlParseError
 from tsrkit.geometry import BBox, iou
 from tsrkit.labels import ComponentClass, ComponentInstance
-from tsrkit.teds import EditCosts, TableTree
+from tsrkit.teds import TableTree
 
 
 def _postorder(root: TableTree) -> list[TableTree]:
@@ -55,22 +55,21 @@ def _subtree_intervals(root: TableTree) -> list[tuple[int, int]]:
     return intervals
 
 
-def rename_cost(costs: EditCosts, u: TableTree, v: TableTree) -> float:
-    """Free between equal tags (and, for cells, equal spans); the mismatch cost otherwise."""
+def rename_cost(u: TableTree, v: TableTree) -> float:
+    """Free between equal tags (and, for cells, equal spans); 1 otherwise."""
     def key(node):
         return (node.tag, node.colspan, node.rowspan) if node.tag == "td" else (node.tag,)
 
-    return 0.0 if key(u) == key(v) else costs.rename_mismatch_cost
+    return 0.0 if key(u) == key(v) else 1.0
 
 
-def brute_force_tree_distance(a: TableTree, b: TableTree, costs: EditCosts | None = None) -> float:
-    """Minimum edit-mapping cost by exhaustive backtracking (small trees only).
+def brute_force_tree_distance(a: TableTree, b: TableTree) -> float:
+    """Minimum unit-cost edit mapping by exhaustive backtracking (small trees only).
 
     A valid mapping pairs nodes one-to-one, preserving postorder and the
-    ancestor relation; its cost is the paired rename costs plus deletions and
-    insertions for the unpaired rest.
+    ancestor relation; its cost is the paired rename costs plus one deletion
+    or insertion for each unpaired node.
     """
-    costs = costs or EditCosts()
     nodes_a = _postorder(a)
     nodes_b = _postorder(b)
     iv_a = _subtree_intervals(a)
@@ -85,12 +84,7 @@ def brute_force_tree_distance(a: TableTree, b: TableTree, costs: EditCosts | Non
 
     def search(ai: int, bj_min: int, pairs: list, rename_total: float):
         if ai == n1:
-            cost = (
-                rename_total
-                + (n1 - len(pairs)) * costs.delete_cost
-                + (n2 - len(pairs)) * costs.insert_cost
-            )
-            best[0] = min(best[0], cost)
+            best[0] = min(best[0], rename_total + n1 + n2 - 2 * len(pairs))
             return
         # lower bound: every remaining a-node costs at least a delete if unmapped
         search(ai + 1, bj_min, pairs, rename_total)
@@ -104,7 +98,7 @@ def brute_force_tree_distance(a: TableTree, b: TableTree, costs: EditCosts | Non
                     ai + 1,
                     bj + 1,
                     pairs,
-                    rename_total + rename_cost(costs, nodes_a[ai], nodes_b[bj]),
+                    rename_total + rename_cost(nodes_a[ai], nodes_b[bj]),
                 )
                 pairs.pop()
 
@@ -244,11 +238,7 @@ def _greedy_match(iou_rows: list[list[float]], threshold: float) -> list[bool]:
     return labels
 
 
-def reference_average_precision(
-    tp_fp_sequence: list[bool],
-    n_ground_truth: int,
-    recall_levels: tuple[float, ...] = DEFAULT_RECALL_LEVELS,
-) -> float:
+def reference_average_precision(tp_fp_sequence: list[bool], n_ground_truth: int) -> float:
     """101-point interpolated AP from a confidence-ordered TP/FP sequence."""
     if n_ground_truth < 0:
         raise ValueError("negative ground-truth count")
@@ -265,11 +255,11 @@ def reference_average_precision(
     for k in range(len(precisions) - 2, -1, -1):
         precisions[k] = max(precisions[k], precisions[k + 1])
     total = 0.0
-    for level in recall_levels:
-        idx = bisect_left(recalls, level)
+    for level in range(101):
+        idx = bisect_left(recalls, level / 100.0)
         if idx < len(recalls):
             total += precisions[idx]
-    return total / len(recall_levels)
+    return total / 101
 
 
 class _ClassEvalData:
@@ -292,9 +282,9 @@ class _ClassEvalData:
             neg_scores.extend(-p.score for p in preds)
         self.order = sorted(range(len(neg_scores)), key=neg_scores.__getitem__)
 
-    def ap_at(self, threshold: float, recall_levels) -> float:
+    def ap_at(self, threshold: float) -> float:
         labels = [tp for rows in self.rows_by_image for tp in _greedy_match(rows, threshold)]
-        return reference_average_precision([labels[i] for i in self.order], self.n_gt, recall_levels)
+        return reference_average_precision([labels[i] for i in self.order], self.n_gt)
 
 
 def reference_evaluate_corpus(
@@ -325,7 +315,7 @@ def reference_evaluate_corpus(
         for cls in classes:
             data = _ClassEvalData(preds_by_image, gts_by_image, cls, cfg, bucket)
             if data.n_gt or data.order:
-                tables[cls] = {t: data.ap_at(t, cfg.recall_levels) for t in thresholds}
+                tables[cls] = {t: data.ap_at(t) for t in thresholds}
         return tables
 
     def coco_ap(table: dict[float, float]) -> float:

@@ -120,9 +120,8 @@ def test_criterion_2_perfect_prediction_end_to_end():
 
 def test_criterion_3_pseudo_class_round_trip():
     gt, _ = generate_fixtures(ACCEPTANCE_SPEC)
-    tolerance = 1.0
     for ann in gt.annotation_sets():
-        encoded = encode_pseudo(ann, tolerance)
+        encoded = encode_pseudo(ann)
         # single-label constraint: distinct classes never share a box
         for i, a in enumerate(encoded.instances):
             for b in encoded.instances[i + 1 :]:

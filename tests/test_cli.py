@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import warnings
 
 import pytest
 
@@ -298,15 +300,28 @@ def test_misalign_cli(fixture_files, capsys, tmp_path):
     assert lines[1].startswith("dilate:0,1.000000,1.000000")
 
 
-@pytest.mark.parametrize("spec", ["dilate:inf", "dilate:nan"])
+# dilate:1e200 and dilate:1e308 are finite but give boxes of infinite area,
+# whose IoU used to be nan: exit 0, mAP 0 and a numpy overflow warning
+@pytest.mark.parametrize("spec", ["dilate:inf", "dilate:nan", "dilate:1e200", "dilate:1e308"])
 def test_misalign_cli_rejects_nonfinite_magnitude(fixture_files, capsys, spec):
     gt, _ = fixture_files
-    with pytest.raises(SystemExit) as exc:
-        main(["misalign", gt, "--spec", spec])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["misalign", gt, "--spec", spec])
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "magnitude" in captured.err
+
+
+def test_misalign_cli_dilates_to_large_finite_area(fixture_files, capsys):
+    gt, _ = fixture_files
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["misalign", gt, "--spec", "dilate:1e150"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[1].split()[:2] == ["dilate:1e+150", "0.0000"]
 
 
 def test_kernels_check_cli(capsys):
@@ -382,3 +397,7 @@ def test_parse_perturbation_spec():
         parse_perturbation_spec("explode:1")
     with pytest.raises(ValueError):
         parse_perturbation_spec("dilate:1:widget")
+    # a class part that names no class used to target nothing and score 1.0
+    for text in ("dilate:2:+", "snap:+", "merge: + "):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_perturbation_spec(text)

@@ -8,7 +8,6 @@ from tsrkit.geometry import BBox, intersection_area
 from tsrkit.labels import AnnotationSet, ComponentClass, ComponentInstance, LabelMode
 from tsrkit.reconstruct import (
     MergedCell,
-    ReconstructionConfig,
     TableGrid,
     build_grid,
     grid_to_html,
@@ -83,18 +82,12 @@ def test_span_overlap_threshold_configurable():
     span = inst(ComponentClass.SPANNING_CELL, 0, 0, 100, 26)
     ann = lattice(2, 2, extras=[span])
     assert build_grid(ann).merges == (MergedCell(0, 0, 1, 2),)
-    loose = ReconstructionConfig(span_overlap_threshold=0.25)
-    assert build_grid(ann, loose).merges == (MergedCell(0, 0, 2, 2),)
 
 
 def test_score_threshold_configurable():
     low_row = inst(ComponentClass.ROW, 0, 40, 100, 60, score=0.4)
     ann = AnnotationSet("img", lattice(2, 2).instances + (low_row,), LabelMode.MULTI)
     assert build_grid(ann).n_rows == 2
-    permissive = ReconstructionConfig(score_thresholds=0.3)
-    assert build_grid(ann, permissive).n_rows == 3
-    per_class = ReconstructionConfig(score_thresholds={ComponentClass.ROW: 0.35})
-    assert build_grid(ann, per_class).n_rows == 3
 
 
 def test_column_header_marks_row_by_center():
@@ -162,6 +155,10 @@ def test_score_threshold_filters():
     ann = AnnotationSet("img", noisy.instances + (low,), LabelMode.MULTI)
     grid = build_grid(ann)
     assert grid.n_rows == 2
+    # the threshold is inclusive: a row scored exactly 0.5 survives
+    at_threshold = inst(ComponentClass.ROW, 0, 100, 100, 140, score=0.5)
+    ann = AnnotationSet("img", noisy.instances + (at_threshold,), LabelMode.MULTI)
+    assert build_grid(ann).n_rows == 3
 
 
 def test_nms_deduplicates():
@@ -169,6 +166,13 @@ def test_nms_deduplicates():
     ann = AnnotationSet("img", lattice(2, 2).instances + (dup,), LabelMode.MULTI)
     grid = build_grid(ann)
     assert grid.n_rows == 2
+    # 30 px rows: one shifted down by 10 px overlaps row 0 at IoU 2000 / 4000,
+    # exactly 0.5, and NMS suppresses it; at 10.001 px the IoU is just below
+    # 0.5 and the row is kept
+    for shift, n_rows in ((10.0, 2), (10.001, 3)):
+        row = inst(ComponentClass.ROW, 0, shift, 100, 30 + shift, score=0.9)
+        ann = AnnotationSet("img", lattice(2, 2, row_h=30.0).instances + (row,), LabelMode.MULTI)
+        assert build_grid(ann).n_rows == n_rows
 
 
 def test_build_grid_order_invariant():

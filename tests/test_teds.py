@@ -9,7 +9,6 @@ from oracles import brute_force_tree_distance, random_small_tree, reference_pars
 from tsrkit.errors import HtmlParseError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.teds import (
-    EditCosts,
     TableTree,
     corpus_teds,
     parse_table_html,
@@ -274,15 +273,11 @@ def test_backends_agree(compiled_kernel):
     for a, b in pairs:
         interner = {}
         args = (*_flatten(a, interner), *_flatten(b, interner))
-        for costs in ((1.0, 1.0, 1.0), (0.5, 2.0, 0.75)):
-            d_py = _ted_py.tree_distance(*args, *costs)
-            d_c = compiled_kernel.tree_distance(*as_int64(args), *costs)
-            assert d_py == d_c
+        assert _ted_py.tree_distance(*args) == compiled_kernel.tree_distance(*as_int64(args))
     flat = _flatten(random_table_tree(rng, 3), {})
     empty = ((), (), ())
     for args in ((*empty, *flat), (*flat, *empty), (*empty, *empty)):
-        d_py = _ted_py.tree_distance(*args, 1.0, 2.0, 1.0)
-        assert compiled_kernel.tree_distance(*as_int64(args), 1.0, 2.0, 1.0) == d_py
+        assert compiled_kernel.tree_distance(*as_int64(args)) == _ted_py.tree_distance(*args)
 
 
 def test_compiled_kernel_rejects_bad_buffers(compiled_kernel):
@@ -295,7 +290,7 @@ def test_compiled_kernel_rejects_bad_buffers(compiled_kernel):
         list(good[0]),
     ):
         with pytest.raises(TypeError):
-            compiled_kernel.tree_distance(bad, *good[1:], *good, 1.0, 1.0, 1.0)
+            compiled_kernel.tree_distance(bad, *good[1:], *good)
     # index arrays outside the tree are refused before the DP reads them
     lmld, labels, keyroots = good
     for bad_tree in (
@@ -305,7 +300,7 @@ def test_compiled_kernel_rejects_bad_buffers(compiled_kernel):
         (np.array([0, 0, 1]), np.array([1, 2, 3]), np.array([2])),
     ):
         with pytest.raises(ValueError):
-            compiled_kernel.tree_distance(*bad_tree, *good, 1.0, 1.0, 1.0)
+            compiled_kernel.tree_distance(*bad_tree, *good)
 
 
 # ------------------------------------------------------------------- teds
@@ -361,8 +356,6 @@ def test_rename_cost_model():
     assert tree_edit_distance(td1, td3) == 1.0
     assert tree_edit_distance(TableTree("tr"), TableTree("tr")) == 0.0
     assert tree_edit_distance(TableTree("tr"), TableTree("tbody")) == 1.0
-    half = EditCosts(rename_mismatch_cost=0.5)
-    assert tree_edit_distance(td1, td3, half) == 0.5
 
 
 # ----------------------------------------------------------------- corpus
