@@ -29,6 +29,7 @@ SCHEMA_VERSION = 1
 
 log = logging.getLogger("tsrkit.formats")
 _FLOAT_MAX = sys.float_info.max
+_NUMBER_TYPES = (int, float)  # matched by exact type, so booleans are not numbers
 
 
 @dataclass
@@ -76,30 +77,44 @@ def _at(image: int, instance: int | None = None) -> str:
 
 def _is_finite_number(value) -> bool:
     """A JSON number within float range: booleans, infinities and NaN are not."""
-    return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+    return type(value) in _NUMBER_TYPES and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
 def _clamped_bbox(raw, width: float, height: float, image: int, instance: int, key: str) -> BBox:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
         raise SchemaError(f"{_at(image, instance)}.{key}: bbox must be a 4-element array, got {raw!r}")
-    if not all(map(_is_finite_number, raw)):
+    x1, y1, x2, y2 = raw
+    # Every type check runs before any comparison: a string must not meet a float.
+    if not (
+        type(x1) in _NUMBER_TYPES
+        and type(y1) in _NUMBER_TYPES
+        and type(x2) in _NUMBER_TYPES
+        and type(y2) in _NUMBER_TYPES
+        and -_FLOAT_MAX <= x1 <= _FLOAT_MAX
+        and -_FLOAT_MAX <= y1 <= _FLOAT_MAX
+        and -_FLOAT_MAX <= x2 <= _FLOAT_MAX
+        and -_FLOAT_MAX <= y2 <= _FLOAT_MAX
+    ):
         raise SchemaError(f"{_at(image, instance)}.{key}: bbox holds non-finite or non-numeric values {raw!r}")
-    x1, y1, x2, y2 = map(float, raw)
-    clamped = (
-        min(max(x1, 0.0), width),
-        min(max(y1, 0.0), height),
-        min(max(x2, 0.0), width),
-        min(max(y2, 0.0), height),
-    )
-    if clamped != (x1, y1, x2, y2):
+    x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
+    # Only a box reaching outside the image is clamped; -0.0 is inside and stays.
+    if not (0.0 <= x1 <= width and 0.0 <= y1 <= height and 0.0 <= x2 <= width and 0.0 <= y2 <= height):
+        clamped = (
+            min(max(x1, 0.0), width),
+            min(max(y1, 0.0), height),
+            min(max(x2, 0.0), width),
+            min(max(y2, 0.0), height),
+        )
         log.warning("%s.%s: bbox %s clamped to %s", _at(image, instance), key, (x1, y1, x2, y2), clamped)
-    if not (clamped[2] >= clamped[0] and clamped[3] >= clamped[1]):
+        x1, y1, x2, y2 = clamped
+    if not (x2 >= x1 and y2 >= y1):
         raise SchemaError(f"{_at(image, instance)}.{key}: bbox {raw!r} inverted after clamping")
-    return BBox(*clamped)
+    return BBox(x1, y1, x2, y2)
 
 
 _INSTANCE_FIELDS = frozenset({"bbox", "class_id", "score", "content_bbox"})
 _CLASS_BY_ID = tuple(ComponentClass)  # indexing skips the enum's value lookup
+_MISSING = object()
 
 
 def _parse_instance(raw, width, height, label_mode, is_ground_truth, image, instance) -> ComponentInstance:
@@ -107,11 +122,11 @@ def _parse_instance(raw, width, height, label_mode, is_ground_truth, image, inst
         raise SchemaError(f"{_at(image, instance)}: instance must be an object")
     if "bbox" not in raw:
         raise SchemaError(f"{_at(image, instance)}: missing bbox")
-    if "class_id" not in raw:
+    class_id = raw.get("class_id", _MISSING)
+    if class_id is _MISSING:
         raise SchemaError(f"{_at(image, instance)}: missing class_id")
     box = _clamped_bbox(raw["bbox"], width, height, image, instance, "bbox")
 
-    class_id = raw["class_id"]
     if not (type(class_id) is int and 0 <= class_id <= 6):
         raise SchemaError(f"{_at(image, instance)}.class_id: must be an integer in 0..6, got {class_id!r}")
     if class_id == 6 and label_mode is not LabelMode.SINGLE:
@@ -123,17 +138,18 @@ def _parse_instance(raw, width, height, label_mode, is_ground_truth, image, inst
     if score is not None:
         if is_ground_truth:
             raise SchemaError(f"{_at(image, instance)}.score: ground truth must not carry scores")
-        if not (_is_finite_number(score) and 0.0 <= score <= 1.0):
+        if not (type(score) in _NUMBER_TYPES and 0.0 <= score <= 1.0):
             raise SchemaError(f"{_at(image, instance)}.score: must lie in [0, 1], got {score!r}")
         score = float(score)
 
     content_box = None
-    if raw.get("content_bbox") is not None:
+    content_raw = raw.get("content_bbox")
+    if content_raw is not None:
         if not is_ground_truth:
             raise SchemaError(f"{_at(image, instance)}.content_bbox: only ground truth carries content extents")
-        content_box = _clamped_bbox(raw["content_bbox"], width, height, image, instance, "content_bbox")
+        content_box = _clamped_bbox(content_raw, width, height, image, instance, "content_bbox")
 
-    extra = {k: v for k, v in raw.items() if k not in _INSTANCE_FIELDS}
+    extra = {} if raw.keys() <= _INSTANCE_FIELDS else {k: v for k, v in raw.items() if k not in _INSTANCE_FIELDS}
     return ComponentInstance(box, _CLASS_BY_ID[class_id], score, content_box, extra)
 
 

@@ -11,6 +11,7 @@ inverse transform duplicates predictions back into the multi-label form.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field, replace
 
 from .errors import LabelConsistencyError, LabelModeError
@@ -37,11 +38,16 @@ MULTI_LABEL_CLASSES = tuple(c for c in ComponentClass if c.value <= 5)
 # Two boxes coincide when every coordinate differs by at most this many px.
 BOX_MATCH_TOLERANCE = 1.0
 
-# The extra field of a pseudo header row that holds its Column Header's fields.
+# The extra fields of a pseudo header row that hold its Column Header's fields
+# and content extent.
 HEADER_EXTRA_KEY = "column_header_extra"
-# The extra field of a Projected Row Header that holds the fields of the Row
-# dropped under it.
+HEADER_CONTENT_KEY = "column_header_content_bbox"
+# The extra fields of a Projected Row Header that hold the fields and content
+# extent of the Row dropped under it.
 ROW_EXTRA_KEY = "row_extra"
+ROW_CONTENT_KEY = "row_content_bbox"
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class LabelMode(enum.Enum):
@@ -113,7 +119,9 @@ def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
          a single pseudo-header-row instance at the Row's box.
 
     The instance that stays keeps the fields of the one it absorbed under
-    ``ROW_EXTRA_KEY`` or ``HEADER_EXTRA_KEY``, and only when the two differ.
+    ``ROW_EXTRA_KEY`` or ``HEADER_EXTRA_KEY``, and its content extent (a
+    4-number list, or null) under ``ROW_CONTENT_KEY`` or
+    ``HEADER_CONTENT_KEY``, each only when the two instances differ in it.
     A box shared by three or more classes has no sanctioned reading and is
     rejected.
     """
@@ -138,7 +146,7 @@ def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
         j for j, inst in enumerate(instances) if inst.cls == ComponentClass.PROJECTED_ROW_HEADER
     ]
     consumed_headers: set[int] = set()
-    dropped_row_extra: dict[int, dict] = {}  # Projected Row Header index -> first Row's fields
+    dropped_rows: dict[int, ComponentInstance] = {}  # Projected Row Header index -> first Row
 
     out: list[tuple[int, ComponentInstance]] = []
     for idx, inst in enumerate(instances):
@@ -147,7 +155,7 @@ def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
                 (j for j in prh_indices if boxes_match(inst.box, instances[j].box, BOX_MATCH_TOLERANCE)), None
             )
             if prh_idx is not None:
-                dropped_row_extra.setdefault(prh_idx, inst.extra)
+                dropped_rows.setdefault(prh_idx, inst)
                 continue
             header_idx = next(
                 (
@@ -161,14 +169,14 @@ def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
             )
             if header_idx is not None:
                 consumed_headers.add(header_idx)
-                extra = _merge_extra(inst.extra, HEADER_EXTRA_KEY, instances[header_idx].extra)
+                extra = _absorb(inst, instances[header_idx], HEADER_EXTRA_KEY, HEADER_CONTENT_KEY)
                 out.append((idx, replace(inst, cls=ComponentClass.PSEUDO_HEADER_ROW, extra=extra)))
                 continue
         out.append((idx, inst))
 
     result = [
-        replace(inst, extra=_merge_extra(inst.extra, ROW_EXTRA_KEY, dropped_row_extra[idx]))
-        if idx in dropped_row_extra
+        replace(inst, extra=_absorb(inst, dropped_rows[idx], ROW_EXTRA_KEY, ROW_CONTENT_KEY))
+        if idx in dropped_rows
         else inst
         for idx, inst in out
         if idx not in consumed_headers
@@ -177,16 +185,48 @@ def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
     return AnnotationSet(gt.image_id, tuple(result), LabelMode.SINGLE)
 
 
-def _merge_extra(extra: dict, key: str, absorbed: dict) -> dict:
-    """``extra`` with the absorbed instance's fields under ``key`` when they differ."""
-    return extra if absorbed == extra else {**extra, key: absorbed}
+def _absorb(kept: ComponentInstance, absorbed: ComponentInstance, extra_key: str, content_key: str) -> dict:
+    """``kept``'s fields plus what it needs to give ``absorbed`` back on decoding.
+
+    ``absorbed``'s fields go under ``extra_key`` and its content extent under
+    ``content_key``, each only when it differs from ``kept``'s.
+    """
+    extra = kept.extra if absorbed.extra == kept.extra else {**kept.extra, extra_key: absorbed.extra}
+    if absorbed.content_box != kept.content_box:
+        content = absorbed.content_box
+        extra = {**extra, content_key: None if content is None else list(content.as_tuple())}
+    return extra
 
 
-def _split_extra(extra: dict, key: str) -> tuple[dict, dict]:
-    """Undo ``_merge_extra``: (own fields, absorbed fields)."""
-    if isinstance(extra.get(key), dict):
-        return {k: v for k, v in extra.items() if k != key}, extra[key]
-    return extra, extra
+def _split(
+    inst: ComponentInstance, image_id: str, extra_key: str, content_key: str
+) -> tuple[dict, dict, BBox | None]:
+    """Undo ``_absorb``: (own fields, absorbed fields, absorbed content extent)."""
+    extra = inst.extra
+    content_box = inst.content_box
+    if content_key in extra:
+        content_box = _content_box(extra[content_key], image_id, content_key)
+        extra = {k: v for k, v in extra.items() if k != content_key}
+    if isinstance(extra.get(extra_key), dict):
+        return {k: v for k, v in extra.items() if k != extra_key}, extra[extra_key], content_box
+    return extra, extra, content_box
+
+
+def _content_box(value, image_id: str, key: str) -> BBox | None:
+    """A content extent stored by ``_absorb``: null or [x1, y1, x2, y2]."""
+    if value is None:
+        return None
+    if (
+        isinstance(value, (list, tuple))
+        and len(value) == 4
+        and all(type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX for v in value)
+        and value[2] >= value[0]
+        and value[3] >= value[1]
+    ):
+        return BBox(*map(float, value))
+    raise LabelConsistencyError(
+        f"{image_id}: {key} must be null or a box [x1, y1, x2, y2] with x1 <= x2 and y1 <= y2, got {value!r}"
+    )
 
 
 def decode_pseudo(pred: AnnotationSet) -> AnnotationSet:
@@ -195,8 +235,9 @@ def decode_pseudo(pred: AnnotationSet) -> AnnotationSet:
     Each projected row header is duplicated once into a Row at the same box
     and confidence; each pseudo header row is replaced by a Row plus a Column
     Header at its box and confidence. Both carry the single instance's
-    fields, except that a dict under ``ROW_EXTRA_KEY`` goes to the Row alone
-    and one under ``HEADER_EXTRA_KEY`` to the header alone.
+    fields and content extent, except that those stored under
+    ``ROW_EXTRA_KEY`` and ``ROW_CONTENT_KEY`` go to the Row alone and those
+    under ``HEADER_EXTRA_KEY`` and ``HEADER_CONTENT_KEY`` to the header alone.
     """
     if pred.mode is not LabelMode.SINGLE:
         raise LabelModeError(f"{pred.image_id}: input not in single-label mode")
@@ -204,13 +245,19 @@ def decode_pseudo(pred: AnnotationSet) -> AnnotationSet:
     out: list[ComponentInstance] = []
     for inst in pred.instances:
         if inst.cls == ComponentClass.PROJECTED_ROW_HEADER:
-            header_extra, row_extra = _split_extra(inst.extra, ROW_EXTRA_KEY)
-            out.append(inst if header_extra is inst.extra else replace(inst, extra=header_extra))
-            out.append(replace(inst, cls=ComponentClass.ROW, extra=row_extra))
+            own_extra, row_extra, row_content = _split(inst, pred.image_id, ROW_EXTRA_KEY, ROW_CONTENT_KEY)
+            if own_extra is not inst.extra:
+                inst = ComponentInstance(inst.box, inst.cls, inst.score, inst.content_box, own_extra)
+            out.append(inst)
+            out.append(ComponentInstance(inst.box, ComponentClass.ROW, inst.score, row_content, row_extra))
         elif inst.cls == ComponentClass.PSEUDO_HEADER_ROW:
-            row_extra, header_extra = _split_extra(inst.extra, HEADER_EXTRA_KEY)
-            out.append(replace(inst, cls=ComponentClass.ROW, extra=row_extra))
-            out.append(replace(inst, cls=ComponentClass.COLUMN_HEADER, extra=header_extra))
+            row_extra, header_extra, header_content = _split(
+                inst, pred.image_id, HEADER_EXTRA_KEY, HEADER_CONTENT_KEY
+            )
+            out.append(ComponentInstance(inst.box, ComponentClass.ROW, inst.score, inst.content_box, row_extra))
+            out.append(
+                ComponentInstance(inst.box, ComponentClass.COLUMN_HEADER, inst.score, header_content, header_extra)
+            )
         else:
             out.append(inst)
     return AnnotationSet(pred.image_id, tuple(out), LabelMode.MULTI)

@@ -83,7 +83,8 @@ def perturb(gt: AnnotationSet, spec: PerturbationSpec) -> AnnotationSet:
 def _transform(inst: ComponentInstance, spec: PerturbationSpec) -> ComponentInstance:
     if spec.mode is PerturbationMode.DILATE:
         box = inst.box.inflate(spec.magnitude)
-        if not math.isfinite(box.area):
+        # Twice the area bounded keeps the IoU union of any two such boxes finite.
+        if not math.isfinite(2.0 * box.area):
             raise ValueError(
                 f"dilate by magnitude {spec.magnitude} overflows the area of box "
                 f"{inst.box.as_tuple()}"

@@ -136,11 +136,9 @@ def build_grid(detections: AnnotationSet) -> TableGrid:
             "(apply decode_pseudo first)"
         )
 
-    survivors = [
-        inst
-        for inst in _canonical_order(detections.instances)
-        if inst.score is None or inst.score >= SCORE_THRESHOLD
-    ]
+    survivors = _canonical_order(
+        inst for inst in detections.instances if inst.score is None or inst.score >= SCORE_THRESHOLD
+    )
     by_class: dict[ComponentClass, list[ComponentInstance]] = {}
     for cls in ComponentClass:
         by_class[cls] = _greedy_nms([i for i in survivors if i.cls == cls])

@@ -6,23 +6,26 @@ evaluates the interpolation definition directly, the anchor oracle scores
 every anchor instead of the nearest one per level and ratio, the corpus AP
 reference is the list-based evaluation with ``geometry.iou``, a greedy loop
 per threshold and its own size buckets, the table-HTML parser reference is
-the character scanner that the regex tokenizer replaced, and the convolution
-oracle is plain nested loops.
+the character scanner that the regex tokenizer replaced, the instance
+loader reference is the parser that inline checks replaced, and the
+convolution oracle is plain nested loops.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 import random
 import re
+import sys
 from bisect import bisect_left
 
 import numpy as np
 
 from tsrkit.cocoeval import ApReport, MatchConfig
-from tsrkit.errors import CorpusError, HtmlParseError
+from tsrkit.errors import CorpusError, HtmlParseError, SchemaError
 from tsrkit.geometry import BBox, iou
-from tsrkit.labels import ComponentClass, ComponentInstance
+from tsrkit.labels import ComponentClass, ComponentInstance, LabelMode
 from tsrkit.teds import TableTree
 
 
@@ -530,3 +533,79 @@ def reference_parse_table_html(fragment: str) -> TableTree:
     if not scanner.at_end():
         scanner.error("content after </table>")
     return root
+
+
+# ------------------------------------------------------------ instance loader
+# The instance parser that ``formats._parse_instance`` replaced with inline
+# type and range checks: a generator over ``_is_finite_number``, ``min``/``max``
+# clamping and tuple comparison. Kept as it was, apart from names and imports,
+# so the inline version is checked message for message and bit for bit.
+
+_FLOAT_MAX = sys.float_info.max
+_INSTANCE_FIELDS = frozenset({"bbox", "class_id", "score", "content_bbox"})
+_CLASS_BY_ID = tuple(ComponentClass)
+_formats_log = logging.getLogger("tsrkit.formats")
+
+
+def _at(image: int, instance: int | None = None) -> str:
+    path = f"$.images[{image}]"
+    return path if instance is None else f"{path}.instances[{instance}]"
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number within float range: booleans, infinities and NaN are not."""
+    return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _clamped_bbox(raw, width: float, height: float, image: int, instance: int, key: str) -> BBox:
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
+        raise SchemaError(f"{_at(image, instance)}.{key}: bbox must be a 4-element array, got {raw!r}")
+    if not all(map(_is_finite_number, raw)):
+        raise SchemaError(f"{_at(image, instance)}.{key}: bbox holds non-finite or non-numeric values {raw!r}")
+    x1, y1, x2, y2 = map(float, raw)
+    clamped = (
+        min(max(x1, 0.0), width),
+        min(max(y1, 0.0), height),
+        min(max(x2, 0.0), width),
+        min(max(y2, 0.0), height),
+    )
+    if clamped != (x1, y1, x2, y2):
+        _formats_log.warning("%s.%s: bbox %s clamped to %s", _at(image, instance), key, (x1, y1, x2, y2), clamped)
+    if not (clamped[2] >= clamped[0] and clamped[3] >= clamped[1]):
+        raise SchemaError(f"{_at(image, instance)}.{key}: bbox {raw!r} inverted after clamping")
+    return BBox(*clamped)
+
+
+def reference_parse_instance(raw, width, height, label_mode, is_ground_truth, image, instance) -> ComponentInstance:
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{_at(image, instance)}: instance must be an object")
+    if "bbox" not in raw:
+        raise SchemaError(f"{_at(image, instance)}: missing bbox")
+    if "class_id" not in raw:
+        raise SchemaError(f"{_at(image, instance)}: missing class_id")
+    box = _clamped_bbox(raw["bbox"], width, height, image, instance, "bbox")
+
+    class_id = raw["class_id"]
+    if not (type(class_id) is int and 0 <= class_id <= 6):
+        raise SchemaError(f"{_at(image, instance)}.class_id: must be an integer in 0..6, got {class_id!r}")
+    if class_id == 6 and label_mode is not LabelMode.SINGLE:
+        raise SchemaError(
+            f"{_at(image, instance)}.class_id: class 6 (pseudo header row) requires label_mode = single"
+        )
+
+    score = raw.get("score")
+    if score is not None:
+        if is_ground_truth:
+            raise SchemaError(f"{_at(image, instance)}.score: ground truth must not carry scores")
+        if not (_is_finite_number(score) and 0.0 <= score <= 1.0):
+            raise SchemaError(f"{_at(image, instance)}.score: must lie in [0, 1], got {score!r}")
+        score = float(score)
+
+    content_box = None
+    if raw.get("content_bbox") is not None:
+        if not is_ground_truth:
+            raise SchemaError(f"{_at(image, instance)}.content_bbox: only ground truth carries content extents")
+        content_box = _clamped_bbox(raw["content_bbox"], width, height, image, instance, "content_bbox")
+
+    extra = {k: v for k, v in raw.items() if k not in _INSTANCE_FIELDS}
+    return ComponentInstance(box, _CLASS_BY_ID[class_id], score, content_box, extra)

@@ -275,6 +275,37 @@ def test_header_row_fields_survive_label_transforms(fixture_files, tmp_path):
     assert fields == {2: {"r": 1}, 5: {"h": 1}}
 
 
+def test_header_content_extent_survives_label_transforms(fixture_files, tmp_path):
+    gt, _ = fixture_files
+    with open(gt) as handle:
+        raw = json.load(handle)
+    image = next(
+        img for img in raw["images"]
+        if any(i["class_id"] == 5 for i in img["instances"])
+    )
+    header = next(i for i in image["instances"] if i["class_id"] == 5)
+    row = next(i for i in image["instances"] if i["class_id"] == 2 and i["bbox"] == header["bbox"])
+    x1, y1, x2, y2 = row["content_bbox"]
+    header["content_bbox"] = [x1 + 4.0, y1, x2 - 4.0, y2]
+    annotated = str(tmp_path / "annotated.json")
+    with open(annotated, "w") as handle:
+        json.dump({**raw, "images": [image]}, handle)
+
+    encoded = str(tmp_path / "single.json")
+    decoded = str(tmp_path / "multi.json")
+    assert main(["encode-labels", annotated, "-o", encoded]) == 0
+    with open(encoded) as handle:
+        (pseudo,) = [i for i in json.load(handle)["images"][0]["instances"] if i["class_id"] == 6]
+    assert pseudo["content_bbox"] == row["content_bbox"]
+    assert pseudo["column_header_content_bbox"] == header["content_bbox"]
+    assert main(["decode-labels", encoded, "-o", decoded]) == 0
+    with open(decoded) as handle:
+        instances = json.load(handle)["images"][0]["instances"]
+    extents = {i["class_id"]: i["content_bbox"] for i in instances if i["bbox"] == header["bbox"]}
+    assert extents == {2: row["content_bbox"], 5: header["content_bbox"]}
+    assert not any("column_header_content_bbox" in i for i in instances)
+
+
 def test_misalign_cli(fixture_files, capsys, tmp_path):
     gt, _ = fixture_files
     csv_path = str(tmp_path / "report.csv")
@@ -301,8 +332,10 @@ def test_misalign_cli(fixture_files, capsys, tmp_path):
 
 
 # dilate:1e200 and dilate:1e308 are finite but give boxes of infinite area,
-# whose IoU used to be nan: exit 0, mAP 0 and a numpy overflow warning
-@pytest.mark.parametrize("spec", ["dilate:inf", "dilate:nan", "dilate:1e200", "dilate:1e308"])
+# whose IoU used to be nan: exit 0, mAP 0 and a numpy overflow warning.
+# dilate:6e153 gives finite areas whose sum overflows, so a box's IoU with
+# itself used to be 0 and NMS kept duplicates: exit 0 with a wrong TEDS.
+@pytest.mark.parametrize("spec", ["dilate:inf", "dilate:nan", "dilate:1e200", "dilate:1e308", "dilate:6e153"])
 def test_misalign_cli_rejects_nonfinite_magnitude(fixture_files, capsys, spec):
     gt, _ = fixture_files
     with warnings.catch_warnings():

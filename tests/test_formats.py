@@ -3,10 +3,14 @@ import logging
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_parse_instance
 
 from tsrkit.errors import SchemaError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.formats import (
+    _parse_instance,
     load_detections,
     load_ground_truth,
     save,
@@ -55,6 +59,106 @@ def test_unknown_fields_preserved(corpus, tmp_path):
     assert round_tripped["pipeline"] == {"origin": "synthetic"}
     assert round_tripped["images"][0]["dpi"] == 144
     assert round_tripped["images"][0]["instances"][0]["flagged"] is True
+
+
+# Coordinates on, near and outside the bounds of a 100 x 50 image.
+numbers = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 50, 100.0, -3.5, 130]),
+    st.integers(-20, 220),
+    st.floats(-20.0, 220.0),
+)
+# Ordered boxes mostly; an inverted one must fail after clamping.
+boxes = st.tuples(numbers, numbers, numbers, numbers, st.sampled_from([True, True, True, False])).map(
+    lambda t: [min(t[0], t[2]), min(t[1], t[3]), max(t[0], t[2]), max(t[1], t[3])] if t[4] else list(t[:4])
+)
+# Values json.load can yield where a number belongs, and that must fail or
+# be clamped: Infinity/NaN come back as floats, integers have any length.
+ODD_NUMBERS = [True, False, "12", None, float("inf"), float("-inf"), float("nan"),
+               10**400, -(10**400), 2**1023, 1.7976931348623157e308, -1.7976931348623157e308]
+odd_numbers = st.sampled_from(ODD_NUMBERS)
+not_boxes = st.one_of(
+    st.lists(numbers, min_size=3, max_size=3),
+    st.lists(numbers, min_size=5, max_size=5),
+    st.sampled_from([None, "0 0 1 1", {"x1": 0}, 4.0, []]),
+)
+DAMAGE = [None, None, None, "bbox value", "content value", "bbox shape", "content shape",
+          "class_id", "score", "carrier", "missing", "not an object"]
+
+
+@st.composite
+def instance_problems(draw):
+    """(instance, image width, label mode, ground truth?): a well-formed
+    instance for its carrier, then at most one part of it damaged."""
+    is_ground_truth = draw(st.booleans())
+    label_mode = draw(st.sampled_from(list(LabelMode)))
+    raw = {"bbox": draw(boxes), "class_id": draw(st.integers(0, 6 if label_mode is LabelMode.SINGLE else 5))}
+    if draw(st.booleans()):
+        raw["content_bbox" if is_ground_truth else "score"] = draw(boxes if is_ground_truth else st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        raw["flagged"] = draw(st.booleans())
+    damage = draw(st.sampled_from(DAMAGE))
+    if damage in ("bbox value", "content value"):
+        key = "bbox" if damage == "bbox value" else "content_bbox"
+        box = raw.get(key) or draw(boxes)
+        box[draw(st.integers(0, 3))] = draw(odd_numbers)
+        raw[key] = box
+    elif damage in ("bbox shape", "content shape"):
+        raw["bbox" if damage == "bbox shape" else "content_bbox"] = draw(not_boxes)
+    elif damage == "class_id":
+        raw["class_id"] = draw(st.sampled_from([-1, 6, 7, True, 2.0, "2", None]))
+    elif damage == "score":
+        raw["score"] = draw(st.one_of(st.floats(-0.5, 1.5), odd_numbers, st.sampled_from([0, 1, -0.0, "0.5"])))
+    elif damage == "carrier":
+        is_ground_truth = not is_ground_truth
+    elif damage == "missing":
+        del raw[draw(st.sampled_from(["bbox", "class_id"]))]
+    elif damage == "not an object":
+        raw = draw(st.sampled_from([None, [], "instance", 3, [raw]]))
+    return raw, draw(st.sampled_from([100.0, 1e300])), label_mode, is_ground_truth
+
+
+def _parse_outcome(parser, raw, width, label_mode, is_ground_truth):
+    """What one parser makes of one instance: its result or error, and its clamp log records."""
+    logger = logging.getLogger("tsrkit.formats")
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger.addHandler(handler)
+    try:
+        inst = parser(raw, width, 50.0, label_mode, is_ground_truth, 3, 7)
+        result = (
+            "ok",
+            repr(inst.box.as_tuple()),
+            inst.cls,
+            repr(inst.score),
+            None if inst.content_box is None else repr(inst.content_box.as_tuple()),
+            inst.extra,
+        )
+    except SchemaError as exc:
+        result = ("error", str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return result, [(r.levelno, r.getMessage(), repr(r.args)) for r in records]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(instance_problems())
+def test_parse_instance_matches_reference_parser(problem):
+    assert _parse_outcome(_parse_instance, *problem) == _parse_outcome(reference_parse_instance, *problem)
+
+
+def test_parse_instance_matches_reference_on_each_odd_coordinate():
+    # every odd value in every coordinate of a valid box, the rest in range
+    for key, is_ground_truth in (("bbox", False), ("content_bbox", True)):
+        for i in range(4):
+            for odd in ODD_NUMBERS:
+                box = [1.0, 2.0, 30.0, 40.0]
+                box[i] = odd
+                raw = {"bbox": [0, 0, 50, 50], "class_id": 2, key: box}
+                problem = (raw, 100.0, LabelMode.MULTI, is_ground_truth)
+                assert _parse_outcome(_parse_instance, *problem) == _parse_outcome(
+                    reference_parse_instance, *problem
+                ), (key, i, odd)
 
 
 def base_file(**overrides):

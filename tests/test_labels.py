@@ -1,10 +1,18 @@
+import json
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsrkit.errors import LabelConsistencyError, LabelModeError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.geometry import BBox
 from tsrkit.labels import (
+    HEADER_CONTENT_KEY,
     HEADER_EXTRA_KEY,
+    MULTI_LABEL_CLASSES,
+    ROW_CONTENT_KEY,
     ROW_EXTRA_KEY,
     AnnotationSet,
     ComponentClass,
@@ -185,3 +193,82 @@ def test_equal_row_and_projected_header_fields_encode_as_before(extra):
     (encoded,) = encode_pseudo(multi(row, prh)).instances
     assert encoded.extra == extra
     assert [i.extra for i in decode_pseudo(single(encoded)).instances] == [extra, extra]
+
+
+ROW_CONTENT = BBox(12, 12, 100, 28)
+HEADER_CONTENT = BBox(20, 12, 190, 28)
+
+
+@pytest.mark.parametrize(
+    "absorbed_cls, key",
+    [(ComponentClass.COLUMN_HEADER, HEADER_CONTENT_KEY), (ComponentClass.ROW, ROW_CONTENT_KEY)],
+)
+@pytest.mark.parametrize("absorbed_content", [HEADER_CONTENT, None])
+def test_round_trip_keeps_each_instance_content_box(absorbed_cls, key, absorbed_content):
+    # a Column Header is absorbed by its Row, a Row by its Projected Row Header
+    kept_cls = ComponentClass.ROW if absorbed_cls is ComponentClass.COLUMN_HEADER else ComponentClass.PROJECTED_ROW_HEADER
+    kept = ComponentInstance(B, kept_cls, content_box=ROW_CONTENT)
+    absorbed = ComponentInstance(B, absorbed_cls, content_box=absorbed_content)
+    (encoded,) = encode_pseudo(multi(kept, absorbed)).instances
+    assert encoded.content_box == ROW_CONTENT
+    assert encoded.extra == {key: None if absorbed_content is None else [20.0, 12.0, 190.0, 28.0]}
+    decoded = {i.cls: i.content_box for i in decode_pseudo(single(encoded)).instances}
+    assert decoded == {kept_cls: ROW_CONTENT, absorbed_cls: absorbed_content}
+
+
+def test_equal_content_boxes_encode_as_before():
+    row = ComponentInstance(B, ComponentClass.ROW, content_box=ROW_CONTENT)
+    header = ComponentInstance(B, ComponentClass.COLUMN_HEADER, content_box=ROW_CONTENT)
+    (pseudo,) = encode_pseudo(multi(row, header)).instances
+    assert pseudo.extra == {}
+    assert [i.content_box for i in decode_pseudo(single(pseudo)).instances] == [ROW_CONTENT, ROW_CONTENT]
+
+
+@pytest.mark.parametrize(
+    "cls, key",
+    [(ComponentClass.PSEUDO_HEADER_ROW, HEADER_CONTENT_KEY), (ComponentClass.PROJECTED_ROW_HEADER, ROW_CONTENT_KEY)],
+)
+@pytest.mark.parametrize(
+    "value",
+    ["0 0 1 1", [0, 0, 1], [0, 0, 1, 1, 1], [0, 0, "1", 1], [True, 0, 1, 1], [0, 0, float("inf"), 1],
+     [0, 0, float("nan"), 1], [0, 0, 10**400, 1], [10, 0, 0, 5], [0, 5, 1, 0], {"x1": 0}],
+)
+def test_decode_rejects_malformed_content_extent(cls, key, value):
+    pred = AnnotationSet("page-7", (ComponentInstance(B, cls, 0.9, extra={key: value}),), LabelMode.SINGLE)
+    with pytest.raises(LabelConsistencyError, match=rf"page-7: {key} must be null or a box"):
+        decode_pseudo(pred)
+
+
+def _instance_key(inst):
+    content = None if inst.content_box is None else inst.content_box.as_tuple()
+    return (inst.box.as_tuple(), inst.cls, inst.score, content, json.dumps(inst.extra, sort_keys=True))
+
+
+# The classes one box holds in consistent multi-label ground truth: a
+# Projected Row Header is always also a Row.
+SLOT_CLASSES = [(c,) for c in MULTI_LABEL_CLASSES if c is not ComponentClass.PROJECTED_ROW_HEADER] + [
+    (ComponentClass.ROW, ComponentClass.PROJECTED_ROW_HEADER),
+    (ComponentClass.ROW, ComponentClass.COLUMN_HEADER),
+]
+
+
+@st.composite
+def consistent_multi_label_sets(draw):
+    """Boxes 30 px apart, each holding the classes of one ``SLOT_CLASSES``
+    entry; fields and content extents vary freely."""
+    extras = st.dictionaries(st.sampled_from(["a", "b"]), st.integers(0, 2), max_size=2)
+    instances = []
+    for slot in range(draw(st.integers(0, 6))):
+        box = BBox(10, 30 * slot, 200, 30 * slot + 20)
+        for cls in draw(st.sampled_from(SLOT_CLASSES)):
+            content = draw(st.sampled_from([None, box, BBox(12, 30 * slot + 2, 100, 30 * slot + 18),
+                                            BBox(20, 30 * slot + 2, 190, 30 * slot + 18)]))
+            instances.append(ComponentInstance(box, cls, None, content, draw(extras)))
+    return multi(*draw(st.permutations(instances)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(consistent_multi_label_sets())
+def test_decode_inverts_encode(gt):
+    decoded = decode_pseudo(encode_pseudo(gt))
+    assert Counter(map(_instance_key, decoded.instances)) == Counter(map(_instance_key, gt.instances))

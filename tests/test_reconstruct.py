@@ -161,6 +161,39 @@ def test_score_threshold_filters():
     assert build_grid(ann).n_rows == 3
 
 
+def test_below_threshold_detections_leave_grid_unchanged():
+    table = inst(ComponentClass.TABLE, 0, 0, 150, 60, score=0.9)
+    clean = lattice(3, 3, extras=(table,))
+    noise = (
+        # a Table sorts before every other class and would clip the grid
+        inst(ComponentClass.TABLE, 0, 0, 60, 30, score=0.49),
+        # same-class duplicates of survivors, at IoU 1 and about 0.9
+        inst(ComponentClass.ROW, 0, 0, 150, 20, score=0.49),
+        inst(ComponentClass.COLUMN, 0, 0, 50, 55, score=0.1),
+        # a row across two survivors, and a span over four cells
+        inst(ComponentClass.ROW, 0, 10, 150, 30, score=0.3),
+        inst(ComponentClass.SPANNING_CELL, 0, 0, 100, 40, score=0.0),
+        inst(ComponentClass.COLUMN_HEADER, 0, 0, 150, 40, score=0.2),
+    )
+    noisy = AnnotationSet("img", noise + clean.instances, LabelMode.MULTI)
+    assert build_grid(noisy) == build_grid(clean)
+    assert (build_grid(clean).n_rows, build_grid(clean).n_cols) == (3, 3)
+
+
+def test_below_threshold_noise_on_generated_tables():
+    rng = random.Random(5)
+    gt, _ = generate_fixtures(FixtureSpec(n_tables=6, seed=11))
+    for ann in gt.annotation_sets():
+        noise = []
+        for survivor in rng.sample(ann.instances, min(8, len(ann.instances))):
+            b = survivor.box
+            dx, dy = rng.uniform(-3, 3), rng.uniform(-3, 3)
+            box = BBox(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy)
+            noise.append(ComponentInstance(box, rng.choice(list(ComponentClass)[:6]), rng.uniform(0.0, 0.499)))
+        noisy = AnnotationSet(ann.image_id, tuple(noise) + ann.instances, ann.mode)
+        assert build_grid(noisy) == build_grid(ann)
+
+
 def test_nms_deduplicates():
     dup = inst(ComponentClass.ROW, 0, 0.5, 100, 20.5, score=0.9)
     ann = AnnotationSet("img", lattice(2, 2).instances + (dup,), LabelMode.MULTI)
