@@ -5,7 +5,7 @@ import pytest
 from tsrkit.errors import EmptyStructureError, LabelModeError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.geometry import BBox, intersection_area
-from tsrkit.labels import AnnotationSet, ComponentClass, ComponentInstance, LabelMode
+from tsrkit.labels import MULTI_LABEL_CLASSES, AnnotationSet, ComponentClass, ComponentInstance, LabelMode
 from tsrkit.reconstruct import (
     MergedCell,
     TableGrid,
@@ -189,7 +189,7 @@ def test_below_threshold_noise_on_generated_tables():
             b = survivor.box
             dx, dy = rng.uniform(-3, 3), rng.uniform(-3, 3)
             box = BBox(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy)
-            noise.append(ComponentInstance(box, rng.choice(list(ComponentClass)[:6]), rng.uniform(0.0, 0.499)))
+            noise.append(ComponentInstance(box, rng.choice(MULTI_LABEL_CLASSES), rng.uniform(0.0, 0.499)))
         noisy = AnnotationSet(ann.image_id, tuple(noise) + ann.instances, ann.mode)
         assert build_grid(noisy) == build_grid(ann)
 
