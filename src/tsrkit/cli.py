@@ -8,6 +8,7 @@ byte-reproducible for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -20,7 +21,7 @@ from .anchors import (
     generate_anchors,
 )
 from .cocoeval import evaluate_corpus
-from .errors import TsrkitError
+from .errors import SchemaError, TsrkitError
 from .fixtures import FixtureSpec, generate_fixtures
 from .labels import AnnotationSet, ComponentClass, LabelMode, decode_pseudo, encode_pseudo
 from .misalign import ALL_CLASSES, PerturbationMode, PerturbationSpec, misalignment_report
@@ -105,8 +106,6 @@ def cmd_anchors(args) -> int:
 
 def _load_any_corpus(path: str):
     """Detections or ground truth; transforms accept either carrier."""
-    from .errors import SchemaError
-
     try:
         return formats.load_detections(path)
     except SchemaError as detection_error:
@@ -163,25 +162,29 @@ def cmd_teds(args) -> int:
         _fail(f"ground truth without html for: {missing_html[:5]}")
     pairs = []
     missing = set()
+    undecodable = {}
     ids = sorted(trees)
     for image_id in ids:
         pred_path = os.path.join(args.predictions_dir, f"{image_id}.html")
-        if os.path.exists(pred_path):
-            with open(pred_path, encoding="utf-8") as handle:
-                pred = handle.read()
-        else:
-            pred = ""  # scores 0: an absent prediction cannot match anything
+        pred = ""  # scores 0: an absent or undecodable prediction cannot match anything
+        if not os.path.exists(pred_path):
             missing.add(image_id)
+        else:
+            try:
+                pred = formats.read_text(pred_path)
+            except SchemaError as exc:
+                undecodable[image_id] = str(exc)
         pairs.append((pred, trees[image_id]))
     report = corpus_teds(pairs)
     for line in report.format_lines():
         print(line)
     for p in report.pairs:
         image_id = ids[p.index]
+        error = undecodable.get(image_id, p.prediction_error)
         if image_id in missing:
             print(f"prediction missing {image_id}", file=sys.stderr)
-        elif p.prediction_error is not None:
-            print(f"prediction failed {image_id}: {p.prediction_error}", file=sys.stderr)
+        elif error is not None:
+            print(f"prediction failed {image_id}: {error}", file=sys.stderr)
     return 0
 
 
@@ -328,6 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # A command keeps its corpus alive to the end and builds no reference
+    # cycles in proportion to it, so the cyclic collector would only rescan it.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except TsrkitError as exc:
@@ -336,6 +343,9 @@ def main(argv=None) -> int:
         _fail(f"{exc.filename or ''}: {exc.strerror or exc}")
     except ValueError as exc:
         _fail(str(exc))
+    finally:
+        if was_enabled:
+            gc.enable()
     return 0
 
 

@@ -188,12 +188,21 @@ def _parse_image(raw, label_mode, is_ground_truth, image) -> ImageRecord:
     return record
 
 
-def _load(path: str, is_ground_truth: bool) -> CorpusFile:
+def read_text(path: str) -> str:
+    """The whole of a UTF-8 text file; other bytes raise ``SchemaError`` with the path and offset."""
     with open(path, encoding="utf-8") as handle:
         try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            # one read decodes the whole file, so the offset counts from its first byte
+            raise SchemaError(f"{path}: not UTF-8 text: {exc.reason} (at byte {exc.start})") from None
+
+
+def _load(path: str, is_ground_truth: bool) -> CorpusFile:
+    try:
+        raw = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("$: top level must be an object")
     version = raw.get("schema_version")

@@ -113,10 +113,14 @@ def _check_single_label_invariants(instances):
 def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
     """Multi-label ground truth to the single-label formulation.
 
-    Boxes match within ``BOX_MATCH_TOLERANCE``. Rules, applied in order:
-      1. drop every Row whose box matches a Projected Row Header box;
-      2. replace each remaining Row/Column-Header pair with matching boxes by
-         a single pseudo-header-row instance at the Row's box.
+    Boxes match within ``BOX_MATCH_TOLERANCE``. Each Row pairs with the
+    first matching Projected Row Header or Column Header not yet paired, in
+    instance order, and:
+      1. a Row paired with a Projected Row Header is dropped;
+      2. a Row/Column-Header pair becomes a single pseudo-header-row
+         instance at the Row's box.
+    A Row that matches such a header when each matching one is paired
+    already is rejected: it would be lost on encoding.
 
     The instance that stays keeps the fields of the one it absorbed under
     ``ROW_EXTRA_KEY`` or ``HEADER_EXTRA_KEY``, and its content extent (a
@@ -142,45 +146,42 @@ def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
                 f"{gt.image_id}: box {a.box.as_tuple()} shared by classes {{{names}}}"
             )
 
-    prh_indices = [
-        j for j, inst in enumerate(instances) if inst.cls == ComponentClass.PROJECTED_ROW_HEADER
+    partners = [
+        j
+        for j, inst in enumerate(instances)
+        if inst.cls in (ComponentClass.PROJECTED_ROW_HEADER, ComponentClass.COLUMN_HEADER)
     ]
-    consumed_headers: set[int] = set()
-    dropped_rows: dict[int, ComponentInstance] = {}  # Projected Row Header index -> first Row
-
-    out: list[tuple[int, ComponentInstance]] = []
+    row_of: dict[int, int] = {}  # partner index -> index of its Row
     for idx, inst in enumerate(instances):
-        if inst.cls == ComponentClass.ROW:
-            prh_idx = next(
-                (j for j in prh_indices if boxes_match(inst.box, instances[j].box, BOX_MATCH_TOLERANCE)), None
+        if inst.cls != ComponentClass.ROW:
+            continue
+        matches = [j for j in partners if boxes_match(inst.box, instances[j].box, BOX_MATCH_TOLERANCE)]
+        if not matches:
+            continue
+        free = next((j for j in matches if j not in row_of), None)
+        if free is None:
+            raise LabelConsistencyError(
+                f"{gt.image_id}: a second Row at box {inst.box.as_tuple()} coincides with one "
+                f"{instances[matches[0]].cls.name}"
             )
-            if prh_idx is not None:
-                dropped_rows.setdefault(prh_idx, inst)
-                continue
-            header_idx = next(
-                (
-                    j
-                    for j, other in enumerate(instances)
-                    if other.cls == ComponentClass.COLUMN_HEADER
-                    and j not in consumed_headers
-                    and boxes_match(inst.box, other.box, BOX_MATCH_TOLERANCE)
-                ),
-                None,
-            )
-            if header_idx is not None:
-                consumed_headers.add(header_idx)
-                extra = _absorb(inst, instances[header_idx], HEADER_EXTRA_KEY, HEADER_CONTENT_KEY)
-                out.append((idx, replace(inst, cls=ComponentClass.PSEUDO_HEADER_ROW, extra=extra)))
-                continue
-        out.append((idx, inst))
+        row_of[free] = idx
+    partner_of = {row: j for j, row in row_of.items()}
 
-    result = [
-        replace(inst, extra=_absorb(inst, dropped_rows[idx], ROW_EXTRA_KEY, ROW_CONTENT_KEY))
-        if idx in dropped_rows
-        else inst
-        for idx, inst in out
-        if idx not in consumed_headers
-    ]
+    result = []
+    for idx, inst in enumerate(instances):
+        if idx in partner_of:
+            partner = instances[partner_of[idx]]
+            if partner.cls == ComponentClass.COLUMN_HEADER:
+                extra = _absorb(inst, partner, HEADER_EXTRA_KEY, HEADER_CONTENT_KEY)
+                result.append(replace(inst, cls=ComponentClass.PSEUDO_HEADER_ROW, extra=extra))
+            # a Row under a Projected Row Header is dropped
+        elif idx in row_of:
+            if inst.cls == ComponentClass.PROJECTED_ROW_HEADER:
+                extra = _absorb(inst, instances[row_of[idx]], ROW_EXTRA_KEY, ROW_CONTENT_KEY)
+                result.append(replace(inst, extra=extra))
+            # a Column Header is folded into its Row's pseudo header row
+        else:
+            result.append(inst)
     _check_single_label_invariants(result)
     return AnnotationSet(gt.image_id, tuple(result), LabelMode.SINGLE)
 

@@ -41,23 +41,20 @@ def _label_key(node: TableTree):
     return (node.tag,)
 
 
+def _postorder(node: TableTree, lmld: list[int], labels: list[int], interner: dict):
+    """Append ``node``'s subtree in postorder; its first node is its leftmost leaf."""
+    leftmost = len(labels)
+    for child in node.children:
+        _postorder(child, lmld, labels, interner)
+    labels.append(interner.setdefault(_label_key(node), len(interner)))
+    lmld.append(leftmost)
+
+
 def _flatten(root: TableTree, interner: dict):
     """Postorder arrays: leftmost-leaf-descendant index, label id, keyroots."""
     lmld: list[int] = []
     labels: list[int] = []
-
-    def visit(node: TableTree) -> int:
-        first_child_lml = -1
-        for child_index, child in enumerate(node.children):
-            ci = visit(child)
-            if child_index == 0:
-                first_child_lml = lmld[ci]
-        idx = len(labels)
-        labels.append(interner.setdefault(_label_key(node), len(interner)))
-        lmld.append(first_child_lml if node.children else idx)
-        return idx
-
-    visit(root)
+    _postorder(root, lmld, labels, interner)
     last_for_lml: dict[int, int] = {}
     for i, value in enumerate(lmld):
         last_for_lml[value] = i

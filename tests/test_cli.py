@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -411,6 +412,172 @@ def test_missing_file_clean_error(tmp_path, capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+NOT_UTF8 = "not UTF-8 text: invalid start byte (at byte 0)"
+
+
+@pytest.fixture
+def not_utf8(fixture_files, tmp_path):
+    """A copy of the ground truth behind one 0xff byte."""
+    gt, _ = fixture_files
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff" + read(gt))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "{bad}"],
+        ["anchors", "{bad}"],
+        ["encode-labels", "{bad}", "-o", "{out}"],
+        ["decode-labels", "{bad}", "-o", "{out}"],
+        ["reconstruct", "{bad}", "-o", "{out}"],
+        ["teds", "{out}", "{bad}"],
+        ["coco-eval", "{bad}", "{gt}"],
+        ["coco-eval", "{pred}", "{bad}"],
+        ["misalign", "{bad}", "--spec", "snap"],
+    ],
+)
+def test_non_utf8_corpus_names_file_and_offset(fixture_files, not_utf8, tmp_path, capsys, argv):
+    gt, pred = fixture_files
+    paths = {"bad": not_utf8, "gt": gt, "pred": pred, "out": str(tmp_path / "out")}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: SchemaError: {not_utf8}: {NOT_UTF8}\n"
+
+
+def test_teds_scores_undecodable_prediction_zero(fixture_files, capsys, tmp_path):
+    gt, pred = fixture_files
+    html_dir = str(tmp_path / "html")
+    assert main(["reconstruct", pred, "-o", html_dir]) == 0
+    victim = os.path.join(html_dir, "table_000.html")
+    html = read(victim)
+    os.unlink(victim)
+    capsys.readouterr()
+    assert main(["teds", html_dir, gt]) == 0
+    without = capsys.readouterr().out
+
+    with open(victim, "wb") as handle:
+        handle.write(b"\xff" + html)
+    assert main(["teds", html_dir, gt]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == without
+    assert captured.err == f"prediction failed table_000: {victim}: {NOT_UTF8}\n"
+
+
+@pytest.fixture
+def collector():
+    """The cyclic collector enabled again after the test, whatever it did."""
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+@pytest.mark.parametrize("outcome", ["return", "missing file", "schema error", "crash"])
+def test_command_runs_with_collector_paused(
+    fixture_files, tmp_path, monkeypatch, capsys, collector, outcome, caller_enabled
+):
+    gt, _ = fixture_files
+    bad = tmp_path / "bad.json"
+    bad.write_text("{}")
+    absent = str(tmp_path / "absent.json")
+    path = {"return": gt, "missing file": absent, "schema error": str(bad), "crash": gt}[outcome]
+    load = tsrkit.formats.load_ground_truth
+    seen = []
+
+    def recording_load(path):
+        seen.append(gc.isenabled())
+        if outcome == "crash":
+            raise RuntimeError("boom")
+        return load(path)
+
+    monkeypatch.setattr(tsrkit.formats, "load_ground_truth", recording_load)
+    if not caller_enabled:
+        gc.disable()
+    try:
+        code = main(["stats", path])
+    except SystemExit as exc:
+        code = exc.code
+    except RuntimeError:
+        code = "crash"
+    assert code == {"return": 0, "crash": "crash"}.get(outcome, 1)
+    assert seen == [False]
+    assert gc.isenabled() is caller_enabled
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    """Corpus files of 2 and 6 tables, by size, for every subcommand.
+
+    Every other table's detections lose their Rows, so its reconstruction
+    fails, and in the "latin" directory every other table's reconstruction
+    is not UTF-8.
+    """
+    out = {}
+    for tables in (2, 6):
+        root = tmp_path_factory.mktemp(f"tables{tables}")
+        prefix = str(root / "fx")
+        assert main(["gen-fixtures", "-o", prefix, "--tables", str(tables), "--seed", "3"]) == 0
+        gt, pred = f"{prefix}.gt.json", f"{prefix}.pred.json"
+        with open(pred, encoding="utf-8") as handle:
+            data = json.load(handle)
+        for image in data["images"][::2]:
+            image["instances"] = [i for i in image["instances"] if i["class_id"] not in (2, 4)]
+        rowless = str(root / "rowless.json")
+        with open(rowless, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        html, latin = str(root / "html"), str(root / "latin")
+        for directory in (html, latin):
+            assert main(["reconstruct", pred, "-o", directory]) == 0
+        for name in sorted(os.listdir(latin))[::2]:
+            with open(os.path.join(latin, name), "r+b") as handle:
+                handle.write(b"\xff")
+        single = str(root / "single.json")
+        assert main(["encode-labels", gt, "-o", single]) == 0
+        out[tables] = {
+            "gen-fixtures": ["gen-fixtures", "-o", str(root / "again"), "--tables", str(tables)],
+            "stats": ["stats", gt, "--csv", str(root / "hist.csv")],
+            "anchors": ["anchors", gt],
+            "encode-labels": ["encode-labels", gt, "-o", str(root / "enc.json")],
+            "decode-labels": ["decode-labels", single, "-o", str(root / "dec.json")],
+            "reconstruct": ["reconstruct", pred, "-o", str(root / "again_html")],
+            "reconstruct failing": ["reconstruct", rowless, "-o", str(root / "rowless_html")],
+            "teds": ["teds", html, gt],
+            "teds undecodable": ["teds", latin, gt],
+            "coco-eval": ["coco-eval", pred, gt],
+            "misalign": ["misalign", gt, "--spec", "dilate:2", "--spec", "merge:row", "--csv", str(root / "m.csv")],
+            "kernels-check": ["kernels-check"],
+        }
+    return out
+
+
+def cyclic_garbage(argv) -> int:
+    """Objects in reference cycles that one ``main`` call leaves unreachable."""
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+# Commands run with the cyclic collector paused, which is safe only while
+# none of them leaves cycles in proportion to its input.
+@pytest.mark.parametrize(
+    "command",
+    ["gen-fixtures", "stats", "anchors", "encode-labels", "decode-labels", "reconstruct",
+     "reconstruct failing", "teds", "teds undecodable", "coco-eval", "misalign", "kernels-check"],
+)
+def test_cyclic_garbage_does_not_grow_with_corpus(corpora, capsys, command):
+    cyclic_garbage(corpora[2][command])  # first calls may fill caches
+    assert cyclic_garbage(corpora[2][command]) == cyclic_garbage(corpora[6][command])
 
 
 def test_parse_perturbation_spec():

@@ -245,6 +245,21 @@ def test_generated_records_parse_lazily():
     assert gt.trees_by_image() == {rec.image_id: parse_table_html(rec.html) for rec in gt.images}
 
 
+@pytest.mark.parametrize("loader", [load_ground_truth, load_detections])
+@pytest.mark.parametrize(
+    "bad, reason",
+    [(b"\xff", "invalid start byte"), (b"\xe2\x82(", "invalid continuation byte")],
+)
+def test_non_utf8_bytes_rejected_with_path_and_byte_offset(tmp_path, loader, bad, reason):
+    head = json.dumps(base_file(note="\u00e9\u2026"), ensure_ascii=False).encode()
+    cut = head.index("\u2026".encode()) + 3  # after the two multi-byte characters
+    path = tmp_path / "latin.json"
+    path.write_bytes(head[:cut] + bad + head[cut:])
+    message = f"{path}: not UTF-8 text: {reason} (at byte {cut})"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        loader(str(path))
+
+
 def test_unsupported_schema_version(tmp_path):
     with pytest.raises(SchemaError, match="schema_version"):
         load_ground_truth(write(tmp_path, base_file(schema_version=2)))

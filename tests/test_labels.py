@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -89,6 +90,22 @@ def test_encode_rejects_three_way_share():
     )
     with pytest.raises(LabelConsistencyError):
         encode_pseudo(shared)
+
+
+@pytest.mark.parametrize("header", [ComponentClass.PROJECTED_ROW_HEADER, ComponentClass.COLUMN_HEADER])
+def test_encode_rejects_second_row_coincident_with_one_header(header):
+    # a Projected Row Header used to drop the second Row silently
+    second = BBox(10, 10.5, 200, 30.5)
+    gt = multi(
+        ComponentInstance(B, ComponentClass.ROW, extra={"r": 1}),
+        ComponentInstance(second, ComponentClass.ROW, extra={"r": 2}),
+        inst(header),
+    )
+    message = f"img: a second Row at box {second.as_tuple()} coincides with one {header.name}"
+    with pytest.raises(LabelConsistencyError, match=re.escape(message)):
+        encode_pseudo(gt)
+    # with a header each, each Row pairs with its own
+    assert len(encode_pseudo(multi(*gt.instances, inst(header))).instances) == 2
 
 
 def test_encode_rejects_unsanctioned_two_way_share():
@@ -245,10 +262,12 @@ def _instance_key(inst):
 
 
 # The classes one box holds in consistent multi-label ground truth: a
-# Projected Row Header is always also a Row.
+# Projected Row Header is always also a Row, also when a box is annotated twice.
 SLOT_CLASSES = [(c,) for c in MULTI_LABEL_CLASSES if c is not ComponentClass.PROJECTED_ROW_HEADER] + [
     (ComponentClass.ROW, ComponentClass.PROJECTED_ROW_HEADER),
     (ComponentClass.ROW, ComponentClass.COLUMN_HEADER),
+    (ComponentClass.ROW, ComponentClass.PROJECTED_ROW_HEADER) * 2,
+    (ComponentClass.ROW, ComponentClass.COLUMN_HEADER) * 2,
 ]
 
 
