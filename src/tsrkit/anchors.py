@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BBox
 from .labels import AnnotationSet
 
 # Height/width ratios used by the extreme-aspect table-component anchor setup.
@@ -186,10 +185,7 @@ class CoverageReport:
 
 
 def _as_array(boxes) -> np.ndarray:
-    if isinstance(boxes, np.ndarray):
-        arr = np.asarray(boxes, dtype=np.float64)
-    else:
-        arr = np.asarray([b.as_tuple() if isinstance(b, BBox) else b for b in boxes], dtype=np.float64)
+    arr = np.asarray(boxes, dtype=np.float64)  # a BBox is a 4-tuple
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError(f"expected (N, 4) boxes, got shape {arr.shape}")
     return arr

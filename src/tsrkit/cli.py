@@ -162,25 +162,27 @@ def cmd_teds(args) -> int:
         _fail(f"ground truth without html for: {missing_html[:5]}")
     pairs = []
     missing = set()
-    undecodable = {}
+    unreadable = {}
     ids = sorted(trees)
     for image_id in ids:
         pred_path = os.path.join(args.predictions_dir, f"{image_id}.html")
-        pred = ""  # scores 0: an absent or undecodable prediction cannot match anything
+        pred = ""  # scores 0: an absent or unreadable prediction cannot match anything
         if not os.path.exists(pred_path):
             missing.add(image_id)
         else:
             try:
                 pred = formats.read_text(pred_path)
             except SchemaError as exc:
-                undecodable[image_id] = str(exc)
+                unreadable[image_id] = str(exc)
+            except OSError as exc:  # a directory, or no permission to read
+                unreadable[image_id] = f"{pred_path}: {exc.strerror or exc}"
         pairs.append((pred, trees[image_id]))
     report = corpus_teds(pairs)
     for line in report.format_lines():
         print(line)
     for p in report.pairs:
         image_id = ids[p.index]
-        error = undecodable.get(image_id, p.prediction_error)
+        error = unreadable.get(image_id, p.prediction_error)
         if image_id in missing:
             print(f"prediction missing {image_id}", file=sys.stderr)
         elif error is not None:

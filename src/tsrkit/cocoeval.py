@@ -99,7 +99,7 @@ class ApReport:
 
 
 def _boxes(instances: list[ComponentInstance]) -> np.ndarray:
-    coords = chain.from_iterable(inst.box.as_tuple() for inst in instances)
+    coords = chain.from_iterable(inst.box for inst in instances)
     return np.fromiter(coords, dtype=np.float64, count=4 * len(instances)).reshape(-1, 4)
 
 

@@ -11,7 +11,7 @@ score 1.0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .formats import CorpusFile, ImageRecord
 from .geometry import BBox
@@ -201,7 +201,7 @@ def generate_layout(rng: random.Random, spec: FixtureSpec) -> TableLayout:
 
 
 def _rounded(box: BBox) -> BBox:
-    return BBox(*(round(v, 2) for v in box.as_tuple()))
+    return BBox(*(round(v, 2) for v in box))
 
 
 def layout_instances(layout: TableLayout) -> list[ComponentInstance]:
@@ -261,7 +261,7 @@ def generate_fixtures(spec: FixtureSpec) -> tuple[CorpusFile, CorpusFile]:
                 image_id=image_id,
                 width=width,
                 height=height,
-                instances=[replace(inst, score=1.0, content_box=None) for inst in instances],
+                instances=[inst.replace(score=1.0, content_box=None) for inst in instances],
             )
         )
     gt = CorpusFile(label_mode=LabelMode.MULTI, images=gt_images)

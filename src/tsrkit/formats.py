@@ -8,6 +8,14 @@ coordinates are clamped into the image with a warning because real
 annotations contain padding-induced excursions. Unknown fields at every
 level survive a load/save round trip untouched; instance-level ones ride in
 ``ComponentInstance.extra`` through both label transforms too.
+
+Each image's instances are checked in bulk first (``_instances_in_bulk``):
+one C-speed pass per field across the image decides whether every instance
+would load as it stands, and then builds every record with
+``tuple.__new__``. Any doubt sends that image to ``_parse_instance``, one
+instance at a time, which raises the first error with its JSON path and
+logs each clamp in order. That path locates errors; it is not a second
+loader, and both give the same records.
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, repeat
+from operator import itemgetter, le
 
 from .errors import HtmlParseError, SchemaError
 from .geometry import BBox
@@ -153,6 +163,90 @@ def _parse_instance(raw, width, height, label_mode, is_ground_truth, image, inst
     return ComponentInstance(box, _CLASS_BY_ID[class_id], score, content_box, extra)
 
 
+# Records built from values that ``_instances_in_bulk`` has checked skip the
+# constructors' checks.
+_new_bbox = partial(tuple.__new__, BBox)
+_new_instance = partial(tuple.__new__, ComponentInstance)
+
+
+def _boxes_in_bulk(raws: tuple, width: float, height: float) -> list[BBox] | None:
+    """A box for each raw bbox, or None unless each is four ordered numbers inside the image."""
+    if set(map(type, raws)) != {list} or set(map(len, raws)) != {4}:
+        return None
+    x1, y1, x2, y2 = columns = tuple(zip(*raws))
+    types = set(map(type, chain.from_iterable(columns)))
+    # Every type check runs before any comparison: a string must not meet a float.
+    if not types.issubset(_NUMBER_TYPES):
+        return None
+    # Each coordinate meets one operator.le test, which a NaN fails; min and
+    # max would skip a NaN after the first value. Ordered boxes are inside
+    # the image when the extreme edges are.
+    if not (
+        all(map(le, x1, x2))
+        and all(map(le, y1, y2))
+        and 0.0 <= min(x1)
+        and max(x2) <= width
+        and 0.0 <= min(y1)
+        and max(y2) <= height
+    ):
+        return None
+    if int in types:
+        raws = zip(*(map(float, column) for column in columns))
+    return list(map(_new_bbox, raws))
+
+
+def _instances_in_bulk(
+    raws: list, width: float, height: float, label_mode: LabelMode, is_ground_truth: bool
+) -> list[ComponentInstance] | None:
+    """Every instance of one image, checked one field at a time across the image.
+
+    Returns None unless ``_parse_instance`` would accept each instance as it
+    stands: every instance an object with the same known fields, every value
+    well-formed, every box inside the image, so nothing to clamp and no
+    unknown field to keep. Each pass runs at C speed.
+    """
+    if not raws:
+        return []
+    if set(map(type, raws)) != {dict}:
+        return None
+    optional = "content_bbox" if is_ground_truth else "score"
+    keys = ("bbox", "class_id", optional) if optional in raws[0] else ("bbox", "class_id")
+    if set(map(len, raws)) != {len(keys)}:
+        return None
+    try:
+        bboxes, class_ids, *optionals = zip(*map(itemgetter(*keys), raws))
+    except KeyError:
+        return None
+    if not (
+        set(map(type, class_ids)) == {int}
+        and min(class_ids) >= 0
+        and max(class_ids) <= (6 if label_mode is LabelMode.SINGLE else 5)
+    ):
+        return None
+    boxes = _boxes_in_bulk(bboxes, width, height)
+    if boxes is None:
+        return None
+    scores = content_boxes = repeat(None)
+    if optionals and is_ground_truth:
+        content_boxes = _boxes_in_bulk(optionals[0], width, height)
+        if content_boxes is None:
+            return None
+    elif optionals:
+        scores = optionals[0]
+        types = set(map(type, scores))
+        if not (
+            types.issubset(_NUMBER_TYPES)
+            and all(map(le, repeat(0.0), scores))
+            and all(map(le, scores, repeat(1.0)))
+        ):
+            return None
+        if int in types:
+            scores = map(float, scores)
+    classes = map(_CLASS_BY_ID.__getitem__, class_ids)
+    extras = [{} for _ in raws]
+    return list(map(_new_instance, zip(boxes, classes, scores, content_boxes, extras)))
+
+
 def _parse_image(raw, label_mode, is_ground_truth, image) -> ImageRecord:
     if not isinstance(raw, dict):
         raise SchemaError(f"{_at(image)}: image record must be an object")
@@ -170,10 +264,13 @@ def _parse_image(raw, label_mode, is_ground_truth, image) -> ImageRecord:
     instances_raw = raw.get("instances", [])
     if not isinstance(instances_raw, list):
         raise SchemaError(f"{_at(image)}.instances: must be an array")
-    instances = [
-        _parse_instance(inst, width, height, label_mode, is_ground_truth, image, i)
-        for i, inst in enumerate(instances_raw)
-    ]
+    instances = _instances_in_bulk(instances_raw, width, height, label_mode, is_ground_truth)
+    if instances is None:
+        # one instance at a time, to raise the first error and log each clamp in order
+        instances = [
+            _parse_instance(inst, width, height, label_mode, is_ground_truth, image, i)
+            for i, inst in enumerate(instances_raw)
+        ]
     html = raw.get("html")
     if html is not None:
         if not is_ground_truth:
@@ -215,7 +312,12 @@ def _load(path: str, is_ground_truth: bool) -> CorpusFile:
     images_raw = raw.get("images")
     if not isinstance(images_raw, list):
         raise SchemaError("$.images: must be an array")
-    images = [_parse_image(img, label_mode, is_ground_truth, i) for i, img in enumerate(images_raw)]
+    # Each image's JSON is dropped once parsed, so the whole tree and the
+    # records made from it are never held at once.
+    images = []
+    for i in range(len(images_raw)):
+        images.append(_parse_image(images_raw[i], label_mode, is_ground_truth, i))
+        images_raw[i] = None
     seen = set()
     for i, rec in enumerate(images):
         if rec.image_id in seen:
@@ -234,11 +336,11 @@ def load_ground_truth(path: str) -> CorpusFile:
 
 
 def _instance_json(inst: ComponentInstance) -> dict:
-    out: dict = {"bbox": [float(v) for v in inst.box.as_tuple()], "class_id": int(inst.cls)}
+    out: dict = {"bbox": list(map(float, inst.box)), "class_id": int(inst.cls)}
     if inst.score is not None:
         out["score"] = float(inst.score)
     if inst.content_box is not None:
-        out["content_bbox"] = [float(v) for v in inst.content_box.as_tuple()]
+        out["content_bbox"] = list(map(float, inst.content_box))
     out.update(inst.extra)
     return out
 

@@ -2,28 +2,34 @@
 
 Boxes are (x1, y1, x2, y2) in pixel coordinates with the origin at the
 top-left corner. Coordinates are continuous reals; annotations carry
-fractional pixels.
+fractional pixels. A ``BBox`` is an immutable tuple of its four coordinates:
+it unpacks, indexes, compares and hashes as that tuple, and its constructor
+rejects an inverted box.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # small < 32^2 <= medium < 64^2 <= large; a boundary area is in the upper bucket
 SMALL_AREA_LIMIT = 32.0 * 32.0
 MEDIUM_AREA_LIMIT = 64.0 * 64.0
 
 
-@dataclass(frozen=True)
-class BBox:
+class _BoxFields(NamedTuple):
     x1: float
     y1: float
     x2: float
     y2: float
 
-    def __post_init__(self):
-        if not (self.x2 >= self.x1 and self.y2 >= self.y1):
-            raise ValueError(f"invalid box: {(self.x1, self.y1, self.x2, self.y2)}")
+
+class BBox(_BoxFields):
+    __slots__ = ()
+
+    def __new__(cls, x1: float, y1: float, x2: float, y2: float):
+        if not (x2 >= x1 and y2 >= y1):
+            raise ValueError(f"invalid box: {(x1, y1, x2, y2)}")
+        return tuple.__new__(cls, (x1, y1, x2, y2))
 
     @property
     def width(self) -> float:
@@ -71,7 +77,8 @@ class BBox:
         )
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
+        """The coordinates as a plain tuple, which prints without field names."""
+        return tuple(self)
 
 
 def intersection_area(a: BBox, b: BBox) -> float:

@@ -6,13 +6,17 @@ that Row. The single-label form removes Rows coincident with Projected Row
 Headers and folds coincident Row/Column-Header pairs into a seventh pseudo
 class, so that no two instances with different classes share a box. The
 inverse transform duplicates predictions back into the multi-label form.
+
+A ``ComponentInstance`` is an immutable tuple with named fields, like the
+``geometry.BBox`` it holds.
 """
 
 from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LabelConsistencyError, LabelModeError
 from .geometry import BBox
@@ -55,25 +59,55 @@ class LabelMode(enum.Enum):
     SINGLE = "single"
 
 
-@dataclass(frozen=True)
-class ComponentInstance:
-    """One detected or annotated table component.
+class _InstanceFields(NamedTuple):
+    box: BBox
+    cls: ComponentClass
+    score: float | None
+    content_box: BBox | None
+    extra: dict
+
+
+class ComponentInstance(_InstanceFields):
+    """One detected or annotated table component, as an immutable tuple.
 
     ``score`` is absent for ground truth. ``content_box`` is the minimum box
     covering the component's content, carried only by synthetic fixtures that
     feed the metric-misalignment experiments. ``extra`` holds the record's
-    unknown JSON fields; it takes no part in equality or hashing.
+    unknown JSON fields, a fresh dict unless one is given; it takes no part
+    in equality or hashing. Copy with ``replace``, which checks the result
+    like a new instance.
     """
 
-    box: BBox
-    cls: ComponentClass
-    score: float | None = None
-    content_box: BBox | None = None
-    extra: dict = field(default_factory=dict, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.score is not None and not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"confidence {self.score} outside [0, 1]")
+    def __new__(
+        _cls,
+        box: BBox,
+        cls: ComponentClass,
+        score: float | None = None,
+        content_box: BBox | None = None,
+        extra: dict | None = None,
+    ):
+        if score is not None and not (0.0 <= score <= 1.0):
+            raise ValueError(f"confidence {score} outside [0, 1]")
+        return tuple.__new__(_cls, (box, cls, score, content_box, {} if extra is None else extra))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self[:4] == other[:4]
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self[:4])
+
+    def replace(self, **changes) -> "ComponentInstance":
+        fields = dict(zip(self._fields, self))
+        fields.update(changes)
+        return type(self)(**fields)
 
 
 @dataclass(frozen=True)
@@ -100,12 +134,12 @@ def boxes_match(a: BBox, b: BBox, tolerance: float) -> bool:
     )
 
 
-def _check_single_label_invariants(instances):
+def _check_single_label_invariants(instances, image_id: str):
     for i, a in enumerate(instances):
         for b in instances[i + 1 :]:
             if a.cls != b.cls and boxes_match(a.box, b.box, BOX_MATCH_TOLERANCE):
                 raise LabelConsistencyError(
-                    f"distinct classes {a.cls.name} and {b.cls.name} share box "
+                    f"{image_id}: distinct classes {a.cls.name} and {b.cls.name} share box "
                     f"{a.box.as_tuple()} after pseudo-class encoding"
                 )
 
@@ -120,7 +154,9 @@ def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
       2. a Row/Column-Header pair becomes a single pseudo-header-row
          instance at the Row's box.
     A Row that matches such a header when each matching one is paired
-    already is rejected: it would be lost on encoding.
+    already is rejected: it would be lost on encoding. So is a Projected
+    Row Header left without a Row: decoding would add a Row that was never
+    annotated.
 
     The instance that stays keeps the fields of the one it absorbed under
     ``ROW_EXTRA_KEY`` or ``HEADER_EXTRA_KEY``, and its content extent (a
@@ -173,16 +209,20 @@ def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
             partner = instances[partner_of[idx]]
             if partner.cls == ComponentClass.COLUMN_HEADER:
                 extra = _absorb(inst, partner, HEADER_EXTRA_KEY, HEADER_CONTENT_KEY)
-                result.append(replace(inst, cls=ComponentClass.PSEUDO_HEADER_ROW, extra=extra))
+                result.append(inst.replace(cls=ComponentClass.PSEUDO_HEADER_ROW, extra=extra))
             # a Row under a Projected Row Header is dropped
         elif idx in row_of:
             if inst.cls == ComponentClass.PROJECTED_ROW_HEADER:
                 extra = _absorb(inst, instances[row_of[idx]], ROW_EXTRA_KEY, ROW_CONTENT_KEY)
-                result.append(replace(inst, extra=extra))
+                result.append(inst.replace(extra=extra))
             # a Column Header is folded into its Row's pseudo header row
+        elif inst.cls == ComponentClass.PROJECTED_ROW_HEADER:
+            raise LabelConsistencyError(
+                f"{gt.image_id}: Projected Row Header at box {inst.box.as_tuple()} coincides with no Row of its own"
+            )
         else:
             result.append(inst)
-    _check_single_label_invariants(result)
+    _check_single_label_invariants(result, gt.image_id)
     return AnnotationSet(gt.image_id, tuple(result), LabelMode.SINGLE)
 
 
@@ -195,7 +235,7 @@ def _absorb(kept: ComponentInstance, absorbed: ComponentInstance, extra_key: str
     extra = kept.extra if absorbed.extra == kept.extra else {**kept.extra, extra_key: absorbed.extra}
     if absorbed.content_box != kept.content_box:
         content = absorbed.content_box
-        extra = {**extra, content_key: None if content is None else list(content.as_tuple())}
+        extra = {**extra, content_key: None if content is None else list(content)}
     return extra
 
 

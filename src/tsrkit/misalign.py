@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .cocoeval import ApReport, evaluate_corpus
 from .errors import CorpusError
@@ -76,7 +76,7 @@ def perturb(gt: AnnotationSet, spec: PerturbationSpec) -> AnnotationSet:
     else:
         out = untouched + [_transform(inst, spec) for inst in targeted]
 
-    out = [replace(inst, score=1.0, content_box=None) for inst in out]
+    out = [inst.replace(score=1.0, content_box=None) for inst in out]
     return AnnotationSet(gt.image_id, tuple(out), LabelMode.MULTI)
 
 
@@ -89,19 +89,19 @@ def _transform(inst: ComponentInstance, spec: PerturbationSpec) -> ComponentInst
                 f"dilate by magnitude {spec.magnitude} overflows the area of box "
                 f"{inst.box.as_tuple()}"
             )
-        return replace(inst, box=box)
+        return inst.replace(box=box)
     if spec.mode is PerturbationMode.SHRINK:
         if 2 * spec.magnitude >= min(inst.box.width, inst.box.height):
             raise ValueError(
                 f"shrink by {spec.magnitude} degenerates box {inst.box.as_tuple()}"
             )
-        return replace(inst, box=inst.box.inflate(-spec.magnitude))
+        return inst.replace(box=inst.box.inflate(-spec.magnitude))
     if spec.mode is PerturbationMode.SNAP_TO_MINIMAL:
         if inst.content_box is None:
             raise ValueError(
                 f"{inst.cls.name} at {inst.box.as_tuple()} carries no content extent"
             )
-        return replace(inst, box=inst.content_box)
+        return inst.replace(box=inst.content_box)
     raise AssertionError(spec.mode)
 
 
@@ -115,7 +115,7 @@ def _merge_closest_pair(instances: list[ComponentInstance]) -> list[ComponentIns
         for i in range(len(ordered) - 1)
     ]
     _, at = min(gaps)
-    merged = replace(ordered[at], box=ordered[at].box.union_box(ordered[at + 1].box))
+    merged = ordered[at].replace(box=ordered[at].box.union_box(ordered[at + 1].box))
     return ordered[:at] + [merged] + ordered[at + 2 :]
 
 

@@ -111,7 +111,7 @@ def _canonical_order(instances: Iterable[ComponentInstance]) -> list[ComponentIn
         key=lambda inst: (
             int(inst.cls),
             -(inst.score if inst.score is not None else 1.0),
-            inst.box.as_tuple(),
+            inst.box,
         ),
     )
 

@@ -468,6 +468,24 @@ def test_teds_scores_undecodable_prediction_zero(fixture_files, capsys, tmp_path
     assert captured.err == f"prediction failed table_000: {victim}: {NOT_UTF8}\n"
 
 
+def test_teds_scores_unreadable_prediction_zero(fixture_files, capsys, tmp_path):
+    # a prediction path that exists but cannot be read used to end the run with exit 1
+    gt, pred = fixture_files
+    html_dir = str(tmp_path / "html")
+    assert main(["reconstruct", pred, "-o", html_dir]) == 0
+    victim = os.path.join(html_dir, "table_000.html")
+    os.unlink(victim)
+    capsys.readouterr()
+    assert main(["teds", html_dir, gt]) == 0
+    without = capsys.readouterr().out
+
+    os.mkdir(victim)
+    assert main(["teds", html_dir, gt]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == without
+    assert captured.err == f"prediction failed table_000: {victim}: Is a directory\n"
+
+
 @pytest.fixture
 def collector():
     """The cyclic collector enabled again after the test, whatever it did."""

@@ -10,13 +10,15 @@ from oracles import reference_parse_instance
 from tsrkit.errors import SchemaError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.formats import (
+    _instances_in_bulk,
     _parse_instance,
     load_detections,
     load_ground_truth,
     save,
     serialize,
 )
-from tsrkit.labels import LabelMode
+from tsrkit.geometry import BBox
+from tsrkit.labels import ComponentInstance, LabelMode
 from tsrkit.teds import parse_table_html
 
 
@@ -117,28 +119,30 @@ def instance_problems(draw):
     return raw, draw(st.sampled_from([100.0, 1e300])), label_mode, is_ground_truth
 
 
-def _parse_outcome(parser, raw, width, label_mode, is_ground_truth):
-    """What one parser makes of one instance: its result or error, and its clamp log records."""
+def _record(inst):
+    content = None if inst.content_box is None else (type(inst.content_box), repr(inst.content_box.as_tuple()))
+    return type(inst), type(inst.box), repr(inst.box.as_tuple()), inst.cls, repr(inst.score), content, inst.extra
+
+
+def _logged(run):
+    """The records ``run()`` returns or the error it raises, and the clamp log records it leaves."""
     logger = logging.getLogger("tsrkit.formats")
     records = []
     handler = logging.Handler()
     handler.emit = records.append
     logger.addHandler(handler)
     try:
-        inst = parser(raw, width, 50.0, label_mode, is_ground_truth, 3, 7)
-        result = (
-            "ok",
-            repr(inst.box.as_tuple()),
-            inst.cls,
-            repr(inst.score),
-            None if inst.content_box is None else repr(inst.content_box.as_tuple()),
-            inst.extra,
-        )
+        result = ("ok", [_record(inst) for inst in run()])
     except SchemaError as exc:
         result = ("error", str(exc))
     finally:
         logger.removeHandler(handler)
     return result, [(r.levelno, r.getMessage(), repr(r.args)) for r in records]
+
+
+def _parse_outcome(parser, raw, width, label_mode, is_ground_truth):
+    """What one parser makes of one instance: its record or error, and its clamp log records."""
+    return _logged(lambda: [parser(raw, width, 50.0, label_mode, is_ground_truth, 3, 7)])
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -159,6 +163,153 @@ def test_parse_instance_matches_reference_on_each_odd_coordinate():
                 assert _parse_outcome(_parse_instance, *problem) == _parse_outcome(
                     reference_parse_instance, *problem
                 ), (key, i, odd)
+
+
+# ------------------------------------------------------ whole images, in bulk
+# Coordinates inside the 100 x 50 image, with the exact types json.load gives.
+inside_x = st.one_of(st.sampled_from([0, 0.0, -0.0, 100, 100.0]), st.integers(0, 100), st.floats(0.0, 100.0))
+inside_y = st.one_of(st.sampled_from([0, 0.0, -0.0, 50, 50.0]), st.integers(0, 50), st.floats(0.0, 50.0))
+inside_boxes = st.tuples(inside_x, inside_y, inside_x, inside_y).map(
+    lambda t: [min(t[0], t[2]), min(t[1], t[3]), max(t[0], t[2]), max(t[1], t[3])]
+)
+scores = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, -0.0, 1.0]))
+IMAGE_DAMAGE = ["none", "nan score", "nan coordinate", "negative zero", "boolean", "huge integer", "infinity",
+                "clamped", "content_bbox", "unknown key", "optional dropped", "optional null", "class_id", "score",
+                "missing", "not an object", "bbox shape"]
+SCORE_DAMAGE = ("nan score", "score")
+
+
+@st.composite
+def image_problems(draw, damage):
+    """(instances, label mode, ground truth?): 2-6 instances that one image
+    could carry, all with the same fields, then one of them damaged."""
+    # a score is damaged in detections that carry scores, where the bulk check could miss it
+    is_ground_truth = damage not in SCORE_DAMAGE and draw(st.booleans())
+    label_mode = draw(st.sampled_from(list(LabelMode)))
+    optional = "score" if damage in SCORE_DAMAGE else draw(
+        st.sampled_from([None, "content_bbox" if is_ground_truth else "score"])
+    )
+    instances = []
+    for _ in range(draw(st.integers(2, 6))):
+        raw = {"bbox": draw(inside_boxes), "class_id": draw(st.integers(0, 6 if label_mode is LabelMode.SINGLE else 5))}
+        if optional is not None:
+            raw[optional] = draw(inside_boxes if is_ground_truth else scores)
+        instances.append(raw)
+    at = draw(st.integers(0, len(instances) - 1))
+    raw = instances[at]
+    coordinate = draw(st.integers(0, 3))
+    key = draw(st.sampled_from(["bbox", "content_bbox"])) if "content_bbox" in raw else "bbox"
+    if damage == "nan score":
+        raw["score"] = float("nan")
+    elif damage == "nan coordinate":
+        raw[key][coordinate] = float("nan")
+    elif damage == "negative zero":
+        raw[key][coordinate] = -0.0
+    elif damage == "boolean":
+        slot = draw(st.sampled_from(["coordinate", "class_id", "score"]))
+        if slot == "coordinate":
+            raw[key][coordinate] = draw(st.booleans())
+        else:
+            raw[slot] = draw(st.booleans())
+    elif damage == "huge integer":
+        raw[key][coordinate] = draw(st.sampled_from([10**400, -(10**400)]))
+    elif damage == "infinity":
+        raw[key][coordinate] = draw(st.sampled_from([float("inf"), float("-inf")]))
+    elif damage == "clamped":
+        raw[key][coordinate] = draw(st.sampled_from([-3.5, -1, 130, 100.5, 60.0]))
+    elif damage == "content_bbox":
+        raw["content_bbox"] = draw(inside_boxes)
+    elif damage == "unknown key":
+        raw["flagged"] = True
+    elif damage == "optional dropped":
+        raw.pop(optional or "score", None)
+    elif damage == "optional null":
+        raw[optional or "score"] = None
+    elif damage == "class_id":
+        raw["class_id"] = draw(st.sampled_from([-1, 6, 7, True, 2.0, "2", None]))
+    elif damage == "score":
+        raw["score"] = draw(st.one_of(st.floats(-0.5, 1.5), odd_numbers, st.sampled_from(["0.5"])))
+    elif damage == "missing":
+        del raw[draw(st.sampled_from(["bbox", "class_id"]))]
+    elif damage == "not an object":
+        instances[at] = draw(st.sampled_from([None, [], "instance", 3, [raw]]))
+    elif damage == "bbox shape":
+        raw[key] = draw(not_boxes)
+    return instances, label_mode, is_ground_truth
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("images") / "corpus.json")
+
+
+def _check_image(corpus_path, instances, label_mode, is_ground_truth):
+    """The loader and the bulk check against the reference parser run on each instance in turn."""
+    text = json.dumps({"schema_version": 1, "label_mode": label_mode.value, "images": [
+        {"image_id": "t0", "width": 100.0, "height": 50.0, "instances": instances}]})
+    with open(corpus_path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    raws = json.loads(text)["images"][0]["instances"]  # what json.load makes of the damage
+    loader = load_ground_truth if is_ground_truth else load_detections
+    expected = _logged(lambda: [
+        reference_parse_instance(raw, 100.0, 50.0, label_mode, is_ground_truth, 0, i) for i, raw in enumerate(raws)
+    ])
+    assert _logged(lambda: loader(corpus_path).images[0].instances) == expected
+    bulk = _instances_in_bulk(raws, 100.0, 50.0, label_mode, is_ground_truth)
+    if bulk is not None:  # the bulk check only answers for an image that loads as it stands
+        assert expected == (("ok", [_record(inst) for inst in bulk]), [])
+
+
+@pytest.mark.parametrize("damage", IMAGE_DAMAGE)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_image_loader_matches_reference_parser_instance_by_instance(corpus_path, damage, data):
+    _check_image(corpus_path, *data.draw(image_problems(damage)))
+
+
+NAN = float("nan")
+CLEAN = {"bbox": [1.0, 2.0, 30.0, 40.0], "class_id": 2}
+
+
+@pytest.mark.parametrize(
+    "damaged",
+    [
+        pytest.param({**CLEAN, "score": NAN}, id="nan-score"),
+        *[pytest.param({**CLEAN, "score": 0.5, "bbox": [*CLEAN["bbox"][:i], NAN, *CLEAN["bbox"][i + 1:]]},
+                       id=f"nan-coordinate-{i}") for i in range(4)],
+        pytest.param({**CLEAN, "score": 0.5, "bbox": [-0.0, -0.0, 30.0, 40.0]}, id="negative-zero"),
+        pytest.param({**CLEAN, "score": 0.5, "bbox": [1.0, 2.0, True, 40.0]}, id="boolean-coordinate"),
+        pytest.param({**CLEAN, "score": True}, id="boolean-score"),
+        pytest.param({**CLEAN, "score": 0.5, "class_id": True}, id="boolean-class"),
+        pytest.param({**CLEAN, "score": 0.5, "bbox": [1.0, 2.0, 10**400, 40.0]}, id="400-digit-integer"),
+        pytest.param({**CLEAN, "score": 0.5, "bbox": [1, 2, 30, 40]}, id="integers"),
+        pytest.param({**CLEAN, "score": 1}, id="integer-score"),
+        pytest.param({**CLEAN, "score": 0.5, "bbox": [1.0, 2.0, float("inf"), 40.0]}, id="infinity"),
+        pytest.param({**CLEAN, "score": 0.5, "bbox": [-3.5, 2.0, 30.0, 40.0]}, id="clamped"),
+        pytest.param({**CLEAN, "score": 0.5, "content_bbox": [1.0, 2.0, 3.0, 4.0]}, id="content_bbox"),
+        pytest.param({**CLEAN, "score": 0.5, "flagged": True}, id="unknown-key"),
+        pytest.param({**CLEAN, "score": 0.5, "class_id": 6}, id="class-6"),
+    ],
+)
+def test_image_loader_matches_reference_parser_after_a_clean_instance(corpus_path, damaged):
+    # min and max skip a NaN that follows a number, so a NaN-blind bulk check would pass these
+    # in ground truth the damaged bbox is the content extent, and a damaged score stays
+    gt_damaged = {k: v for k, v in damaged.items() if k != "score" or v != 0.5}
+    gt_damaged.update(bbox=CLEAN["bbox"], content_bbox=damaged["bbox"])
+    for label_mode in LabelMode:
+        _check_image(corpus_path, [{**CLEAN, "score": 0.5}, damaged], label_mode, False)
+        _check_image(corpus_path, [{**CLEAN, "content_bbox": CLEAN["bbox"]}, gt_damaged], label_mode, True)
+
+
+def test_generated_corpora_load_in_bulk():
+    gt, det = generate_fixtures(FixtureSpec(n_tables=20, seed=4))
+    for corpus, is_ground_truth in ((gt, True), (det, False)):
+        for image in json.loads(serialize(corpus))["images"]:
+            bulk = _instances_in_bulk(
+                image["instances"], image["width"], image["height"], LabelMode.MULTI, is_ground_truth
+            )
+            assert bulk is not None and len(bulk) == len(image["instances"])
+            assert all(type(inst) is ComponentInstance and type(inst.box) is BBox for inst in bulk)
 
 
 def base_file(**overrides):
@@ -306,6 +457,77 @@ def test_inverted_bbox_rejected(tmp_path):
     data["images"][0]["instances"][0]["bbox"] = [30.0, 0.0, 10.0, 10.0]
     with pytest.raises(SchemaError, match="inverted"):
         load_ground_truth(write(tmp_path, data))
+
+
+# Any JSON value: json.load gives these types, integers of any length and
+# NaN and the infinities included.
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.sampled_from([10**400, -(10**400)]), st.floats(),
+              st.text(max_size=12)),
+    lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=10,
+)
+# Instance arrays close enough to valid that most reach the per-field checks.
+instance_arrays = st.lists(
+    st.fixed_dictionaries(
+        {"bbox": st.one_of(inside_boxes, json_values), "class_id": st.one_of(st.integers(0, 6), json_values)},
+        optional={"score": st.one_of(scores, json_values), "content_bbox": st.one_of(inside_boxes, json_values)},
+    ),
+    max_size=5,
+)
+SLOT_VALUES = {
+    "image_id": json_values,
+    "width": st.one_of(json_values, st.floats(0.0, 1e3)),
+    "height": st.one_of(json_values, st.floats(0.0, 1e3)),
+    "instances": st.one_of(json_values, instance_arrays),
+    "html": st.one_of(json_values, st.sampled_from(["<table><tr><td>a</td></tr></table>", "<table>", "<td>a</td>"])),
+    "image": json_values,  # the whole image record
+    "schema_version": st.one_of(json_values, st.just(1)),
+    "label_mode": st.one_of(json_values, st.sampled_from(["multi", "single"])),
+    "images": json_values,
+    "unknown": json_values,  # an unknown field, at file and image level
+}
+
+
+@st.composite
+def files_with_one_slot_filled(draw):
+    slot = draw(st.sampled_from(sorted(SLOT_VALUES)))
+    value = draw(SLOT_VALUES[slot])
+    data = base_file()
+    image = data["images"][0]
+    if slot == "image":
+        data["images"][0] = value
+    elif slot == "unknown":
+        data["pipeline"] = image["dpi"] = value
+    elif slot in ("schema_version", "label_mode", "images"):
+        data[slot] = value
+    else:
+        image[slot] = value
+    return data, draw(st.booleans())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(files_with_one_slot_filled())
+def test_any_json_value_in_a_file_or_image_slot_loads_or_raises_schema_error(corpus_path, problem):
+    data, is_ground_truth = problem
+    with open(corpus_path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    loader = load_ground_truth if is_ground_truth else load_detections
+    try:
+        corpus = loader(corpus_path)
+    except SchemaError:
+        return
+    for image in corpus.images:
+        assert isinstance(image.image_id, str) and image.image_id
+        assert type(image.width) is float and 0.0 < image.width < float("inf")
+        assert type(image.height) is float and 0.0 < image.height < float("inf")
+        for inst in image.instances:
+            assert type(inst) is ComponentInstance and type(inst.box) is BBox
+            assert 0.0 <= inst.box.x1 <= inst.box.x2 <= image.width
+            assert 0.0 <= inst.box.y1 <= inst.box.y2 <= image.height
+            assert inst.score is None or (type(inst.score) is float and 0.0 <= inst.score <= 1.0)
+            assert not (is_ground_truth and inst.score is not None)
+        assert (image.html is None) == (image.tree is None)
 
 
 # ------------------------------------------------------------------ fixtures

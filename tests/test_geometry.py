@@ -31,6 +31,18 @@ def test_invalid_box_rejected():
         BBox(0, 5, 1, 3)
 
 
+def test_box_is_an_immutable_tuple_with_named_fields():
+    box = BBox(1.0, 2.5, 3.0, 4.0)
+    assert (box.x1, box.y1, box.x2, box.y2) == tuple(box) == box.as_tuple() == (1.0, 2.5, 3.0, 4.0)
+    assert type(box.as_tuple()) is tuple
+    assert repr(box) == "BBox(x1=1.0, y1=2.5, x2=3.0, y2=4.0)"
+    assert hash(box) == hash(BBox(1.0, 2.5, 3.0, 4.0))
+    with pytest.raises(AttributeError):
+        box.x1 = 0.0
+    with pytest.raises(AttributeError):
+        box.label = "row"
+
+
 def test_iou_identity():
     box = BBox(0, 0, 4, 4)
     assert iou(box, box) == 1.0

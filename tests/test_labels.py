@@ -1,6 +1,7 @@
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +50,52 @@ def test_extra_fields_ignored_by_equality_and_hash():
     plain = ComponentInstance(B, ComponentClass.ROW, 0.5)
     flagged = ComponentInstance(B, ComponentClass.ROW, 0.5, extra={"flagged": True})
     assert plain == flagged
+    assert not plain != flagged  # tuple's own __ne__ would compare extra
     assert hash(plain) == hash(flagged)
+    other = ComponentInstance(B, ComponentClass.ROW, 0.6, extra={"flagged": True})
+    assert flagged != other
+    assert not flagged == other
+
+
+def test_instance_value_semantics():
+    a = ComponentInstance(B, ComponentClass.ROW)
+    b = ComponentInstance(B, ComponentClass.ROW)
+    assert a.extra == {} and a.extra is not b.extra  # a fresh dict each
+    assert repr(a) == (
+        "ComponentInstance(box=BBox(x1=10, y1=10, x2=200, y2=30), cls=<ComponentClass.ROW: 2>, "
+        "score=None, content_box=None, extra={})"
+    )
+    with pytest.raises(AttributeError):
+        a.score = 0.5
+    with pytest.raises(AttributeError):
+        a.label = "row"
+
+
+def test_replace_checks_like_construction():
+    flagged = ComponentInstance(B, ComponentClass.ROW, 0.5, OTHER, {"flagged": True})
+    moved = flagged.replace(box=OTHER, score=1.0)
+    assert (moved.box, moved.cls, moved.score, moved.content_box) == (OTHER, ComponentClass.ROW, 1.0, OTHER)
+    assert moved.extra is flagged.extra
+    assert type(moved) is ComponentInstance
+    with pytest.raises(ValueError, match="outside"):
+        flagged.replace(score=1.5)
+    with pytest.raises(ValueError, match="outside"):
+        flagged.replace(score=float("nan"))
+    with pytest.raises(ValueError, match="invalid box"):
+        flagged.replace(box=BBox(200, 10, 10, 30))
+    with pytest.raises(TypeError):
+        flagged.replace(label="row")
+
+
+def test_no_source_uses_the_unchecked_namedtuple_constructors():
+    # NamedTuple's _make and _replace build a record without running __new__
+    source = Path(__file__).resolve().parents[1] / "src" / "tsrkit"
+    callers = [
+        path.name
+        for path in source.rglob("*.py")
+        if re.search(r"\._(make|replace)\(", path.read_text(encoding="utf-8"))
+    ]
+    assert callers == []
 
 
 def test_boxes_match_tolerance():
@@ -106,6 +152,25 @@ def test_encode_rejects_second_row_coincident_with_one_header(header):
         encode_pseudo(gt)
     # with a header each, each Row pairs with its own
     assert len(encode_pseudo(multi(*gt.instances, inst(header))).instances) == 2
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_encode_rejects_projected_header_without_a_row_of_its_own(rows):
+    # decoding used to add a Row for it that was never annotated
+    gt = multi(*[inst(ComponentClass.ROW)] * rows, *[inst(ComponentClass.PROJECTED_ROW_HEADER)] * (rows + 1))
+    message = f"img: Projected Row Header at box {B.as_tuple()} coincides with no Row of its own"
+    with pytest.raises(LabelConsistencyError, match=re.escape(message)):
+        encode_pseudo(gt)
+
+
+def test_single_label_invariant_names_the_image():
+    gt = multi(inst(ComponentClass.ROW), inst(ComponentClass.COLUMN_HEADER), inst(ComponentClass.COLUMN_HEADER))
+    message = (
+        f"img: distinct classes PSEUDO_HEADER_ROW and COLUMN_HEADER share box {B.as_tuple()} "
+        "after pseudo-class encoding"
+    )
+    with pytest.raises(LabelConsistencyError, match=re.escape(message)):
+        encode_pseudo(gt)
 
 
 def test_encode_rejects_unsanctioned_two_way_share():
