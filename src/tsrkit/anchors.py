@@ -6,17 +6,19 @@ ratio list matters. Ratios below 1 fold onto their multiplicative inverse for
 histogramming. Coverage quantifies how well a ratio list serves a corpus:
 the fraction of ground-truth boxes whose best anchor IoU clears 0.5 / 0.7.
 
+Anchors sit on one fixed feature pyramid (``STRIDES``, side ``8 * stride``
+at ratio 1) sized from the image extent; the ratio list is the one input.
 Coverage never scans every anchor. Within one pyramid level and one ratio
 all anchors have the same size and differ only by their centre. For a fixed
 box, the overlap along x is a non-increasing function of |dx|, the distance
 between the two centres along x, and likewise along y; the intersection is
 their product and IoU increases with the intersection. So the best anchor of
 that (level, ratio) sits on the grid column nearest the box centre,
-``clip(floor(cx / stride), 0, width - 1)``, and on the nearest row. Each box
-therefore has levels x ratios candidates, and the best over them is the best
-over every anchor: O(G * L * R) instead of O(G * N). The candidates are read
-from the generated anchor array and scored with the same IoU expression, so
-each candidate's IoU is the one a full scan computes for that anchor. The
+``clip(floor(cx / stride), 0, columns - 1)``, and on the nearest row. Each
+box therefore has levels x ratios candidates, and the best over them is the
+best over every anchor: O(G * L * R) instead of O(G * N). The candidates are
+read from the generated anchor array and scored with ``geometry.iou_array``,
+so each candidate's IoU is the one a full scan computes for that anchor. The
 two maxima differ only where another anchor of the same (level, ratio) ties
 the nearest one, as when several anchors contain the box: rounding in the
 anchor coordinates can then move a full scan's maximum by a few units in the
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import iou_array
 from .labels import AnnotationSet
 
 # Height/width ratios used by the extreme-aspect table-component anchor setup.
@@ -91,72 +94,49 @@ def dataset_stats(annotations: list[AnnotationSet]) -> DatasetStats:
     )
 
 
-def _require_positive_finite(name: str, values) -> None:
-    if len(values) == 0:
-        raise ValueError(f"{name}: need at least one value")
-    if not all(math.isfinite(v) and v > 0 for v in values):
-        raise ValueError(f"{name}: values must be finite and positive, got {list(values)}")
+# The feature pyramid: anchor centres lie every ``stride`` px on each level,
+# and the anchor side at ratio 1 is ``8 * stride``.
+STRIDES = (4, 8, 16, 32, 64)
 
 
-@dataclass(frozen=True)
-class AnchorConfig:
-    """Sliding-anchor parameters: one scale (side at ratio 1) per pyramid level."""
-
-    aspect_ratios: tuple[float, ...] = TABLE_ASPECT_RATIOS
-    strides: tuple[int, ...] = (4, 8, 16, 32, 64)
-    scales: tuple[float, ...] | None = None  # default 8 * stride per level
-
-    def __post_init__(self):
-        _require_positive_finite("aspect_ratios", self.aspect_ratios)
-        if any(b <= a for a, b in zip(self.aspect_ratios, self.aspect_ratios[1:])):
-            raise ValueError("aspect_ratios: must be strictly ascending")
-        _require_positive_finite("strides", self.strides)
-        if self.scales is not None:
-            if len(self.scales) != len(self.strides):
-                raise ValueError("scales: need one scale per stride level")
-            _require_positive_finite("scales", self.scales)
-
-    def level_scales(self) -> tuple[float, ...]:
-        if self.scales is not None:
-            return self.scales
-        return tuple(8.0 * s for s in self.strides)
+def _check_ratios(ratios) -> None:
+    if len(ratios) == 0:
+        raise ValueError("aspect_ratios: need at least one value")
+    if not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise ValueError(f"aspect_ratios: values must be finite and positive, got {list(ratios)}")
+    if any(b <= a for a, b in zip(ratios, ratios[1:])):
+        raise ValueError("aspect_ratios: must be strictly ascending")
 
 
-def _check_feature_map_sizes(cfg: AnchorConfig, feature_map_sizes) -> None:
-    if len(feature_map_sizes) != len(cfg.strides):
-        raise ValueError("feature_map_sizes: need one (height, width) per stride level")
-    for height, width in feature_map_sizes:
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (height, width)):
-            raise ValueError(
-                f"feature_map_sizes: height and width must be integers >= 1, got {(height, width)}"
-            )
+def _levels(width: float, height: float) -> list[tuple[int, int, int]]:
+    """Per pyramid level, the stride and the rows and columns of anchor centres over the image."""
+    if not (0.0 < width < math.inf and 0.0 < height < math.inf):
+        raise ValueError(f"width, height: must be finite and positive, got {(width, height)}")
+    return [(s, max(1, int(height // s)), max(1, int(width // s))) for s in STRIDES]
 
 
-def generate_anchors(
-    cfg: AnchorConfig, feature_map_sizes: list[tuple[int, int]]
-) -> np.ndarray:
-    """All anchors for the given per-level (height, width) feature map sizes.
+def generate_anchors(ratios, width: float, height: float) -> np.ndarray:
+    """All anchors of the pyramid over a ``width`` x ``height`` image.
 
-    Anchor at grid position (i, j) of a level with stride s is centered at
-    ((j + 0.5) s, (i + 0.5) s); a ratio rho and scale side a give width
-    a / sqrt(rho) and height a * sqrt(rho). Returns an (N, 4) float array of
-    (x1, y1, x2, y2) rows, ordered by level, row, column, then ratio.
+    Ratios are height/width, strictly ascending. Anchor at grid position
+    (i, j) of a level with stride s is centered at ((j + 0.5) s, (i + 0.5) s);
+    a ratio rho gives width 8 s / sqrt(rho) and height 8 s * sqrt(rho).
+    Returns an (N, 4) float array of (x1, y1, x2, y2) rows, ordered by level,
+    row, column, then ratio.
     """
-    _check_feature_map_sizes(cfg, feature_map_sizes)
-    ratios = np.asarray(cfg.aspect_ratios, dtype=np.float64)
-    half_w = 0.5 / np.sqrt(ratios)
-    half_h = 0.5 * np.sqrt(ratios)
+    _check_ratios(ratios)
+    ratio_arr = np.asarray(ratios, dtype=np.float64)
+    half_w = 0.5 / np.sqrt(ratio_arr)
+    half_h = 0.5 * np.sqrt(ratio_arr)
     out = []
-    for (height, width), stride, scale in zip(
-        feature_map_sizes, cfg.strides, cfg.level_scales()
-    ):
-        ys = (np.arange(height) + 0.5) * stride
-        xs = (np.arange(width) + 0.5) * stride
+    for stride, rows, cols in _levels(width, height):
+        ys = (np.arange(rows) + 0.5) * stride
+        xs = (np.arange(cols) + 0.5) * stride
         cx, cy = np.meshgrid(xs, ys)
         cx = cx.reshape(-1, 1)
         cy = cy.reshape(-1, 1)
-        w = scale * half_w
-        h = scale * half_h
+        w = 8.0 * stride * half_w
+        h = 8.0 * stride * half_h
         boxes = np.stack(
             [
                 np.broadcast_to(cx - w, (cx.shape[0], len(ratios))),
@@ -191,10 +171,10 @@ def _as_array(boxes) -> np.ndarray:
     return arr
 
 
-def best_iou_per_gt(anchors, gts, cfg: AnchorConfig, feature_map_sizes) -> np.ndarray:
+def best_iou_per_gt(anchors, gts, ratios, width: float, height: float) -> np.ndarray:
     """Maximum IoU over all anchors, per ground-truth box.
 
-    ``anchors`` is the array ``generate_anchors(cfg, feature_map_sizes)``
+    ``anchors`` is the array ``generate_anchors(ratios, width, height)``
     returns; only each box's nearest anchor per (level, ratio) is scored
     (see the module docstring).
     """
@@ -204,38 +184,29 @@ def best_iou_per_gt(anchors, gts, cfg: AnchorConfig, feature_map_sizes) -> np.nd
         raise ValueError("gts: box coordinates must be finite")
     if (gt_arr[:, 2] < gt_arr[:, 0]).any() or (gt_arr[:, 3] < gt_arr[:, 1]).any():
         raise ValueError("gts: boxes need x2 >= x1 and y2 >= y1")
-    _check_feature_map_sizes(cfg, feature_map_sizes)
-    n_ratios = len(cfg.aspect_ratios)
+    _check_ratios(ratios)
+    n_ratios = len(ratios)
     cx = 0.5 * (gt_arr[:, 0] + gt_arr[:, 2])
     cy = 0.5 * (gt_arr[:, 1] + gt_arr[:, 3])
     first = []  # per level: index of each box's nearest anchor at the first ratio
     offset = 0
-    for (height, width), stride in zip(feature_map_sizes, cfg.strides):
-        col = np.clip(np.floor(cx / stride), 0, width - 1).astype(np.intp)
-        row = np.clip(np.floor(cy / stride), 0, height - 1).astype(np.intp)
-        first.append(offset + (row * width + col) * n_ratios)
-        offset += height * width * n_ratios
+    for stride, rows, cols in _levels(width, height):
+        col = np.clip(np.floor(cx / stride), 0, cols - 1).astype(np.intp)
+        row = np.clip(np.floor(cy / stride), 0, rows - 1).astype(np.intp)
+        first.append(offset + (row * cols + col) * n_ratios)
+        offset += rows * cols * n_ratios
     if anchor_arr.shape[0] != offset:
         raise ValueError(
             f"anchors: the grid has {offset} anchors, got {anchor_arr.shape[0]}"
         )
     cand = anchor_arr[np.stack(first, axis=1)[:, :, None] + np.arange(n_ratios)]  # (G, L, R, 4)
-    gt = gt_arr[:, None, None, :]
-    anchor_area = (cand[..., 2] - cand[..., 0]) * (cand[..., 3] - cand[..., 1])
-    iw = np.minimum(cand[..., 2], gt[..., 2]) - np.maximum(cand[..., 0], gt[..., 0])
-    ih = np.minimum(cand[..., 3], gt[..., 3]) - np.maximum(cand[..., 1], gt[..., 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    gt_area = (gt[..., 2] - gt[..., 0]) * (gt[..., 3] - gt[..., 1])
-    union = anchor_area + gt_area - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ious = np.where(union > 0.0, inter / union, 0.0)
-    return ious.max(axis=(1, 2))
+    return iou_array(cand, gt_arr[:, None, None, :]).max(axis=(1, 2))
 
 
-def anchor_coverage(anchors, gts, cfg: AnchorConfig, feature_map_sizes) -> CoverageReport:
+def anchor_coverage(anchors, gts, ratios, width: float, height: float) -> CoverageReport:
     """Coverage statistics of a ground-truth corpus under the anchors of
-    ``generate_anchors(cfg, feature_map_sizes)``."""
-    best = best_iou_per_gt(anchors, gts, cfg, feature_map_sizes)
+    ``generate_anchors(ratios, width, height)``."""
+    best = best_iou_per_gt(anchors, gts, ratios, width, height)
     if best.size == 0:
         raise ValueError("empty ground-truth list")
     return CoverageReport(

@@ -13,13 +13,7 @@ import os
 import sys
 
 from . import formats
-from .anchors import (
-    AnchorConfig,
-    DEFAULT_ASPECT_RATIOS,
-    anchor_coverage,
-    dataset_stats,
-    generate_anchors,
-)
+from .anchors import DEFAULT_ASPECT_RATIOS, anchor_coverage, dataset_stats, generate_anchors
 from .cocoeval import evaluate_corpus
 from .errors import SchemaError, TsrkitError
 from .fixtures import FixtureSpec, generate_fixtures
@@ -88,16 +82,12 @@ def cmd_anchors(args) -> int:
     ]
     if not gt_boxes:
         _fail("ground truth contains no boxes")
-    cfg = AnchorConfig(aspect_ratios=tuple(sorted(args.ratios)))
-    max_w = max(img.width for img in corpus.images)
-    max_h = max(img.height for img in corpus.images)
-    sizes = [
-        (max(1, int(max_h // stride)), max(1, int(max_w // stride)))
-        for stride in cfg.strides
-    ]
-    anchors = generate_anchors(cfg, sizes)
-    report = anchor_coverage(anchors, gt_boxes, cfg, sizes)
-    print(f"ratios = {list(cfg.aspect_ratios)}")
+    ratios = tuple(sorted(args.ratios))
+    width = max(img.width for img in corpus.images)
+    height = max(img.height for img in corpus.images)
+    anchors = generate_anchors(ratios, width, height)
+    report = anchor_coverage(anchors, gt_boxes, ratios, width, height)
+    print(f"ratios = {list(ratios)}")
     print(f"anchors = {anchors.shape[0]}")
     for line in report.format_lines():
         print(line)
@@ -193,10 +183,18 @@ def cmd_teds(args) -> int:
 def cmd_coco_eval(args) -> int:
     preds = _load_multi_label_sets(args.predictions, is_ground_truth=False)
     gts = _load_multi_label_sets(args.ground_truth, is_ground_truth=True)
-    report = evaluate_corpus(
-        {ann.image_id: list(ann.instances) for ann in preds},
-        {ann.image_id: list(ann.instances) for ann in gts},
-    )
+    try:
+        report = evaluate_corpus(
+            {ann.image_id: list(ann.instances) for ann in preds},
+            {ann.image_id: list(ann.instances) for ann in gts},
+        )
+    except ValueError:
+        # The check names no detection; the file's first one without a score is the cause.
+        for i, image in enumerate(formats.load_detections(args.predictions).images):
+            for j, inst in enumerate(image.instances):
+                if inst.score is None:
+                    raise SchemaError(f"$.images[{i}].instances[{j}]: prediction without confidence") from None
+        raise
     for line in report.format_lines():
         print(line)
     return 0

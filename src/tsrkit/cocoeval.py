@@ -41,7 +41,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .errors import CorpusError
-from .geometry import MEDIUM_AREA_LIMIT, SMALL_AREA_LIMIT
+from .geometry import MEDIUM_AREA_LIMIT, SMALL_AREA_LIMIT, area_array, iou_array
 from .labels import ComponentClass, ComponentInstance
 
 _SIZE_LIMITS = np.array([SMALL_AREA_LIMIT, MEDIUM_AREA_LIMIT])
@@ -103,10 +103,6 @@ def _boxes(instances: list[ComponentInstance]) -> np.ndarray:
     return np.fromiter(coords, dtype=np.float64, count=4 * len(instances)).reshape(-1, 4)
 
 
-def _areas(boxes: np.ndarray) -> np.ndarray:
-    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-
-
 def _scores(preds: list[ComponentInstance]) -> np.ndarray:
     if any(p.score is None for p in preds):
         raise ValueError("prediction without confidence")
@@ -117,16 +113,7 @@ def _classes_and_sizes(instances: list[ComponentInstance], boxes: np.ndarray):
     """Class values and size codes: how many of the ``geometry`` area limits the area
     reaches, 0 small, 1 medium, 2 large."""
     cls = np.fromiter((inst.cls for inst in instances), dtype=np.int8, count=len(instances))
-    return cls, np.searchsorted(_SIZE_LIMITS, _areas(boxes), side="right")
-
-
-def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``geometry.iou`` of every row of ``a`` with every row of ``b``, operation for operation."""
-    w = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    h = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.multiply(w, h, out=np.zeros_like(w), where=(w > 0.0) & (h > 0.0))
-    union = _areas(a)[:, None] + _areas(b)[None, :] - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+    return cls, np.searchsorted(_SIZE_LIMITS, area_array(boxes), side="right")
 
 
 def _confidence_order(scores: np.ndarray) -> np.ndarray:
@@ -196,7 +183,7 @@ def match_detections(
     """
     scores = _scores(preds)
     order = _confidence_order(scores)
-    ious = _iou_matrix(_boxes(preds)[order], _boxes(gts))
+    ious = iou_array(_boxes(preds)[order][:, None], _boxes(gts)[None])
     tp = bytearray(len(preds))
     _match(ious, True, (iou_threshold,), [bytearray(len(gts))], [tp], np.arange(len(preds)), 0)
     return [bool(flag) for flag in tp]
@@ -277,7 +264,7 @@ def evaluate_corpus(
         if not gts:
             continue
         rows = p0 + by_confidence
-        ious = _iou_matrix(p_box[by_confidence], g_box)
+        ious = iou_array(p_box[by_confidence][:, None], g_box[None])
         same_class = p_cls[by_confidence, None] == g_cls[None, :]
         allowed = same_class & kept_all[rows, None]
         _match(ious, allowed, all_thresholds, matched_all, tp_all, rows, g0)

@@ -49,6 +49,9 @@ class FixtureSpec:
             raise ValueError("row counts must satisfy 2 <= min <= max")
         if not (2 <= self.min_cols <= self.max_cols):
             raise ValueError("column counts must satisfy 2 <= min <= max")
+        for name in ("span_probability", "header_probability"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # a NaN fails too
+                raise ValueError(f"{name}: must lie in [0, 1], got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

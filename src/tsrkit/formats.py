@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -261,6 +262,10 @@ def _parse_image(raw, label_mode, is_ground_truth, image) -> ImageRecord:
         if not (_is_finite_number(raw[key]) and raw[key] > 0):
             raise SchemaError(f"{_at(image)}.{key}: must be a positive finite number, got {raw[key]!r}")
     width, height = float(raw["width"]), float(raw["height"])
+    # Twice the area bounded keeps every box's area, and the IoU union of any
+    # two boxes clamped into the image, finite.
+    if not math.isfinite(2.0 * width * height):
+        raise SchemaError(f"{_at(image)}: image area {width!r} x {height!r} overflows")
     instances_raw = raw.get("instances", [])
     if not isinstance(instances_raw, list):
         raise SchemaError(f"{_at(image)}.instances: must be an array")
@@ -303,7 +308,7 @@ def _load(path: str, is_ground_truth: bool) -> CorpusFile:
     if not isinstance(raw, dict):
         raise SchemaError("$: top level must be an object")
     version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(f"$.schema_version: unsupported version {version!r} (expected {SCHEMA_VERSION})")
     mode_raw = raw.get("label_mode")
     if mode_raw not in ("multi", "single"):

@@ -1,4 +1,5 @@
-"""Axis-aligned box arithmetic: IoU, areas, and the object-size area limits.
+"""Axis-aligned box arithmetic: IoU and areas, of single boxes and of box
+arrays, and the object-size area limits.
 
 Boxes are (x1, y1, x2, y2) in pixel coordinates with the origin at the
 top-left corner. Coordinates are continuous reals; annotations carry
@@ -10,6 +11,8 @@ rejects an inverted box.
 from __future__ import annotations
 
 from typing import NamedTuple
+
+import numpy as np
 
 # small < 32^2 <= medium < 64^2 <= large; a boundary area is in the upper bucket
 SMALL_AREA_LIMIT = 32.0 * 32.0
@@ -101,3 +104,17 @@ def iou(a: BBox, b: BBox) -> float:
         return 0.0
     return inter / union
 
+
+
+def area_array(boxes: np.ndarray) -> np.ndarray:
+    """The area of each box of a (..., 4) array."""
+    return (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
+
+
+def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``iou`` of the boxes of two (..., 4) arrays that broadcast, operation for operation."""
+    w = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    h = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.multiply(w, h, out=np.zeros_like(w), where=(w > 0.0) & (h > 0.0))
+    union = area_array(a) + area_array(b) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)

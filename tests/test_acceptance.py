@@ -238,17 +238,17 @@ def test_criterion_5_dataset_statistics():
 def test_criterion_6_anchor_coverage():
     rng = random.Random(1234)
     gts = synthetic_table_boxes(rng, count=120)
-    anchors, cfg, sizes = grid_anchors(TABLE_ASPECT_RATIOS)
-    tuned = anchor_coverage(anchors, gts, cfg, sizes)
-    anchors, cfg, sizes = grid_anchors(DEFAULT_ASPECT_RATIOS)
-    default = anchor_coverage(anchors, gts, cfg, sizes)
+    anchors, grid = grid_anchors(TABLE_ASPECT_RATIOS)
+    tuned = anchor_coverage(anchors, gts, *grid)
+    anchors, grid = grid_anchors(DEFAULT_ASPECT_RATIOS)
+    default = anchor_coverage(anchors, gts, *grid)
     assert tuned.frac_iou50 > default.frac_iou50
 
     growing = [(1.0,), (0.5, 1.0, 2.0), tuple(sorted(TABLE_ASPECT_RATIOS))]
     previous = None
     for ratios in growing:
-        anchors, cfg, sizes = grid_anchors(ratios)
-        best = best_iou_per_gt(anchors, gts, cfg, sizes)
+        anchors, grid = grid_anchors(ratios)
+        best = best_iou_per_gt(anchors, gts, *grid)
         if previous is not None:
             assert (best >= previous - 1e-12).all()
         previous = best

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from oracles import brute_force_best_iou
 
 from tsrkit.anchors import (
-    AnchorConfig,
     DEFAULT_ASPECT_RATIOS,
+    STRIDES,
     TABLE_ASPECT_RATIOS,
     anchor_coverage,
     best_iou_per_gt,
@@ -81,73 +81,63 @@ def test_dataset_stats_rejects_empty():
 # ----------------------------------------------------------------- anchors
 
 def test_generate_single_centered_anchor():
-    cfg = AnchorConfig(aspect_ratios=(1.0,), strides=(32,), scales=(32.0,))
-    anchors = generate_anchors(cfg, [(1, 1)])
-    assert anchors.shape == (1, 4)
-    np.testing.assert_allclose(anchors[0], [0.0, 0.0, 32.0, 32.0])
+    # a 4 x 4 image holds a single anchor centre per level, at (s / 2, s / 2)
+    anchors = generate_anchors((1.0,), 4, 4)
+    expected = [[0.5 * s - 4 * s, 0.5 * s - 4 * s, 0.5 * s + 4 * s, 0.5 * s + 4 * s] for s in STRIDES]
+    np.testing.assert_array_equal(anchors, expected)
 
 
 def test_generate_ratio_shapes():
-    cfg = AnchorConfig(aspect_ratios=(4.0,), strides=(32,), scales=(32.0,))
-    (anchor,) = generate_anchors(cfg, [(1, 1)])
-    width = anchor[2] - anchor[0]
-    height = anchor[3] - anchor[1]
-    assert width == pytest.approx(32.0 / math.sqrt(4.0))
-    assert height == pytest.approx(32.0 * math.sqrt(4.0))
+    anchors = generate_anchors((4.0,), 4, 4)
+    width = anchors[:, 2] - anchors[:, 0]
+    height = anchors[:, 3] - anchors[:, 1]
+    sides = 8.0 * np.asarray(STRIDES)
+    np.testing.assert_allclose(width, sides / math.sqrt(4.0))
+    np.testing.assert_allclose(height, sides * math.sqrt(4.0))
 
 
 def test_generate_count():
-    cfg = AnchorConfig(aspect_ratios=tuple(sorted(TABLE_ASPECT_RATIOS)), strides=(16,))
-    anchors = generate_anchors(cfg, [(2, 2)])
-    assert anchors.shape == (2 * 2 * 13, 4)
+    # a 64 x 48 image: 16 x 12, 8 x 6, 4 x 3, 2 x 1 (floored) and a clamped 1 x 1 centres
+    anchors = generate_anchors(tuple(sorted(TABLE_ASPECT_RATIOS)), 64, 48)
+    assert anchors.shape == ((16 * 12 + 8 * 6 + 4 * 3 + 2 * 1 + 1 * 1) * 13, 4)
 
 
 def test_generated_anchor_area_and_ratio():
-    cfg = AnchorConfig()
-    sizes = [(4, 4)] * len(cfg.strides)
-    anchors = generate_anchors(cfg, sizes)
-    ratios = np.tile(np.asarray(cfg.aspect_ratios), anchors.shape[0] // 13)
+    anchors = generate_anchors(TABLE_ASPECT_RATIOS, 64, 64)
+    ratios = np.tile(np.asarray(TABLE_ASPECT_RATIOS), anchors.shape[0] // 13)
     widths = anchors[:, 2] - anchors[:, 0]
     heights = anchors[:, 3] - anchors[:, 1]
-    scales = np.repeat(
-        [8.0 * s for s in cfg.strides], [16 * 13] * len(cfg.strides)
-    )
+    centres_per_level = [16 * 16, 8 * 8, 4 * 4, 2 * 2, 1]
+    scales = np.repeat([8.0 * s for s in STRIDES], [n * 13 for n in centres_per_level])
     np.testing.assert_allclose(widths * heights, scales**2, rtol=1e-6)
     np.testing.assert_allclose(heights / widths, ratios, rtol=1e-6)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        AnchorConfig(aspect_ratios=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        AnchorConfig(aspect_ratios=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        AnchorConfig(scales=(8.0,), strides=(4, 8))
-
-
-ONE_LEVEL = AnchorConfig(aspect_ratios=(1.0,), strides=(8,))
+def test_ratio_validation():
+    for ratios in [(2.0, 1.0), (0.0, 1.0), (-1.0,)]:
+        with pytest.raises(ValueError, match="aspect_ratios"):
+            generate_anchors(ratios, 64, 64)
 
 
 def one_level_best_iou(gts):
-    anchors = generate_anchors(ONE_LEVEL, [(2, 2)])
-    return best_iou_per_gt(anchors, np.asarray(gts), ONE_LEVEL, [(2, 2)])
+    anchors = generate_anchors((1.0,), 8, 8)
+    return best_iou_per_gt(anchors, np.asarray(gts), (1.0,), 8, 8)
 
 
 @pytest.mark.parametrize(
     "build, field",
     [
-        (lambda: AnchorConfig(aspect_ratios=(math.nan,)), "aspect_ratios"),
-        (lambda: AnchorConfig(aspect_ratios=(math.inf,)), "aspect_ratios"),
-        (lambda: AnchorConfig(aspect_ratios=(1.0, math.nan)), "aspect_ratios"),
-        (lambda: AnchorConfig(aspect_ratios=()), "aspect_ratios"),
-        (lambda: AnchorConfig(aspect_ratios=(1.0, 1.0)), "aspect_ratios"),
-        (lambda: AnchorConfig(strides=()), "strides"),
-        (lambda: AnchorConfig(strides=(0,)), "strides"),
-        (lambda: AnchorConfig(strides=(-4,)), "strides"),
-        (lambda: AnchorConfig(strides=(4,), scales=(0.0,)), "scales"),
-        (lambda: AnchorConfig(strides=(4,), scales=(math.nan,)), "scales"),
-        (lambda: generate_anchors(ONE_LEVEL, [(0, 5)]), "feature_map_sizes"),
-        (lambda: generate_anchors(ONE_LEVEL, [(-2, 5)]), "feature_map_sizes"),
+        (lambda: generate_anchors((math.nan,), 8, 8), "aspect_ratios"),
+        (lambda: generate_anchors((math.inf,), 8, 8), "aspect_ratios"),
+        (lambda: generate_anchors((1.0, math.nan), 8, 8), "aspect_ratios"),
+        (lambda: generate_anchors((), 8, 8), "aspect_ratios"),
+        (lambda: generate_anchors((1.0, 1.0), 8, 8), "aspect_ratios"),
+        (lambda: generate_anchors((1.0,), 0, 5), "width, height"),
+        (lambda: generate_anchors((1.0,), 5, -2), "width, height"),
+        (lambda: generate_anchors((1.0,), math.nan, 5), "width, height"),
+        (lambda: generate_anchors((1.0,), 5, math.inf), "width, height"),
+        (lambda: best_iou_per_gt(np.zeros((5, 4)), [[0, 0, 1, 1]], (1.0,), 0, 8), "width, height"),
+        (lambda: best_iou_per_gt(np.zeros((5, 4)), [[0, 0, 1, 1]], (), 8, 8), "aspect_ratios"),
         (lambda: one_level_best_iou([[0.0, 0.0, math.nan, 4.0]]), "gts"),
         (lambda: one_level_best_iou([[0.0, 0.0, math.inf, 4.0]]), "gts"),
         (lambda: one_level_best_iou([[5.0, 0.0, 1.0, 4.0]]), "gts"),
@@ -164,21 +154,15 @@ CANVAS = 512.0
 
 
 def grid_anchors(ratios):
-    """Anchors over the canvas, with the config and sizes that made them."""
-    cfg = AnchorConfig(aspect_ratios=tuple(sorted(ratios)))
-    sizes = [
-        (math.ceil(CANVAS / s), math.ceil(CANVAS / s)) for s in cfg.strides
-    ]
-    return generate_anchors(cfg, sizes), cfg, sizes
+    """Anchors over the canvas, and the (ratios, width, height) that made them."""
+    grid = (tuple(sorted(ratios)), CANVAS, CANVAS)
+    return generate_anchors(*grid), grid
 
 
 def test_coverage_anchors_equal_gts():
-    # one 1x1 level per box, its single anchor equal to the box
-    cfg = AnchorConfig(aspect_ratios=(1.0,), strides=(10, 55), scales=(10.0, 45.0))
-    sizes = [(1, 1), (1, 1)]
-    anchors = generate_anchors(cfg, sizes)
-    np.testing.assert_array_equal(anchors, [[0, 0, 10, 10], [5, 5, 50, 50]])
-    report = anchor_coverage(anchors, anchors, cfg, sizes)
+    # every anchor is among its own candidates, so each scores IoU 1
+    anchors = generate_anchors((0.5, 1.0), 20, 12)
+    report = anchor_coverage(anchors, anchors, (0.5, 1.0), 20, 12)
     assert report.frac_iou50 == 1.0
     assert report.frac_iou70 == 1.0
     assert report.mean_best_iou == 1.0
@@ -187,25 +171,27 @@ def test_coverage_anchors_equal_gts():
 def test_extreme_ratio_needs_extreme_anchor():
     # height/width ratio 40, centered near an anchor center
     target = BBox(250.0, 50.0, 260.0, 450.0)
-    anchors, cfg, sizes = grid_anchors(DEFAULT_ASPECT_RATIOS)
-    default = best_iou_per_gt(anchors, [target], cfg, sizes)
-    anchors, cfg, sizes = grid_anchors(TABLE_ASPECT_RATIOS)
-    tuned = best_iou_per_gt(anchors, [target], cfg, sizes)
+    anchors, grid = grid_anchors(DEFAULT_ASPECT_RATIOS)
+    default = best_iou_per_gt(anchors, [target], *grid)
+    anchors, grid = grid_anchors(TABLE_ASPECT_RATIOS)
+    tuned = best_iou_per_gt(anchors, [target], *grid)
     assert default[0] < 0.5
     assert tuned[0] >= 0.5
 
 
 def test_coverage_errors():
-    anchors, cfg, sizes = grid_anchors(DEFAULT_ASPECT_RATIOS)
+    anchors, grid = grid_anchors(DEFAULT_ASPECT_RATIOS)
     box = [BBox(0, 0, 1, 1)]
     with pytest.raises(ValueError, match="anchors"):
-        anchor_coverage(np.zeros((0, 4)), box, cfg, sizes)
+        anchor_coverage(np.zeros((0, 4)), box, *grid)
     with pytest.raises(ValueError, match="anchors"):
-        anchor_coverage(anchors[:-1], box, cfg, sizes)
+        anchor_coverage(anchors[:-1], box, *grid)
+    with pytest.raises(ValueError, match="anchors"):
+        anchor_coverage(anchors, box, grid[0], CANVAS, CANVAS / 2)
     with pytest.raises(ValueError):
-        anchor_coverage(anchors, [], cfg, sizes)
+        anchor_coverage(anchors, [], *grid)
     with pytest.raises(ValueError, match="empty ground-truth"):
-        anchor_coverage(anchors, np.zeros((0, 4)), cfg, sizes)
+        anchor_coverage(anchors, np.zeros((0, 4)), *grid)
 
 
 def synthetic_table_boxes(rng, count=120):
@@ -227,10 +213,10 @@ def synthetic_table_boxes(rng, count=120):
 def test_tuned_ratio_list_beats_defaults():
     rng = random.Random(1234)
     gts = synthetic_table_boxes(rng)
-    anchors, cfg, sizes = grid_anchors(TABLE_ASPECT_RATIOS)
-    tuned = anchor_coverage(anchors, gts, cfg, sizes)
-    anchors, cfg, sizes = grid_anchors(DEFAULT_ASPECT_RATIOS)
-    default = anchor_coverage(anchors, gts, cfg, sizes)
+    anchors, grid = grid_anchors(TABLE_ASPECT_RATIOS)
+    tuned = anchor_coverage(anchors, gts, *grid)
+    anchors, grid = grid_anchors(DEFAULT_ASPECT_RATIOS)
+    default = anchor_coverage(anchors, gts, *grid)
     assert tuned.frac_iou50 > default.frac_iou50
 
 
@@ -245,8 +231,8 @@ def test_coverage_monotone_in_ratio_set():
     ]
     previous = None
     for ratios in subsets:
-        anchors, cfg, sizes = grid_anchors(ratios)
-        best = best_iou_per_gt(anchors, gts, cfg, sizes)
+        anchors, grid = grid_anchors(ratios)
+        best = best_iou_per_gt(anchors, gts, *grid)
         if previous is not None:
             assert (best >= previous - 1e-12).all()
         previous = best
@@ -256,35 +242,30 @@ def test_coverage_monotone_in_ratio_set():
 
 @st.composite
 def anchor_problems(draw):
-    """A random grid and boxes inside, across and outside its extent."""
+    """A random image extent and boxes inside, across and outside it."""
     ratios = draw(st.lists(st.sampled_from(TABLE_ASPECT_RATIOS), min_size=1, max_size=6, unique=True))
-    levels = draw(st.integers(1, 3))
-    strides = draw(st.lists(st.integers(1, 48), min_size=levels, max_size=levels))
-    scales = draw(
-        st.none() | st.lists(st.floats(1.0, 200.0), min_size=levels, max_size=levels).map(tuple)
-    )
-    cfg = AnchorConfig(aspect_ratios=tuple(sorted(ratios)), strides=tuple(strides), scales=scales)
-    sizes = [(draw(st.integers(1, 6)), draw(st.integers(1, 6))) for _ in strides]
-    extent = max(max(h, w) * s for (h, w), s in zip(sizes, strides))
+    side = st.integers(1, 400).map(float) | st.floats(1.0, 400.0)
+    width, height = draw(side), draw(side)
+    extent = int(max(width, height))
     boxes = []
     for _ in range(draw(st.integers(1, 8))):
         if draw(st.booleans()):  # integer coordinates
             coord = st.integers(-extent, 2 * extent).map(float)
-            side = st.integers(0, extent).map(float)
+            length = st.integers(0, extent).map(float)
         else:
             coord = st.floats(-extent, 2 * extent)
-            side = st.just(0.0) | st.floats(0.0, extent)
+            length = st.just(0.0) | st.floats(0.0, extent)
         x1, y1 = draw(coord), draw(coord)
-        boxes.append([x1, y1, x1 + draw(side), y1 + draw(side)])
-    return cfg, sizes, np.asarray(boxes)
+        boxes.append([x1, y1, x1 + draw(length), y1 + draw(length)])
+    return (tuple(sorted(ratios)), width, height), np.asarray(boxes)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(anchor_problems())
 def test_nearest_centre_matches_full_scan(problem):
-    cfg, sizes, gts = problem
-    anchors = generate_anchors(cfg, sizes)
-    fast = best_iou_per_gt(anchors, gts, cfg, sizes)
+    grid, gts = problem
+    anchors = generate_anchors(*grid)
+    fast = best_iou_per_gt(anchors, gts, *grid)
     oracle = brute_force_best_iou(anchors, gts)
     np.testing.assert_allclose(fast, oracle, rtol=0.0, atol=1e-12)
     for threshold in (0.5, 0.7):

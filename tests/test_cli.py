@@ -35,6 +35,18 @@ def test_gen_fixtures_reproducible(tmp_path):
     assert read(f"{a}.pred.json") == read(f"{b}.pred.json")
 
 
+@pytest.mark.parametrize("value", ["nan", "7", "-3", "1.0000001"])
+@pytest.mark.parametrize("option", ["span-probability", "header-probability"])
+def test_gen_fixtures_rejects_probability_outside_unit_interval(tmp_path, capsys, option, value):
+    prefix = str(tmp_path / "fx")
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-fixtures", "-o", prefix, "--tables", "2", f"--{option}", value])
+    assert exc.value.code == 1
+    field = option.replace("-", "_")
+    assert capsys.readouterr().err == f"error: {field}: must lie in [0, 1], got {float(value)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stats_output(fixture_files, capsys, tmp_path):
     gt, _ = fixture_files
     csv_path = str(tmp_path / "hist.csv")
@@ -208,6 +220,38 @@ def test_coco_eval_perfect(fixture_files, capsys):
     out = capsys.readouterr().out
     assert "AP = 1.0000" in out
     assert "AP50 = 1.0000" in out
+
+
+def test_coco_eval_names_the_first_detection_without_a_score(fixture_files, capsys, tmp_path):
+    gt, pred = fixture_files
+    data = json.loads(read(pred))
+    del data["images"][2]["instances"][4]["score"]
+    del data["images"][4]["instances"][0]["score"]
+    unscored = tmp_path / "unscored.json"
+    unscored.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["coco-eval", str(unscored), gt])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SchemaError: $.images[2].instances[4]: prediction without confidence\n"
+
+
+@pytest.mark.parametrize("which", ["predictions", "ground truth"])
+def test_coco_eval_rejects_an_image_whose_area_overflows(fixture_files, capsys, tmp_path, which):
+    gt, pred = fixture_files
+    path = pred if which == "predictions" else gt
+    data = json.loads(read(path))
+    data["images"][1]["width"] = 1e308
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(data))
+    argv = ["coco-eval", str(huge), gt] if which == "predictions" else ["coco-eval", pred, str(huge)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: SchemaError: $.images[1]: image area 1e+308 x {data['images'][1]['height']!r} overflows\n"
 
 
 def test_encode_decode_round_trip(fixture_files, tmp_path):

@@ -412,8 +412,10 @@ def test_non_utf8_bytes_rejected_with_path_and_byte_offset(tmp_path, loader, bad
 
 
 def test_unsupported_schema_version(tmp_path):
-    with pytest.raises(SchemaError, match="schema_version"):
-        load_ground_truth(write(tmp_path, base_file(schema_version=2)))
+    # 1.0 and true equal 1 in Python, but only the integer is version 1
+    for version in (2, 1.0, True):
+        with pytest.raises(SchemaError, match=re.escape(f"$.schema_version: unsupported version {version!r}")):
+            load_ground_truth(write(tmp_path, base_file(schema_version=version)))
 
 
 def test_duplicate_image_ids_rejected(tmp_path):
@@ -450,6 +452,22 @@ def test_wrong_json_type_rejected_with_path(tmp_path, field_path, value, loader)
         image[field_path] = value
     with pytest.raises(SchemaError, match=re.escape(f"$.images[0].{field_path}:")):
         loader(write(tmp_path, data))
+
+
+@pytest.mark.parametrize("width,height", [(1e308, 50.0), (1e160, 1e160), (1e308, 1.0), (9e307, 1.0)])
+def test_image_area_overflow_rejected(tmp_path, width, height):
+    data = base_file()
+    data["images"][0].update(width=width, height=height)
+    with pytest.raises(SchemaError, match=re.escape("$.images[0]: image area")):
+        load_detections(write(tmp_path, data))
+
+
+def test_largest_image_without_overflow_loads(tmp_path):
+    data = base_file()
+    data["images"][0].update(width=8e307, height=1.0)
+    data["images"][0]["instances"][0]["bbox"] = [0.0, 0.0, 8e307, 1.0]
+    (image,) = load_ground_truth(write(tmp_path, data)).images
+    assert image.instances[0].box.area == 8e307
 
 
 def test_inverted_bbox_rejected(tmp_path):

@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from oracles import SizeBucket, classify_size
 
 from tsrkit.anchors import dataset_stats, fold_ratio
-from tsrkit.geometry import BBox, iou
+from tsrkit.geometry import BBox, iou, iou_array
 from tsrkit.labels import AnnotationSet, ComponentClass, ComponentInstance, LabelMode
 
 
@@ -76,6 +77,28 @@ def test_iou_properties_randomized():
         assert shifted == pytest.approx(v, abs=1e-9)
         if a.area > 0:
             assert iou(a, a) == 1.0
+
+
+def test_iou_array_equals_iou_float_for_float():
+    rng = random.Random(7)
+    boxes = [random_box(rng) for _ in range(30)] + [random_box(rng, span=3.0) for _ in range(20)]
+    for _ in range(20):  # integer corners: touching, nested and identical boxes
+        x1, y1 = rng.randint(0, 4), rng.randint(0, 4)
+        boxes.append(BBox(x1, y1, x1 + rng.randint(0, 4), y1 + rng.randint(0, 4)))
+    boxes += [
+        BBox(0, 0, 4, 4),
+        BBox(4, 0, 8, 4),  # touches the first along x
+        BBox(4, 4, 9, 9),  # ... at a corner
+        BBox(1, 1, 3, 3),  # nested in the first
+        BBox(2, 2, 2, 2),  # zero area, inside the first
+        BBox(2, 2, 2, 2),  # ... and identical to it
+        BBox(1, 0, 1, 6),  # zero width
+    ]
+    arr = np.asarray(boxes, dtype=np.float64)
+    got = iou_array(arr[:, None], arr[None])
+    assert [[repr(float(v)) for v in row] for row in got] == [
+        [repr(iou(a, b)) for b in boxes] for a in boxes
+    ]
 
 
 @pytest.mark.parametrize(
