@@ -193,7 +193,9 @@ def cmd_coco_eval(args) -> int:
         for i, image in enumerate(formats.load_detections(args.predictions).images):
             for j, inst in enumerate(image.instances):
                 if inst.score is None:
-                    raise SchemaError(f"$.images[{i}].instances[{j}]: prediction without confidence") from None
+                    raise SchemaError(
+                        f"{args.predictions}: $.images[{i}].instances[{j}]: prediction without confidence"
+                    ) from None
         raise
     for line in report.format_lines():
         print(line)

@@ -20,11 +20,12 @@ class EmptyStructureError(TsrkitError):
 class HtmlParseError(TsrkitError):
     """Table HTML fragment rejected by the structure grammar.
 
-    ``offset`` is the byte offset of the offending token in the input.
+    ``offset`` is the character offset of the offending token in the input:
+    an index into the ``str``, not a count of its UTF-8 bytes.
     """
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte {offset})")
+        super().__init__(f"{message} (at character {offset})")
         self.offset = offset
 
 

@@ -305,6 +305,14 @@ def _load(path: str, is_ground_truth: bool) -> CorpusFile:
         raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return _corpus_file(raw, is_ground_truth)
+    except SchemaError as exc:
+        # a command may read two corpus files; the message names which one
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _corpus_file(raw, is_ground_truth: bool) -> CorpusFile:
     if not isinstance(raw, dict):
         raise SchemaError("$: top level must be an object")
     version = raw.get("schema_version")

@@ -62,18 +62,28 @@ def _flatten(root: TableTree, interner: dict):
     return lmld, labels, keyroots
 
 
+def _distance_and_sizes(a: TableTree, b: TableTree) -> tuple[float, int, int]:
+    """The edit distance from ``a`` to ``b`` and the node counts of both, from one flattening."""
+    interner: dict = {}
+    flat_a = _flatten(a, interner)
+    flat_b = _flatten(b, interner)
+    flat = (*flat_a, *flat_b)
+    if backend_name() == "compiled":
+        distance = _speedup.tree_distance(*(np.ascontiguousarray(seq, dtype=np.int64) for seq in flat))
+    else:
+        distance = _ted_py.tree_distance(*flat)
+    return distance, len(flat_a[1]), len(flat_b[1])
+
+
 def tree_edit_distance(a: TableTree, b: TableTree) -> float:
     """Minimal unit-cost edit distance transforming ``a`` into ``b`` (ordered-tree semantics)."""
-    interner: dict = {}
-    flat = (*_flatten(a, interner), *_flatten(b, interner))
-    if backend_name() == "compiled":
-        return _speedup.tree_distance(*(np.ascontiguousarray(seq, dtype=np.int64) for seq in flat))
-    return _ted_py.tree_distance(*flat)
+    return _distance_and_sizes(a, b)[0]
 
 
 def teds(a: TableTree, b: TableTree) -> float:
     """Similarity 1 - distance / max(|a|, |b|), clamped into [0, 1]."""
-    value = 1.0 - tree_edit_distance(a, b) / max(a.size(), b.size())
+    distance, size_a, size_b = _distance_and_sizes(a, b)
+    value = 1.0 - distance / max(size_a, size_b)
     return min(1.0, max(0.0, value))
 
 

@@ -4,18 +4,24 @@ The grammar covers exactly the tags that carry structure: table, thead,
 tbody, tr, td (th is accepted and normalized to td). Everything inside a td
 is content and is discarded. Span attributes must be positive integers in
 ASCII digits, at most 1000 for colspan and 65534 for rowspan (the WHATWG
-HTML limits). Parse errors report the byte offset of the offending token.
+HTML limits). Parse errors report the character offset of the offending
+token (an index into the ``str``, not a UTF-8 byte count).
 
-Tokenizing is one regex: ``finditer`` finds each ``<`` and takes the tag up
-to the first ``>``, skipping the text between tags; a second regex reads
-the attributes one at a time. A single generator decodes every tag in
-order, cell content included, and the structure loop and the cell-content
-loop both consume it. Whitespace in these patterns is exactly what
-``str.isspace`` accepts, the same set ``str.strip`` removes.
+Tokenizing is one ``findall``: each tag runs from a ``<`` to the first
+``>``, and the text between tags is never matched. Each distinct tag text
+is decoded once into immutable values (name, closing flag, spans, or why
+the tag or its spans are bad) and memoized, so a fragment costs one lookup
+per tag. The structure loop and the cell-content loop walk the decoded
+list by index and raise a decoded reason only when they reach its tag, so
+an earlier structural error still comes first. Offsets are computed only
+for an error, by finding the failing tag again. Whitespace in these
+patterns is exactly what ``str.isspace`` accepts, the same set
+``str.strip`` removes.
 """
-
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -31,7 +37,7 @@ _ALLOWED_CHILDREN = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class TableTree:
     """One node of the structure tree; the root node stands for the whole tree."""
 
@@ -60,8 +66,11 @@ class TableTree:
         return f"<{self.tag}{attrs}>{inner}</{self.tag}>"
 
 
-# A tag runs from "<" to the first ">": the "/" of a closing tag, the name,
-# the attribute text and the ">" itself, empty when the fragment ends first.
+# A tag runs from "<" to the first ">", or to the end of the fragment when
+# no ">" follows; text between tags is never matched.
+_TAG_TEXT = re.compile(r"<[^>]*>?")
+# One tag's text: the "/" of a closing tag, the name, the attribute text and
+# the ">" itself, empty when the fragment ends first.
 _TAG = re.compile(r"<\s*(/?)\s*([^\s>]*)([^>]*)(>?)")
 # One attribute: its key, then after "=" a quoted or bare value. The group
 # that matched last says which; "key" alone means there was no "=", and
@@ -72,62 +81,81 @@ _ATTR = re.compile(
     re.VERBOSE,
 )
 
-
-def _tags(text: str):
-    """Yield (name, closing, attributes, start, end) for each tag in ``text``.
-
-    Text between tags is skipped. Every tag is decoded, so a malformed tag
-    raises at its offset wherever it stands.
-    """
-    for tag in _TAG.finditer(text):
-        slash, name, body, closed = tag.groups()
-        start = tag.start()
-        if not closed:
-            raise HtmlParseError("unterminated tag", start)
-        body = body.strip()
-        if (body or name or slash).endswith("/"):
-            raise HtmlParseError("self-closing tags are not part of the table grammar", start)
-        if not name:
-            raise HtmlParseError("empty tag", start)
-        name = name.lower()
-        if slash and body:
-            raise HtmlParseError(f"attributes on closing tag </{name}>", start)
-        attrs: dict[str, str] = {}
-        pos = 0
-        while pos < len(body):
-            attr = _ATTR.match(body, pos)
-            key = attr["key"].lower()
-            if attr.lastgroup == "key":
-                raise HtmlParseError(f"attribute {key!r} without value", start)
-            if attr.lastgroup == "unclosed":
-                raise HtmlParseError(f"unterminated value for attribute {key!r}", start)
-            attrs[key] = attr[attr.lastgroup]
-            pos = attr.end()
-        yield name, bool(slash), attrs, start, tag.end()
-
-
 # int() alone would also take "_" separators and non-ASCII digits
 _SPAN_VALUE = re.compile(r"\s*[+-]?[0-9]+\s*")
 # the WHATWG HTML limits for td/th spans
 _SPAN_LIMITS = {"colspan": 1000, "rowspan": 65534}
+# what a cell's content may not hold: cells, structure tags, malformed tags
+_NOT_IN_CELL = ("td", "th", *_ALLOWED_CHILDREN, None)
 
 
-def _span_value(attrs: dict[str, str], key: str, offset: int) -> int:
+def _span_value(attrs: dict[str, str], key: str) -> int | str:
+    """The span ``key`` sets, 1 when absent, or why its value is rejected."""
     raw = attrs.get(key)
     if raw is None:
         return 1
     if _SPAN_VALUE.fullmatch(raw) is None:
-        raise HtmlParseError(f"non-integer {key} value {raw!r}", offset)
+        return f"non-integer {key} value {raw!r}"
     limit = _SPAN_LIMITS[key]
     try:
         value = int(raw)
     except ValueError:  # int() converts at most 4300 digits
-        raise HtmlParseError(f"{key} value of {len(raw)} characters exceeds {limit}", offset)
+        return f"{key} value of {len(raw)} characters exceeds {limit}"
     if value < 1:
-        raise HtmlParseError(f"{key} value {value} < 1", offset)
+        return f"{key} value {value} < 1"
     if value > limit:
-        raise HtmlParseError(f"{key} value {value} exceeds {limit}", offset)
+        return f"{key} value {value} exceeds {limit}"
     return value
+
+
+@functools.lru_cache(maxsize=512)
+def _decode(tag: str) -> tuple:
+    """(name, closing, colspan, rowspan, error) of one tag's text.
+
+    A malformed tag has name None and says why in ``error``. A td or th
+    opening tag with a bad span has its name and the span's reason in
+    ``error``; every other tag has spans 1 and no error. The tuple holds
+    only immutable values, so one decoding serves every occurrence of the
+    same text.
+    """
+    slash, name, body, closed = _TAG.match(tag).groups()
+    if not closed:
+        return None, False, 1, 1, "unterminated tag"
+    body = body.strip()
+    if (body or name or slash).endswith("/"):
+        return None, False, 1, 1, "self-closing tags are not part of the table grammar"
+    if not name:
+        return None, False, 1, 1, "empty tag"
+    name = name.lower()
+    if slash:
+        if body:
+            return None, False, 1, 1, f"attributes on closing tag </{name}>"
+        return name, True, 1, 1, None
+    attrs: dict[str, str] = {}
+    pos = 0
+    while pos < len(body):
+        attr = _ATTR.match(body, pos)
+        key = attr["key"].lower()
+        if attr.lastgroup == "key":
+            return None, False, 1, 1, f"attribute {key!r} without value"
+        if attr.lastgroup == "unclosed":
+            return None, False, 1, 1, f"unterminated value for attribute {key!r}"
+        attrs[key] = attr[attr.lastgroup]
+        pos = attr.end()
+    if name not in ("td", "th"):
+        return name, False, 1, 1, None
+    colspan = _span_value(attrs, "colspan")
+    if type(colspan) is str:
+        return name, False, 1, 1, colspan
+    rowspan = _span_value(attrs, "rowspan")
+    if type(rowspan) is str:
+        return name, False, 1, 1, rowspan
+    return name, False, colspan, rowspan, None
+
+
+def _tag_start(fragment: str, k: int) -> int:
+    """Character offset of the ``k``-th tag (from 0) of ``fragment``; errors only need it."""
+    return next(itertools.islice(_TAG_TEXT.finditer(fragment), k, None)).start()
 
 
 def parse_table_html(fragment: str) -> TableTree:
@@ -135,59 +163,67 @@ def parse_table_html(fragment: str) -> TableTree:
 
     th cells are normalized to td. Text and unknown tags inside cells are
     dropped. Structural violations (unbalanced tags, td outside tr, bad span
-    values) raise HtmlParseError with the byte offset.
+    values) raise HtmlParseError with the character offset.
     """
-    tags = _tags(fragment)
-    first = next(tags, None)
-    if first is None:
+    tags = _TAG_TEXT.findall(fragment)
+    if not tags:
         raise HtmlParseError("expected a tag", len(fragment))
-    name, closing, _, offset, _ = first
+    decoded = list(map(_decode, tags))
+    name, closing, _, _, error = decoded[0]
+    if name is None:
+        raise HtmlParseError(error, _tag_start(fragment, 0))
     if closing or name != "table":
-        raise HtmlParseError("fragment must start with <table>", offset)
-    root = TableTree("table")
+        raise HtmlParseError("fragment must start with <table>", _tag_start(fragment, 0))
+    root = TableTree("table", 1, 1, [])
     stack: list[TableTree] = [root]
+    parent = root
 
-    for name, closing, attrs, offset, end in tags:
-        normalized = "td" if name == "th" else name
-        parent = stack[-1]
+    positions = iter(range(1, len(decoded)))
+    for k in positions:
+        name, closing, colspan, rowspan, error = decoded[k]
         if closing:
-            if normalized != parent.tag:
-                raise HtmlParseError(f"</{name}> does not match open <{parent.tag}>", offset)
+            # parent is never a cell, so </td> and </th> both fail here
+            if name != parent.tag:
+                raise HtmlParseError(f"</{name}> does not match open <{parent.tag}>", _tag_start(fragment, k))
             stack.pop()
             if not stack:
                 break
-        elif normalized not in _ALLOWED_CHILDREN:
-            raise HtmlParseError(f"unexpected tag <{name}>", offset)
-        elif normalized not in _ALLOWED_CHILDREN[parent.tag]:
-            raise HtmlParseError(f"<{normalized}> not allowed inside <{parent.tag}>", offset)
-        elif normalized == "td":
-            parent.children.append(
-                TableTree(
-                    "td",
-                    colspan=_span_value(attrs, "colspan", offset),
-                    rowspan=_span_value(attrs, "rowspan", offset),
-                )
-            )
+            parent = stack[-1]
+            continue
+        normalized = "td" if name == "th" else name
+        if normalized not in _ALLOWED_CHILDREN[parent.tag]:
+            if name is None:
+                raise HtmlParseError(error, _tag_start(fragment, k))
+            if normalized not in _ALLOWED_CHILDREN:
+                raise HtmlParseError(f"unexpected tag <{name}>", _tag_start(fragment, k))
+            raise HtmlParseError(f"<{normalized}> not allowed inside <{parent.tag}>", _tag_start(fragment, k))
+        if normalized == "td":
+            if error is not None:
+                raise HtmlParseError(error, _tag_start(fragment, k))
+            parent.children.append(TableTree("td", colspan, rowspan, []))
             # cell content up to the matching closing tag; unknown tags are
             # dropped without balance checks, structure tags are rejected
-            for inner, inner_closing, _, inner_offset, _ in tags:
+            for j in positions:
+                inner, inner_closing, _, _, error = decoded[j]
                 if inner == name and inner_closing:
                     break
-                if inner in ("td", "th"):
-                    raise HtmlParseError("nested table cell", inner_offset)
-                if inner in _ALLOWED_CHILDREN:
-                    raise HtmlParseError(f"structure tag <{inner}> inside a cell", inner_offset)
+                if inner in _NOT_IN_CELL:
+                    if inner is None:
+                        raise HtmlParseError(error, _tag_start(fragment, j))
+                    if inner in ("td", "th"):
+                        raise HtmlParseError("nested table cell", _tag_start(fragment, j))
+                    raise HtmlParseError(f"structure tag <{inner}> inside a cell", _tag_start(fragment, j))
             else:
-                raise HtmlParseError(f"<{name}> never closed", offset)
+                raise HtmlParseError(f"<{name}> never closed", _tag_start(fragment, k))
         else:
-            node = TableTree(normalized)
+            node = TableTree(normalized, 1, 1, [])
             parent.children.append(node)
             stack.append(node)
+            parent = node
     else:
         raise HtmlParseError(f"<{stack[-1].tag}> never closed", len(fragment))
 
     # only the next "<" matters here; the tag it opens is not decoded
-    trailing = fragment.find("<", end)
-    if trailing >= 0:
-        raise HtmlParseError("content after </table>", trailing)
+    if k + 1 < len(tags):
+        raise HtmlParseError("content after </table>", _tag_start(fragment, k + 1))
     return root

@@ -254,6 +254,9 @@ def _check_image(corpus_path, instances, label_mode, is_ground_truth):
     expected = _logged(lambda: [
         reference_parse_instance(raw, 100.0, 50.0, label_mode, is_ground_truth, 0, i) for i, raw in enumerate(raws)
     ])
+    (outcome, message), log = expected
+    if outcome == "error":  # the loader names the file before the reference parser's message
+        expected = (outcome, f"{corpus_path}: {message}"), log
     assert _logged(lambda: loader(corpus_path).images[0].instances) == expected
     bulk = _instances_in_bulk(raws, 100.0, 50.0, label_mode, is_ground_truth)
     if bulk is not None:  # the bulk check only answers for an image that loads as it stands

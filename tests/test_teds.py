@@ -18,6 +18,7 @@ from tsrkit.teds import (
 )
 from tsrkit.teds import _ted_py
 from tsrkit.teds.distance import _flatten
+from tsrkit.teds.tree import _decode
 
 MINIMAL = "<table><tbody><tr><td></td></tr></tbody></table>"
 
@@ -103,6 +104,14 @@ def test_parse_error_carries_offset():
     assert err.value.offset == fragment.index("<banner>")
 
 
+def test_parse_error_offset_counts_characters():
+    # the <p> starts at character 8 and at UTF-8 byte 9
+    with pytest.raises(HtmlParseError) as err:
+        parse_table_html("<table>\u00e9<p>")
+    assert err.value.offset == 8
+    assert str(err.value) == "unexpected tag <p> (at character 8)"
+
+
 def test_parse_ignores_cell_content_and_whitespace():
     fragment = """<table>
         <tbody>
@@ -162,6 +171,7 @@ _FRAGMENTS = (
     "<tbody>", "</tbody>", "<tr>", "</tr>", "<td>", "</td>", "<th>", "</th>",
     "<td", "</", "<b>", "</b>", "<br/>", "< >", "<td colspan='2'>",
     "<td rowspan=' 3 '>", '<td colspan="2">', "<td colspan=2>",
+    '<td title="a<b">', "<td <b>", "\u00e9",
 )
 _FIXTURE_TABLES = [
     image.html
@@ -201,6 +211,22 @@ def test_parse_matches_reference_scanner(text):
     """Any text gives a tree or an HtmlParseError, the scanner's tree or its message and offset."""
     expected = _parse_outcome(reference_parse_table_html, text)
     assert _parse_outcome(parse_table_html, text) == expected
+
+
+def test_parse_repeated_malformed_tag_reports_each_offset():
+    """One tag text decodes once, but each fragment's error carries its own offset."""
+    bad = '<td colspan="2>'
+    first = f"<table><tbody><tr>{bad}</td></tr></tbody></table>"
+    second = f"<table><thead><tr><td></td></tr></thead><tbody><tr>{bad}</td></tr></tbody></table>"
+    for fragment in (first, second, first):
+        with pytest.raises(HtmlParseError) as err:
+            parse_table_html(fragment)
+        assert err.value.offset == fragment.index(bad)
+        assert str(err.value) == f"unterminated value for attribute 'colspan' (at character {err.value.offset})"
+
+
+def test_parse_tag_memo_is_bounded():
+    assert _decode.cache_info().maxsize is not None
 
 
 # --------------------------------------------------------------- distance
