@@ -23,14 +23,12 @@ from .reconstruct import build_grid, grid_to_html
 from .teds import corpus_teds
 
 
-def _fail(message: str, code: int = 1):
+def _fail(message: str):
     print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(code)
+    raise SystemExit(1)
 
 
-def _load_multi_label_sets(path: str, is_ground_truth: bool) -> list[AnnotationSet]:
-    loader = formats.load_ground_truth if is_ground_truth else formats.load_detections
-    corpus = loader(path)
+def _multi_label_sets(corpus: formats.CorpusFile) -> list[AnnotationSet]:
     sets = corpus.annotation_sets()
     if corpus.label_mode is LabelMode.SINGLE:
         sets = [decode_pseudo(ann) for ann in sets]
@@ -128,7 +126,7 @@ def cmd_decode_labels(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    sets = _load_multi_label_sets(args.predictions, is_ground_truth=False)
+    sets = _multi_label_sets(formats.load_detections(args.predictions))
     os.makedirs(args.output, exist_ok=True)
     failures = []
     for ann in sets:
@@ -181,8 +179,9 @@ def cmd_teds(args) -> int:
 
 
 def cmd_coco_eval(args) -> int:
-    preds = _load_multi_label_sets(args.predictions, is_ground_truth=False)
-    gts = _load_multi_label_sets(args.ground_truth, is_ground_truth=True)
+    predictions = formats.load_detections(args.predictions)
+    preds = _multi_label_sets(predictions)
+    gts = _multi_label_sets(formats.load_ground_truth(args.ground_truth))
     try:
         report = evaluate_corpus(
             {ann.image_id: list(ann.instances) for ann in preds},
@@ -190,7 +189,7 @@ def cmd_coco_eval(args) -> int:
         )
     except ValueError:
         # The check names no detection; the file's first one without a score is the cause.
-        for i, image in enumerate(formats.load_detections(args.predictions).images):
+        for i, image in enumerate(predictions.images):
             for j, inst in enumerate(image.instances):
                 if inst.score is None:
                     raise SchemaError(

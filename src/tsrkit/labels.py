@@ -124,20 +124,20 @@ class AnnotationSet:
         return {(inst.box.as_tuple(), inst.cls) for inst in self.instances}
 
 
-def boxes_match(a: BBox, b: BBox, tolerance: float) -> bool:
-    """True when all four coordinates differ by at most ``tolerance`` px."""
+def boxes_match(a: BBox, b: BBox) -> bool:
+    """True when all four coordinates differ by at most ``BOX_MATCH_TOLERANCE`` px."""
     return (
-        abs(a.x1 - b.x1) <= tolerance
-        and abs(a.y1 - b.y1) <= tolerance
-        and abs(a.x2 - b.x2) <= tolerance
-        and abs(a.y2 - b.y2) <= tolerance
+        abs(a.x1 - b.x1) <= BOX_MATCH_TOLERANCE
+        and abs(a.y1 - b.y1) <= BOX_MATCH_TOLERANCE
+        and abs(a.x2 - b.x2) <= BOX_MATCH_TOLERANCE
+        and abs(a.y2 - b.y2) <= BOX_MATCH_TOLERANCE
     )
 
 
 def _check_single_label_invariants(instances, image_id: str):
     for i, a in enumerate(instances):
         for b in instances[i + 1 :]:
-            if a.cls != b.cls and boxes_match(a.box, b.box, BOX_MATCH_TOLERANCE):
+            if a.cls != b.cls and boxes_match(a.box, b.box):
                 raise LabelConsistencyError(
                     f"{image_id}: distinct classes {a.cls.name} and {b.cls.name} share box "
                     f"{a.box.as_tuple()} after pseudo-class encoding"
@@ -174,7 +174,7 @@ def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
     for i, a in enumerate(instances):
         sharers = {a.cls}
         for j, b in enumerate(instances):
-            if i != j and b.cls != a.cls and boxes_match(a.box, b.box, BOX_MATCH_TOLERANCE):
+            if i != j and b.cls != a.cls and boxes_match(a.box, b.box):
                 sharers.add(b.cls)
         if len(sharers) > 2:
             names = ", ".join(sorted(c.name for c in sharers))
@@ -191,7 +191,7 @@ def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
     for idx, inst in enumerate(instances):
         if inst.cls != ComponentClass.ROW:
             continue
-        matches = [j for j in partners if boxes_match(inst.box, instances[j].box, BOX_MATCH_TOLERANCE)]
+        matches = [j for j in partners if boxes_match(inst.box, instances[j].box)]
         if not matches:
             continue
         free = next((j for j in matches if j not in row_of), None)

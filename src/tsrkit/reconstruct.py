@@ -1,29 +1,25 @@
 """Rule-based post-processing: detected components to a logical grid to HTML.
 
 The lattice comes from Row and Column boxes (rows sorted by top edge, columns
-by left edge). Spanning Cells absorb grid cells they overlap sufficiently and
-the absorbed set is rectangularized. Column Header boxes mark header rows by
-row-center containment; a Projected Row Header collapses its matching row
-into one full-width cell. The grid becomes the structure tree TEDS scores;
-its HTML is structure-only: lowercase tags, double-quoted span attributes,
-no whitespace, no text.
+by left edge). Column Header boxes mark header rows by row-center
+containment; a Projected Row Header collapses its matching row into one
+full-width cell. A Spanning Cell covers the rectangle around the grid cells
+it overlaps sufficiently. One placement rule, ``_claim``, decides where such
+a merge may go: inside the grid, on one side of the header/body boundary,
+and on cells no projected row or earlier merge owns. ``TableGrid`` rejects a
+merge that breaks it; ``build_grid`` skips that span, and a span covering a
+single cell. The grid becomes the structure tree TEDS scores; its HTML is
+structure-only: lowercase tags, double-quoted span attributes, no
+whitespace, no text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
 
 from .errors import EmptyStructureError, LabelModeError
 from .geometry import BBox, intersection_area, iou
-from .labels import (
-    BOX_MATCH_TOLERANCE,
-    AnnotationSet,
-    ComponentClass,
-    ComponentInstance,
-    LabelMode,
-    boxes_match,
-)
+from .labels import AnnotationSet, ComponentClass, LabelMode, boxes_match
 from .teds.tree import TableTree
 
 
@@ -38,13 +34,27 @@ class MergedCell:
         if self.row_span < 1 or self.col_span < 1:
             raise ValueError(f"merge spans must be >= 1: {self}")
 
-    @property
-    def rows(self) -> range:
-        return range(self.row_start, self.row_start + self.row_span)
 
-    @property
-    def cols(self) -> range:
-        return range(self.col_start, self.col_start + self.col_span)
+def _owner_matrix(n_rows: int, n_cols: int, projected_rows) -> list[list[tuple[int, int] | None]]:
+    """Anchor of each grid position's claimed cell, None while unclaimed; projected rows start claimed."""
+    return [[(r, 0)] * n_cols if r in projected_rows else [None] * n_cols for r in range(n_rows)]
+
+
+def _claim(owner: list[list[tuple[int, int] | None]], merge: MergedCell, header_rows) -> str | None:
+    """Claim ``merge``'s cells for its anchor, or claim nothing and return why it cannot go there."""
+    r0, c0 = merge.row_start, merge.col_start
+    r1, c1 = r0 + merge.row_span, c0 + merge.col_span
+    if r0 < 0 or c0 < 0 or r1 > len(owner) or c1 > len(owner[0]):
+        return f"merge {merge} exceeds grid bounds"
+    if len({r in header_rows for r in range(r0, r1)}) > 1:
+        return f"merge {merge} crosses the header/body boundary"
+    for r in range(r0, r1):
+        for c in range(c0, c1):
+            if owner[r][c] is not None:
+                return f"cell ({r},{c}) claimed twice"
+    for r in range(r0, r1):
+        owner[r][c0:c1] = [(r0, c0)] * (c1 - c0)
+    return None
 
 
 @dataclass(frozen=True)
@@ -56,45 +66,28 @@ class TableGrid:
     merges: tuple[MergedCell, ...] = ()
     header_rows: frozenset[int] = frozenset()
     projected_rows: frozenset[int] = frozenset()
+    _anchors: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "merges", tuple(self.merges))
         object.__setattr__(self, "header_rows", frozenset(self.header_rows))
         object.__setattr__(self, "projected_rows", frozenset(self.projected_rows))
-        self._validate()
-
-    def _validate(self):
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("grid needs at least one row and one column")
         for r in self.header_rows | self.projected_rows:
             if not 0 <= r < self.n_rows:
                 raise ValueError(f"row index {r} outside grid")
-        owner = [[None] * self.n_cols for _ in range(self.n_rows)]
-        for r in self.projected_rows:
-            for c in range(self.n_cols):
-                owner[r][c] = ("projected", r)
+        owner = _owner_matrix(self.n_rows, self.n_cols, self.projected_rows)
         for m in self.merges:
-            if m.row_start + m.row_span > self.n_rows or m.col_start + m.col_span > self.n_cols:
-                raise ValueError(f"merge {m} exceeds grid bounds")
-            header_overlap = [r in self.header_rows for r in m.rows]
-            if any(header_overlap) and not all(header_overlap):
-                raise ValueError(f"merge {m} crosses the header/body boundary")
-            for r in m.rows:
-                for c in m.cols:
-                    if owner[r][c] is not None:
-                        raise ValueError(f"cell ({r},{c}) claimed twice")
-                    owner[r][c] = ("merge", m)
+            reason = _claim(owner, m, self.header_rows)
+            if reason is not None:
+                raise ValueError(reason)
+        anchors = tuple(tuple(a or (r, c) for c, a in enumerate(row)) for r, row in enumerate(owner))
+        object.__setattr__(self, "_anchors", anchors)
 
-    def cell_matrix(self) -> list[list[tuple[int, int]]]:
+    def cell_matrix(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Anchor (row, col) of the logical cell owning each grid position."""
-        anchors = [[(r, c) for c in range(self.n_cols)] for r in range(self.n_rows)]
-        for r in self.projected_rows:
-            anchors[r] = [(r, 0)] * self.n_cols
-        for m in self.merges:
-            for r in m.rows:
-                for c in m.cols:
-                    anchors[r][c] = (m.row_start, m.col_start)
-        return anchors
+        return self._anchors
 
 
 # A detection scored below this is dropped; ground truth carries no score.
@@ -103,25 +96,6 @@ SCORE_THRESHOLD = 0.5
 NMS_IOU = 0.5
 # A Spanning Cell absorbs a grid cell when it covers this fraction of it.
 SPAN_OVERLAP_THRESHOLD = 0.5
-
-
-def _canonical_order(instances: Iterable[ComponentInstance]) -> list[ComponentInstance]:
-    return sorted(
-        instances,
-        key=lambda inst: (
-            int(inst.cls),
-            -(inst.score if inst.score is not None else 1.0),
-            inst.box,
-        ),
-    )
-
-
-def _greedy_nms(instances: list[ComponentInstance]) -> list[ComponentInstance]:
-    kept: list[ComponentInstance] = []
-    for inst in instances:
-        if all(iou(inst.box, k.box) < NMS_IOU for k in kept):
-            kept.append(inst)
-    return kept
 
 
 def build_grid(detections: AnnotationSet) -> TableGrid:
@@ -136,27 +110,27 @@ def build_grid(detections: AnnotationSet) -> TableGrid:
             "(apply decode_pseudo first)"
         )
 
-    survivors = _canonical_order(
-        inst for inst in detections.instances if inst.score is None or inst.score >= SCORE_THRESHOLD
+    survivors = sorted(
+        (inst for inst in detections.instances if inst.score is None or inst.score >= SCORE_THRESHOLD),
+        key=lambda inst: (int(inst.cls), -(inst.score if inst.score is not None else 1.0), inst.box),
     )
-    by_class: dict[ComponentClass, list[ComponentInstance]] = {}
-    for cls in ComponentClass:
-        by_class[cls] = _greedy_nms([i for i in survivors if i.cls == cls])
+    # per class, the boxes greedy NMS keeps, best first
+    kept: dict[ComponentClass, list[BBox]] = {cls: [] for cls in ComponentClass}
+    for inst in survivors:
+        boxes = kept[inst.cls]
+        if all(iou(inst.box, k) < NMS_IOU for k in boxes):
+            boxes.append(inst.box)
 
-    table_box = by_class[ComponentClass.TABLE][0].box if by_class[ComponentClass.TABLE] else None
+    tables = kept[ComponentClass.TABLE]
 
-    def clipped(instances):
-        if table_box is None:
-            return [i.box for i in instances]
-        boxes = []
-        for inst in instances:
-            inter = inst.box.intersect(table_box)
-            if inter is not None and inter.area > 0.0:
-                boxes.append(inter)
-        return boxes
+    def clipped(boxes: list[BBox]) -> list[BBox]:
+        if not tables:
+            return boxes
+        inside = (box.intersect(tables[0]) for box in boxes)
+        return [box for box in inside if box is not None and box.area > 0.0]
 
-    row_boxes = sorted(clipped(by_class[ComponentClass.ROW]), key=lambda b: (b.y1, b.x1))
-    col_boxes = sorted(clipped(by_class[ComponentClass.COLUMN]), key=lambda b: (b.x1, b.y1))
+    row_boxes = sorted(clipped(kept[ComponentClass.ROW]), key=lambda b: (b.y1, b.x1))
+    col_boxes = sorted(clipped(kept[ComponentClass.COLUMN]), key=lambda b: (b.x1, b.y1))
     if not row_boxes or not col_boxes:
         raise EmptyStructureError(
             f"{detections.image_id}: {len(row_boxes)} rows and {len(col_boxes)} columns "
@@ -164,73 +138,51 @@ def build_grid(detections: AnnotationSet) -> TableGrid:
         )
     n_rows, n_cols = len(row_boxes), len(col_boxes)
 
-    projected_rows: set[int] = set()
-    for prh in by_class[ComponentClass.PROJECTED_ROW_HEADER]:
-        for r, row in enumerate(row_boxes):
-            if boxes_match(row, prh.box, BOX_MATCH_TOLERANCE):
-                projected_rows.add(r)
-
-    header_rows: set[int] = set()
-    for r, row in enumerate(row_boxes):
-        cx, cy = row.center
-        if any(h.box.contains_point(cx, cy) for h in by_class[ComponentClass.COLUMN_HEADER]):
-            header_rows.add(r)
-
-    def cell_box(r: int, c: int) -> BBox | None:
-        return row_boxes[r].intersect(col_boxes[c])
+    projected, headers = kept[ComponentClass.PROJECTED_ROW_HEADER], kept[ComponentClass.COLUMN_HEADER]
+    projected_rows = {r for r, row in enumerate(row_boxes) if any(boxes_match(row, p) for p in projected)}
+    header_rows = {
+        r for r, row in enumerate(row_boxes) if any(h.contains_point(*row.center) for h in headers)
+    }
 
     merges: list[MergedCell] = []
-    taken = [[r in projected_rows for _ in range(n_cols)] for r in range(n_rows)]
-    for span in by_class[ComponentClass.SPANNING_CELL]:
-        covered = []
-        for r in range(n_rows):
-            for c in range(n_cols):
-                cell = cell_box(r, c)
-                if cell is None or cell.area <= 0.0:
-                    continue
-                if intersection_area(span.box, cell) / cell.area >= SPAN_OVERLAP_THRESHOLD:
-                    covered.append((r, c))
+    owner = _owner_matrix(n_rows, n_cols, projected_rows)
+    cells = None  # (row, col, box, area) of each grid cell with positive area, built at the first span
+    for span in kept[ComponentClass.SPANNING_CELL]:
+        if cells is None:
+            cells = [
+                (r, c, cell, cell.area)
+                for r, row in enumerate(row_boxes)
+                for c, col in enumerate(col_boxes)
+                if (cell := row.intersect(col)) is not None and cell.area > 0.0
+            ]
+        covered = [
+            (r, c)
+            for r, c, cell, area in cells
+            if intersection_area(span, cell) / area >= SPAN_OVERLAP_THRESHOLD
+        ]
         if not covered:
             continue
-        r0 = min(r for r, _ in covered)
-        r1 = max(r for r, _ in covered)
-        c0 = min(c for _, c in covered)
-        c1 = max(c for _, c in covered)
-        if r0 == r1 and c0 == c1:
-            continue
-        in_header = [r in header_rows for r in range(r0, r1 + 1)]
-        if any(in_header) and not all(in_header):
-            continue
-        if any(taken[r][c] for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)):
-            continue
-        for r in range(r0, r1 + 1):
-            for c in range(c0, c1 + 1):
-                taken[r][c] = True
-        merges.append(MergedCell(r0, c0, r1 - r0 + 1, c1 - c0 + 1))
+        r0, r1 = covered[0][0], covered[-1][0]
+        c0, c1 = min(c for _, c in covered), max(c for _, c in covered)
+        merge = MergedCell(r0, c0, r1 - r0 + 1, c1 - c0 + 1)
+        # a span inside one grid cell merges nothing; one the placement rule rejects is dropped
+        if (r0, c0) != (r1, c1) and _claim(owner, merge, header_rows) is None:
+            merges.append(merge)
 
-    return TableGrid(
-        n_rows=n_rows,
-        n_cols=n_cols,
-        merges=tuple(merges),
-        header_rows=frozenset(header_rows),
-        projected_rows=frozenset(projected_rows),
-    )
+    return TableGrid(n_rows, n_cols, tuple(merges), frozenset(header_rows), frozenset(projected_rows))
 
 
 def grid_to_tree(grid: TableGrid) -> TableTree:
     """Structure tree: thead holds exactly the header rows, tbody the rest."""
-    matrix = grid.cell_matrix()
     spans = {(m.row_start, m.col_start): (m.col_span, m.row_span) for m in grid.merges}
+    spans.update(((r, 0), (grid.n_cols, 1)) for r in grid.projected_rows)
     thead, tbody = TableTree("thead"), TableTree("tbody")
-    for r in range(grid.n_rows):
+    for r, anchors in enumerate(grid.cell_matrix()):
         tr = TableTree("tr")
-        if r in grid.projected_rows:
-            tr.children.append(TableTree("td", colspan=grid.n_cols))
-        else:
-            for c in range(grid.n_cols):
-                if matrix[r][c] == (r, c):
-                    colspan, rowspan = spans.get((r, c), (1, 1))
-                    tr.children.append(TableTree("td", colspan=colspan, rowspan=rowspan))
+        for c, anchor in enumerate(anchors):
+            if anchor == (r, c):
+                colspan, rowspan = spans.get(anchor, (1, 1))
+                tr.children.append(TableTree("td", colspan=colspan, rowspan=rowspan))
         (thead if r in grid.header_rows else tbody).children.append(tr)
     return TableTree("table", children=[thead, tbody] if thead.children else [tbody])
 

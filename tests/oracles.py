@@ -7,8 +7,9 @@ every anchor instead of the nearest one per level and ratio, the corpus AP
 reference is the list-based evaluation with ``geometry.iou``, a greedy loop
 per threshold and its own size buckets, the table-HTML parser reference is
 the character scanner that the regex tokenizer replaced, the instance
-loader reference is the parser that inline checks replaced, and the
-convolution oracle is plain nested loops.
+loader reference is the parser that inline checks replaced, the grid
+reference is ``build_grid`` as it was before merge placement became one rule,
+and the convolution oracle is plain nested loops.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ import random
 import re
 import sys
 from bisect import bisect_left
+from typing import NamedTuple
 
 import numpy as np
 
 from tsrkit.cocoeval import ApReport, MatchConfig
-from tsrkit.errors import CorpusError, HtmlParseError, SchemaError
-from tsrkit.geometry import BBox, iou
+from tsrkit.errors import CorpusError, EmptyStructureError, HtmlParseError, SchemaError
+from tsrkit.geometry import BBox, intersection_area, iou
 from tsrkit.labels import ComponentClass, ComponentInstance, LabelMode
 from tsrkit.teds import TableTree
 
@@ -609,3 +611,155 @@ def reference_parse_instance(raw, width, height, label_mode, is_ground_truth, im
 
     extra = {k: v for k, v in raw.items() if k not in _INSTANCE_FIELDS}
     return ComponentInstance(box, _CLASS_BY_ID[class_id], score, content_box, extra)
+
+
+# ----------------------------------------------------------- grid reference
+# build_grid as it was before merge placement became one rule: one sort and a
+# per-class greedy NMS list, Table clipping, then spans placed under a boolean
+# ``taken`` matrix with skip rules of their own. The grid is then checked by
+# the old ``TableGrid`` validation (an ``owner`` matrix) and rendered through
+# the old cell matrix. Kept as it was, apart from names, inlined helpers and
+# constants, and a plain tuple as the grid.
+
+class ReferenceGrid(NamedTuple):
+    n_rows: int
+    n_cols: int
+    merges: tuple[tuple[int, int, int, int], ...]  # (row, col, row_span, col_span)
+    header_rows: frozenset[int]
+    projected_rows: frozenset[int]
+
+
+def _reference_boxes_match(a: BBox, b: BBox, tolerance: float = 1.0) -> bool:
+    return (
+        abs(a.x1 - b.x1) <= tolerance
+        and abs(a.y1 - b.y1) <= tolerance
+        and abs(a.x2 - b.x2) <= tolerance
+        and abs(a.y2 - b.y2) <= tolerance
+    )
+
+
+def _reference_validate(grid: ReferenceGrid):
+    if grid.n_rows < 1 or grid.n_cols < 1:
+        raise ValueError("grid needs at least one row and one column")
+    for r in grid.header_rows | grid.projected_rows:
+        if not 0 <= r < grid.n_rows:
+            raise ValueError(f"row index {r} outside grid")
+    owner = [[None] * grid.n_cols for _ in range(grid.n_rows)]
+    for r in grid.projected_rows:
+        for c in range(grid.n_cols):
+            owner[r][c] = ("projected", r)
+    for m in grid.merges:
+        r0, c0, rs, cs = m
+        if r0 + rs > grid.n_rows or c0 + cs > grid.n_cols:
+            raise ValueError(f"merge {m} exceeds grid bounds")
+        header_overlap = [r in grid.header_rows for r in range(r0, r0 + rs)]
+        if any(header_overlap) and not all(header_overlap):
+            raise ValueError(f"merge {m} crosses the header/body boundary")
+        for r in range(r0, r0 + rs):
+            for c in range(c0, c0 + cs):
+                if owner[r][c] is not None:
+                    raise ValueError(f"cell ({r},{c}) claimed twice")
+                owner[r][c] = ("merge", m)
+
+
+def reference_build_grid(detections) -> ReferenceGrid:
+    survivors = sorted(
+        (inst for inst in detections.instances if inst.score is None or inst.score >= 0.5),
+        key=lambda inst: (int(inst.cls), -(inst.score if inst.score is not None else 1.0), inst.box),
+    )
+    by_class = {}
+    for cls in ComponentClass:
+        kept = []
+        for inst in (i for i in survivors if i.cls == cls):
+            if all(iou(inst.box, k.box) < 0.5 for k in kept):
+                kept.append(inst)
+        by_class[cls] = kept
+
+    table_box = by_class[ComponentClass.TABLE][0].box if by_class[ComponentClass.TABLE] else None
+
+    def clipped(instances):
+        if table_box is None:
+            return [i.box for i in instances]
+        boxes = []
+        for inst in instances:
+            inter = inst.box.intersect(table_box)
+            if inter is not None and inter.area > 0.0:
+                boxes.append(inter)
+        return boxes
+
+    row_boxes = sorted(clipped(by_class[ComponentClass.ROW]), key=lambda b: (b.y1, b.x1))
+    col_boxes = sorted(clipped(by_class[ComponentClass.COLUMN]), key=lambda b: (b.x1, b.y1))
+    if not row_boxes or not col_boxes:
+        raise EmptyStructureError(
+            f"{detections.image_id}: {len(row_boxes)} rows and {len(col_boxes)} columns "
+            "survive thresholding"
+        )
+    n_rows, n_cols = len(row_boxes), len(col_boxes)
+
+    projected_rows = set()
+    for prh in by_class[ComponentClass.PROJECTED_ROW_HEADER]:
+        for r, row in enumerate(row_boxes):
+            if _reference_boxes_match(row, prh.box):
+                projected_rows.add(r)
+
+    header_rows = set()
+    for r, row in enumerate(row_boxes):
+        cx, cy = row.center
+        if any(h.box.contains_point(cx, cy) for h in by_class[ComponentClass.COLUMN_HEADER]):
+            header_rows.add(r)
+
+    merges = []
+    taken = [[r in projected_rows for _ in range(n_cols)] for r in range(n_rows)]
+    for span in by_class[ComponentClass.SPANNING_CELL]:
+        covered = []
+        for r in range(n_rows):
+            for c in range(n_cols):
+                cell = row_boxes[r].intersect(col_boxes[c])
+                if cell is None or cell.area <= 0.0:
+                    continue
+                if intersection_area(span.box, cell) / cell.area >= 0.5:
+                    covered.append((r, c))
+        if not covered:
+            continue
+        r0 = min(r for r, _ in covered)
+        r1 = max(r for r, _ in covered)
+        c0 = min(c for _, c in covered)
+        c1 = max(c for _, c in covered)
+        if r0 == r1 and c0 == c1:
+            continue
+        in_header = [r in header_rows for r in range(r0, r1 + 1)]
+        if any(in_header) and not all(in_header):
+            continue
+        if any(taken[r][c] for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)):
+            continue
+        for r in range(r0, r1 + 1):
+            for c in range(c0, c1 + 1):
+                taken[r][c] = True
+        merges.append((r0, c0, r1 - r0 + 1, c1 - c0 + 1))
+
+    grid = ReferenceGrid(n_rows, n_cols, tuple(merges), frozenset(header_rows), frozenset(projected_rows))
+    _reference_validate(grid)
+    return grid
+
+
+def reference_grid_html(grid: ReferenceGrid) -> str:
+    anchors = [[(r, c) for c in range(grid.n_cols)] for r in range(grid.n_rows)]
+    for r in grid.projected_rows:
+        anchors[r] = [(r, 0)] * grid.n_cols
+    for r0, c0, rs, cs in grid.merges:
+        for r in range(r0, r0 + rs):
+            for c in range(c0, c0 + cs):
+                anchors[r][c] = (r0, c0)
+    spans = {(r0, c0): (cs, rs) for r0, c0, rs, cs in grid.merges}
+    thead, tbody = TableTree("thead"), TableTree("tbody")
+    for r in range(grid.n_rows):
+        tr = TableTree("tr")
+        if r in grid.projected_rows:
+            tr.children.append(TableTree("td", colspan=grid.n_cols))
+        else:
+            for c in range(grid.n_cols):
+                if anchors[r][c] == (r, c):
+                    colspan, rowspan = spans.get((r, c), (1, 1))
+                    tr.children.append(TableTree("td", colspan=colspan, rowspan=rowspan))
+        (thead if r in grid.header_rows else tbody).children.append(tr)
+    return TableTree("table", children=[thead, tbody] if thead.children else [tbody]).to_html()

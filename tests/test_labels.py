@@ -100,8 +100,8 @@ def test_no_source_uses_the_unchecked_namedtuple_constructors():
 
 def test_boxes_match_tolerance():
     a = BBox(0, 0, 10, 10)
-    assert boxes_match(a, BBox(0.5, -0.5, 10.9, 9.2), 1.0)
-    assert not boxes_match(a, BBox(0, 0, 11.5, 10), 1.0)
+    assert boxes_match(a, BBox(0.5, -0.5, 10.9, 9.2))
+    assert not boxes_match(a, BBox(0, 0, 11.5, 10))
 
 
 def test_encode_row_header_pair_becomes_pseudo():

@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsrkit.errors import EmptyStructureError, LabelModeError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
@@ -14,6 +17,8 @@ from tsrkit.reconstruct import (
     grid_to_tree,
 )
 from tsrkit.teds import parse_table_html, tree_is_complex
+
+from oracles import ReferenceGrid, reference_build_grid, reference_grid_html
 
 
 def inst(cls, x1, y1, x2, y2, score=None):
@@ -220,6 +225,135 @@ def test_build_grid_order_invariant():
             assert build_grid(permuted) == reference
 
 
+def cells_span(r0, c0, r1, c1, score, row_h=20.0, col_w=50.0):
+    """A Spanning Cell over grid cells (r0, c0) to (r1, c1) of a ``lattice``."""
+    x1, y1, x2, y2 = c0 * col_w, r0 * row_h, (c1 + 1) * col_w, (r1 + 1) * row_h
+    return inst(ComponentClass.SPANNING_CELL, x1, y1, x2, y2, score)
+
+
+def test_span_across_header_boundary_skipped():
+    header = inst(ComponentClass.COLUMN_HEADER, 0, 0, 100, 22)
+    crossing = cells_span(0, 0, 1, 0, score=0.9)
+    body = cells_span(1, 0, 2, 0, score=0.8)
+    grid = build_grid(lattice(3, 2, extras=[header, crossing, body]))
+    assert grid.header_rows == frozenset({0})
+    assert grid.merges == (MergedCell(1, 0, 2, 1),)
+
+
+def test_span_overlapping_higher_ranked_span_skipped_and_claims_nothing():
+    first = cells_span(1, 1, 1, 2, score=0.9)
+    # free cells (0,0), (0,1) and (1,0) come before the clash at (1,1)
+    overlapping = cells_span(0, 0, 1, 1, score=0.8)
+    # so a span over the first row is still placed
+    later = cells_span(0, 0, 0, 2, score=0.7)
+    grid = build_grid(lattice(3, 3, extras=[first, overlapping, later]))
+    assert grid.merges == (MergedCell(1, 1, 1, 2), MergedCell(0, 0, 1, 3))
+
+
+def test_span_over_projected_row_skipped():
+    prh = inst(ComponentClass.PROJECTED_ROW_HEADER, 0, 20, 100, 40)
+    span = cells_span(1, 0, 2, 0, score=0.9)
+    grid = build_grid(lattice(3, 2, extras=[prh, span]))
+    assert grid.projected_rows == frozenset({1})
+    assert grid.merges == ()
+
+
+def test_span_over_one_cell_skipped_and_claims_nothing():
+    single = cells_span(0, 0, 0, 0, score=0.9)
+    # IoU with the single-cell span is 0.25, so NMS keeps both
+    later = cells_span(0, 0, 1, 1, score=0.8)
+    grid = build_grid(lattice(2, 2, extras=[single, later]))
+    assert grid.merges == (MergedCell(0, 0, 2, 2),)
+
+
+# ------------------------------------------------- reference and metamorphic
+
+FIXTURE_SETS = generate_fixtures(FixtureSpec(n_tables=24, seed=41, span_probability=0.8))[0].annotation_sets()
+
+SCORES = st.sampled_from((None, 0.3, 0.49, 0.5, 0.5, 0.51, 0.7, 0.9, 1.0))
+JITTER = st.sampled_from((-3.0, -1.0, -0.5, 0.0, 0.0, 0.0, 0.5, 1.0, 3.0)) | st.floats(-4.0, 4.0)
+
+
+def moved(box, dx1, dy1, dx2, dy2):
+    return BBox(box.x1 + dx1, box.y1 + dy1, box.x2 + dx2, box.y2 + dy2)
+
+
+@st.composite
+def noisy_multi_label_sets(draw):
+    """A fixture table's components with jittered boxes, some dropped and
+    scored around the 0.5 cut, plus stray Spanning Cells over rectangles of
+    grid cells (single cells, header crossings, projected rows and overlaps
+    among them) and spurious Column Headers and Projected Row Headers."""
+    ann = draw(st.sampled_from(FIXTURE_SETS))
+    rows = sorted(i.box for i in ann.instances if i.cls is ComponentClass.ROW)
+    cols = sorted(i.box for i in ann.instances if i.cls is ComponentClass.COLUMN)
+    instances = []
+    for item in ann.instances:
+        if draw(st.integers(0, 7)) == 0:
+            continue
+        box = moved(item.box, *(draw(JITTER) for _ in range(4)))
+        instances.append(ComponentInstance(box, item.cls, draw(SCORES)))
+    for _ in range(draw(st.integers(0, 4))):
+        r0, r1 = sorted(draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        c0, c1 = sorted(draw(st.integers(0, len(cols) - 1)) for _ in range(2))
+        inset = draw(st.sampled_from((0.0, 2.0, 4.0)))
+        rect = BBox(cols[c0].x1, rows[r0].y1, cols[c1].x2, rows[r1].y2).inflate(-inset)
+        instances.append(ComponentInstance(rect, ComponentClass.SPANNING_CELL, draw(SCORES)))
+    for _ in range(draw(st.integers(0, 2))):
+        last = draw(st.integers(0, len(rows) - 1))
+        box = BBox(cols[0].x1, rows[0].y1, cols[-1].x2, rows[last].y2 + draw(JITTER))
+        instances.append(ComponentInstance(box, ComponentClass.COLUMN_HEADER, draw(SCORES)))
+    for _ in range(draw(st.integers(0, 2))):
+        near = st.sampled_from((-1.5, -1.0, 0.0, 0.5, 1.0, 1.5))  # around the 1 px match tolerance
+        box = moved(draw(st.sampled_from(rows)), *(draw(near) for _ in range(4)))
+        instances.append(ComponentInstance(box, ComponentClass.PROJECTED_ROW_HEADER, draw(SCORES)))
+    return AnnotationSet(ann.image_id, tuple(draw(st.permutations(instances))), LabelMode.MULTI)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(noisy_multi_label_sets())
+def test_build_grid_matches_reference(ann):
+    try:
+        expected = reference_build_grid(ann)
+    except EmptyStructureError as exc:
+        with pytest.raises(EmptyStructureError, match=re.escape(str(exc))):
+            build_grid(ann)
+        return
+    grid = build_grid(ann)
+    merges = tuple((m.row_start, m.col_start, m.row_span, m.col_span) for m in grid.merges)
+    assert ReferenceGrid(grid.n_rows, grid.n_cols, merges, grid.header_rows, grid.projected_rows) == expected
+    assert grid_to_html(grid) == reference_grid_html(expected)
+
+
+# Each coordinate moves by less than this many px. Two boxes that coincide,
+# a Projected Row Header and its Row, then differ by under 0.5 px, inside the
+# 1 px match tolerance. Fixture boxes are padded by 2 to 3 px, rows are at
+# least 9 px high and columns 18 px wide. So a Spanning Cell covers at most
+# 6 px of a neighbouring cell's 15 or more, a fraction the jitter raises to
+# at most 6.5 / 14.5 < 0.5; and a row centre sits at least 9 / 2 - 3 = 1.5 px
+# from a Column Header edge, against under 0.5 px of joint movement. The
+# bound is below half the match tolerance and half the minimum padding.
+JITTER_BOUND = 0.25
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(FIXTURE_SETS), st.floats(-500.0, 500.0), st.floats(-500.0, 500.0), st.data())
+def test_build_grid_ignores_translation_and_subpixel_jitter(ann, dx, dy, data):
+    jitter = st.floats(-JITTER_BOUND, JITTER_BOUND, exclude_min=True, exclude_max=True)
+    instances = []
+    for item in ann.instances:
+        shift = [data.draw(jitter) for _ in range(4)]
+        box = moved(item.box, dx + shift[0], dy + shift[1], dx + shift[2], dy + shift[3])
+        instances.append(ComponentInstance(box, item.cls))
+    # merges come in span rank order, and ground-truth spans tie on score and
+    # rank by their boxes, which the jitter may reorder
+    def logical(grid):
+        return grid.n_rows, grid.n_cols, set(grid.merges), grid.header_rows, grid.projected_rows
+
+    moved_set = AnnotationSet(ann.image_id, tuple(instances), ann.mode)
+    assert logical(build_grid(moved_set)) == logical(build_grid(ann))
+
+
 # ---------------------------------------------------------------- validation
 
 def test_grid_rejects_overlapping_merges():
@@ -240,6 +374,36 @@ def test_grid_rejects_merge_crossing_header_boundary():
 def test_grid_rejects_merge_on_projected_row():
     with pytest.raises(ValueError):
         TableGrid(3, 2, merges=(MergedCell(1, 0, 1, 2),), projected_rows={1})
+
+
+def test_grid_rejects_merge_with_negative_start():
+    with pytest.raises(ValueError, match="exceeds grid bounds"):
+        TableGrid(2, 2, merges=(MergedCell(-1, 0, 2, 1),))
+
+
+def test_grid_rejection_names_the_first_broken_rule():
+    # outside the grid and across the header boundary
+    with pytest.raises(ValueError, match="exceeds grid bounds"):
+        TableGrid(3, 2, merges=(MergedCell(0, 0, 4, 1),), header_rows={0})
+    # across the header boundary and on a claimed cell
+    with pytest.raises(ValueError, match="crosses the header/body boundary"):
+        TableGrid(3, 2, merges=(MergedCell(0, 0, 1, 2), MergedCell(0, 0, 2, 1)), header_rows={0})
+    # the first claimed cell in reading order
+    with pytest.raises(ValueError, match=re.escape("cell (1,1) claimed twice")):
+        TableGrid(3, 3, merges=(MergedCell(1, 1, 1, 2), MergedCell(0, 0, 2, 2)))
+
+
+def test_cell_matrix_lies_outside_grid_equality():
+    grid = TableGrid(3, 2, merges=(MergedCell(0, 0, 1, 2),), projected_rows={2})
+    assert grid.cell_matrix() == (((0, 0), (0, 0)), ((1, 0), (1, 1)), ((2, 0), (2, 0)))
+    assert grid.cell_matrix() is grid.cell_matrix()
+    twin = TableGrid(3, 2, merges=[MergedCell(0, 0, 1, 2)], projected_rows=[2])
+    assert twin == grid and hash(twin) == hash(grid)
+    assert repr(grid) == (
+        "TableGrid(n_rows=3, n_cols=2, "
+        "merges=(MergedCell(row_start=0, col_start=0, row_span=1, col_span=2),), "
+        "header_rows=frozenset(), projected_rows=frozenset({2}))"
+    )
 
 
 def test_logical_cells_tile_grid():
