@@ -110,7 +110,7 @@ def _transform_labels(args, encode: bool) -> int:
         _fail(f"input must be label_mode={expected.value}")
     transform = encode_pseudo if encode else decode_pseudo
     for image, ann in zip(corpus.images, corpus.annotation_sets()):
-        image.instances = list(transform(ann).instances)
+        image.instances = transform(ann).instances
     corpus.label_mode = LabelMode.SINGLE if encode else LabelMode.MULTI
     formats.save(corpus, args.output)
     print(f"wrote {args.output}")
@@ -184,8 +184,8 @@ def cmd_coco_eval(args) -> int:
     gts = _multi_label_sets(formats.load_ground_truth(args.ground_truth))
     try:
         report = evaluate_corpus(
-            {ann.image_id: list(ann.instances) for ann in preds},
-            {ann.image_id: list(ann.instances) for ann in gts},
+            {ann.image_id: ann.instances for ann in preds},
+            {ann.image_id: ann.instances for ann in gts},
         )
     except ValueError:
         # The check names no detection; the file's first one without a score is the cause.

@@ -35,14 +35,15 @@ The semantics differ from pycocotools' COCOeval in five ways:
 from __future__ import annotations
 
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import CorpusError
 from .geometry import MEDIUM_AREA_LIMIT, SMALL_AREA_LIMIT, area_array, iou_array
-from .labels import ComponentClass, ComponentInstance
+from .labels import ComponentClass, ComponentInstance, Instances
 
 _SIZE_LIMITS = np.array([SMALL_AREA_LIMIT, MEDIUM_AREA_LIMIT])
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
@@ -98,22 +99,15 @@ class ApReport:
         return lines
 
 
-def _boxes(instances: list[ComponentInstance]) -> np.ndarray:
-    coords = chain.from_iterable(inst.box for inst in instances)
-    return np.fromiter(coords, dtype=np.float64, count=4 * len(instances)).reshape(-1, 4)
+def _sizes(boxes: np.ndarray) -> np.ndarray:
+    """Size codes: how many of the ``geometry`` area limits the area reaches, 0 small, 1 medium, 2 large."""
+    return np.searchsorted(_SIZE_LIMITS, area_array(boxes), side="right")
 
 
-def _scores(preds: list[ComponentInstance]) -> np.ndarray:
-    if any(p.score is None for p in preds):
+def _scores(preds: Instances) -> np.ndarray:
+    if np.isnan(preds.scores).any():
         raise ValueError("prediction without confidence")
-    return np.fromiter((p.score for p in preds), dtype=np.float64, count=len(preds))
-
-
-def _classes_and_sizes(instances: list[ComponentInstance], boxes: np.ndarray):
-    """Class values and size codes: how many of the ``geometry`` area limits the area
-    reaches, 0 small, 1 medium, 2 large."""
-    cls = np.fromiter((inst.cls for inst in instances), dtype=np.int8, count=len(instances))
-    return cls, np.searchsorted(_SIZE_LIMITS, area_array(boxes), side="right")
+    return preds.scores
 
 
 def _confidence_order(scores: np.ndarray) -> np.ndarray:
@@ -172,8 +166,8 @@ def _interpolated_ap(tp_flags: np.ndarray, n_ground_truth: int) -> float:
 
 
 def match_detections(
-    preds: list[ComponentInstance],
-    gts: list[ComponentInstance],
+    preds: Sequence[ComponentInstance],
+    gts: Sequence[ComponentInstance],
     iou_threshold: float,
 ) -> list[bool]:
     """TP/FP labels in descending-confidence order (single class, single image).
@@ -181,9 +175,9 @@ def match_detections(
     Each ground truth matches at most one prediction; confidence ties keep
     input order, IoU ties go to the lowest ground-truth index.
     """
-    scores = _scores(preds)
-    order = _confidence_order(scores)
-    ious = iou_array(_boxes(preds)[order][:, None], _boxes(gts)[None])
+    preds, gts = Instances.pack(preds), Instances.pack(gts)
+    order = _confidence_order(_scores(preds))
+    ious = iou_array(preds.boxes[order][:, None], gts.boxes[None])
     tp = bytearray(len(preds))
     _match(ious, True, (iou_threshold,), [bytearray(len(gts))], [tp], np.arange(len(preds)), 0)
     return [bool(flag) for flag in tp]
@@ -210,8 +204,9 @@ def evaluate_corpus(
     gts_by_image: dict,
     cfg: MatchConfig | None = None,
 ) -> ApReport:
-    """Aggregate AP metrics over a corpus of per-image instance lists.
+    """Aggregate AP metrics over a corpus of per-image instance sequences.
 
+    Each sequence is read as ``Instances`` columns; a plain one is packed.
     Classes with no ground truth and no predictions anywhere are excluded
     from every mean; a size bucket nothing falls into reports None.
     """
@@ -225,8 +220,8 @@ def evaluate_corpus(
     # Corpus-wide arrays hold what AP needs, images in id order; boxes and
     # IoUs live one image at a time.
     image_ids = sorted(gts_by_image)
-    gt_lists = [gts_by_image[i] for i in image_ids]
-    pred_lists = [preds_by_image.get(i, []) for i in image_ids]
+    gt_lists = [Instances.pack(gts_by_image[i]) for i in image_ids]
+    pred_lists = [Instances.pack(preds_by_image.get(i, ())) for i in image_ids]
     gt_starts = list(accumulate(map(len, gt_lists), initial=0))
     pred_starts = list(accumulate(map(len, pred_lists), initial=0))
     n_gt, n_pred = gt_starts[-1], pred_starts[-1]
@@ -248,15 +243,13 @@ def evaluate_corpus(
     kept_size = np.ones(n_pred, dtype=bool)  # ... per image, class and bucket
     for k, (gts, preds) in enumerate(zip(gt_lists, pred_lists)):
         g0, g1, p0, p1 = gt_starts[k], gt_starts[k + 1], pred_starts[k], pred_starts[k + 1]
-        g_box = _boxes(gts)
-        g_cls, g_size = gt_cls[g0:g1], gt_size[g0:g1]
-        g_cls[:], g_size[:] = _classes_and_sizes(gts, g_box)
+        g_box, g_cls, g_size = gts.boxes, gts.classes, gt_size[g0:g1]
+        gt_cls[g0:g1], g_size[:] = g_cls, _sizes(g_box)
         if not preds:
             continue
         scores[p0:p1] = _scores(preds)
-        p_box = _boxes(preds)
-        p_cls, p_size = pred_cls[p0:p1], pred_size[p0:p1]
-        p_cls[:], p_size[:] = _classes_and_sizes(preds, p_box)
+        p_box, p_cls, p_size = preds.boxes, preds.classes, pred_size[p0:p1]
+        pred_cls[p0:p1], p_size[:] = p_cls, _sizes(p_box)
         by_confidence = _confidence_order(scores[p0:p1])
         if p1 - p0 > cap:
             kept_all[p0:p1] = _within_cap(p_cls, by_confidence, cap)

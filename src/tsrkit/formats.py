@@ -1,21 +1,25 @@
 """Corpus file schemas: detection and ground-truth records as versioned JSON.
 
-One schema family covers both directions of every pipeline: per-image
-records of ``labels.ComponentInstance``, the one instance type every stage
-uses from file to metric. Ground truth may carry the structure HTML and
-per-instance content extents; detections carry confidences. Out-of-range
-coordinates are clamped into the image with a warning because real
-annotations contain padding-induced excursions. Unknown fields at every
-level survive a load/save round trip untouched; instance-level ones ride in
-``ComponentInstance.extra`` through both label transforms too.
+One schema family covers both directions of every pipeline. Each image
+record holds its instances as one ``labels.Instances``: box, class and score
+columns, with content extents and unknown fields in a side table, from which
+a ``ComponentInstance`` is built only where a caller reads one. Ground truth
+may carry the structure HTML and per-instance content extents; detections
+carry confidences. Out-of-range coordinates are clamped into the image with
+a warning because real annotations contain padding-induced excursions.
+Unknown fields at every level survive a load/save round trip untouched;
+instance-level ones ride in ``ComponentInstance.extra`` through both label
+transforms too.
 
-Each image's instances are checked in bulk first (``_instances_in_bulk``):
-one C-speed pass per field across the image decides whether every instance
-would load as it stands, and then builds every record with
-``tuple.__new__``. Any doubt sends that image to ``_parse_instance``, one
-instance at a time, which raises the first error with its JSON path and
-logs each clamp in order. That path locates errors; it is not a second
-loader, and both give the same records.
+``_columns`` checks each image one field at a time across its instances and
+fills the columns straight from the parsed JSON. It matches types exactly, so
+a boolean or a string never becomes a float, and it accepts an image only if
+every instance would load as it stands. Any doubt, such as an int beyond
+2**53, a box to clamp or an unknown field, sends that image to
+``_parse_instance``, one instance at a time, which raises the first error
+with its JSON path and logs each clamp in order; its records are packed into
+the same columns. That path locates errors; it is not a second loader, and
+both give the same records.
 """
 
 from __future__ import annotations
@@ -26,14 +30,17 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter, le
 
+import numpy as np
+
 from .errors import HtmlParseError, SchemaError
-from .geometry import BBox
-from .labels import AnnotationSet, ComponentClass, ComponentInstance, LabelMode
+from .geometry import BBox, unchecked_bbox
+from .labels import AnnotationSet, ComponentClass, ComponentInstance, Instances, LabelMode
 from .teds import TableTree, parse_table_html
 
 SCHEMA_VERSION = 1
@@ -48,7 +55,7 @@ class ImageRecord:
     image_id: str
     width: float
     height: float
-    instances: list[ComponentInstance] = field(default_factory=list)
+    instances: Sequence[ComponentInstance] = field(default_factory=list)
     html: str | None = None
     extra: dict = field(default_factory=dict)
 
@@ -68,7 +75,7 @@ class CorpusFile:
 
     def annotation_sets(self) -> list[AnnotationSet]:
         return [
-            AnnotationSet(rec.image_id, tuple(rec.instances), self.label_mode)
+            AnnotationSet(rec.image_id, rec.instances, self.label_mode)
             for rec in self.images
         ]
 
@@ -124,7 +131,6 @@ def _clamped_bbox(raw, width: float, height: float, image: int, instance: int, k
 
 
 _INSTANCE_FIELDS = frozenset({"bbox", "class_id", "score", "content_bbox"})
-_CLASS_BY_ID = tuple(ComponentClass)  # indexing skips the enum's value lookup
 _MISSING = object()
 
 
@@ -161,53 +167,45 @@ def _parse_instance(raw, width, height, label_mode, is_ground_truth, image, inst
         content_box = _clamped_bbox(content_raw, width, height, image, instance, "content_bbox")
 
     extra = {} if raw.keys() <= _INSTANCE_FIELDS else {k: v for k, v in raw.items() if k not in _INSTANCE_FIELDS}
-    return ComponentInstance(box, _CLASS_BY_ID[class_id], score, content_box, extra)
+    return ComponentInstance(box, ComponentClass(class_id), score, content_box, extra)
 
 
-# Records built from values that ``_instances_in_bulk`` has checked skip the
-# constructors' checks.
-_new_bbox = partial(tuple.__new__, BBox)
-_new_instance = partial(tuple.__new__, ComponentInstance)
+_EXACT_INT = 2**53  # every int up to this size is exactly a float64
 
 
-def _boxes_in_bulk(raws: tuple, width: float, height: float) -> list[BBox] | None:
-    """A box for each raw bbox, or None unless each is four ordered numbers inside the image."""
+def _box_column(raws: list, width: float, height: float) -> np.ndarray | None:
+    """The raw bboxes as an (N, 4) array, or None unless each is four ordered numbers inside the image."""
     if set(map(type, raws)) != {list} or set(map(len, raws)) != {4}:
         return None
-    x1, y1, x2, y2 = columns = tuple(zip(*raws))
-    types = set(map(type, chain.from_iterable(columns)))
+    flat = list(chain.from_iterable(raws))
+    types = set(map(type, flat))
     # Every type check runs before any comparison: a string must not meet a float.
     if not types.issubset(_NUMBER_TYPES):
         return None
     # Each coordinate meets one operator.le test, which a NaN fails; min and
     # max would skip a NaN after the first value. Ordered boxes are inside
     # the image when the extreme edges are.
-    if not (
-        all(map(le, x1, x2))
-        and all(map(le, y1, y2))
-        and 0.0 <= min(x1)
-        and max(x2) <= width
-        and 0.0 <= min(y1)
-        and max(y2) <= height
-    ):
+    x1, y1, x2, y2 = flat[0::4], flat[1::4], flat[2::4], flat[3::4]
+    if not (all(map(le, x1, x2)) and all(map(le, y1, y2)) and 0.0 <= min(x1) and 0.0 <= min(y1)):
         return None
-    if int in types:
-        raws = zip(*(map(float, column) for column in columns))
-    return list(map(_new_bbox, raws))
+    right, bottom = max(x2), max(y2)
+    if not (right <= width and bottom <= height) or (int in types and max(right, bottom) > _EXACT_INT):
+        return None
+    return np.array(flat, dtype=np.float64).reshape(-1, 4)
 
 
-def _instances_in_bulk(
+def _columns(
     raws: list, width: float, height: float, label_mode: LabelMode, is_ground_truth: bool
-) -> list[ComponentInstance] | None:
-    """Every instance of one image, checked one field at a time across the image.
+) -> Instances | None:
+    """Every instance of one image as columns, checked one field at a time across the image.
 
     Returns None unless ``_parse_instance`` would accept each instance as it
     stands: every instance an object with the same known fields, every value
     well-formed, every box inside the image, so nothing to clamp and no
-    unknown field to keep. Each pass runs at C speed.
+    unknown field to keep.
     """
     if not raws:
-        return []
+        return Instances.pack(())
     if set(map(type, raws)) != {dict}:
         return None
     optional = "content_bbox" if is_ground_truth else "score"
@@ -215,7 +213,7 @@ def _instances_in_bulk(
     if set(map(len, raws)) != {len(keys)}:
         return None
     try:
-        bboxes, class_ids, *optionals = zip(*map(itemgetter(*keys), raws))
+        bboxes, class_ids, *optionals = [list(map(itemgetter(key), raws)) for key in keys]
     except KeyError:
         return None
     if not (
@@ -224,28 +222,25 @@ def _instances_in_bulk(
         and max(class_ids) <= (6 if label_mode is LabelMode.SINGLE else 5)
     ):
         return None
-    boxes = _boxes_in_bulk(bboxes, width, height)
+    boxes = _box_column(bboxes, width, height)
     if boxes is None:
         return None
-    scores = content_boxes = repeat(None)
+    scores, side = np.full(len(raws), np.nan), None
     if optionals and is_ground_truth:
-        content_boxes = _boxes_in_bulk(optionals[0], width, height)
-        if content_boxes is None:
+        content = _box_column(optionals[0], width, height)
+        if content is None:
             return None
+        side = {i: (box, {}) for i, box in enumerate(map(unchecked_bbox, content.tolist()))}
     elif optionals:
         scores = optionals[0]
-        types = set(map(type, scores))
         if not (
-            types.issubset(_NUMBER_TYPES)
+            set(map(type, scores)).issubset(_NUMBER_TYPES)
             and all(map(le, repeat(0.0), scores))
             and all(map(le, scores, repeat(1.0)))
         ):
             return None
-        if int in types:
-            scores = map(float, scores)
-    classes = map(_CLASS_BY_ID.__getitem__, class_ids)
-    extras = [{} for _ in raws]
-    return list(map(_new_instance, zip(boxes, classes, scores, content_boxes, extras)))
+        scores = np.array(scores, dtype=np.float64)
+    return Instances(boxes, np.array(class_ids, dtype=np.int8), scores, side)
 
 
 def _parse_image(raw, label_mode, is_ground_truth, image) -> ImageRecord:
@@ -269,13 +264,13 @@ def _parse_image(raw, label_mode, is_ground_truth, image) -> ImageRecord:
     instances_raw = raw.get("instances", [])
     if not isinstance(instances_raw, list):
         raise SchemaError(f"{_at(image)}.instances: must be an array")
-    instances = _instances_in_bulk(instances_raw, width, height, label_mode, is_ground_truth)
+    instances = _columns(instances_raw, width, height, label_mode, is_ground_truth)
     if instances is None:
         # one instance at a time, to raise the first error and log each clamp in order
-        instances = [
+        instances = Instances.pack([
             _parse_instance(inst, width, height, label_mode, is_ground_truth, image, i)
             for i, inst in enumerate(instances_raw)
-        ]
+        ])
     html = raw.get("html")
     if html is not None:
         if not is_ground_truth:

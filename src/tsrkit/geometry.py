@@ -10,6 +10,7 @@ rejects an inverted box.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +83,10 @@ class BBox(_BoxFields):
     def as_tuple(self) -> tuple[float, float, float, float]:
         """The coordinates as a plain tuple, which prints without field names."""
         return tuple(self)
+
+
+# A box from coordinates already known to be ordered, built without the check.
+unchecked_bbox = partial(tuple.__new__, BBox)
 
 
 def intersection_area(a: BBox, b: BBox) -> float:

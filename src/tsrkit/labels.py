@@ -8,18 +8,27 @@ class, so that no two instances with different classes share a box. The
 inverse transform duplicates predictions back into the multi-label form.
 
 A ``ComponentInstance`` is an immutable tuple with named fields, like the
-``geometry.BBox`` it holds.
+``geometry.BBox`` it holds. ``Instances`` holds one image's instances as
+columns: box, class and score arrays, with content extents and unknown fields
+in a side table. It builds each ``ComponentInstance`` only when one is read,
+so the metrics and the score threshold work on the arrays, and
+``decode_pseudo`` is an index-and-repeat on them.
 """
 
 from __future__ import annotations
 
 import enum
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import LabelConsistencyError, LabelModeError
-from .geometry import BBox
+from .geometry import BBox, unchecked_bbox
 
 
 class ComponentClass(enum.IntEnum):
@@ -110,14 +119,89 @@ class ComponentInstance(_InstanceFields):
         return type(self)(**fields)
 
 
+_CLASS_BY_ID = tuple(ComponentClass)  # indexing skips the enum's value lookup
+# An instance from checked fields skips the constructor's checks.
+_new_instance = partial(tuple.__new__, ComponentInstance)
+
+
+class Instances(Sequence):
+    """One image's instances as columns; each ``ComponentInstance`` is built when it is read.
+
+    ``boxes`` is a float64 (N, 4) array, ``classes`` holds int8 class values
+    and ``scores`` float64 confidences, NaN where an instance has none.
+    ``side`` maps the index of each instance that has a content extent or
+    unknown fields, in index order, to ``(content_box, extra)``; every other
+    instance has neither. The arrays are never written after construction.
+    An ``Instances`` equals another one, or a tuple, holding equal instances.
+    """
+
+    __slots__ = ("boxes", "classes", "scores", "side")
+
+    def __init__(self, boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray, side: dict | None = None):
+        self.boxes, self.classes, self.scores = boxes, classes, scores
+        self.side = {} if side is None else side
+
+    @classmethod
+    def pack(cls, instances: Sequence[ComponentInstance]) -> "Instances":
+        """``instances`` as columns; an ``Instances`` comes back as it is."""
+        if isinstance(instances, Instances):
+            return instances
+        n = len(instances)
+        boxes = np.fromiter(chain.from_iterable(inst.box for inst in instances), np.float64, 4 * n)
+        classes = np.fromiter((inst.cls for inst in instances), np.int8, n)
+        scores = np.fromiter((np.nan if i.score is None else i.score for i in instances), np.float64, n)
+        side = {
+            i: (inst.content_box, inst.extra)
+            for i, inst in enumerate(instances)
+            if inst.content_box is not None or inst.extra
+        }
+        return cls(boxes.reshape(n, 4), classes, scores, side)
+
+    def __len__(self) -> int:
+        return len(self.classes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        i = range(len(self))[index]  # counts a negative index from the end; raises IndexError
+        score = float(self.scores[i])
+        content, extra = self.side.get(i, (None, {}))
+        box, cls = unchecked_bbox(self.boxes[i].tolist()), _CLASS_BY_ID[self.classes[i]]
+        return _new_instance((box, cls, None if score != score else score, content, extra))
+
+    def __iter__(self):
+        n = len(self)
+        contents = [None] * n if self.side else repeat(None)
+        extras = [{} for _ in range(n)]
+        for i, (content, extra) in self.side.items():
+            contents[i], extras[i] = content, extra
+        boxes = map(unchecked_bbox, self.boxes.tolist())
+        classes = map(_CLASS_BY_ID.__getitem__, self.classes.tolist())
+        scores = [None if s != s else s for s in self.scores.tolist()]
+        return map(_new_instance, zip(boxes, classes, scores, contents, extras))
+
+    def __eq__(self, other):
+        if isinstance(other, (Instances, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Instances({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class AnnotationSet:
     image_id: str
-    instances: tuple[ComponentInstance, ...]
+    instances: Sequence[ComponentInstance]
     mode: LabelMode = LabelMode.MULTI
 
     def __post_init__(self):
-        object.__setattr__(self, "instances", tuple(self.instances))
+        # columns stay as they are, so no instance is built before it is read
+        if not isinstance(self.instances, Instances):
+            object.__setattr__(self, "instances", tuple(self.instances))
 
     def as_pairs(self) -> set[tuple[tuple[float, float, float, float], ComponentClass]]:
         """The (box, class) set; collapses duplicates, which the transforms never emit."""
@@ -240,11 +324,9 @@ def _absorb(kept: ComponentInstance, absorbed: ComponentInstance, extra_key: str
 
 
 def _split(
-    inst: ComponentInstance, image_id: str, extra_key: str, content_key: str
+    extra: dict, content_box: BBox | None, image_id: str, extra_key: str, content_key: str
 ) -> tuple[dict, dict, BBox | None]:
     """Undo ``_absorb``: (own fields, absorbed fields, absorbed content extent)."""
-    extra = inst.extra
-    content_box = inst.content_box
     if content_key in extra:
         content_box = _content_box(extra[content_key], image_id, content_key)
         extra = {k: v for k, v in extra.items() if k != content_key}
@@ -270,6 +352,13 @@ def _content_box(value, image_id: str, key: str) -> BBox | None:
     )
 
 
+# The class values each single-label class decodes to, in order; -1 where it gives one instance.
+_DECODED = np.full((len(ComponentClass), 2), -1, dtype=np.int8)
+_DECODED[:, 0] = list(ComponentClass)
+_DECODED[ComponentClass.PROJECTED_ROW_HEADER, 1] = ComponentClass.ROW
+_DECODED[ComponentClass.PSEUDO_HEADER_ROW] = (ComponentClass.ROW, ComponentClass.COLUMN_HEADER)
+
+
 def decode_pseudo(pred: AnnotationSet) -> AnnotationSet:
     """Single-label predictions back to the multi-label formulation.
 
@@ -279,26 +368,40 @@ def decode_pseudo(pred: AnnotationSet) -> AnnotationSet:
     fields and content extent, except that those stored under
     ``ROW_EXTRA_KEY`` and ``ROW_CONTENT_KEY`` go to the Row alone and those
     under ``HEADER_EXTRA_KEY`` and ``HEADER_CONTENT_KEY`` to the header alone.
+    The result keeps the instance order, the pair of each doubled instance
+    in its place, which AP reads to break confidence ties. Its instances are
+    always ``Instances`` columns, whatever sequence ``pred`` holds, so box
+    coordinates come back as floats.
     """
     if pred.mode is not LabelMode.SINGLE:
         raise LabelModeError(f"{pred.image_id}: input not in single-label mode")
 
-    out: list[ComponentInstance] = []
-    for inst in pred.instances:
-        if inst.cls == ComponentClass.PROJECTED_ROW_HEADER:
-            own_extra, row_extra, row_content = _split(inst, pred.image_id, ROW_EXTRA_KEY, ROW_CONTENT_KEY)
-            if own_extra is not inst.extra:
-                inst = ComponentInstance(inst.box, inst.cls, inst.score, inst.content_box, own_extra)
-            out.append(inst)
-            out.append(ComponentInstance(inst.box, ComponentClass.ROW, inst.score, row_content, row_extra))
-        elif inst.cls == ComponentClass.PSEUDO_HEADER_ROW:
-            row_extra, header_extra, header_content = _split(
-                inst, pred.image_id, HEADER_EXTRA_KEY, HEADER_CONTENT_KEY
-            )
-            out.append(ComponentInstance(inst.box, ComponentClass.ROW, inst.score, inst.content_box, row_extra))
-            out.append(
-                ComponentInstance(inst.box, ComponentClass.COLUMN_HEADER, inst.score, header_content, header_extra)
-            )
-        else:
-            out.append(inst)
-    return AnnotationSet(pred.image_id, tuple(out), LabelMode.MULTI)
+    single = Instances.pack(pred.instances)
+    # each instance's one or two decoded classes, flattened, in instance order
+    decoded = _DECODED[single.classes].ravel()
+    slots = np.flatnonzero(decoded >= 0)
+    source = slots // 2
+
+    # only an instance with a content extent or fields gives one to its pair
+    side = {}
+    if single.side:
+        values = single.classes.tolist()
+        starts = np.searchsorted(source, list(single.side)).tolist()
+        for start, (i, (content, extra)) in zip(starts, single.side.items()):
+            if values[i] == ComponentClass.PROJECTED_ROW_HEADER:
+                own_extra, row_extra, row_content = _split(
+                    extra, content, pred.image_id, ROW_EXTRA_KEY, ROW_CONTENT_KEY
+                )
+                pair = ((content, own_extra), (row_content, row_extra))
+            elif values[i] == ComponentClass.PSEUDO_HEADER_ROW:
+                row_extra, header_extra, header_content = _split(
+                    extra, content, pred.image_id, HEADER_EXTRA_KEY, HEADER_CONTENT_KEY
+                )
+                pair = ((content, row_extra), (header_content, header_extra))
+            else:
+                pair = ((content, extra),)
+            for at, (box, fields) in enumerate(pair, start):
+                if box is not None or fields:
+                    side[at] = (box, fields)
+    multi = Instances(single.boxes[source], decoded[slots], single.scores[source], side)
+    return AnnotationSet(pred.image_id, multi, LabelMode.MULTI)

@@ -68,8 +68,9 @@ def perturb(gt: AnnotationSet, spec: PerturbationSpec) -> AnnotationSet:
     extents; merge unions the vertically closest adjacent pair of target
     boxes into one instance.
     """
-    targeted = [inst for inst in gt.instances if inst.cls in spec.target_classes]
-    untouched = [inst for inst in gt.instances if inst.cls not in spec.target_classes]
+    targeted, untouched = [], []
+    for inst in gt.instances:
+        (targeted if inst.cls in spec.target_classes else untouched).append(inst)
 
     if spec.mode is PerturbationMode.MERGE_ADJACENT:
         out = untouched + _merge_closest_pair(targeted)
@@ -152,11 +153,13 @@ def misalignment_report(
     if missing:
         raise CorpusError(f"images without ground-truth html: {missing[:5]}")
 
-    gts_by_image = {ann.image_id: list(ann.instances) for ann in gt_sets}
+    gts_by_image = {ann.image_id: ann.instances for ann in gt_sets}
+    # AP reads the ground truth as it is; each spec perturbs instances built once here
+    built = [AnnotationSet(ann.image_id, tuple(ann.instances), ann.mode) for ann in gt_sets]
     rows = []
     for spec in specs:
-        perturbed = [perturb(ann, spec) for ann in gt_sets]
-        preds_by_image = {ann.image_id: list(ann.instances) for ann in perturbed}
+        perturbed = [perturb(ann, spec) for ann in built]
+        preds_by_image = {ann.image_id: ann.instances for ann in perturbed}
         ap: ApReport = evaluate_corpus(preds_by_image, gts_by_image)
         pairs = [
             (grid_to_html(build_grid(ann)), gt_trees[ann.image_id])

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import EmptyStructureError, LabelModeError
-from .geometry import BBox, intersection_area, iou
-from .labels import AnnotationSet, ComponentClass, LabelMode, boxes_match
+from .geometry import BBox, intersection_area, iou, unchecked_bbox
+from .labels import AnnotationSet, ComponentClass, Instances, LabelMode, boxes_match
 from .teds.tree import TableTree
 
 
@@ -59,7 +61,11 @@ def _claim(owner: list[list[tuple[int, int] | None]], merge: MergedCell, header_
 
 @dataclass(frozen=True)
 class TableGrid:
-    """Logical r x c lattice with merges, header rows, and projected rows."""
+    """Logical r x c lattice with merges, header rows, and projected rows.
+
+    ``merges`` are validated in the order given and kept in reading order, by
+    anchor, so two grids are equal exactly when their structures are.
+    """
 
     n_rows: int
     n_cols: int
@@ -82,6 +88,7 @@ class TableGrid:
             reason = _claim(owner, m, self.header_rows)
             if reason is not None:
                 raise ValueError(reason)
+        object.__setattr__(self, "merges", tuple(sorted(self.merges, key=lambda m: (m.row_start, m.col_start))))
         anchors = tuple(tuple(a or (r, c) for c, a in enumerate(row)) for r, row in enumerate(owner))
         object.__setattr__(self, "_anchors", anchors)
 
@@ -98,6 +105,24 @@ NMS_IOU = 0.5
 SPAN_OVERLAP_THRESHOLD = 0.5
 
 
+def _ranked(instances) -> list[tuple[int, float, BBox]]:
+    """(class, -score, box) of each detection at or above the score threshold, sorted.
+
+    A detection without a score survives and ranks as 1.0. The scores are
+    masked before any box is built.
+    """
+    packed = Instances.pack(instances)
+    keep = np.flatnonzero(~(packed.scores < SCORE_THRESHOLD))  # keeps NaN
+    scores = packed.scores[keep]
+    return sorted(
+        zip(
+            packed.classes[keep].tolist(),
+            np.where(np.isnan(scores), -1.0, -scores).tolist(),
+            map(unchecked_bbox, packed.boxes[keep].tolist()),
+        )
+    )
+
+
 def build_grid(detections: AnnotationSet) -> TableGrid:
     """Assemble the logical grid from multi-label component detections.
 
@@ -110,16 +135,13 @@ def build_grid(detections: AnnotationSet) -> TableGrid:
             "(apply decode_pseudo first)"
         )
 
-    survivors = sorted(
-        (inst for inst in detections.instances if inst.score is None or inst.score >= SCORE_THRESHOLD),
-        key=lambda inst: (int(inst.cls), -(inst.score if inst.score is not None else 1.0), inst.box),
-    )
+    ranked = _ranked(detections.instances)
     # per class, the boxes greedy NMS keeps, best first
-    kept: dict[ComponentClass, list[BBox]] = {cls: [] for cls in ComponentClass}
-    for inst in survivors:
-        boxes = kept[inst.cls]
-        if all(iou(inst.box, k) < NMS_IOU for k in boxes):
-            boxes.append(inst.box)
+    kept: list[list[BBox]] = [[] for _ in ComponentClass]
+    for cls, _, box in ranked:
+        boxes = kept[cls]
+        if all(iou(box, k) < NMS_IOU for k in boxes):
+            boxes.append(box)
 
     tables = kept[ComponentClass.TABLE]
 

@@ -7,7 +7,9 @@ every anchor instead of the nearest one per level and ratio, the corpus AP
 reference is the list-based evaluation with ``geometry.iou``, a greedy loop
 per threshold and its own size buckets, the table-HTML parser reference is
 the character scanner that the regex tokenizer replaced, the instance
-loader reference is the parser that inline checks replaced, the grid
+loader reference is the parser that inline checks replaced, the corpus
+loader and label decode references are the instance-building versions that
+columns replaced, the grid
 reference is ``build_grid`` as it was before merge placement became one rule,
 and the convolution oracle is plain nested loops.
 """
@@ -15,20 +17,25 @@ and the convolution oracle is plain nested loops.
 from __future__ import annotations
 
 import enum
+import json
 import logging
+import math
 import random
 import re
 import sys
 from bisect import bisect_left
+from functools import partial
+from itertools import chain, repeat
+from operator import itemgetter, le
 from typing import NamedTuple
 
 import numpy as np
 
 from tsrkit.cocoeval import ApReport, MatchConfig
-from tsrkit.errors import CorpusError, EmptyStructureError, HtmlParseError, SchemaError
+from tsrkit.errors import CorpusError, EmptyStructureError, HtmlParseError, LabelConsistencyError, SchemaError
 from tsrkit.geometry import BBox, intersection_area, iou
 from tsrkit.labels import ComponentClass, ComponentInstance, LabelMode
-from tsrkit.teds import TableTree
+from tsrkit.teds import TableTree, parse_table_html
 
 
 def _postorder(root: TableTree) -> list[TableTree]:
@@ -169,7 +176,7 @@ def brute_force_best_iou(anchors: np.ndarray, gts: np.ndarray) -> np.ndarray:
     """Best IoU per ground-truth box over every anchor.
 
     The all-anchor scan that ``anchors.best_iou_per_gt`` replaced with the
-    nearest-centre method (ROADMAP item 2): O(G * N) against O(G * L * R).
+    nearest-centre method: O(G * N) against O(G * L * R).
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     gts = np.asarray(gts, dtype=np.float64)
@@ -611,6 +618,218 @@ def reference_parse_instance(raw, width, height, label_mode, is_ground_truth, im
 
     extra = {k: v for k, v in raw.items() if k not in _INSTANCE_FIELDS}
     return ComponentInstance(box, _CLASS_BY_ID[class_id], score, content_box, extra)
+
+
+# ------------------------------------------------------------- corpus loader
+# The corpus loader as it was before detections became columns: each image's
+# instances checked in bulk into a list of ``ComponentInstance`` records
+# built with ``tuple.__new__``, and any image the bulk check doubts parsed
+# one instance at a time (by ``reference_parse_instance``, which the tests
+# hold equal to ``formats._parse_instance``). Kept as it was, apart from
+# names, imports and the file read, so records, errors and clamp log records
+# are checked against it.
+
+_new_bbox = partial(tuple.__new__, BBox)
+_new_instance = partial(tuple.__new__, ComponentInstance)
+
+
+def _boxes_in_bulk(raws: tuple, width: float, height: float) -> list[BBox] | None:
+    if set(map(type, raws)) != {list} or set(map(len, raws)) != {4}:
+        return None
+    x1, y1, x2, y2 = columns = tuple(zip(*raws))
+    types = set(map(type, chain.from_iterable(columns)))
+    if not types.issubset((int, float)):
+        return None
+    if not (
+        all(map(le, x1, x2))
+        and all(map(le, y1, y2))
+        and 0.0 <= min(x1)
+        and max(x2) <= width
+        and 0.0 <= min(y1)
+        and max(y2) <= height
+    ):
+        return None
+    if int in types:
+        raws = zip(*(map(float, column) for column in columns))
+    return list(map(_new_bbox, raws))
+
+
+def reference_instances_in_bulk(raws: list, width, height, label_mode, is_ground_truth) -> list | None:
+    if not raws:
+        return []
+    if set(map(type, raws)) != {dict}:
+        return None
+    optional = "content_bbox" if is_ground_truth else "score"
+    keys = ("bbox", "class_id", optional) if optional in raws[0] else ("bbox", "class_id")
+    if set(map(len, raws)) != {len(keys)}:
+        return None
+    try:
+        bboxes, class_ids, *optionals = zip(*map(itemgetter(*keys), raws))
+    except KeyError:
+        return None
+    if not (
+        set(map(type, class_ids)) == {int}
+        and min(class_ids) >= 0
+        and max(class_ids) <= (6 if label_mode is LabelMode.SINGLE else 5)
+    ):
+        return None
+    boxes = _boxes_in_bulk(bboxes, width, height)
+    if boxes is None:
+        return None
+    scores = content_boxes = repeat(None)
+    if optionals and is_ground_truth:
+        content_boxes = _boxes_in_bulk(optionals[0], width, height)
+        if content_boxes is None:
+            return None
+    elif optionals:
+        scores = optionals[0]
+        types = set(map(type, scores))
+        if not (
+            types.issubset((int, float))
+            and all(map(le, repeat(0.0), scores))
+            and all(map(le, scores, repeat(1.0)))
+        ):
+            return None
+        if int in types:
+            scores = map(float, scores)
+    classes = map(_CLASS_BY_ID.__getitem__, class_ids)
+    extras = [{} for _ in raws]
+    return list(map(_new_instance, zip(boxes, classes, scores, content_boxes, extras)))
+
+
+class ReferenceImage(NamedTuple):
+    image_id: str
+    width: float
+    height: float
+    instances: list
+    html: str | None
+    extra: dict
+
+
+def _reference_image(raw, label_mode, is_ground_truth, image) -> ReferenceImage:
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{_at(image)}: image record must be an object")
+    known = {"image_id", "width", "height", "instances", "html"}
+    for key in ("image_id", "width", "height"):
+        if key not in raw:
+            raise SchemaError(f"{_at(image)}: missing {key}")
+    image_id = raw["image_id"]
+    if not (isinstance(image_id, str) and image_id):
+        raise SchemaError(f"{_at(image)}.image_id: must be a non-empty string")
+    for key in ("width", "height"):
+        if not (_is_finite_number(raw[key]) and raw[key] > 0):
+            raise SchemaError(f"{_at(image)}.{key}: must be a positive finite number, got {raw[key]!r}")
+    width, height = float(raw["width"]), float(raw["height"])
+    if not math.isfinite(2.0 * width * height):
+        raise SchemaError(f"{_at(image)}: image area {width!r} x {height!r} overflows")
+    instances_raw = raw.get("instances", [])
+    if not isinstance(instances_raw, list):
+        raise SchemaError(f"{_at(image)}.instances: must be an array")
+    instances = reference_instances_in_bulk(instances_raw, width, height, label_mode, is_ground_truth)
+    if instances is None:
+        instances = [
+            reference_parse_instance(inst, width, height, label_mode, is_ground_truth, image, i)
+            for i, inst in enumerate(instances_raw)
+        ]
+    html = raw.get("html")
+    if html is not None:
+        if not is_ground_truth:
+            raise SchemaError(f"{_at(image)}.html: only ground truth carries structure html")
+        if not isinstance(html, str):
+            raise SchemaError(f"{_at(image)}.html: must be a string")
+        try:
+            parse_table_html(html)
+        except HtmlParseError as exc:
+            raise SchemaError(f"{_at(image)}.html: does not parse: {exc}") from exc
+    extra = {k: v for k, v in raw.items() if k not in known}
+    return ReferenceImage(image_id, width, height, instances, html, extra)
+
+
+def reference_load(path: str, is_ground_truth: bool) -> tuple[LabelMode, list[ReferenceImage], dict]:
+    """(label mode, image records, file-level extra fields) of one corpus file."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        if not isinstance(raw, dict):
+            raise SchemaError("$: top level must be an object")
+        version = raw.get("schema_version")
+        if type(version) is not int or version != 1:
+            raise SchemaError(f"$.schema_version: unsupported version {version!r} (expected 1)")
+        mode_raw = raw.get("label_mode")
+        if mode_raw not in ("multi", "single"):
+            raise SchemaError(f"$.label_mode: must be 'multi' or 'single', got {mode_raw!r}")
+        label_mode = LabelMode(mode_raw)
+        images_raw = raw.get("images")
+        if not isinstance(images_raw, list):
+            raise SchemaError("$.images: must be an array")
+        images = [_reference_image(img, label_mode, is_ground_truth, i) for i, img in enumerate(images_raw)]
+        seen = set()
+        for i, rec in enumerate(images):
+            if rec.image_id in seen:
+                raise SchemaError(f"{_at(i)}.image_id: duplicate id {rec.image_id!r}")
+            seen.add(rec.image_id)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    extra = {k: v for k, v in raw.items() if k not in ("schema_version", "label_mode", "images")}
+    return label_mode, images, extra
+
+
+# --------------------------------------------------------------- label decode
+# ``labels.decode_pseudo`` as it was before it ran on columns: one loop over
+# the instances, building each output instance. Kept as it was, apart from
+# names, imports and a plain list in and out.
+
+def _reference_content_box(value, image_id: str, key: str) -> BBox | None:
+    if value is None:
+        return None
+    if (
+        isinstance(value, (list, tuple))
+        and len(value) == 4
+        and all(type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX for v in value)
+        and value[2] >= value[0]
+        and value[3] >= value[1]
+    ):
+        return BBox(*map(float, value))
+    raise LabelConsistencyError(
+        f"{image_id}: {key} must be null or a box [x1, y1, x2, y2] with x1 <= x2 and y1 <= y2, got {value!r}"
+    )
+
+
+def _reference_split(inst: ComponentInstance, image_id: str, extra_key: str, content_key: str):
+    extra = inst.extra
+    content_box = inst.content_box
+    if content_key in extra:
+        content_box = _reference_content_box(extra[content_key], image_id, content_key)
+        extra = {k: v for k, v in extra.items() if k != content_key}
+    if isinstance(extra.get(extra_key), dict):
+        return {k: v for k, v in extra.items() if k != extra_key}, extra[extra_key], content_box
+    return extra, extra, content_box
+
+
+def reference_decode_pseudo(instances, image_id: str) -> list[ComponentInstance]:
+    """Single-label instances back to the multi-label list, in order."""
+    out: list[ComponentInstance] = []
+    for inst in instances:
+        if inst.cls == ComponentClass.PROJECTED_ROW_HEADER:
+            own_extra, row_extra, row_content = _reference_split(inst, image_id, "row_extra", "row_content_bbox")
+            if own_extra is not inst.extra:
+                inst = ComponentInstance(inst.box, inst.cls, inst.score, inst.content_box, own_extra)
+            out.append(inst)
+            out.append(ComponentInstance(inst.box, ComponentClass.ROW, inst.score, row_content, row_extra))
+        elif inst.cls == ComponentClass.PSEUDO_HEADER_ROW:
+            row_extra, header_extra, header_content = _reference_split(
+                inst, image_id, "column_header_extra", "column_header_content_bbox"
+            )
+            out.append(ComponentInstance(inst.box, ComponentClass.ROW, inst.score, inst.content_box, row_extra))
+            out.append(
+                ComponentInstance(inst.box, ComponentClass.COLUMN_HEADER, inst.score, header_content, header_extra)
+            )
+        else:
+            out.append(inst)
+    return out
 
 
 # ----------------------------------------------------------- grid reference

@@ -214,6 +214,22 @@ def test_reconstruct_accepts_single_label_detections(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("label_mode", ["multi", "single"])
+def test_reconstruct_keeps_a_row_scored_at_the_threshold(tmp_path, label_mode):
+    # the score threshold is inclusive: the row at 0.5 survives, the one at 0.4999 is dropped
+    rows = [{"bbox": [0.0, 20.0 * r, 100.0, 20.0 * (r + 1)], "class_id": 2, "score": s}
+            for r, s in enumerate((0.9, 0.5, 0.4999))]
+    columns = [{"bbox": [x, 0.0, x + 50.0, 60.0], "class_id": 1, "score": 0.9} for x in (0.0, 50.0)]
+    detections = {"schema_version": 1, "label_mode": label_mode, "images": [
+        {"image_id": "t", "width": 120.0, "height": 60.0, "instances": rows + columns}]}
+    pred_path = tmp_path / "threshold.json"
+    pred_path.write_text(json.dumps(detections))
+    html_dir = str(tmp_path / "html")
+    assert main(["reconstruct", str(pred_path), "-o", html_dir]) == 0
+    with open(os.path.join(html_dir, "t.html")) as handle:
+        assert handle.read() == "<table><tbody>" + "<tr><td></td><td></td></tr>" * 2 + "</tbody></table>"
+
+
 def test_coco_eval_perfect(fixture_files, capsys):
     gt, pred = fixture_files
     assert main(["coco-eval", pred, gt]) == 0

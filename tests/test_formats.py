@@ -5,12 +5,12 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_parse_instance
+from oracles import reference_decode_pseudo, reference_load, reference_parse_instance
 
-from tsrkit.errors import SchemaError
+from tsrkit.errors import LabelConsistencyError, SchemaError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.formats import (
-    _instances_in_bulk,
+    _columns,
     _parse_instance,
     load_detections,
     load_ground_truth,
@@ -18,7 +18,7 @@ from tsrkit.formats import (
     serialize,
 )
 from tsrkit.geometry import BBox
-from tsrkit.labels import ComponentInstance, LabelMode
+from tsrkit.labels import AnnotationSet, ComponentInstance, Instances, LabelMode, decode_pseudo
 from tsrkit.teds import parse_table_html
 
 
@@ -124,15 +124,15 @@ def _record(inst):
     return type(inst), type(inst.box), repr(inst.box.as_tuple()), inst.cls, repr(inst.score), content, inst.extra
 
 
-def _logged(run):
-    """The records ``run()`` returns or the error it raises, and the clamp log records it leaves."""
+def _logged(run, summary=lambda instances: [_record(inst) for inst in instances]):
+    """The summary of what ``run()`` returns or the error it raises, and the clamp log records it leaves."""
     logger = logging.getLogger("tsrkit.formats")
     records = []
     handler = logging.Handler()
     handler.emit = records.append
     logger.addHandler(handler)
     try:
-        result = ("ok", [_record(inst) for inst in run()])
+        result = ("ok", summary(run()))
     except SchemaError as exc:
         result = ("error", str(exc))
     finally:
@@ -165,7 +165,7 @@ def test_parse_instance_matches_reference_on_each_odd_coordinate():
                 ), (key, i, odd)
 
 
-# ------------------------------------------------------ whole images, in bulk
+# ---------------------------------------------------- whole images, as columns
 # Coordinates inside the 100 x 50 image, with the exact types json.load gives.
 inside_x = st.one_of(st.sampled_from([0, 0.0, -0.0, 100, 100.0]), st.integers(0, 100), st.floats(0.0, 100.0))
 inside_y = st.one_of(st.sampled_from([0, 0.0, -0.0, 50, 50.0]), st.integers(0, 50), st.floats(0.0, 50.0))
@@ -180,12 +180,15 @@ SCORE_DAMAGE = ("nan score", "score")
 
 
 @st.composite
-def image_problems(draw, damage):
+def image_problems(draw, damage, is_ground_truth=None, label_mode=None):
     """(instances, label mode, ground truth?): 2-6 instances that one image
-    could carry, all with the same fields, then one of them damaged."""
-    # a score is damaged in detections that carry scores, where the bulk check could miss it
-    is_ground_truth = damage not in SCORE_DAMAGE and draw(st.booleans())
-    label_mode = draw(st.sampled_from(list(LabelMode)))
+    could carry, all with the same fields, then one of them damaged. The
+    carrier and mode are drawn unless given."""
+    # a score is damaged in detections that carry scores, where the columnar check could miss it
+    if is_ground_truth is None:
+        is_ground_truth = damage not in SCORE_DAMAGE and draw(st.booleans())
+    if label_mode is None:
+        label_mode = draw(st.sampled_from(list(LabelMode)))
     optional = "score" if damage in SCORE_DAMAGE else draw(
         st.sampled_from([None, "content_bbox" if is_ground_truth else "score"])
     )
@@ -244,7 +247,7 @@ def corpus_path(tmp_path_factory):
 
 
 def _check_image(corpus_path, instances, label_mode, is_ground_truth):
-    """The loader and the bulk check against the reference parser run on each instance in turn."""
+    """The loader and the columnar check against the reference parser run on each instance in turn."""
     text = json.dumps({"schema_version": 1, "label_mode": label_mode.value, "images": [
         {"image_id": "t0", "width": 100.0, "height": 50.0, "instances": instances}]})
     with open(corpus_path, "w", encoding="utf-8") as handle:
@@ -258,9 +261,9 @@ def _check_image(corpus_path, instances, label_mode, is_ground_truth):
     if outcome == "error":  # the loader names the file before the reference parser's message
         expected = (outcome, f"{corpus_path}: {message}"), log
     assert _logged(lambda: loader(corpus_path).images[0].instances) == expected
-    bulk = _instances_in_bulk(raws, 100.0, 50.0, label_mode, is_ground_truth)
-    if bulk is not None:  # the bulk check only answers for an image that loads as it stands
-        assert expected == (("ok", [_record(inst) for inst in bulk]), [])
+    columns = _columns(raws, 100.0, 50.0, label_mode, is_ground_truth)
+    if columns is not None:  # the columnar check only answers for an image that loads as it stands
+        assert expected == (("ok", [_record(inst) for inst in columns]), [])
 
 
 @pytest.mark.parametrize("damage", IMAGE_DAMAGE)
@@ -295,7 +298,7 @@ CLEAN = {"bbox": [1.0, 2.0, 30.0, 40.0], "class_id": 2}
     ],
 )
 def test_image_loader_matches_reference_parser_after_a_clean_instance(corpus_path, damaged):
-    # min and max skip a NaN that follows a number, so a NaN-blind bulk check would pass these
+    # min and max skip a NaN that follows a number, so a NaN-blind columnar check would pass these
     # in ground truth the damaged bbox is the content extent, and a damaged score stays
     gt_damaged = {k: v for k, v in damaged.items() if k != "score" or v != 0.5}
     gt_damaged.update(bbox=CLEAN["bbox"], content_bbox=damaged["bbox"])
@@ -308,11 +311,91 @@ def test_generated_corpora_load_in_bulk():
     gt, det = generate_fixtures(FixtureSpec(n_tables=20, seed=4))
     for corpus, is_ground_truth in ((gt, True), (det, False)):
         for image in json.loads(serialize(corpus))["images"]:
-            bulk = _instances_in_bulk(
+            columns = _columns(
                 image["instances"], image["width"], image["height"], LabelMode.MULTI, is_ground_truth
             )
-            assert bulk is not None and len(bulk) == len(image["instances"])
-            assert all(type(inst) is ComponentInstance and type(inst.box) is BBox for inst in bulk)
+            assert columns is not None and len(columns) == len(image["instances"])
+            assert all(type(inst) is ComponentInstance and type(inst.box) is BBox for inst in columns)
+
+
+# Unknown fields an instance may carry, among them the keys under which the
+# label transforms store an absorbed instance's fields and content extent.
+absorbed_fields = st.one_of(
+    st.dictionaries(st.sampled_from(["origin", "id"]), st.integers(0, 9), max_size=2), st.none(), st.integers(-3, 3)
+)
+absorbed_content = st.one_of(
+    inside_boxes, st.none(), st.sampled_from([[4.0, 3.0, 1.0, 9.0], "box", [True, 0, 1, 1], [0, 0, 1]])
+)
+unknown_fields = st.fixed_dictionaries({}, optional={
+    "flagged": st.booleans(),
+    "row_extra": absorbed_fields,
+    "column_header_extra": absorbed_fields,
+    "row_content_bbox": absorbed_content,
+    "column_header_content_bbox": absorbed_content,
+})
+
+
+@st.composite
+def corpus_problems(draw):
+    """(file JSON, label mode, ground truth?): one to three images, each with
+    instances damaged as in ``image_problems`` or none, some with unknown
+    fields, and unknown fields on the file and its images."""
+    is_ground_truth = draw(st.booleans())
+    label_mode = draw(st.sampled_from(list(LabelMode)))
+    images = []
+    for k in range(draw(st.integers(1, 3))):
+        instances = []
+        if draw(st.integers(0, 4)):
+            # half the images undamaged, so that most files load and decode
+            damage = draw(st.sampled_from(IMAGE_DAMAGE + ["none"] * len(IMAGE_DAMAGE)))
+            instances, _, _ = draw(image_problems(damage, is_ground_truth, label_mode))
+        for raw in instances:
+            if isinstance(raw, dict) and draw(st.integers(0, 2)) == 0:
+                raw.update(draw(unknown_fields))
+                if label_mode is LabelMode.SINGLE and draw(st.booleans()):
+                    raw["class_id"] = draw(st.sampled_from([4, 6]))  # the classes decoding splits
+        image = {"image_id": f"t{k}", "width": 100.0, "height": 50.0, "instances": instances}
+        if draw(st.booleans()):
+            image["dpi"] = 144
+        images.append(image)
+    data = {"schema_version": 1, "label_mode": label_mode.value, "images": images}
+    if draw(st.booleans()):
+        data["pipeline"] = {"origin": "synthetic"}
+    return data, label_mode, is_ground_truth
+
+
+def _corpus_summary(corpus):
+    mode, images, extra = corpus if isinstance(corpus, tuple) else (corpus.label_mode, corpus.images, corpus.extra)
+    return mode, extra, [
+        (img.image_id, img.width, img.height, img.html, img.extra, [_record(inst) for inst in img.instances])
+        for img in images
+    ]
+
+
+def _decoded(decode):
+    try:
+        return "ok", [_record(inst) for inst in decode()]
+    except LabelConsistencyError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(corpus_problems())
+def test_loader_and_decode_match_instance_building_references(corpus_path, problem):
+    data, label_mode, is_ground_truth = problem
+    with open(corpus_path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    loader = load_ground_truth if is_ground_truth else load_detections
+    loaded = _logged(lambda: loader(corpus_path), _corpus_summary)
+    assert loaded == _logged(lambda: reference_load(corpus_path, is_ground_truth), _corpus_summary)
+    if loaded[0][0] == "ok" and label_mode is LabelMode.SINGLE:
+        _, reference_images, _ = reference_load(corpus_path, is_ground_truth)
+        for image, reference in zip(loader(corpus_path).images, reference_images):
+            assert isinstance(image.instances, Instances)
+            ann = AnnotationSet(image.image_id, image.instances, LabelMode.SINGLE)
+            assert _decoded(lambda: decode_pseudo(ann).instances) == _decoded(
+                lambda: reference_decode_pseudo(reference.instances, image.image_id)
+            )
 
 
 def base_file(**overrides):
@@ -471,6 +554,23 @@ def test_largest_image_without_overflow_loads(tmp_path):
     data["images"][0]["instances"][0]["bbox"] = [0.0, 0.0, 8e307, 1.0]
     (image,) = load_ground_truth(write(tmp_path, data)).images
     assert image.instances[0].box.area == 8e307
+
+
+@pytest.mark.parametrize("big", [2**53 + 1, 2**60 + 1, 2**70 + 3, 10**300 + 1])
+def test_ints_beyond_2_53_load_one_instance_at_a_time(tmp_path, big):
+    # inside a wide enough image, such an int is a valid coordinate that float64
+    # cannot hold exactly; it goes through float() as the per-instance parser does
+    instances = [{"bbox": [0, 0, 10, 10], "class_id": 2, "score": 0.5},
+                 {"bbox": [big, 0, 2 * big, 10], "class_id": 1, "score": 0.5}]
+    assert _columns(instances, 1e301, 50.0, LabelMode.MULTI, False) is None
+    data = base_file()
+    data["images"][0].update(width=1e301, instances=instances)
+    path = write(tmp_path, data)
+    (image,) = load_detections(path).images
+    assert image.instances[1].box.as_tuple() == (float(big), 0.0, float(2 * big), 10.0)
+    assert _logged(lambda: load_detections(path), _corpus_summary) == _logged(
+        lambda: reference_load(path, False), _corpus_summary
+    )
 
 
 def test_inverted_bbox_rejected(tmp_path):

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from tsrkit.errors import EmptyStructureError, LabelModeError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.geometry import BBox, intersection_area
-from tsrkit.labels import MULTI_LABEL_CLASSES, AnnotationSet, ComponentClass, ComponentInstance, LabelMode
+from tsrkit.labels import (
+    MULTI_LABEL_CLASSES,
+    AnnotationSet,
+    ComponentClass,
+    ComponentInstance,
+    LabelMode,
+)
 from tsrkit.reconstruct import (
     MergedCell,
     TableGrid,
@@ -247,7 +253,7 @@ def test_span_overlapping_higher_ranked_span_skipped_and_claims_nothing():
     # so a span over the first row is still placed
     later = cells_span(0, 0, 0, 2, score=0.7)
     grid = build_grid(lattice(3, 3, extras=[first, overlapping, later]))
-    assert grid.merges == (MergedCell(1, 1, 1, 2), MergedCell(0, 0, 1, 3))
+    assert grid.merges == (MergedCell(0, 0, 1, 3), MergedCell(1, 1, 1, 2))
 
 
 def test_span_over_projected_row_skipped():
@@ -321,7 +327,9 @@ def test_build_grid_matches_reference(ann):
         return
     grid = build_grid(ann)
     merges = tuple((m.row_start, m.col_start, m.row_span, m.col_span) for m in grid.merges)
-    assert ReferenceGrid(grid.n_rows, grid.n_cols, merges, grid.header_rows, grid.projected_rows) == expected
+    # the reference lists merges in span rank order, a grid in reading order
+    in_reading_order = expected._replace(merges=tuple(sorted(expected.merges)))
+    assert ReferenceGrid(grid.n_rows, grid.n_cols, merges, grid.header_rows, grid.projected_rows) == in_reading_order
     assert grid_to_html(grid) == reference_grid_html(expected)
 
 
@@ -345,16 +353,35 @@ def test_build_grid_ignores_translation_and_subpixel_jitter(ann, dx, dy, data):
         shift = [data.draw(jitter) for _ in range(4)]
         box = moved(item.box, dx + shift[0], dy + shift[1], dx + shift[2], dy + shift[3])
         instances.append(ComponentInstance(box, item.cls))
-    # merges come in span rank order, and ground-truth spans tie on score and
-    # rank by their boxes, which the jitter may reorder
-    def logical(grid):
-        return grid.n_rows, grid.n_cols, set(grid.merges), grid.header_rows, grid.projected_rows
-
+    # a grid keeps its merges in reading order, so equal grids are equal structures
+    # whatever order the jittered spans rank in
     moved_set = AnnotationSet(ann.image_id, tuple(instances), ann.mode)
-    assert logical(build_grid(moved_set)) == logical(build_grid(ann))
+    assert build_grid(moved_set) == build_grid(ann)
 
 
 # ---------------------------------------------------------------- validation
+
+def test_grid_equality_ignores_merge_order():
+    a, b = MergedCell(1, 0, 2, 1), MergedCell(0, 1, 1, 2)
+    grid = TableGrid(3, 3, (a, b))
+    assert grid == TableGrid(3, 3, (b, a))
+    assert grid.merges == (b, a)  # reading order, by anchor
+    assert grid_to_html(grid) == grid_to_html(TableGrid(3, 3, (b, a)))
+
+
+def test_grid_validates_merges_in_the_given_order():
+    # each order names its own second merge as the one that clashes
+    a, b = MergedCell(0, 0, 2, 2), MergedCell(1, 1, 2, 2)
+    with pytest.raises(ValueError, match=r"cell \(1,1\) claimed twice"):
+        TableGrid(3, 3, (a, b))
+    with pytest.raises(ValueError, match=r"cell \(1,1\) claimed twice"):
+        TableGrid(3, 3, (b, a))
+    c = MergedCell(0, 0, 1, 2)
+    with pytest.raises(ValueError, match=r"cell \(0,1\) claimed twice"):
+        TableGrid(3, 3, (MergedCell(0, 1, 2, 1), c))
+    with pytest.raises(ValueError, match=r"cell \(0,0\) claimed twice"):
+        TableGrid(3, 3, (c, MergedCell(0, 0, 2, 1)))
+
 
 def test_grid_rejects_overlapping_merges():
     with pytest.raises(ValueError):
