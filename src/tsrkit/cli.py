@@ -35,6 +35,17 @@ def _multi_label_sets(corpus: formats.CorpusFile) -> list[AnnotationSet]:
     return sets
 
 
+_NOT_A_FILE_NAME = "image id is not a file name"
+
+
+def _html_path(directory: str, image_id: str) -> str | None:
+    """``{image_id}.html`` in ``directory``, or None when the id is not one path component."""
+    separators = {"/", os.sep, os.altsep} - {None}
+    if image_id in (".", "..") or "\0" in image_id or any(sep in image_id for sep in separators):
+        return None
+    return os.path.join(directory, f"{image_id}.html")
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]]):
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
@@ -130,12 +141,16 @@ def cmd_reconstruct(args) -> int:
     os.makedirs(args.output, exist_ok=True)
     failures = []
     for ann in sets:
+        path = _html_path(args.output, ann.image_id)
+        if path is None:
+            failures.append((ann.image_id, _NOT_A_FILE_NAME))
+            continue
         try:
             html = grid_to_html(build_grid(ann))
         except TsrkitError as exc:
             failures.append((ann.image_id, str(exc)))
             continue
-        formats.atomic_write_text(os.path.join(args.output, f"{ann.image_id}.html"), html)
+        formats.atomic_write_text(path, html)
     print(f"wrote {len(sets) - len(failures)} table(s) to {args.output}")
     for image_id, message in failures:
         print(f"failed {image_id}: {message}", file=sys.stderr)
@@ -153,9 +168,11 @@ def cmd_teds(args) -> int:
     unreadable = {}
     ids = sorted(trees)
     for image_id in ids:
-        pred_path = os.path.join(args.predictions_dir, f"{image_id}.html")
+        pred_path = _html_path(args.predictions_dir, image_id)
         pred = ""  # scores 0: an absent or unreadable prediction cannot match anything
-        if not os.path.exists(pred_path):
+        if pred_path is None:
+            unreadable[image_id] = _NOT_A_FILE_NAME
+        elif not os.path.exists(pred_path):
             missing.add(image_id)
         else:
             try:

@@ -8,15 +8,18 @@ highest IoU at or above the threshold. Confidence ties keep image order
 thresholds omit them.
 
 The images are walked once. Each image gets one prediction x ground-truth
-IoU matrix across all classes; the per-image caps are rank masks. The
-greedy walk visits only the pairs some threshold can accept (same class,
-IoU at or above the lowest threshold) and settles every threshold in one
-step per prediction, for all sizes and, on same-size pairs, for the size
-buckets. Class, size code, score and true-positive flags are kept for the
-whole corpus, and AP is computed with numpy per (class, bucket,
-threshold). The interpolated precisions are added in Python, left to
-right, so every value equals, float for float, a plain list-based
-evaluation of the same rules.
+IoU matrix across all classes; the per-image caps are rank masks. From it
+the walk gathers only the candidate pairs some threshold can accept (same
+class, IoU at or above the lowest threshold), ranked by image and then by
+confidence. One greedy matching pass then settles the whole corpus at every
+threshold, for all sizes, and one more for the size buckets on same-size
+pairs. A prediction that shares no candidate ground truth with another one
+takes its best candidate at every threshold that candidate reaches, in one
+array step; only contested predictions are walked in rank order. Class,
+size code, score and true-positive flags are kept for the whole corpus,
+and AP is computed with numpy per (class, bucket) for all thresholds at
+once. The interpolated precisions are summed left to right, so every value
+equals, float for float, a plain list-based evaluation of the same rules.
 
 The semantics differ from pycocotools' COCOeval in five ways:
 
@@ -115,54 +118,85 @@ def _confidence_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def _match(ious, allowed, thresholds, matched, tp, row_ids, col_offset) -> None:
-    """Greedy matching at every threshold of ``thresholds`` (ascending) at once.
+def _candidates(ious, allowed, threshold, rank0, rows, col0):
+    """The pairs of an IoU matrix that ``threshold`` (the lowest) accepts, as ``_match`` reads them.
 
     Rows of ``ious`` are predictions in confidence order, columns ground
-    truth; ``allowed`` masks the pairs that may match (True: all). Each row
-    claims, per threshold, the unmatched allowed column of highest IoU at or
-    above it, the lowest column among ties. Only pairs that some threshold
-    accepts are visited. ``matched[i]`` and ``tp[i]``
-    are the claimed columns and the true-positive rows at ``thresholds[i]``,
-    indexed by ``col_offset + column`` and ``row_ids[row]``.
+    truth; ``allowed`` masks the pairs that may match (True: all). Returns
+    each pair's rank (``rank0`` + matrix row), prediction id (``rows[row]``),
+    ground-truth id (``col0`` + column) and IoU.
     """
-    rows, cols = np.nonzero(allowed & (ious >= thresholds[0]) & (ious > 0.0))
-    if not rows.size:
-        return
-    values = ious[rows, cols]
-    order = np.lexsort((cols, -values, rows))  # per row: IoU descending, then column
-    rows = rows[order]
-    starts = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()]
-    row_ids = row_ids[rows].tolist()
-    values = values[order].tolist()
-    candidates = list(zip((cols[order] + col_offset).tolist(), values))
+    r, c = np.nonzero(allowed & (ious >= threshold) & (ious > 0.0))
+    return rank0 + r, rows[r], col0 + c, ious[r, c]
+
+
+def _match(pairs, thresholds, n_predictions) -> np.ndarray:
+    """Greedy matching of candidate ``pairs`` at every threshold of ``thresholds`` (ascending) at once.
+
+    ``pairs`` is a list of ``_candidates`` chunks whose ranks and ground-truth
+    ids are distinct across chunks. Predictions claim in rank order: each
+    claims, per threshold, the unclaimed ground truth of highest IoU at or
+    above it, the lowest id among ties. Returns the true-positive flags, one
+    row per threshold and one column per prediction id.
+
+    A prediction that shares no candidate ground truth with another one
+    claims its best candidate at every threshold that candidate's IoU
+    reaches, whatever is claimed before it; those claims are set for all
+    such predictions at once. The contested rest, whose candidates no
+    uncontested prediction has, are walked in rank order. Both steps give
+    what one walk over every prediction gives.
+    """
+    tp = np.zeros((len(thresholds), n_predictions), dtype=bool)
+    if not pairs:
+        return tp
+    rank, row, col, iou = map(np.concatenate, zip(*pairs))
+    order = np.lexsort((col, -iou, rank))  # per prediction: IoU descending, then ground truth
+    rank, row, col, iou = rank[order], row[order], col[order], iou[order]
+    first = np.flatnonzero(np.diff(rank, prepend=-1))  # each prediction's best pair
+    contested = np.logical_or.reduceat(np.bincount(col)[col] > 1, first)
+    alone = first[~contested]
+    tp[:, row[alone]] = np.less_equal.outer(thresholds, iou[alone])
+
+    walked = np.repeat(contested, np.diff(first, append=len(rank)))
+    starts = np.flatnonzero(np.diff(rank[walked], prepend=-1)).tolist()
+    rows, values = row[walked].tolist(), iou[walked].tolist()
+    candidates = list(zip(col[walked].tolist(), values))
+    used = [set() for _ in thresholds]
+    claims = []
     for start, end in zip(starts, starts[1:] + [len(candidates)]):
-        row = row_ids[start]
         best = values[start]
-        for threshold, used, flags in zip(thresholds, matched, tp):
+        for i, (threshold, claimed) in enumerate(zip(thresholds, used)):
             if best < threshold:
                 break
-            for col, value in candidates[start:end]:
+            for c, value in candidates[start:end]:
                 if value < threshold:
                     break
-                if not used[col]:
-                    used[col] = 1
-                    flags[row] = 1
+                if c not in claimed:
+                    claimed.add(c)
+                    claims.append((i, rows[start]))
                     break
+    if claims:
+        tp[tuple(zip(*claims))] = True
+    return tp
 
 
-def _interpolated_ap(tp_flags: np.ndarray, n_ground_truth: int) -> float:
-    if n_ground_truth == 0:
-        return 0.0
-    tp = np.cumsum(tp_flags, dtype=np.int64)
-    recalls = tp / n_ground_truth
+def _interpolated_aps(tp_flags: np.ndarray, n_ground_truth: int) -> np.ndarray:
+    """101-point interpolated AP of each row of a (thresholds, ranked) true-positive flag array."""
+    n_rows, n = tp_flags.shape
+    if n_ground_truth == 0 or n == 0:
+        return np.zeros(n_rows)
+    tp = np.cumsum(tp_flags, axis=1, dtype=np.int64)
     # right-max envelope: precision at recall r is the best achievable beyond r
-    precisions = np.maximum.accumulate((tp / np.arange(1, len(tp) + 1))[::-1])[::-1]
-    at = np.searchsorted(recalls, _RECALL_LEVELS, side="left")
-    total = 0.0
-    for value in precisions[at[at < len(tp)]].tolist():
-        total += value  # left to right: np.sum and sum() round differently
-    return total / len(_RECALL_LEVELS)
+    precisions = np.maximum.accumulate((tp / np.arange(1, n + 1))[:, ::-1], axis=1)[:, ::-1]
+    # each recall level's first rank, on the counts: the fewest true positives whose recall reaches it
+    need = np.searchsorted(np.arange(n_ground_truth + 1) / n_ground_truth, _RECALL_LEVELS, "left")
+    row = np.arange(n_rows)[:, None]
+    width = n + n_ground_truth + 1  # above every count, so one search keeps the rows apart
+    at = np.searchsorted((tp + row * width).ravel(), (need + row * width).ravel(), "left")
+    at = at.reshape(n_rows, -1) - row * n
+    values = np.where(at < n, np.take_along_axis(precisions, np.minimum(at, n - 1), axis=1), 0.0)
+    # added left to right, as a plain list sum is: np.sum adds pairwise
+    return np.cumsum(values, axis=1)[:, -1] / len(_RECALL_LEVELS)
 
 
 def match_detections(
@@ -178,16 +212,15 @@ def match_detections(
     preds, gts = Instances.pack(preds), Instances.pack(gts)
     order = _confidence_order(_scores(preds))
     ious = iou_array(preds.boxes[order][:, None], gts.boxes[None])
-    tp = bytearray(len(preds))
-    _match(ious, True, (iou_threshold,), [bytearray(len(gts))], [tp], np.arange(len(preds)), 0)
-    return [bool(flag) for flag in tp]
+    pairs = [_candidates(ious, True, iou_threshold, 0, np.arange(len(preds)), 0)]
+    return _match(pairs, (iou_threshold,), len(preds))[0].tolist()
 
 
 def average_precision(tp_fp_sequence: list[bool], n_ground_truth: int) -> float:
     """101-point interpolated AP from a confidence-ordered TP/FP sequence."""
     if n_ground_truth < 0:
         raise ValueError("negative ground-truth count")
-    return _interpolated_ap(np.asarray(tp_fp_sequence, dtype=bool).reshape(-1), n_ground_truth)
+    return _interpolated_aps(np.asarray(tp_fp_sequence, dtype=bool).reshape(1, -1), n_ground_truth).item()
 
 
 def _within_cap(keys: np.ndarray, by_confidence: np.ndarray, cap: int) -> np.ndarray:
@@ -229,15 +262,12 @@ def evaluate_corpus(
     pred_cls, pred_size = np.empty(n_pred, dtype=np.int8), np.empty(n_pred, dtype=np.int8)
     scores = np.empty(n_pred)
 
-    # Matching, image by image. The all-sizes pass also settles AP50 and
-    # AP75; a bucket pass pairs only predictions and ground truth of one
-    # size, and each ground truth falls in one bucket, so the three bucket
-    # passes share their matched state.
+    # Candidate pairs, image by image; each pass then matches the whole
+    # corpus at once. The all-sizes pass also settles AP50 and AP75; the
+    # bucket pass pairs only predictions and ground truth of one size, so
+    # the three buckets share it.
     all_thresholds = sorted(set((*cfg.iou_thresholds, 0.5, 0.75)))
-    matched_all = [bytearray(n_gt) for _ in all_thresholds]
-    matched_size = [bytearray(n_gt) for _ in cfg.iou_thresholds]
-    tp_all = [bytearray(n_pred) for _ in all_thresholds]
-    tp_size = [bytearray(n_pred) for _ in cfg.iou_thresholds]
+    pairs_all, pairs_size = [], []
     cap = cfg.max_detections_per_image
     kept_all = np.ones(n_pred, dtype=bool)  # within the cap per image and class
     kept_size = np.ones(n_pred, dtype=bool)  # ... per image, class and bucket
@@ -260,9 +290,13 @@ def evaluate_corpus(
         ious = iou_array(p_box[by_confidence][:, None], g_box[None])
         same_class = p_cls[by_confidence, None] == g_cls[None, :]
         allowed = same_class & kept_all[rows, None]
-        _match(ious, allowed, all_thresholds, matched_all, tp_all, rows, g0)
+        pairs_all.append(_candidates(ious, allowed, all_thresholds[0], p0, rows, g0))
         allowed = same_class & (p_size[by_confidence, None] == g_size[None, :]) & kept_size[rows, None]
-        _match(ious, allowed, cfg.iou_thresholds, matched_size, tp_size, rows, g0)
+        pairs_size.append(_candidates(ious, allowed, cfg.iou_thresholds[0], p0, rows, g0))
+    tp_all = _match(pairs_all, all_thresholds, n_pred)
+    del pairs_all
+    tp_size = _match(pairs_size, cfg.iou_thresholds, n_pred)
+    del pairs_size
 
     # AP per class and bucket, over the corpus-wide confidence order: ties
     # keep image order, then input order.
@@ -272,7 +306,6 @@ def evaluate_corpus(
 
     def class_aps(size: int | None, thresholds, tp) -> dict[ComponentClass, dict[float, float]]:
         """AP at each threshold for every class with ground truth or predictions in the bucket."""
-        flags = [np.frombuffer(t, dtype=np.uint8) for t in tp]
         if size is None:
             gt_in, pred_in = np.ones(len(gt_cls), dtype=bool), kept_all[order]
         else:
@@ -282,9 +315,7 @@ def evaluate_corpus(
             n_cls = int(np.count_nonzero(gt_in & (gt_cls == cls)))
             ranked = order[pred_in & (ordered_cls == cls)]
             if n_cls or ranked.size:
-                tables[cls] = {
-                    t: _interpolated_ap(f[ranked], n_cls) for t, f in zip(thresholds, flags)
-                }
+                tables[cls] = dict(zip(thresholds, _interpolated_aps(tp[:, ranked], n_cls).tolist()))
         return tables
 
     def coco_ap(table: dict[float, float]) -> float:

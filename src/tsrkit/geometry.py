@@ -45,7 +45,8 @@ class BBox(_BoxFields):
 
     @property
     def area(self) -> float:
-        return self.width * self.height
+        x1, y1, x2, y2 = self
+        return (x2 - x1) * (y2 - y1)
 
     @property
     def center(self) -> tuple[float, float]:
@@ -63,10 +64,12 @@ class BBox(_BoxFields):
 
     def intersect(self, other: "BBox") -> "BBox | None":
         """Intersection box, or None when the boxes do not overlap."""
-        x1 = max(self.x1, other.x1)
-        y1 = max(self.y1, other.y1)
-        x2 = min(self.x2, other.x2)
-        y2 = min(self.y2, other.y2)
+        ax1, ay1, ax2, ay2 = self
+        bx1, by1, bx2, by2 = other
+        x1 = bx1 if bx1 > ax1 else ax1
+        y1 = by1 if by1 > ay1 else ay1
+        x2 = bx2 if bx2 < ax2 else ax2
+        y2 = by2 if by2 < ay2 else ay2
         if x2 < x1 or y2 < y1:
             return None
         return BBox(x1, y1, x2, y2)
@@ -89,9 +92,15 @@ class BBox(_BoxFields):
 unchecked_bbox = partial(tuple.__new__, BBox)
 
 
+# The scalar functions unpack each box once and spell ``min(a, b)`` as
+# ``b if b < a else a`` and ``max(a, b)`` as ``b if b > a else a``: the same
+# operand comes back, so even a -0.0 coordinate gives what min and max give.
+
 def intersection_area(a: BBox, b: BBox) -> float:
-    w = min(a.x2, b.x2) - max(a.x1, b.x1)
-    h = min(a.y2, b.y2) - max(a.y1, b.y1)
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    w = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+    h = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
     if w <= 0.0 or h <= 0.0:
         return 0.0
     return w * h
@@ -103,12 +112,15 @@ def iou(a: BBox, b: BBox) -> float:
     Degenerate pairs with zero union area score 0: identical zero-area boxes
     carry no structure, so 0/0 is resolved downward.
     """
-    inter = intersection_area(a, b)
-    union = a.area + b.area - inter
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    w = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+    h = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+    inter = 0.0 if w <= 0.0 or h <= 0.0 else w * h
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
-
 
 
 def area_array(boxes: np.ndarray) -> np.ndarray:

@@ -64,7 +64,8 @@ class TableGrid:
     """Logical r x c lattice with merges, header rows, and projected rows.
 
     ``merges`` are validated in the order given and kept in reading order, by
-    anchor, so two grids are equal exactly when their structures are.
+    anchor, so the order they are given in does not tell grids apart.
+    ``grid_to_tree`` names the grids that differ but share a tree.
     """
 
     n_rows: int
@@ -195,7 +196,15 @@ def build_grid(detections: AnnotationSet) -> TableGrid:
 
 
 def grid_to_tree(grid: TableGrid) -> TableTree:
-    """Structure tree: thead holds exactly the header rows, tbody the rest."""
+    """Structure tree: thead holds exactly the header rows, tbody the rest.
+
+    Distinct grids give distinct trees when both are canonical: header rows
+    form a prefix, projected rows sit in grids of two or more columns, and
+    no merge covers a single cell or exactly one whole row. Outside that form
+    grids may share a tree: a header row below the body moves into thead,
+    a projected row equals a merge over its row (or, in one column, a plain
+    row), and a one-cell merge equals no merge.
+    """
     spans = {(m.row_start, m.col_start): (m.col_span, m.row_span) for m in grid.merges}
     spans.update(((r, 0), (grid.n_cols, 1)) for r in grid.projected_rows)
     thead, tbody = TableTree("thead"), TableTree("tbody")

@@ -4,14 +4,15 @@ Nothing here shares code paths with the library: the tree distance oracle
 enumerates edit mappings instead of running the forest DP, the AP oracle
 evaluates the interpolation definition directly, the anchor oracle scores
 every anchor instead of the nearest one per level and ratio, the corpus AP
-reference is the list-based evaluation with ``geometry.iou``, a greedy loop
+reference is the list-based evaluation with the box reference's IoU, a greedy loop
 per threshold and its own size buckets, the table-HTML parser reference is
 the character scanner that the regex tokenizer replaced, the instance
 loader reference is the parser that inline checks replaced, the corpus
 loader and label decode references are the instance-building versions that
 columns replaced, the grid
 reference is ``build_grid`` as it was before merge placement became one rule,
-and the convolution oracle is plain nested loops.
+the box reference is the scalar geometry as it was before it unpacked each
+box once, and the convolution oracle is plain nested loops.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from tsrkit.cocoeval import ApReport, MatchConfig
 from tsrkit.errors import CorpusError, EmptyStructureError, HtmlParseError, LabelConsistencyError, SchemaError
-from tsrkit.geometry import BBox, intersection_area, iou
+from tsrkit.geometry import BBox
 from tsrkit.labels import ComponentClass, ComponentInstance, LabelMode
 from tsrkit.teds import TableTree, parse_table_html
 
@@ -194,6 +195,50 @@ def brute_force_best_iou(anchors: np.ndarray, gts: np.ndarray) -> np.ndarray:
     return best
 
 
+# ---------------------------------------------------------- box geometry
+# ``geometry.intersection_area``, ``geometry.iou`` and ``BBox.intersect`` as
+# they were before each box was unpacked once, with ``min`` and ``max`` and
+# the ``width``/``height``/``area`` property chain written out. Kept as they
+# were, apart from names, so the rewrite is checked float for float.
+
+def reference_area(b: BBox) -> float:
+    width = b.x2 - b.x1
+    height = b.y2 - b.y1
+    return width * height
+
+
+def reference_intersection_area(a: BBox, b: BBox) -> float:
+    w = min(a.x2, b.x2) - max(a.x1, b.x1)
+    h = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if w <= 0.0 or h <= 0.0:
+        return 0.0
+    return w * h
+
+
+def reference_iou(a: BBox, b: BBox) -> float:
+    """Intersection over union of two boxes.
+
+    Degenerate pairs with zero union area score 0: identical zero-area boxes
+    carry no structure, so 0/0 is resolved downward.
+    """
+    inter = reference_intersection_area(a, b)
+    union = reference_area(a) + reference_area(b) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def reference_intersect(a: BBox, b: BBox) -> BBox | None:
+    """Intersection box, or None when the boxes do not overlap."""
+    x1 = max(a.x1, b.x1)
+    y1 = max(a.y1, b.y1)
+    x2 = min(a.x2, b.x2)
+    y2 = min(a.y2, b.y2)
+    if x2 < x1 or y2 < y1:
+        return None
+    return BBox(x1, y1, x2, y2)
+
+
 # ------------------------------------------------------------ COCO AP
 # The list-based evaluation ``cocoeval.evaluate_corpus`` replaced with one
 # numpy pass per image: pure-Python IoU rows per (class, size bucket), a
@@ -212,7 +257,7 @@ def classify_size(b: BBox) -> SizeBucket:
     Both boundary areas land in the upper bucket so the buckets partition
     all valid boxes.
     """
-    area = b.area
+    area = reference_area(b)
     if area < 32.0 * 32.0:
         return SizeBucket.SMALL
     if area < 64.0 * 64.0:
@@ -290,7 +335,7 @@ class _ClassEvalData:
                 preds = [p for p in preds if classify_size(p.box) == bucket]
             preds = _sort_by_confidence(preds)[: cfg.max_detections_per_image]
             self.n_gt += len(gts)
-            self.rows_by_image.append([[iou(p.box, g.box) for g in gts] for p in preds])
+            self.rows_by_image.append([[reference_iou(p.box, g.box) for g in gts] for p in preds])
             neg_scores.extend(-p.score for p in preds)
         self.order = sorted(range(len(neg_scores)), key=neg_scores.__getitem__)
 
@@ -890,7 +935,7 @@ def reference_build_grid(detections) -> ReferenceGrid:
     for cls in ComponentClass:
         kept = []
         for inst in (i for i in survivors if i.cls == cls):
-            if all(iou(inst.box, k.box) < 0.5 for k in kept):
+            if all(reference_iou(inst.box, k.box) < 0.5 for k in kept):
                 kept.append(inst)
         by_class[cls] = kept
 
@@ -901,8 +946,8 @@ def reference_build_grid(detections) -> ReferenceGrid:
             return [i.box for i in instances]
         boxes = []
         for inst in instances:
-            inter = inst.box.intersect(table_box)
-            if inter is not None and inter.area > 0.0:
+            inter = reference_intersect(inst.box, table_box)
+            if inter is not None and reference_area(inter) > 0.0:
                 boxes.append(inter)
         return boxes
 
@@ -933,10 +978,10 @@ def reference_build_grid(detections) -> ReferenceGrid:
         covered = []
         for r in range(n_rows):
             for c in range(n_cols):
-                cell = row_boxes[r].intersect(col_boxes[c])
-                if cell is None or cell.area <= 0.0:
+                cell = reference_intersect(row_boxes[r], col_boxes[c])
+                if cell is None or reference_area(cell) <= 0.0:
                     continue
-                if intersection_area(span.box, cell) / cell.area >= 0.5:
+                if reference_intersection_area(span.box, cell) / reference_area(cell) >= 0.5:
                     covered.append((r, c))
         if not covered:
             continue

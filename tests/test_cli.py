@@ -547,6 +547,75 @@ def test_teds_scores_unreadable_prediction_zero(fixture_files, capsys, tmp_path)
     assert captured.err == f"prediction failed table_000: {victim}: Is a directory\n"
 
 
+# Ids that are not one path component; with the ids of a two-table fixture
+# replaced by them, "../escaped" would name a file beside the output
+# directory and "sub/inner" one below it.
+UNSAFE_IDS = ["../escaped", "sub/inner", ".", "..", "nul\0byte"]
+
+
+def files_under(root):
+    return sorted(
+        os.path.relpath(os.path.join(parent, name), root)
+        for parent, _, names in os.walk(root)
+        for name in names
+    )
+
+
+@pytest.fixture
+def unsafe_id_files(tmp_path):
+    """Ground truth and detections whose images carry ``UNSAFE_IDS`` and one safe id, in ``tmp_path/work``."""
+    work = tmp_path / "work"
+    work.mkdir()
+    prefix = str(work / "fx")
+    assert main(["gen-fixtures", "-o", prefix, "--tables", str(len(UNSAFE_IDS) + 1), "--seed", "3"]) == 0
+    paths = []
+    for suffix in ("gt", "pred"):
+        path = f"{prefix}.{suffix}.json"
+        data = json.loads(read(path))
+        for image, image_id in zip(data["images"], [*UNSAFE_IDS, "safe"]):
+            image["image_id"] = image_id
+        with open(path, "w") as handle:
+            json.dump(data, handle)
+        paths.append(path)
+    return work, *paths
+
+
+def test_reconstruct_writes_no_file_for_an_id_that_is_not_a_file_name(unsafe_id_files, capsys):
+    work, _, pred = unsafe_id_files
+    before = files_under(work.parent)
+    assert main(["reconstruct", pred, "-o", str(work / "out" / "html")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 1 table(s) to {work / 'out' / 'html'}\n"
+    assert captured.err == "".join(f"failed {i}: image id is not a file name\n" for i in UNSAFE_IDS)
+    assert files_under(work.parent) == sorted([*before, os.path.join("work", "out", "html", "safe.html")])
+
+
+def test_teds_reads_no_file_for_an_id_that_is_not_a_file_name(unsafe_id_files, capsys, monkeypatch):
+    work, gt, pred = unsafe_id_files
+    html_dir = work / "out" / "html"
+    html_dir.mkdir(parents=True)
+    # perfect predictions where each unsafe id would lead, and for the safe one
+    perfect = work / "perfect"
+    assert main(["reconstruct", pred, "-o", str(perfect)]) == 1
+    html = read(perfect / "safe.html")
+    for name in ("safe.html", "sub/inner.html", "../escaped.html", "...html", "....html"):
+        target = html_dir / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(html)
+    opened = []
+    read_text = tsrkit.formats.read_text
+    monkeypatch.setattr(tsrkit.formats, "read_text", lambda path: opened.append(path) or read_text(path))
+    capsys.readouterr()
+    assert main(["teds", str(html_dir), gt]) == 0
+    captured = capsys.readouterr()
+    assert opened == [gt, os.path.join(str(html_dir), "safe.html")]
+    # the unsafe ids sort before "safe" and score 0, as unreadable predictions do
+    assert "TEDS overall = 0.1667" in captured.out
+    assert captured.err == "".join(
+        f"prediction failed {i}: image id is not a file name\n" for i in sorted(UNSAFE_IDS)
+    )
+
+
 @pytest.fixture
 def collector():
     """The cyclic collector enabled again after the test, whatever it did."""

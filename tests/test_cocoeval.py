@@ -343,7 +343,9 @@ def test_corpus_pinned_reports(cfg, expected):
 # Every box of an image takes one of two sizes and sits at x = 0, 8 or 16
 # and y = 0 or 8. Equal boxes 16 px apart tie on IoU with the box halfway
 # between them; a later prediction on one of them makes the tie order show,
-# so images may carry that pattern on purpose. The sizes include zero areas and areas of exactly
+# so images may carry that pattern on purpose. They may also carry a contest:
+# one box with two predictions on it, which both reach any threshold when the
+# box has an area, and a third beside it. The sizes include zero areas and areas of exactly
 # 32**2 and 64**2. Ground truth has two classes; predictions add a third
 # that only they carry.
 SIDES = st.sampled_from((0.0, 8.0, 16.0, 32.0, 40.0, 64.0, 72.0))
@@ -380,6 +382,11 @@ def ap_problems(draw):
             gt_list += [((0, 0, size), cls), ((2, 0, size), cls)]
             for x in (1, draw(st.sampled_from((0, 2)))):
                 pred_list.append(((x, 0, size), cls, draw(st.integers(0, 10))))
+        if draw(st.booleans()):  # a contest: two predictions on one box, a third 8 px beside it
+            (x, y, size), cls = draw(SLOTS), draw(st.sampled_from(GT_CLASSES))
+            gt_list.append(((x, y, size), cls))
+            for slot in ((x, y, size), (x, y, size), (1 - x % 2, y, size)):
+                pred_list.append((slot, cls, draw(st.integers(0, 10))))
         gts[f"img{k}"] = [ComponentInstance(box(slot), cls) for slot, cls in gt_list]
         if draw(st.booleans()):
             continue  # an image without predictions

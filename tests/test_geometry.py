@@ -2,10 +2,17 @@ import random
 
 import numpy as np
 import pytest
-from oracles import SizeBucket, classify_size
+from oracles import (
+    SizeBucket,
+    reference_area,
+    classify_size,
+    reference_intersect,
+    reference_intersection_area,
+    reference_iou,
+)
 
 from tsrkit.anchors import dataset_stats, fold_ratio
-from tsrkit.geometry import BBox, iou, iou_array
+from tsrkit.geometry import BBox, intersection_area, iou, iou_array
 from tsrkit.labels import AnnotationSet, ComponentClass, ComponentInstance, LabelMode
 
 
@@ -99,6 +106,37 @@ def test_iou_array_equals_iou_float_for_float():
     assert [[repr(float(v)) for v in row] for row in got] == [
         [repr(iou(a, b)) for b in boxes] for a in boxes
     ]
+
+
+def test_scalar_geometry_equals_min_max_formula_float_for_float():
+    rng = random.Random(11)
+    boxes = [random_box(rng) for _ in range(40)] + [random_box(rng, span=2.0) for _ in range(20)]
+    for _ in range(20):  # integer corners: touching, nested and identical boxes
+        x1, y1 = rng.randint(0, 4), rng.randint(0, 4)
+        boxes.append(BBox(x1, y1, x1 + rng.randint(0, 4), y1 + rng.randint(0, 4)))
+    boxes += [
+        BBox(0.0, 0.0, 4.0, 4.0),
+        BBox(4.0, 0.0, 8.0, 4.0),  # touches the first along x
+        BBox(4.0, 4.0, 9.0, 9.0),  # ... at a corner
+        BBox(1.0, 1.0, 3.0, 3.0),  # nested in the first
+        BBox(0.0, 0.0, 4.0, 4.0),  # identical to the first
+        BBox(2.0, 2.0, 2.0, 2.0),  # zero area
+        BBox(1.0, 0.0, 1.0, 6.0),  # zero width
+        # signed zeros: min and max return their first operand on a tie
+        BBox(-0.0, -0.0, 0.0, 0.0),
+        BBox(0.0, 0.0, -0.0, -0.0),
+        BBox(-0.0, -0.0, 2.0, 2.0),
+        BBox(0.0, 0.0, 2.0, 2.0),
+        BBox(-2.0, -2.0, -0.0, -0.0),
+        BBox(-2.0, -2.0, 0.0, 0.0),
+        BBox(-0.0, 0.0, 1.0, 1.0),
+    ]
+    for a in boxes:
+        assert repr(a.area) == repr(reference_area(a))
+        for b in boxes:
+            assert repr(iou(a, b)) == repr(reference_iou(a, b)), (a, b)
+            assert repr(intersection_area(a, b)) == repr(reference_intersection_area(a, b)), (a, b)
+            assert repr(a.intersect(b)) == repr(reference_intersect(a, b)), (a, b)
 
 
 @pytest.mark.parametrize(

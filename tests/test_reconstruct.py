@@ -572,6 +572,66 @@ def test_random_grids_round_trip_exactly():
         assert cells == expected
 
 
+@st.composite
+def canonical_grids(draw):
+    """Grids in the one form ``grid_to_tree`` keeps apart: header rows are a
+    prefix, projected rows need two or more columns, and every merge covers
+    two or more cells and is not one whole row (a projected row is)."""
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    header_rows = frozenset(range(draw(st.integers(0, n_rows))))
+    projected = draw(st.frozensets(st.integers(0, n_rows - 1))) if n_cols > 1 else frozenset()
+    taken = {(r, c) for r in projected for c in range(n_cols)}
+    merges = []
+    for _ in range(draw(st.integers(0, 4))):
+        r0, c0 = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
+        rs, cs = draw(st.integers(1, n_rows - r0)), draw(st.integers(1, n_cols - c0))
+        region = {(r, c) for r in range(r0, r0 + rs) for c in range(c0, c0 + cs)}
+        if rs * cs < 2 or (rs, cs) == (1, n_cols) or region & taken:
+            continue
+        if len({r in header_rows for r in range(r0, r0 + rs)}) > 1:
+            continue
+        taken |= region
+        merges.append(MergedCell(r0, c0, rs, cs))
+    return TableGrid(n_rows, n_cols, tuple(merges), header_rows, projected)
+
+
+def canonical_grid_from_html(html: str) -> TableGrid:
+    """The canonical grid whose tree ``html`` is: a left inverse of ``grid_to_tree`` there."""
+    n_rows, n_cols, cells, header_count = expand_table_tree(parse_table_html(html))
+    projected = {r for r, _, rs, cs in cells if n_cols > 1 and (rs, cs) == (1, n_cols)}
+    merges = [
+        MergedCell(r, c, rs, cs) for r, c, rs, cs in cells if rs * cs > 1 and (rs, cs) != (1, n_cols)
+    ]
+    return TableGrid(n_rows, n_cols, tuple(merges), frozenset(range(header_count)), frozenset(projected))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(canonical_grids(), canonical_grids())
+def test_grid_to_tree_is_injective_on_canonical_grids(a, b):
+    html = grid_to_tree(a).to_html()
+    assert canonical_grid_from_html(html) == a  # a left inverse, so no two grids share the HTML
+    assert (html == grid_to_tree(b).to_html()) == (a == b)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        # a projected row is a merge over one whole row
+        (TableGrid(1, 2, projected_rows={0}), TableGrid(1, 2, merges=(MergedCell(0, 0, 1, 2),))),
+        # ... and, in one column, a plain row
+        (TableGrid(2, 1, projected_rows={1}), TableGrid(2, 1)),
+        # a merge of one cell merges nothing
+        (TableGrid(1, 2, merges=(MergedCell(0, 0, 1, 1),)), TableGrid(1, 2)),
+        # thead holds the header rows wherever they sit in the grid
+        (TableGrid(2, 1, header_rows={1}), TableGrid(2, 1, header_rows={0})),
+    ],
+    ids=["projected-merge", "projected-one-column", "one-cell-merge", "header-below-body"],
+)
+def test_grid_to_tree_joins_grids_outside_the_canonical_form(a, b):
+    assert a != b
+    assert grid_to_tree(a) == grid_to_tree(b)
+
+
 # --------------------------------------------------------------- complexity
 
 def test_complexity_simple():
