@@ -9,7 +9,9 @@ carry confidences. Out-of-range coordinates are clamped into the image with
 a warning because real annotations contain padding-induced excursions.
 Unknown fields at every level survive a load/save round trip untouched;
 instance-level ones ride in ``ComponentInstance.extra`` through both label
-transforms too.
+transforms too. What counts as a number and as a box is ``geometry``'s rule
+(``is_number``, ``float_box`` and ``BBox``), which ``labels`` applies to the
+content extents it reads back, so both readers accept the same boxes.
 
 ``_columns`` checks each image one field at a time across its instances and
 fills the columns straight from the parsed JSON. It matches types exactly, so
@@ -28,7 +30,6 @@ import json
 import logging
 import math
 import os
-import sys
 import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -39,15 +40,13 @@ from operator import itemgetter, le
 import numpy as np
 
 from .errors import HtmlParseError, SchemaError
-from .geometry import BBox, unchecked_bbox
+from .geometry import NUMBER_TYPES, BBox, float_box, is_number, unchecked_bbox
 from .labels import AnnotationSet, ComponentClass, ComponentInstance, Instances, LabelMode
 from .teds import TableTree, parse_table_html
 
 SCHEMA_VERSION = 1
 
 log = logging.getLogger("tsrkit.formats")
-_FLOAT_MAX = sys.float_info.max
-_NUMBER_TYPES = (int, float)  # matched by exact type, so booleans are not numbers
 
 
 @dataclass
@@ -93,28 +92,13 @@ def _at(image: int, instance: int | None = None) -> str:
     return path if instance is None else f"{path}.instances[{instance}]"
 
 
-def _is_finite_number(value) -> bool:
-    """A JSON number within float range: booleans, infinities and NaN are not."""
-    return type(value) in _NUMBER_TYPES and -_FLOAT_MAX <= value <= _FLOAT_MAX
-
-
 def _clamped_bbox(raw, width: float, height: float, image: int, instance: int, key: str) -> BBox:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
         raise SchemaError(f"{_at(image, instance)}.{key}: bbox must be a 4-element array, got {raw!r}")
-    x1, y1, x2, y2 = raw
-    # Every type check runs before any comparison: a string must not meet a float.
-    if not (
-        type(x1) in _NUMBER_TYPES
-        and type(y1) in _NUMBER_TYPES
-        and type(x2) in _NUMBER_TYPES
-        and type(y2) in _NUMBER_TYPES
-        and -_FLOAT_MAX <= x1 <= _FLOAT_MAX
-        and -_FLOAT_MAX <= y1 <= _FLOAT_MAX
-        and -_FLOAT_MAX <= x2 <= _FLOAT_MAX
-        and -_FLOAT_MAX <= y2 <= _FLOAT_MAX
-    ):
+    coords = float_box(raw)
+    if coords is None:
         raise SchemaError(f"{_at(image, instance)}.{key}: bbox holds non-finite or non-numeric values {raw!r}")
-    x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
+    x1, y1, x2, y2 = coords
     # Only a box reaching outside the image is clamped; -0.0 is inside and stays.
     if not (0.0 <= x1 <= width and 0.0 <= y1 <= height and 0.0 <= x2 <= width and 0.0 <= y2 <= height):
         clamped = (
@@ -125,9 +109,10 @@ def _clamped_bbox(raw, width: float, height: float, image: int, instance: int, k
         )
         log.warning("%s.%s: bbox %s clamped to %s", _at(image, instance), key, (x1, y1, x2, y2), clamped)
         x1, y1, x2, y2 = clamped
-    if not (x2 >= x1 and y2 >= y1):
-        raise SchemaError(f"{_at(image, instance)}.{key}: bbox {raw!r} inverted after clamping")
-    return BBox(x1, y1, x2, y2)
+    try:
+        return BBox(x1, y1, x2, y2)
+    except ValueError:
+        raise SchemaError(f"{_at(image, instance)}.{key}: bbox {raw!r} inverted after clamping") from None
 
 
 _INSTANCE_FIELDS = frozenset({"bbox", "class_id", "score", "content_bbox"})
@@ -155,7 +140,7 @@ def _parse_instance(raw, width, height, label_mode, is_ground_truth, image, inst
     if score is not None:
         if is_ground_truth:
             raise SchemaError(f"{_at(image, instance)}.score: ground truth must not carry scores")
-        if not (type(score) in _NUMBER_TYPES and 0.0 <= score <= 1.0):
+        if not (is_number(score) and 0.0 <= score <= 1.0):
             raise SchemaError(f"{_at(image, instance)}.score: must lie in [0, 1], got {score!r}")
         score = float(score)
 
@@ -180,11 +165,11 @@ def _box_column(raws: list, width: float, height: float) -> np.ndarray | None:
     flat = list(chain.from_iterable(raws))
     types = set(map(type, flat))
     # Every type check runs before any comparison: a string must not meet a float.
-    if not types.issubset(_NUMBER_TYPES):
+    if not types <= NUMBER_TYPES:
         return None
     # Each coordinate meets one operator.le test, which a NaN fails; min and
     # max would skip a NaN after the first value. Ordered boxes are inside
-    # the image when the extreme edges are.
+    # the image when the extreme edges are, and so within float range.
     x1, y1, x2, y2 = flat[0::4], flat[1::4], flat[2::4], flat[3::4]
     if not (all(map(le, x1, x2)) and all(map(le, y1, y2)) and 0.0 <= min(x1) and 0.0 <= min(y1)):
         return None
@@ -234,7 +219,7 @@ def _columns(
     elif optionals:
         scores = optionals[0]
         if not (
-            set(map(type, scores)).issubset(_NUMBER_TYPES)
+            set(map(type, scores)) <= NUMBER_TYPES
             and all(map(le, repeat(0.0), scores))
             and all(map(le, scores, repeat(1.0)))
         ):
@@ -253,8 +238,12 @@ def _parse_image(raw, label_mode, is_ground_truth, image) -> ImageRecord:
     image_id = raw["image_id"]
     if not (isinstance(image_id, str) and image_id):
         raise SchemaError(f"{_at(image)}.image_id: must be a non-empty string")
+    try:
+        image_id.encode("utf-8")  # ids are written back, in JSON and in file names
+    except UnicodeEncodeError as exc:
+        raise SchemaError(f"{_at(image)}.image_id: not UTF-8 text: {exc.reason} (at character {exc.start})") from None
     for key in ("width", "height"):
-        if not (_is_finite_number(raw[key]) and raw[key] > 0):
+        if not (is_number(raw[key]) and raw[key] > 0):
             raise SchemaError(f"{_at(image)}.{key}: must be a positive finite number, got {raw[key]!r}")
     width, height = float(raw["width"]), float(raw["height"])
     # Twice the area bounded keeps every box's area, and the IoU union of any

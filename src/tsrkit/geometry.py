@@ -1,15 +1,21 @@
 """Axis-aligned box arithmetic: IoU and areas, of single boxes and of box
-arrays, and the object-size area limits.
+arrays, the object-size area limits, and the rule for numbers and boxes read
+from a corpus file.
 
 Boxes are (x1, y1, x2, y2) in pixel coordinates with the origin at the
 top-left corner. Coordinates are continuous reals; annotations carry
 fractional pixels. A ``BBox`` is an immutable tuple of its four coordinates:
 it unpacks, indexes, compares and hashes as that tuple, and its constructor
 rejects an inverted box.
+
+A corpus box is four corpus numbers (``is_number``), converted to floats
+before any comparison (``float_box``) and then ordered (``BBox``). The loader
+and ``labels.decode_pseudo`` both read boxes by this one rule.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import partial
 from typing import NamedTuple
 
@@ -18,6 +24,22 @@ import numpy as np
 # small < 32^2 <= medium < 64^2 <= large; a boundary area is in the upper bucket
 SMALL_AREA_LIMIT = 32.0 * 32.0
 MEDIUM_AREA_LIMIT = 64.0 * 64.0
+
+# The types of a corpus number, matched exactly: a boolean is an int subclass.
+NUMBER_TYPES = frozenset({int, float})
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_number(value) -> bool:
+    """A corpus number: an int or float by exact type (no boolean), within float range (no inf or NaN)."""
+    return type(value) in NUMBER_TYPES and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def float_box(raw) -> tuple[float, float, float, float] | None:
+    """A 4-element array of corpus numbers as four floats, or None; ordering is ``BBox``'s check."""
+    if isinstance(raw, (list, tuple)) and len(raw) == 4 and all(map(is_number, raw)):
+        return tuple(map(float, raw))
+    return None
 
 
 class _BoxFields(NamedTuple):

@@ -146,25 +146,23 @@ def composite_attention_arrays(params: SpatialAttentionParams) -> list[np.ndarra
     return arrays
 
 
-def composite_attention_forward(x, *arrays):
-    params = SpatialAttentionParams(
+def _attention_params(arrays) -> SpatialAttentionParams:
+    """Undo ``composite_attention_arrays``."""
+    return SpatialAttentionParams(
         branch7=SeparableParams(arrays[0], arrays[1]),
         branch11=SeparableParams(arrays[2], arrays[3]),
         branch21=SeparableParams(arrays[4], arrays[5]),
         projection=arrays[6],
     )
-    return spatial_attention_forward(x, params)
+
+
+def composite_attention_forward(x, *arrays):
+    return spatial_attention_forward(x, _attention_params(arrays))
 
 
 def composite_attention_vjp(x, *arrays_and_grad):
     *arrays, grad = arrays_and_grad
-    params = SpatialAttentionParams(
-        branch7=SeparableParams(arrays[0], arrays[1]),
-        branch11=SeparableParams(arrays[2], arrays[3]),
-        branch21=SeparableParams(arrays[4], arrays[5]),
-        projection=arrays[6],
-    )
-    d_x, branch_grads, d_projection = spatial_attention_vjp(x, params, grad)
+    d_x, branch_grads, d_projection = spatial_attention_vjp(x, _attention_params(arrays), grad)
     flat = [d_x]
     for d_vertical, d_horizontal in branch_grads:
         flat.extend([d_vertical, d_horizontal])

@@ -18,7 +18,6 @@ so the metrics and the score threshold work on the arrays, and
 from __future__ import annotations
 
 import enum
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -28,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LabelConsistencyError, LabelModeError
-from .geometry import BBox, unchecked_bbox
+from .geometry import BBox, float_box, unchecked_bbox
 
 
 class ComponentClass(enum.IntEnum):
@@ -59,8 +58,6 @@ HEADER_CONTENT_KEY = "column_header_content_bbox"
 # extent of the Row dropped under it.
 ROW_EXTRA_KEY = "row_extra"
 ROW_CONTENT_KEY = "row_content_bbox"
-
-_FLOAT_MAX = sys.float_info.max
 
 
 class LabelMode(enum.Enum):
@@ -161,13 +158,7 @@ class Instances(Sequence):
         return len(self.classes)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        i = range(len(self))[index]  # counts a negative index from the end; raises IndexError
-        score = float(self.scores[i])
-        content, extra = self.side.get(i, (None, {}))
-        box, cls = unchecked_bbox(self.boxes[i].tolist()), _CLASS_BY_ID[self.classes[i]]
-        return _new_instance((box, cls, None if score != score else score, content, extra))
+        return tuple(self)[index]
 
     def __iter__(self):
         n = len(self)
@@ -336,17 +327,15 @@ def _split(
 
 
 def _content_box(value, image_id: str, key: str) -> BBox | None:
-    """A content extent stored by ``_absorb``: null or [x1, y1, x2, y2]."""
+    """A content extent stored by ``_absorb``: null, or a box by the loader's rule."""
     if value is None:
         return None
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 4
-        and all(type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX for v in value)
-        and value[2] >= value[0]
-        and value[3] >= value[1]
-    ):
-        return BBox(*map(float, value))
+    coords = float_box(value)
+    if coords is not None:
+        try:
+            return BBox(*coords)
+        except ValueError:
+            pass  # inverted
     raise LabelConsistencyError(
         f"{image_id}: {key} must be null or a box [x1, y1, x2, y2] with x1 <= x2 and y1 <= y2, got {value!r}"
     )

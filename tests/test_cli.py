@@ -617,6 +617,84 @@ def test_teds_reads_no_file_for_an_id_that_is_not_a_file_name(unsafe_id_files, c
 
 
 @pytest.fixture
+def surrogate_id_files(tmp_path):
+    """A two-table corpus whose first image id holds a lone surrogate, which UTF-8 cannot encode."""
+    prefix = str(tmp_path / "fx")
+    assert main(["gen-fixtures", "-o", prefix, "--tables", "2", "--seed", "3"]) == 0
+    paths = {}
+    for suffix in ("gt", "pred"):
+        path = paths[suffix] = f"{prefix}.{suffix}.json"
+        data = json.loads(read(path))
+        data["images"][0]["image_id"] = "tab\ud800le"
+        with open(path, "w") as handle:
+            json.dump(data, handle)  # ASCII JSON, so the surrogate is an escape
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["stats", "{gt}"], "gt"),
+        (["coco-eval", "{pred}", "{gt}"], "pred"),
+        (["encode-labels", "{gt}", "-o", "{out}"], "gt"),
+        (["reconstruct", "{pred}", "-o", "{out}"], "pred"),
+        (["teds", "{out}", "{gt}"], "gt"),
+    ],
+    ids=["stats", "coco-eval", "encode-labels", "reconstruct", "teds"],
+)
+def test_image_id_that_utf8_cannot_encode_rejected_with_path(surrogate_id_files, tmp_path, capsys, argv, bad):
+    out = str(tmp_path / "out")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(out=out, **surrogate_id_files) for arg in argv])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (
+        f"error: SchemaError: {surrogate_id_files[bad]}: $.images[0].image_id: "
+        "not UTF-8 text: surrogates not allowed (at character 3)\n"
+    )
+    assert not os.path.exists(out)
+
+
+def test_reconstruct_writes_the_other_tables_when_one_fails(fixture_files, tmp_path, capsys):
+    _, pred = fixture_files
+    data = json.loads(read(pred))
+    image = data["images"][1]
+    image["instances"] = [inst for inst in image["instances"] if inst["class_id"] != ComponentClass.ROW]
+    no_rows = tmp_path / "no_rows.json"
+    no_rows.write_text(json.dumps(data))
+    html_dir = tmp_path / "html"
+    assert main(["reconstruct", str(no_rows), "-o", str(html_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 5 table(s) to {html_dir}\n"
+    n_columns = sum(inst["class_id"] == ComponentClass.COLUMN for inst in image["instances"])
+    assert captured.err == (
+        f"failed table_001: table_001: 0 rows and {n_columns} columns survive thresholding\n"
+    )
+    assert sorted(os.listdir(html_dir)) == [f"table_00{i}.html" for i in (0, 2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("anchors", lambda data: [image.update(instances=[]) for image in data["images"]],
+         "ground truth contains no boxes"),
+        ("encode-labels", lambda data: data.update(label_mode="single"), "input must be label_mode=multi"),
+    ],
+)
+def test_command_rejects_a_corpus_it_cannot_use(fixture_files, tmp_path, capsys, command, edit, message):
+    gt, _ = fixture_files
+    data = json.loads(read(gt))
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)] + (["-o", str(tmp_path / "out.json")] if command == "encode-labels" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(tmp_path / "out.json")
+
+
+@pytest.fixture
 def collector():
     """The cyclic collector enabled again after the test, whatever it did."""
     yield

@@ -230,6 +230,8 @@ def test_match_config_rejects_empty_tuples(field):
         ("iou_thresholds", (0.5, math.nan)),
         ("iou_thresholds", (True,)),
         ("iou_thresholds", ("0.5",)),
+        ("iou_thresholds", (0.5, 0.5)),  # not strictly increasing
+        ("iou_thresholds", (0.75, 0.5)),
         ("max_detections_per_image", True),
         ("max_detections_per_image", 2.5),  # used to raise a bare TypeError when evaluated
         ("max_detections_per_image", "3"),

@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import re
 
 import pytest
@@ -12,13 +13,23 @@ from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.formats import (
     _columns,
     _parse_instance,
+    atomic_write_text,
     load_detections,
     load_ground_truth,
     save,
     serialize,
 )
 from tsrkit.geometry import BBox
-from tsrkit.labels import AnnotationSet, ComponentInstance, Instances, LabelMode, decode_pseudo
+from tsrkit.labels import (
+    HEADER_CONTENT_KEY,
+    ROW_CONTENT_KEY,
+    AnnotationSet,
+    ComponentClass,
+    ComponentInstance,
+    Instances,
+    LabelMode,
+    decode_pseudo,
+)
 from tsrkit.teds import parse_table_html
 
 
@@ -497,6 +508,17 @@ def test_non_utf8_bytes_rejected_with_path_and_byte_offset(tmp_path, loader, bad
         loader(str(path))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("{", "not valid JSON: Expecting property name enclosed in double quotes"), ("[]", "$: top level must be an object")],
+)
+def test_file_that_is_not_a_corpus_object_rejected_with_path(tmp_path, text, message):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
+        load_ground_truth(str(path))
+
+
 def test_unsupported_schema_version(tmp_path):
     # 1.0 and true equal 1 in Python, but only the integer is version 1
     for version in (2, 1.0, True):
@@ -580,6 +602,41 @@ def test_inverted_bbox_rejected(tmp_path):
         load_ground_truth(write(tmp_path, data))
 
 
+@pytest.mark.parametrize(
+    "corners",
+    [
+        pytest.param([2**53 + 1, 0, 2**53, 1], id="ints-ordered-only-as-floats"),
+        pytest.param([0, True, 10, 1], id="bool"),
+        pytest.param([0, 0, "10", 1], id="string"),
+        pytest.param([0, 0, 1e309, 1], id="1e309"),
+        pytest.param([10, 0, 5, 1], id="inverted"),
+        pytest.param([0, 0, 10], id="three-elements"),
+    ],
+)
+def test_loader_and_decode_read_a_content_box_alike(tmp_path, corners):
+    # the loader reads a ground-truth content_bbox, decode_pseudo the extent
+    # encode_pseudo stored for the instance it absorbed; both follow one rule
+    data = base_file()
+    data["images"][0]["width"] = 2.0**54  # each box lies inside the image, so none is clamped
+    data["images"][0]["instances"][0]["content_bbox"] = corners
+    try:
+        loaded = load_ground_truth(write(tmp_path, data)).images[0].instances[0].content_box
+    except SchemaError:
+        loaded = None
+    for cls, key in (
+        (ComponentClass.PROJECTED_ROW_HEADER, ROW_CONTENT_KEY),
+        (ComponentClass.PSEUDO_HEADER_ROW, HEADER_CONTENT_KEY),
+    ):
+        single = ComponentInstance(BBox(0.0, 0.0, 10.0, 10.0), cls, 0.9, extra={key: corners})
+        try:
+            # the second decoded instance is the absorbed Row or Column Header
+            decoded = decode_pseudo(AnnotationSet("t0", (single,), LabelMode.SINGLE)).instances[1].content_box
+        except LabelConsistencyError:
+            decoded = None
+        assert decoded == loaded
+        assert decoded is None or list(map(type, decoded)) == [float] * 4
+
+
 # Any JSON value: json.load gives these types, integers of any length and
 # NaN and the infinities included.
 json_values = st.recursive(
@@ -651,7 +708,32 @@ def test_any_json_value_in_a_file_or_image_slot_loads_or_raises_schema_error(cor
         assert (image.html is None) == (image.tree is None)
 
 
+def test_failed_replace_leaves_no_temporary_file(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    (target / "kept").write_text("")
+    with pytest.raises(IsADirectoryError):
+        atomic_write_text(str(target), "text")
+    assert sorted(os.listdir(tmp_path)) == ["out"]
+    assert os.listdir(target) == ["kept"]
+
+
 # ------------------------------------------------------------------ fixtures
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n_tables": 0}, "need at least one table"),
+        ({"min_rows": 1}, "row counts must satisfy 2 <= min <= max"),
+        ({"min_rows": 5, "max_rows": 4}, "row counts must satisfy 2 <= min <= max"),
+        ({"min_cols": 1}, "column counts must satisfy 2 <= min <= max"),
+        ({"min_cols": 5, "max_cols": 4}, "column counts must satisfy 2 <= min <= max"),
+    ],
+)
+def test_fixture_spec_rejects_counts_out_of_range(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FixtureSpec(**fields)
 
 def test_fixture_generation_deterministic():
     spec = FixtureSpec(n_tables=6, seed=99)

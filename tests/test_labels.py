@@ -19,6 +19,7 @@ from tsrkit.labels import (
     AnnotationSet,
     ComponentClass,
     ComponentInstance,
+    Instances,
     LabelMode,
     boxes_match,
     decode_pseudo,
@@ -116,6 +117,27 @@ def test_encode_row_coincident_with_projected_header_removed():
         multi(inst(ComponentClass.ROW), inst(ComponentClass.PROJECTED_ROW_HEADER))
     )
     assert [i.cls for i in out.instances] == [ComponentClass.PROJECTED_ROW_HEADER]
+
+
+def test_instances_index_slice_compare_and_hash_like_the_tuple_of_their_instances():
+    box, other = BBox(10.0, 10.0, 200.0, 30.0), BBox(10.0, 40.0, 200.0, 60.0)  # floats repr as they come back
+    items = (
+        ComponentInstance(box, ComponentClass.ROW, 0.5),
+        ComponentInstance(other, ComponentClass.COLUMN, content_box=BBox(20.0, 45.0, 100.0, 55.0), extra={"k": 1}),
+        ComponentInstance(box, ComponentClass.TABLE),
+    )
+    columns = Instances.pack(items)
+    for i in range(-3, 3):
+        assert columns[i] == items[i] and columns[i].extra == items[i].extra
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            columns[i]
+    for part in (slice(None), slice(1, None), slice(None, None, -1), slice(-2, -1), slice(5, 9)):
+        assert columns[part] == items[part]
+    assert columns == items and columns == Instances.pack(list(items))
+    assert columns != items[:2] and columns != Instances.pack(items[::-1])
+    assert hash(columns) == hash(items)
+    assert repr(columns) == f"Instances({list(items)!r})"
 
 
 def test_encode_identity_on_unshared_classes():

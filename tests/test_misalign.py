@@ -44,6 +44,14 @@ def test_shrink_cuts_inward():
     assert out.instances[0].box == BBox(13, 13, 107, 27)
 
 
+@pytest.mark.parametrize(
+    "magnitude, message", [(-1.0, "magnitude must be non-negative"), (float("nan"), "magnitude must be finite")]
+)
+def test_spec_rejects_magnitude(magnitude, message):
+    with pytest.raises(ValueError, match=message):
+        PerturbationSpec(PerturbationMode.DILATE, magnitude)
+
+
 def test_shrink_degenerate_is_error():
     gt = annset(row(10, 10, 110, 30))
     with pytest.raises(ValueError):

@@ -383,6 +383,23 @@ def test_grid_validates_merges_in_the_given_order():
         TableGrid(3, 3, (c, MergedCell(0, 0, 2, 1)))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TableGrid(0, 2), "grid needs at least one row and one column"),
+        (lambda: TableGrid(2, 0), "grid needs at least one row and one column"),
+        (lambda: TableGrid(2, 2, header_rows={2}), "row index 2 outside grid"),
+        (lambda: TableGrid(2, 2, projected_rows={-1}), "row index -1 outside grid"),
+        (lambda: MergedCell(0, 0, 0, 1), "merge spans must be >= 1"),
+        (lambda: MergedCell(0, 0, 1, -1), "merge spans must be >= 1"),
+    ],
+    ids=["no-rows", "no-columns", "header-row-outside", "projected-row-outside", "zero-row-span", "negative-col-span"],
+)
+def test_grid_and_merge_reject_impossible_shapes(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
 def test_grid_rejects_overlapping_merges():
     with pytest.raises(ValueError):
         TableGrid(2, 2, merges=(MergedCell(0, 0, 1, 2), MergedCell(0, 1, 2, 1)))

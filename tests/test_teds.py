@@ -50,6 +50,7 @@ def test_parse_unbalanced_is_error():
         "<table><tbody><tr><td colspan=\"0\"></td></tr></tbody></table>",
         "<table><tbody><td></td></tbody></table>",  # td outside tr
         "<table><tbody><tr><td></td></tr>",  # tbody never closed
+        "<table><tbody><tr><td>",  # td never closed
         "<tbody></tbody>",
         "<table><tbody><tr><td></td></tr></tbody></table><p>",
     ],
