@@ -84,7 +84,8 @@ def dataset_stats(annotations: list[AnnotationSet]) -> DatasetStats:
             if inst.box.width <= 0.0 or inst.box.height <= 0.0:
                 continue
             folded = fold_ratio(inst.box.height / inst.box.width)
-            bucket = min(int(folded), HISTOGRAM_TOP_BUCKET)
+            # an extreme box's ratio overflows to inf, which int() cannot take
+            bucket = int(min(folded, HISTOGRAM_TOP_BUCKET))
             histogram[bucket] = histogram.get(bucket, 0) + 1
     return DatasetStats(
         n_images=n_images,

@@ -15,12 +15,12 @@ import sys
 from . import formats
 from .anchors import DEFAULT_ASPECT_RATIOS, anchor_coverage, dataset_stats, generate_anchors
 from .cocoeval import evaluate_corpus
-from .errors import SchemaError, TsrkitError
+from .errors import HtmlParseError, SchemaError, TsrkitError
 from .fixtures import FixtureSpec, generate_fixtures
 from .labels import AnnotationSet, ComponentClass, LabelMode, decode_pseudo, encode_pseudo
 from .misalign import ALL_CLASSES, PerturbationMode, PerturbationSpec, misalignment_report
 from .reconstruct import build_grid, grid_to_html
-from .teds import corpus_teds
+from .teds import corpus_teds, parse_table_html
 
 
 def _fail(message: str):
@@ -163,35 +163,28 @@ def cmd_teds(args) -> int:
     missing_html = [img.image_id for img in corpus.images if img.image_id not in trees]
     if missing_html:
         _fail(f"ground truth without html for: {missing_html[:5]}")
-    pairs = []
-    missing = set()
-    unreadable = {}
-    ids = sorted(trees)
-    for image_id in ids:
-        pred_path = _html_path(args.predictions_dir, image_id)
-        pred = ""  # scores 0: an absent or unreadable prediction cannot match anything
-        if pred_path is None:
-            unreadable[image_id] = _NOT_A_FILE_NAME
-        elif not os.path.exists(pred_path):
-            missing.add(image_id)
-        else:
-            try:
-                pred = formats.read_text(pred_path)
-            except SchemaError as exc:
-                unreadable[image_id] = str(exc)
-            except OSError as exc:  # a directory, or no permission to read
-                unreadable[image_id] = f"{pred_path}: {exc.strerror or exc}"
-        pairs.append((pred, trees[image_id]))
-    report = corpus_teds(pairs)
-    for line in report.format_lines():
+    scored_zero = []  # one stderr line per prediction that scores 0, in id order
+
+    def pairs():
+        for image_id in sorted(trees):
+            path, tree = _html_path(args.predictions_dir, image_id), None
+            if path is None:
+                scored_zero.append(f"failed {image_id}: {_NOT_A_FILE_NAME}")
+            elif not os.path.exists(path):
+                scored_zero.append(f"missing {image_id}")
+            else:
+                try:
+                    tree = parse_table_html(formats.read_text(path))
+                except (SchemaError, HtmlParseError) as exc:
+                    scored_zero.append(f"failed {image_id}: {exc}")
+                except OSError as exc:  # a directory, or no permission to read
+                    scored_zero.append(f"failed {image_id}: {path}: {exc.strerror or exc}")
+            yield tree, trees[image_id]
+
+    for line in corpus_teds(pairs()).format_lines():
         print(line)
-    for p in report.pairs:
-        image_id = ids[p.index]
-        error = unreadable.get(image_id, p.prediction_error)
-        if image_id in missing:
-            print(f"prediction missing {image_id}", file=sys.stderr)
-        elif error is not None:
-            print(f"prediction failed {image_id}: {error}", file=sys.stderr)
+    for line in scored_zero:
+        print(f"prediction {line}", file=sys.stderr)
     return 0
 
 

@@ -7,11 +7,12 @@ a ``ComponentInstance`` is built only where a caller reads one. Ground truth
 may carry the structure HTML and per-instance content extents; detections
 carry confidences. Out-of-range coordinates are clamped into the image with
 a warning because real annotations contain padding-induced excursions.
-Unknown fields at every level survive a load/save round trip untouched;
-instance-level ones ride in ``ComponentInstance.extra`` through both label
-transforms too. What counts as a number and as a box is ``geometry``'s rule
-(``is_number``, ``float_box`` and ``BBox``), which ``labels`` applies to the
-content extents it reads back, so both readers accept the same boxes.
+Unknown fields at every level survive a load/save round trip untouched,
+so, like ids and html, they must be text that UTF-8 can write; instance-level
+ones ride in ``ComponentInstance.extra`` through both label transforms too.
+What counts as a number and as a box is ``geometry``'s rule (``is_number``,
+``float_box`` and ``BBox``), which ``labels`` applies to the content extents
+it reads back, so both readers accept the same boxes.
 
 ``_columns`` checks each image one field at a time across its instances and
 fills the columns straight from the parsed JSON. It matches types exactly, so
@@ -92,6 +93,27 @@ def _at(image: int, instance: int | None = None) -> str:
     return path if instance is None else f"{path}.instances[{instance}]"
 
 
+def _check_utf8(text: str, image: int, key: str):
+    """Loaded text is written back as UTF-8, in JSON and in file names; a lone surrogate cannot be."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SchemaError(f"{_at(image)}.{key}: not UTF-8 text: {exc.reason} (at character {exc.start})") from None
+
+
+def _unknown_fields(raw: dict, known, image: int | None = None, instance: int | None = None) -> dict:
+    """The fields of ``raw``, the corpus or the image or instance record at those
+    indices, outside ``known``, each checked as ``serialize`` writes it back."""
+    extra = {k: v for k, v in raw.items() if k not in known}
+    for key, value in extra.items():
+        try:
+            json.dumps({key: value}, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            path = "$" if image is None else _at(image, instance)
+            raise SchemaError(f"{path}.{key}: not UTF-8 text: {exc.reason}") from None
+    return extra
+
+
 def _clamped_bbox(raw, width: float, height: float, image: int, instance: int, key: str) -> BBox:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
         raise SchemaError(f"{_at(image, instance)}.{key}: bbox must be a 4-element array, got {raw!r}")
@@ -151,7 +173,7 @@ def _parse_instance(raw, width, height, label_mode, is_ground_truth, image, inst
             raise SchemaError(f"{_at(image, instance)}.content_bbox: only ground truth carries content extents")
         content_box = _clamped_bbox(content_raw, width, height, image, instance, "content_bbox")
 
-    extra = {} if raw.keys() <= _INSTANCE_FIELDS else {k: v for k, v in raw.items() if k not in _INSTANCE_FIELDS}
+    extra = {} if raw.keys() <= _INSTANCE_FIELDS else _unknown_fields(raw, _INSTANCE_FIELDS, image, instance)
     return ComponentInstance(box, ComponentClass(class_id), score, content_box, extra)
 
 
@@ -238,10 +260,7 @@ def _parse_image(raw, label_mode, is_ground_truth, image) -> ImageRecord:
     image_id = raw["image_id"]
     if not (isinstance(image_id, str) and image_id):
         raise SchemaError(f"{_at(image)}.image_id: must be a non-empty string")
-    try:
-        image_id.encode("utf-8")  # ids are written back, in JSON and in file names
-    except UnicodeEncodeError as exc:
-        raise SchemaError(f"{_at(image)}.image_id: not UTF-8 text: {exc.reason} (at character {exc.start})") from None
+    _check_utf8(image_id, image, "image_id")
     for key in ("width", "height"):
         if not (is_number(raw[key]) and raw[key] > 0):
             raise SchemaError(f"{_at(image)}.{key}: must be a positive finite number, got {raw[key]!r}")
@@ -266,7 +285,8 @@ def _parse_image(raw, label_mode, is_ground_truth, image) -> ImageRecord:
             raise SchemaError(f"{_at(image)}.html: only ground truth carries structure html")
         if not isinstance(html, str):
             raise SchemaError(f"{_at(image)}.html: must be a string")
-    record = ImageRecord(image_id, width, height, instances, html, {k: v for k, v in raw.items() if k not in known})
+        _check_utf8(html, image, "html")
+    record = ImageRecord(image_id, width, height, instances, html, _unknown_fields(raw, known, image))
     try:
         record.tree  # validates the html; scoring reads the kept tree
     except HtmlParseError as exc:
@@ -320,7 +340,7 @@ def _corpus_file(raw, is_ground_truth: bool) -> CorpusFile:
         if rec.image_id in seen:
             raise SchemaError(f"{_at(i)}.image_id: duplicate id {rec.image_id!r}")
         seen.add(rec.image_id)
-    extra = {k: v for k, v in raw.items() if k not in ("schema_version", "label_mode", "images")}
+    extra = _unknown_fields(raw, ("schema_version", "label_mode", "images"))
     return CorpusFile(label_mode=label_mode, images=images, extra=extra)
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cocoeval import ApReport, evaluate_corpus
-from .errors import CorpusError
+from .errors import CorpusError, HtmlParseError
 from .labels import (
     MULTI_LABEL_CLASSES,
     AnnotationSet,
@@ -24,7 +24,7 @@ from .labels import (
     LabelMode,
 )
 from .reconstruct import build_grid, grid_to_html
-from .teds import TableTree, corpus_teds
+from .teds import TableTree, corpus_teds, parse_table_html
 
 
 class PerturbationMode(enum.Enum):
@@ -120,6 +120,16 @@ def _merge_closest_pair(instances: list[ComponentInstance]) -> list[ComponentIns
     return ordered[:at] + [merged] + ordered[at + 2 :]
 
 
+def _reconstructed_tree(ann: AnnotationSet) -> TableTree | None:
+    """The tree of the reconstruction's HTML, or None, scoring 0, where the grammar
+    rejects it: only a merge beyond the WHATWG span limits (1000 columns, 65534 rows)."""
+    html = grid_to_html(build_grid(ann))
+    try:
+        return parse_table_html(html)
+    except HtmlParseError:
+        return None
+
+
 @dataclass(frozen=True)
 class MisalignmentRow:
     label: str
@@ -161,11 +171,7 @@ def misalignment_report(
         perturbed = [perturb(ann, spec) for ann in built]
         preds_by_image = {ann.image_id: ann.instances for ann in perturbed}
         ap: ApReport = evaluate_corpus(preds_by_image, gts_by_image)
-        pairs = [
-            (grid_to_html(build_grid(ann)), gt_trees[ann.image_id])
-            for ann in perturbed
-        ]
-        teds_report = corpus_teds(pairs)
+        teds_report = corpus_teds((_reconstructed_tree(ann), gt_trees[ann.image_id]) for ann in perturbed)
         rows.append(
             MisalignmentRow(
                 label=spec.describe(),

@@ -1,6 +1,5 @@
 from .distance import (
     CorpusTedsReport,
-    PairScore,
     backend_name,
     corpus_teds,
     teds,
@@ -11,7 +10,6 @@ from .tree import TableTree, parse_table_html
 
 __all__ = [
     "CorpusTedsReport",
-    "PairScore",
     "TableTree",
     "backend_name",
     "corpus_teds",

@@ -2,7 +2,9 @@
 
 Every edit has cost 1: inserting a node, deleting one, and renaming one into
 a node with another tag or, for cells, other colspan or rowspan. Renaming
-into an equal node is free.
+into an equal node is free. Every function here reads trees; a caller that
+holds HTML parses it with the grammar in ``tree`` and decides what a
+fragment the grammar rejects scores.
 
 The distance kernel exists twice: a compiled C extension (_speedup.c) for
 corpus scoring (the DP dominates evaluation runtime) and a pure-Python
@@ -18,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import HtmlParseError
 from . import _ted_py
-from .tree import TableTree, parse_table_html
+from .tree import TableTree
 
 try:
     from . import _speedup
@@ -96,19 +97,10 @@ def tree_is_complex(t: TableTree) -> bool:
 
 
 @dataclass(frozen=True)
-class PairScore:
-    index: int
-    score: float
-    complex: bool
-    prediction_error: str | None = None
-
-
-@dataclass(frozen=True)
 class CorpusTedsReport:
     simple_mean: float | None
     complex_mean: float | None
     overall_mean: float | None
-    pairs: tuple[PairScore, ...]
 
     def format_lines(self) -> list[str]:
         def fmt(value):
@@ -122,30 +114,19 @@ class CorpusTedsReport:
 
 
 def corpus_teds(pairs) -> CorpusTedsReport:
-    """Score (predicted html, ground-truth ``TableTree``) pairs and aggregate.
+    """Score (predicted ``TableTree`` or None, ground-truth ``TableTree``) pairs and aggregate.
 
-    Complexity is classified from the ground-truth tree. Predictions that
-    fail to parse score 0 for their pair.
+    The pairs are read once, in order, so a generator keeps one predicted
+    tree alive at a time. A None prediction, one the caller could not read
+    or parse, scores 0. Complexity is classified from the ground-truth tree.
     """
-    scores: list[PairScore] = []
-    for index, (pred_html, gt_tree) in enumerate(pairs):
-        is_complex = tree_is_complex(gt_tree)
-        try:
-            pred_tree = parse_table_html(pred_html)
-        except HtmlParseError as exc:
-            scores.append(PairScore(index, 0.0, is_complex, str(exc)))
-            continue
-        scores.append(PairScore(index, teds(pred_tree, gt_tree), is_complex))
+    simple, complex_, overall = [], [], []
+    for pred_tree, gt_tree in pairs:
+        score = 0.0 if pred_tree is None else teds(pred_tree, gt_tree)
+        (complex_ if tree_is_complex(gt_tree) else simple).append(score)
+        overall.append(score)
 
     def mean_of(values):
-        values = list(values)
-        if not values:
-            return None
-        return sum(values) / len(values)
+        return sum(values) / len(values) if values else None
 
-    return CorpusTedsReport(
-        simple_mean=mean_of(p.score for p in scores if not p.complex),
-        complex_mean=mean_of(p.score for p in scores if p.complex),
-        overall_mean=mean_of(p.score for p in scores),
-        pairs=tuple(scores),
-    )
+    return CorpusTedsReport(mean_of(simple), mean_of(complex_), mean_of(overall))

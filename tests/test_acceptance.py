@@ -49,7 +49,7 @@ from tsrkit.labels import (
 )
 from tsrkit.misalign import PerturbationMode, PerturbationSpec, misalignment_report
 from tsrkit.reconstruct import build_grid, grid_to_html
-from tsrkit.teds import corpus_teds, tree_edit_distance
+from tsrkit.teds import corpus_teds, parse_table_html, teds, tree_edit_distance
 
 from test_anchors import grid_anchors, synthetic_table_boxes
 
@@ -107,12 +107,12 @@ def test_criterion_2_perfect_prediction_end_to_end():
 
     trees = gt.trees_by_image()
     pairs = [
-        (grid_to_html(build_grid(ann)), trees[ann.image_id])
+        (parse_table_html(grid_to_html(build_grid(ann))), trees[ann.image_id])
         for ann in det.annotation_sets()
     ]
     result = corpus_teds(pairs)
     assert result.overall_mean == 1.0
-    assert all(p.score == 1.0 for p in result.pairs)
+    assert all(teds(pred, gt_tree) == 1.0 for pred, gt_tree in pairs)
     report(2, f"TEDS 1.0 on {len(pairs)} reconstructed fixtures (all four patterns present)")
 
 

@@ -2,12 +2,13 @@ import gc
 import json
 import os
 import re
+import sys
 import warnings
 
 import pytest
 
 import tsrkit.formats
-import tsrkit.teds.distance
+import tsrkit.teds.tree
 from tsrkit.anchors import TABLE_ASPECT_RATIOS
 from tsrkit.cli import main, parse_perturbation_spec
 from tsrkit.labels import ComponentClass
@@ -86,6 +87,17 @@ def test_stats_two_image_average(tmp_path, capsys):
     assert "objects/image = 4.00" in out
 
 
+def test_stats_buckets_a_ratio_that_overflows(tmp_path, capsys):
+    # height / width overflows to inf, which the top bucket holds like any ratio above it
+    thin = {"image_id": "t", "width": 10.0, "height": 10.0,
+            "instances": [{"bbox": [0, 0, 5e-324, 1], "class_id": 2}]}
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({"schema_version": 1, "label_mode": "multi", "images": [thin]}))
+    csv_path = tmp_path / "hist.csv"
+    assert main(["stats", str(path), "--csv", str(csv_path)]) == 0
+    assert read(csv_path) == b"ratio_bucket,count\n140,1\n"
+
+
 def test_reconstruct_and_teds(fixture_files, capsys, tmp_path):
     gt, pred = fixture_files
     html_dir = str(tmp_path / "html")
@@ -122,16 +134,19 @@ def test_teds_missing_prediction_scores_zero(fixture_files, capsys, tmp_path):
 
 @pytest.fixture
 def parse_count(monkeypatch):
-    """Counts parse_table_html calls made by the loader and by TEDS scoring."""
+    """Counts parse_table_html calls, replacing it in every loaded tsrkit module that holds it."""
     calls = []
-    for module in (tsrkit.formats, tsrkit.teds.distance):
-        parse = module.parse_table_html
+    parse = tsrkit.teds.tree.parse_table_html
 
-        def counted(fragment, parse=parse):
-            calls.append(fragment)
-            return parse(fragment)
+    def counted(fragment):
+        calls.append(fragment)
+        return parse(fragment)
 
-        monkeypatch.setattr(module, "parse_table_html", counted)
+    for name, module in list(sys.modules.items()):
+        if name == "tsrkit" or name.startswith("tsrkit."):
+            for attr, value in list(vars(module).items()):
+                if value is parse:
+                    monkeypatch.setattr(module, attr, counted)
     return calls
 
 
@@ -547,6 +562,28 @@ def test_teds_scores_unreadable_prediction_zero(fixture_files, capsys, tmp_path)
     assert captured.err == f"prediction failed table_000: {victim}: Is a directory\n"
 
 
+def test_teds_reports_each_prediction_that_scores_zero(fixture_files, capsys, tmp_path):
+    gt, pred = fixture_files
+    html_dir = tmp_path / "html"
+    assert main(["reconstruct", pred, "-o", str(html_dir)]) == 0
+    (html_dir / "table_000.html").unlink()
+    (html_dir / "table_001.html").write_text("<table><tr>")
+    latin = html_dir / "table_002.html"
+    latin.write_bytes(b"\xff" + latin.read_bytes())
+    (html_dir / "table_003.html").unlink()
+    (html_dir / "table_003.html").mkdir()
+    capsys.readouterr()
+    assert main(["teds", str(html_dir), gt]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "TEDS simple = 0.6667\nTEDS complex = 0.0000\nTEDS overall = 0.3333\n"
+    assert captured.err == (
+        "prediction missing table_000\n"
+        "prediction failed table_001: <tr> not allowed inside <table> (at character 7)\n"
+        f"prediction failed table_002: {latin}: {NOT_UTF8}\n"
+        f"prediction failed table_003: {html_dir / 'table_003.html'}: Is a directory\n"
+    )
+
+
 # Ids that are not one path component; with the ids of a two-table fixture
 # replaced by them, "../escaped" would name a file beside the output
 # directory and "sub/inner" one below it.
@@ -652,6 +689,56 @@ def test_image_id_that_utf8_cannot_encode_rejected_with_path(surrogate_id_files,
         "not UTF-8 text: surrogates not allowed (at character 3)\n"
     )
     assert not os.path.exists(out)
+
+
+# command -> its arguments and which file the bad text goes into
+TEXT_COMMANDS = {
+    "stats": (["stats", "{gt}"], "gt"),
+    "anchors": (["anchors", "{gt}"], "gt"),
+    "encode-labels": (["encode-labels", "{gt}", "-o", "{out}"], "gt"),
+    "teds": (["teds", "{out}", "{gt}"], "gt"),
+    "misalign": (["misalign", "{gt}", "--spec", "snap"], "gt"),
+    "coco-eval-gt": (["coco-eval", "{pred}", "{gt}"], "gt"),
+    "coco-eval-pred": (["coco-eval", "{pred}", "{gt}"], "pred"),
+    "reconstruct": (["reconstruct", "{pred}", "-o", "{out}"], "pred"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        (command, field)
+        for command, (_, bad) in TEXT_COMMANDS.items()
+        for field in ("html", "corpus", "image", "instance")
+        if not (field == "html" and bad == "pred")  # detections carry no html
+    ],
+)
+def test_text_that_utf8_cannot_encode_rejected_with_path(tmp_path, capsys, command, field):
+    # such text used to load, and then either passed unseen or failed the write with a bare codec error
+    argv, bad = TEXT_COMMANDS[command]
+    prefix = str(tmp_path / "fx")
+    assert main(["gen-fixtures", "-o", prefix, "--tables", "2", "--seed", "3"]) == 0
+    paths = {"gt": f"{prefix}.gt.json", "pred": f"{prefix}.pred.json", "out": str(tmp_path / "out")}
+    data = json.loads(read(paths[bad]))
+    if field == "html":
+        html = data["images"][1]["html"].replace("<td></td>", "<td>x\ud800</td>", 1)
+        data["images"][1]["html"] = html
+        where = f"$.images[1].html: not UTF-8 text: surrogates not allowed (at character {html.index(chr(0xd800))})"
+    else:
+        record, where = {
+            "corpus": (data, "$"),
+            "image": (data["images"][1], "$.images[1]"),
+            "instance": (data["images"][1]["instances"][2], "$.images[1].instances[2]"),
+        }[field]
+        record["note"] = "x\ud800y"
+        where += ".note: not UTF-8 text: surrogates not allowed"
+    with open(paths[bad], "w") as handle:
+        json.dump(data, handle)  # ASCII JSON, so the surrogate is an escape
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: SchemaError: {paths[bad]}: {where}\n"
+    assert not os.path.exists(paths["out"])
 
 
 def test_reconstruct_writes_the_other_tables_when_one_fails(fixture_files, tmp_path, capsys):

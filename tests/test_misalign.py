@@ -9,6 +9,8 @@ from tsrkit.misalign import (
     misalignment_report,
     perturb,
 )
+from tsrkit.reconstruct import build_grid, grid_to_html
+from tsrkit.teds import parse_table_html
 
 ROW_ONLY = frozenset({ComponentClass.ROW})
 
@@ -135,3 +137,17 @@ def test_report_rows_keep_spec_order():
     ]
     report = misalignment_report(sets, trees, specs)
     assert [r.label for r in report.rows] == ["snap", "dilate:1"]
+
+
+def test_reconstruction_the_html_grammar_rejects_scores_zero():
+    # a merge over 1001 columns renders colspan="1001", beyond the WHATWG limit
+    width = 10.0 * 1001
+    columns = [
+        ComponentInstance(BBox(10.0 * c, 0, 10.0 * (c + 1), 40), ComponentClass.COLUMN) for c in range(1001)
+    ]
+    merge = ComponentInstance(BBox(0, 0, width, 20), ComponentClass.SPANNING_CELL)
+    gt = annset(row(0, 0, width, 20), row(0, 20, width, 40), *columns, merge)
+    assert '<td colspan="1001">' in grid_to_html(build_grid(gt))
+    trees = {"img": parse_table_html("<table><tbody><tr><td></td></tr></tbody></table>")}
+    (result,) = misalignment_report([gt], trees, [PerturbationSpec(PerturbationMode.DILATE, 0.0)]).rows
+    assert result.teds_overall == 0.0

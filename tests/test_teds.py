@@ -390,8 +390,13 @@ def test_rename_cost_model():
 COMPLEX = '<table><tbody><tr><td colspan="2"></td></tr><tr><td></td><td></td></tr></tbody></table>'
 
 
+def tree_pairs(*html_pairs):
+    """(predicted, ground-truth) HTML pairs as the tree pairs ``corpus_teds`` scores."""
+    return [(parse_table_html(pred), parse_table_html(gt)) for pred, gt in html_pairs]
+
+
 def test_corpus_identical_pairs():
-    report = corpus_teds([(MINIMAL, parse_table_html(MINIMAL)), (COMPLEX, parse_table_html(COMPLEX))])
+    report = corpus_teds(tree_pairs((MINIMAL, MINIMAL), (COMPLEX, COMPLEX)))
     assert report.simple_mean == 1.0
     assert report.complex_mean == 1.0
     assert report.overall_mean == 1.0
@@ -399,7 +404,7 @@ def test_corpus_identical_pairs():
 
 def test_corpus_group_means():
     simple_pred = "<table><tbody><tr><td></td><td></td></tr></tbody></table>"
-    report = corpus_teds([(simple_pred, parse_table_html(MINIMAL)), (COMPLEX, parse_table_html(COMPLEX))])
+    report = corpus_teds(tree_pairs((simple_pred, MINIMAL), (COMPLEX, COMPLEX)))
     assert report.simple_mean == pytest.approx(1.0 - 1.0 / 5.0)
     assert report.complex_mean == 1.0
     assert report.overall_mean == pytest.approx((0.8 + 1.0) / 2.0)
@@ -419,24 +424,39 @@ def test_corpus_mixed_group_arithmetic():
         '<table><tbody><tr><td colspan="2"></td><td></td><td></td></tr>'
         "</tbody></table>"
     )
-    gt_tree = parse_table_html(complex_gt)
-    assert gt_tree.size() == 10
-    report = corpus_teds([(simple_pred, parse_table_html(simple_gt)), (complex_pred, gt_tree)])
+    assert parse_table_html(complex_gt).size() == 10
+    report = corpus_teds(tree_pairs((simple_pred, simple_gt), (complex_pred, complex_gt)))
     assert report.simple_mean == pytest.approx(0.8)
     assert report.complex_mean == pytest.approx(0.6)
     assert report.overall_mean == pytest.approx(0.7)
 
 
 def test_corpus_empty_group_is_absent():
-    report = corpus_teds([(MINIMAL, parse_table_html(MINIMAL))])
+    report = corpus_teds(tree_pairs((MINIMAL, MINIMAL)))
     assert report.complex_mean is None
     assert report.overall_mean == 1.0
 
 
 def test_corpus_unparsable_prediction_scores_zero():
-    report = corpus_teds([("<table><tr>", parse_table_html(MINIMAL))])
-    assert report.overall_mean == 0.0
-    assert report.pairs[0].prediction_error is not None
+    # None stands for a prediction the caller could not read or parse;
+    # test_cli.test_teds_reports_each_prediction_that_scores_zero covers the CLI's reasons
+    report = corpus_teds([(None, parse_table_html(MINIMAL)), (None, parse_table_html(COMPLEX))])
+    assert (report.simple_mean, report.complex_mean, report.overall_mean) == (0.0, 0.0, 0.0)
+
+
+def test_corpus_reads_pairs_once_in_order():
+    simple_pred = "<table><tbody><tr><td></td><td></td></tr></tbody></table>"
+    pairs = tree_pairs((simple_pred, MINIMAL), (COMPLEX, COMPLEX), (MINIMAL, MINIMAL))
+    read = []
+
+    def generated():
+        for index, pair in enumerate(pairs):
+            read.append(index)
+            yield pair
+
+    assert corpus_teds(generated()) == corpus_teds(pairs)
+    assert read == [0, 1, 2]
+    assert corpus_teds(generated()).overall_mean == pytest.approx((0.8 + 1.0 + 1.0) / 3.0)
 
 
 def test_complexity_from_tree():
