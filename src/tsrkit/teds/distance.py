@@ -6,6 +6,10 @@ into an equal node is free. Every function here reads trees; a caller that
 holds HTML parses it with the grammar in ``tree`` and decides what a
 fragment the grammar rejects scores.
 
+Equal trees score distance 0 and TEDS 1 without flattening or the DP. Other
+pairs are flattened in postorder, Zhang-Shasha style; a keyroot is the root
+or any node with a left sibling.
+
 The distance kernel exists twice: a compiled C extension (_speedup.c) for
 corpus scoring (the DP dominates evaluation runtime) and a pure-Python
 fallback with the same recurrence. ``backend_name()`` picks one on every
@@ -36,31 +40,23 @@ def backend_name() -> str:
     return "python"
 
 
-def _label_key(node: TableTree):
-    if node.tag == "td":
-        return ("td", node.colspan, node.rowspan)
-    return (node.tag,)
-
-
-def _postorder(node: TableTree, lmld: list[int], labels: list[int], interner: dict):
+def _walk(node: TableTree, keyroot: bool, lmld: list[int], labels: list[int], keyroots: list[int], interner: dict):
     """Append ``node``'s subtree in postorder; its first node is its leftmost leaf."""
     leftmost = len(labels)
-    for child in node.children:
-        _postorder(child, lmld, labels, interner)
-    labels.append(interner.setdefault(_label_key(node), len(interner)))
+    for i, child in enumerate(node.children):
+        _walk(child, i > 0, lmld, labels, keyroots, interner)
+    key = ("td", node.colspan, node.rowspan) if node.tag == "td" else (node.tag,)
+    if keyroot:
+        keyroots.append(len(labels))
+    labels.append(interner.setdefault(key, len(interner)))
     lmld.append(leftmost)
 
 
 def _flatten(root: TableTree, interner: dict):
-    """Postorder arrays: leftmost-leaf-descendant index, label id, keyroots."""
-    lmld: list[int] = []
-    labels: list[int] = []
-    _postorder(root, lmld, labels, interner)
-    last_for_lml: dict[int, int] = {}
-    for i, value in enumerate(lmld):
-        last_for_lml[value] = i
-    keyroots = sorted(last_for_lml.values())
-    return lmld, labels, keyroots
+    """Postorder arrays from one walk: leftmost-leaf-descendant index, label id, keyroots."""
+    flat = ([], [], [])
+    _walk(root, True, *flat, interner)
+    return flat
 
 
 def _distance_and_sizes(a: TableTree, b: TableTree) -> tuple[float, int, int]:
@@ -78,11 +74,15 @@ def _distance_and_sizes(a: TableTree, b: TableTree) -> tuple[float, int, int]:
 
 def tree_edit_distance(a: TableTree, b: TableTree) -> float:
     """Minimal unit-cost edit distance transforming ``a`` into ``b`` (ordered-tree semantics)."""
+    if a == b:
+        return 0.0
     return _distance_and_sizes(a, b)[0]
 
 
 def teds(a: TableTree, b: TableTree) -> float:
     """Similarity 1 - distance / max(|a|, |b|), clamped into [0, 1]."""
+    if a == b:
+        return 1.0
     distance, size_a, size_b = _distance_and_sizes(a, b)
     value = 1.0 - distance / max(size_a, size_b)
     return min(1.0, max(0.0, value))
@@ -90,10 +90,8 @@ def teds(a: TableTree, b: TableTree) -> float:
 
 def tree_is_complex(t: TableTree) -> bool:
     """A table is complex when any cell spans multiple rows or columns."""
-    return any(
-        node.tag == "td" and (node.colspan > 1 or node.rowspan > 1)
-        for node in t.iter_postorder()
-    )
+    is_spanning_cell = t.tag == "td" and (t.colspan > 1 or t.rowspan > 1)
+    return is_spanning_cell or any(map(tree_is_complex, t.children))
 
 
 @dataclass(frozen=True)

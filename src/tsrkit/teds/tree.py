@@ -50,20 +50,22 @@ class TableTree:
         """Number of nodes in the subtree rooted here."""
         return 1 + sum(child.size() for child in self.children)
 
-    def iter_postorder(self):
-        for child in self.children:
-            yield from child.iter_postorder()
-        yield self
-
     def to_html(self) -> str:
-        attrs = ""
-        if self.tag == "td":
-            if self.colspan != 1:
-                attrs += f' colspan="{self.colspan}"'
-            if self.rowspan != 1:
-                attrs += f' rowspan="{self.rowspan}"'
-        inner = "".join(child.to_html() for child in self.children)
-        return f"<{self.tag}{attrs}>{inner}</{self.tag}>"
+        parts: list[str] = []
+        _append_html(self, parts)
+        return "".join(parts)
+
+
+def _append_html(node: TableTree, parts: list[str]):
+    if node.tag == "td":
+        colspan = f' colspan="{node.colspan}"' if node.colspan != 1 else ""
+        rowspan = f' rowspan="{node.rowspan}"' if node.rowspan != 1 else ""
+        parts.append(f"<td{colspan}{rowspan}>")
+    else:
+        parts.append(f"<{node.tag}>")
+    for child in node.children:
+        _append_html(child, parts)
+    parts.append(f"</{node.tag}>")
 
 
 # A tag runs from "<" to the first ">", or to the end of the fragment when

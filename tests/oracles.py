@@ -12,7 +12,9 @@ loader and label decode references are the instance-building versions that
 columns replaced, the grid
 reference is ``build_grid`` as it was before merge placement became one rule,
 the box reference is the scalar geometry as it was before it unpacked each
-box once, and the convolution oracle is plain nested loops.
+box once, the flattening reference is the TED input arrays as built before
+one walk emitted them (keyroots as the last node of each leftmost-leaf
+run), and the convolution oracle is plain nested loops.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from tsrkit.labels import ComponentClass, ComponentInstance, LabelMode
 from tsrkit.teds import TableTree, parse_table_html
 
 
-def _postorder(root: TableTree) -> list[TableTree]:
+def postorder(root: TableTree) -> list[TableTree]:
+    """The nodes of ``root``'s tree in postorder."""
     out = []
 
     def visit(node):
@@ -83,8 +86,8 @@ def brute_force_tree_distance(a: TableTree, b: TableTree) -> float:
     ancestor relation; its cost is the paired rename costs plus one deletion
     or insertion for each unpaired node.
     """
-    nodes_a = _postorder(a)
-    nodes_b = _postorder(b)
+    nodes_a = postorder(a)
+    nodes_b = postorder(b)
     iv_a = _subtree_intervals(a)
     iv_b = _subtree_intervals(b)
     n1, n2 = len(nodes_a), len(nodes_b)
@@ -117,6 +120,33 @@ def brute_force_tree_distance(a: TableTree, b: TableTree) -> float:
 
     search(0, 0, [], 0.0)
     return best[0]
+
+
+def _reference_label_key(node: TableTree):
+    if node.tag == "td":
+        return ("td", node.colspan, node.rowspan)
+    return (node.tag,)
+
+
+def _reference_postorder(node: TableTree, lmld: list[int], labels: list[int], interner: dict):
+    """Append ``node``'s subtree in postorder; its first node is its leftmost leaf."""
+    leftmost = len(labels)
+    for child in node.children:
+        _reference_postorder(child, lmld, labels, interner)
+    labels.append(interner.setdefault(_reference_label_key(node), len(interner)))
+    lmld.append(leftmost)
+
+
+def reference_flatten(root: TableTree, interner: dict):
+    """Postorder arrays: leftmost-leaf-descendant index, label id, keyroots."""
+    lmld: list[int] = []
+    labels: list[int] = []
+    _reference_postorder(root, lmld, labels, interner)
+    last_for_lml: dict[int, int] = {}
+    for i, value in enumerate(lmld):
+        last_for_lml[value] = i
+    keyroots = sorted(last_for_lml.values())
+    return lmld, labels, keyroots
 
 
 def random_small_tree(rng: random.Random, max_nodes: int = 8) -> TableTree:

@@ -24,7 +24,7 @@ from tsrkit.reconstruct import (
 )
 from tsrkit.teds import parse_table_html, tree_is_complex
 
-from oracles import ReferenceGrid, reference_build_grid, reference_grid_html
+from oracles import ReferenceGrid, postorder, reference_build_grid, reference_grid_html
 
 
 def inst(cls, x1, y1, x2, y2, score=None):
@@ -503,14 +503,14 @@ def test_html_round_trips_through_parser():
     for ann in gt.annotation_sets():
         grid = build_grid(ann)
         tree = parse_table_html(grid_to_html(grid))
-        tds = [n for n in tree.iter_postorder() if n.tag == "td"]
+        tds = [n for n in postorder(tree) if n.tag == "td"]
         covered = sum(n.colspan * n.rowspan for n in tds)
         assert covered == grid.n_rows * grid.n_cols
         header_cells = sum(
             n.colspan * n.rowspan
             for section in tree.children
             if section.tag == "thead"
-            for n in section.iter_postorder()
+            for n in postorder(section)
             if n.tag == "td"
         )
         assert header_cells == len(grid.header_rows) * grid.n_cols

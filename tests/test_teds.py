@@ -1,10 +1,17 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_tree_distance, random_small_tree, reference_parse_table_html
+from oracles import (
+    brute_force_tree_distance,
+    postorder,
+    random_small_tree,
+    reference_flatten,
+    reference_parse_table_html,
+)
 
 from tsrkit.errors import HtmlParseError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
@@ -16,8 +23,9 @@ from tsrkit.teds import (
     tree_edit_distance,
     tree_is_complex,
 )
-from tsrkit.teds import _ted_py
-from tsrkit.teds.distance import _flatten
+from tsrkit.reconstruct import build_grid, grid_to_html, grid_to_tree
+from tsrkit.teds import _ted_py, distance
+from tsrkit.teds.distance import _distance_and_sizes, _flatten
 from tsrkit.teds.tree import _decode
 
 MINIMAL = "<table><tbody><tr><td></td></tr></tbody></table>"
@@ -29,12 +37,12 @@ def test_parse_minimal_table():
     tree = parse_table_html(MINIMAL)
     assert tree.tag == "table"
     assert tree.size() == 4  # table, tbody, tr, td
-    assert [n.tag for n in tree.iter_postorder()] == ["td", "tr", "tbody", "table"]
+    assert [n.tag for n in postorder(tree)] == ["td", "tr", "tbody", "table"]
 
 
 def test_parse_colspan_attribute():
     tree = parse_table_html('<table><tbody><tr><td colspan="2"></td></tr></tbody></table>')
-    td = next(n for n in tree.iter_postorder() if n.tag == "td")
+    td = next(n for n in postorder(tree) if n.tag == "td")
     assert td.colspan == 2 and td.rowspan == 1
 
 
@@ -126,9 +134,9 @@ def test_parse_normalizes_th_to_td():
     tree = parse_table_html(
         '<table><thead><tr><th colspan="2">H</th></tr></thead><tbody><tr><td></td><td></td></tr></tbody></table>'
     )
-    tags = [n.tag for n in tree.iter_postorder()]
+    tags = [n.tag for n in postorder(tree)]
     assert "th" not in tags
-    header_cell = next(n for n in tree.iter_postorder() if n.colspan == 2)
+    header_cell = next(n for n in postorder(tree) if n.colspan == 2)
     assert header_cell.tag == "td"
 
 
@@ -305,6 +313,99 @@ def test_backends_agree(compiled_kernel):
     empty = ((), (), ())
     for args in ((*empty, *flat), (*flat, *empty), (*empty, *empty)):
         assert compiled_kernel.tree_distance(*as_int64(args)) == _ted_py.tree_distance(*args)
+
+
+def _chain(n_nodes):
+    """A path of ``n_nodes`` nodes, one child each, with a spanning cell at the bottom."""
+    node = TableTree("td", colspan=2)
+    for i in range(n_nodes - 1):
+        node = TableTree(("tr", "tbody", "table")[i % 3], children=[node])
+    return node
+
+
+def test_flatten_matches_reference():
+    """One walk gives the arrays and interner of the postorder pass plus keyroot sort it replaced."""
+    rng = random.Random(41)
+    trees = [random_small_tree(rng, max_nodes=rng.choice((1, 2, 12, 40))) for _ in range(120)]
+    trees += [TableTree("td"), TableTree("tr"), _chain(2), _chain(13)]
+    trees += [random_table_tree(rng, n_rows) for n_rows in (1, 3, 14, 40)]
+    assert max(tree.size() for tree in trees) == 282
+    for a, b in zip(trees, trees[1:] + trees[:1]):
+        interner, expected_interner = {}, {}
+        got = (_flatten(a, interner), _flatten(b, interner))
+        expected = (reference_flatten(a, expected_interner), reference_flatten(b, expected_interner))
+        assert got == expected
+        assert interner == expected_interner
+
+
+def _backend(monkeypatch, name, kernel):
+    """Select the ``name`` backend, with ``kernel`` standing in for the compiled extension."""
+    if name == "python":
+        monkeypatch.setenv("TSRKIT_PURE_PYTHON", "1")
+    else:
+        monkeypatch.delenv("TSRKIT_PURE_PYTHON", raising=False)
+        monkeypatch.setattr(distance, "_speedup", kernel)
+    assert distance.backend_name() == name
+
+
+def _equal_but_distinct_pairs():
+    fragment = '<table><thead><tr><td colspan="2"></td></tr></thead><tbody><tr><td></td><td></td></tr></tbody></table>'
+    pairs = [(parse_table_html(fragment), parse_table_html(fragment))]
+    gt, _ = generate_fixtures(FixtureSpec(n_tables=6, seed=5))
+    for ann in gt.annotation_sets():
+        grid = build_grid(ann)
+        pairs.append((grid_to_tree(grid), parse_table_html(grid_to_html(grid))))
+    return pairs
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_equal_trees_score_without_the_dp(monkeypatch, backend):
+    def no_dp(*args):
+        raise AssertionError("equal trees reached the DP")
+
+    monkeypatch.setattr(_ted_py, "tree_distance", no_dp)
+    _backend(monkeypatch, backend, SimpleNamespace(tree_distance=no_dp))
+    for a, b in _equal_but_distinct_pairs():
+        assert a == b and a is not b
+        assert teds(a, b) == 1.0
+        assert tree_edit_distance(a, b) == 0.0
+
+
+def _kernel(request, backend):
+    """The real kernel module of ``backend``; only the compiled one needs a C compiler."""
+    return request.getfixturevalue("compiled_kernel") if backend == "compiled" else _ted_py
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_spans_off_cells_still_reach_the_dp(monkeypatch, request, backend):
+    """Spans count only on cells, so these unequal trees are 0 apart, and the DP says so."""
+    calls = []
+    tree_distance = _kernel(request, backend).tree_distance
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return tree_distance(*args)
+
+    if backend == "python":
+        monkeypatch.setattr(_ted_py, "tree_distance", counted)
+    _backend(monkeypatch, backend, SimpleNamespace(tree_distance=counted))
+    a, b = TableTree("tr", colspan=2), TableTree("tr")
+    assert a != b
+    assert tree_edit_distance(a, b) == 0.0
+    assert teds(a, b) == 1.0
+    assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_kernels_return_zero_on_equal_trees(monkeypatch, request, backend):
+    _backend(monkeypatch, backend, _kernel(request, backend))
+    rng = random.Random(8)
+    pairs = _equal_but_distinct_pairs() + [(t, t) for t in (TableTree("td"), random_table_tree(rng, 14))]
+    for _ in range(20):
+        tree = random_small_tree(rng, max_nodes=12)
+        pairs.append((tree, tree))
+    for a, b in pairs:
+        assert _distance_and_sizes(a, b) == (0.0, a.size(), b.size())
 
 
 def test_compiled_kernel_rejects_bad_buffers(compiled_kernel):
