@@ -123,32 +123,30 @@ def generate_anchors(ratios, width: float, height: float) -> np.ndarray:
     (i, j) of a level with stride s is centered at ((j + 0.5) s, (i + 0.5) s);
     a ratio rho gives width 8 s / sqrt(rho) and height 8 s * sqrt(rho).
     Returns an (N, 4) float array of (x1, y1, x2, y2) rows, ordered by level,
-    row, column, then ratio.
+    row, column, then ratio. The array is allocated once, and each level is
+    written through a (rows, columns, ratios, 4) view of it: the x pair from
+    the columns' centres, the y pair from the rows', so nothing of the
+    array's size is allocated twice. ``x - w`` is computed as ``x + (-w)``,
+    which IEEE 754 rounds to the same number.
     """
     _check_ratios(ratios)
     ratio_arr = np.asarray(ratios, dtype=np.float64)
-    half_w = 0.5 / np.sqrt(ratio_arr)
-    half_h = 0.5 * np.sqrt(ratio_arr)
-    out = []
-    for stride, rows, cols in _levels(width, height):
-        ys = (np.arange(rows) + 0.5) * stride
-        xs = (np.arange(cols) + 0.5) * stride
-        cx, cy = np.meshgrid(xs, ys)
-        cx = cx.reshape(-1, 1)
-        cy = cy.reshape(-1, 1)
-        w = 8.0 * stride * half_w
-        h = 8.0 * stride * half_h
-        boxes = np.stack(
-            [
-                np.broadcast_to(cx - w, (cx.shape[0], len(ratios))),
-                np.broadcast_to(cy - h, (cx.shape[0], len(ratios))),
-                np.broadcast_to(cx + w, (cx.shape[0], len(ratios))),
-                np.broadcast_to(cy + h, (cx.shape[0], len(ratios))),
-            ],
-            axis=-1,
-        )
-        out.append(boxes.reshape(-1, 4))
-    return np.concatenate(out, axis=0)
+    signs = np.array([-1.0, 1.0])
+    half_w = (0.5 / np.sqrt(ratio_arr))[:, None] * signs  # (-, +) per ratio
+    half_h = (0.5 * np.sqrt(ratio_arr))[:, None] * signs
+    levels = _levels(width, height)
+    n_ratios = len(ratios)
+    out = np.empty((sum(rows * cols for _, rows, cols in levels) * n_ratios, 4))
+    start = 0
+    for stride, rows, cols in levels:
+        end = start + rows * cols * n_ratios
+        level = out[start:end].reshape(rows, cols, n_ratios, 4)
+        xs = ((np.arange(cols) + 0.5) * stride)[:, None, None]
+        ys = ((np.arange(rows) + 0.5) * stride)[:, None, None, None]
+        level[..., 0::2] = xs + 8.0 * stride * half_w
+        level[..., 1::2] = ys + 8.0 * stride * half_h
+        start = end
+    return out
 
 
 @dataclass(frozen=True)

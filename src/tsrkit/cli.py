@@ -215,20 +215,23 @@ _MODE_BY_NAME = {mode.value: mode for mode in PerturbationMode}
 
 
 def parse_perturbation_spec(text: str) -> PerturbationSpec:
-    """mode[:magnitude][:class+class+...], e.g. dilate:2 or merge:row."""
+    """mode[:magnitude][:class+class+...], e.g. dilate:2 or merge:row.
+
+    Only dilate and shrink take a magnitude, and at most one.
+    """
     parts = text.split(":")
     mode_name = parts[0].strip().lower()
     if mode_name not in _MODE_BY_NAME:
         raise ValueError(f"unknown perturbation mode {mode_name!r}")
     mode = _MODE_BY_NAME[mode_name]
-    magnitude = 0.0
+    magnitudes = []
     classes = frozenset({ComponentClass.ROW}) if mode is PerturbationMode.MERGE_ADJACENT else ALL_CLASSES
     for part in parts[1:]:
         part = part.strip()
         if not part:
             continue
         try:
-            magnitude = float(part)
+            magnitudes.append(float(part))
             continue
         except ValueError:
             pass
@@ -239,7 +242,11 @@ def parse_perturbation_spec(text: str) -> PerturbationSpec:
             classes = frozenset(ComponentClass[name] for name in names)
         except KeyError as exc:
             raise ValueError(f"unknown component class in {part!r}") from exc
-    return PerturbationSpec(mode=mode, magnitude=magnitude, target_classes=classes)
+    if magnitudes and mode not in (PerturbationMode.DILATE, PerturbationMode.SHRINK):
+        raise ValueError(f"perturbation mode {mode_name!r} takes no magnitude, got {text!r}")
+    if len(magnitudes) > 1:
+        raise ValueError(f"more than one magnitude in {text!r}")
+    return PerturbationSpec(mode=mode, magnitude=magnitudes[0] if magnitudes else 0.0, target_classes=classes)
 
 
 def cmd_misalign(args) -> int:

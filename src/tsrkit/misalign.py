@@ -14,15 +14,12 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cocoeval import ApReport, evaluate_corpus
 from .errors import CorpusError, HtmlParseError
-from .labels import (
-    MULTI_LABEL_CLASSES,
-    AnnotationSet,
-    ComponentClass,
-    ComponentInstance,
-    LabelMode,
-)
+from .geometry import BBox, area_array
+from .labels import MULTI_LABEL_CLASSES, AnnotationSet, ComponentClass, Instances, LabelMode
 from .reconstruct import build_grid, grid_to_html
 from .teds import TableTree, corpus_teds, parse_table_html
 
@@ -66,58 +63,76 @@ def perturb(gt: AnnotationSet, spec: PerturbationSpec) -> AnnotationSet:
     ground truth); shrink cuts inward by the same amount, into the content
     extent once the padding is exceeded; snap replaces boxes by their content
     extents; merge unions the vertically closest adjacent pair of target
-    boxes into one instance.
+    boxes into one instance, which keeps the upper one's class and fields.
+
+    Works on the ``Instances`` columns. The untargeted instances come first
+    and the targeted ones after them, in their order, or for merge in
+    (y1, x1) order. Every instance keeps its unknown fields and loses its
+    content extent. The first targeted instance that cannot be perturbed
+    raises a ``ValueError`` naming the image.
     """
-    targeted, untouched = [], []
-    for inst in gt.instances:
-        (targeted if inst.cls in spec.target_classes else untouched).append(inst)
-
+    columns = Instances.pack(gt.instances)
+    is_target = np.zeros(len(ComponentClass), dtype=bool)  # by class id
+    is_target[list(spec.target_classes)] = True
+    targeted = is_target[columns.classes]
+    untouched, targets = (~targeted).nonzero()[0], targeted.nonzero()[0]
+    boxes = columns.boxes[targets]
+    m = spec.magnitude
     if spec.mode is PerturbationMode.MERGE_ADJACENT:
-        out = untouched + _merge_closest_pair(targeted)
+        if len(targets) >= 2:
+            order = np.lexsort((boxes[:, 0], boxes[:, 1]))  # stable, so ties keep their order
+            boxes = boxes[order]
+            at = int(np.argmin(boxes[1:, 1] - boxes[:-1, 3]))
+            upper, lower = (BBox(*box) for box in boxes[at : at + 2].tolist())
+            targets = np.delete(targets[order], at + 1)
+            boxes = np.delete(boxes, at + 1, axis=0)
+            boxes[at] = upper.union_box(lower)
+    elif spec.mode is PerturbationMode.DILATE:
+        with np.errstate(over="ignore", invalid="ignore"):
+            boxes = boxes - np.array([m, m, -m, -m])
+            # Twice the area bounded keeps the IoU union of any two such boxes finite.
+            bad = ~np.isfinite(2.0 * area_array(boxes))
+        if bad.any():
+            at = int(bad.argmax())
+            raise ValueError(
+                f"{gt.image_id}: dilate by magnitude {m} overflows the area of box "
+                f"{tuple(columns.boxes[targets[at]].tolist())}"
+            )
+    elif spec.mode is PerturbationMode.SHRINK:
+        # a float 2m below a rounded side is at most the exact side, so each result stays ordered
+        bad = 2 * m >= np.minimum(boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1])
+        if bad.any():
+            raise ValueError(
+                f"{gt.image_id}: shrink by {m} degenerates box {tuple(boxes[bad.argmax()].tolist())}"
+            )
+        boxes = boxes - np.array([-m, -m, m, m])
+    elif spec.mode is PerturbationMode.SNAP_TO_MINIMAL:
+        contents = [columns.side.get(i, (None, {}))[0] for i in targets.tolist()]
+        if None in contents:
+            at = targets[contents.index(None)]
+            raise ValueError(
+                f"{gt.image_id}: {ComponentClass(columns.classes[at].item()).name} at "
+                f"{tuple(columns.boxes[at].tolist())} carries no content extent"
+            )
+        boxes = np.array(contents, dtype=np.float64).reshape(-1, 4)
     else:
-        out = untouched + [_transform(inst, spec) for inst in targeted]
+        raise AssertionError(spec.mode)
 
-    out = [inst.replace(score=1.0, content_box=None) for inst in out]
-    return AnnotationSet(gt.image_id, tuple(out), LabelMode.MULTI)
-
-
-def _transform(inst: ComponentInstance, spec: PerturbationSpec) -> ComponentInstance:
-    if spec.mode is PerturbationMode.DILATE:
-        box = inst.box.inflate(spec.magnitude)
-        # Twice the area bounded keeps the IoU union of any two such boxes finite.
-        if not math.isfinite(2.0 * box.area):
-            raise ValueError(
-                f"dilate by magnitude {spec.magnitude} overflows the area of box "
-                f"{inst.box.as_tuple()}"
-            )
-        return inst.replace(box=box)
-    if spec.mode is PerturbationMode.SHRINK:
-        if 2 * spec.magnitude >= min(inst.box.width, inst.box.height):
-            raise ValueError(
-                f"shrink by {spec.magnitude} degenerates box {inst.box.as_tuple()}"
-            )
-        return inst.replace(box=inst.box.inflate(-spec.magnitude))
-    if spec.mode is PerturbationMode.SNAP_TO_MINIMAL:
-        if inst.content_box is None:
-            raise ValueError(
-                f"{inst.cls.name} at {inst.box.as_tuple()} carries no content extent"
-            )
-        return inst.replace(box=inst.content_box)
-    raise AssertionError(spec.mode)
-
-
-def _merge_closest_pair(instances: list[ComponentInstance]) -> list[ComponentInstance]:
-    """Union the two vertically closest boxes (by top edge order) into one."""
-    if len(instances) < 2:
-        return list(instances)
-    ordered = sorted(instances, key=lambda i: (i.box.y1, i.box.x1))
-    gaps = [
-        (ordered[i + 1].box.y1 - ordered[i].box.y2, i)
-        for i in range(len(ordered) - 1)
-    ]
-    _, at = min(gaps)
-    merged = ordered[at].replace(box=ordered[at].box.union_box(ordered[at + 1].box))
-    return ordered[:at] + [merged] + ordered[at + 2 :]
+    source = np.concatenate([untouched, targets])
+    side = {}
+    extras = [(i, extra) for i, (_, extra) in columns.side.items() if extra]
+    if extras:
+        position = np.full(len(columns), -1)
+        position[source] = np.arange(len(source))
+        at = position.tolist()
+        side = dict(sorted((at[i], (None, extra)) for i, extra in extras if at[i] >= 0))
+    out = Instances(
+        np.concatenate([columns.boxes[untouched], boxes]),
+        columns.classes[source],
+        np.ones(len(source)),
+        side,
+    )
+    return AnnotationSet(gt.image_id, out, LabelMode.MULTI)
 
 
 def _reconstructed_tree(ann: AnnotationSet) -> TableTree | None:
@@ -164,11 +179,9 @@ def misalignment_report(
         raise CorpusError(f"images without ground-truth html: {missing[:5]}")
 
     gts_by_image = {ann.image_id: ann.instances for ann in gt_sets}
-    # AP reads the ground truth as it is; each spec perturbs instances built once here
-    built = [AnnotationSet(ann.image_id, tuple(ann.instances), ann.mode) for ann in gt_sets]
     rows = []
     for spec in specs:
-        perturbed = [perturb(ann, spec) for ann in built]
+        perturbed = [perturb(ann, spec) for ann in gt_sets]
         preds_by_image = {ann.image_id: ann.instances for ann in perturbed}
         ap: ApReport = evaluate_corpus(preds_by_image, gts_by_image)
         teds_report = corpus_teds((_reconstructed_tree(ann), gt_trees[ann.image_id]) for ann in perturbed)

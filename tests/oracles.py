@@ -8,8 +8,9 @@ reference is the list-based evaluation with the box reference's IoU, a greedy lo
 per threshold and its own size buckets, the table-HTML parser reference is
 the character scanner that the regex tokenizer replaced, the instance
 loader reference is the parser that inline checks replaced, the corpus
-loader and label decode references are the instance-building versions that
-columns replaced, the grid
+loader, label decode and perturbation references are the instance-building
+versions that columns replaced, the anchor pyramid reference is the
+meshgrid-and-stack version that in-place writes replaced, the grid
 reference is ``build_grid`` as it was before merge placement became one rule,
 the box reference is the scalar geometry as it was before it unpacked each
 box once, the flattening reference is the TED input arrays as built before
@@ -34,10 +35,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from tsrkit.anchors import STRIDES
 from tsrkit.cocoeval import ApReport, MatchConfig
 from tsrkit.errors import CorpusError, EmptyStructureError, HtmlParseError, LabelConsistencyError, SchemaError
 from tsrkit.geometry import BBox
-from tsrkit.labels import ComponentClass, ComponentInstance, LabelMode
+from tsrkit.labels import AnnotationSet, ComponentClass, ComponentInstance, LabelMode
+from tsrkit.misalign import PerturbationMode, PerturbationSpec
 from tsrkit.teds import TableTree, parse_table_html
 
 
@@ -223,6 +226,39 @@ def brute_force_best_iou(anchors: np.ndarray, gts: np.ndarray) -> np.ndarray:
             ious = np.where(union > 0.0, inter / union, 0.0)
         best[i] = ious.max()
     return best
+
+
+def reference_anchors(ratios, width: float, height: float) -> np.ndarray:
+    """``anchors.generate_anchors`` as it was before it wrote each level in place.
+
+    Each level's centres come from a meshgrid, its four coordinates from
+    broadcast temporaries that are stacked, and the levels are concatenated.
+    Takes checked inputs.
+    """
+    ratio_arr = np.asarray(ratios, dtype=np.float64)
+    half_w = 0.5 / np.sqrt(ratio_arr)
+    half_h = 0.5 * np.sqrt(ratio_arr)
+    out = []
+    for stride in STRIDES:
+        rows, cols = max(1, int(height // stride)), max(1, int(width // stride))
+        ys = (np.arange(rows) + 0.5) * stride
+        xs = (np.arange(cols) + 0.5) * stride
+        cx, cy = np.meshgrid(xs, ys)
+        cx = cx.reshape(-1, 1)
+        cy = cy.reshape(-1, 1)
+        w = 8.0 * stride * half_w
+        h = 8.0 * stride * half_h
+        boxes = np.stack(
+            [
+                np.broadcast_to(cx - w, (cx.shape[0], len(ratios))),
+                np.broadcast_to(cy - h, (cx.shape[0], len(ratios))),
+                np.broadcast_to(cx + w, (cx.shape[0], len(ratios))),
+                np.broadcast_to(cy + h, (cx.shape[0], len(ratios))),
+            ],
+            axis=-1,
+        )
+        out.append(boxes.reshape(-1, 4))
+    return np.concatenate(out, axis=0)
 
 
 # ---------------------------------------------------------- box geometry
@@ -1057,3 +1093,59 @@ def reference_grid_html(grid: ReferenceGrid) -> str:
                     tr.children.append(TableTree("td", colspan=colspan, rowspan=rowspan))
         (thead if r in grid.header_rows else tbody).children.append(tr)
     return TableTree("table", children=[thead, tbody] if thead.children else [tbody]).to_html()
+
+
+# ---------------------------------------------------------- perturbations
+# ``misalign.perturb`` as it was before it worked on columns: one
+# ``ComponentInstance`` at a time, copied with ``replace``, and with error
+# messages that name no image.
+
+def reference_perturb(gt: AnnotationSet, spec: PerturbationSpec) -> AnnotationSet:
+    targeted, untouched = [], []
+    for inst in gt.instances:
+        (targeted if inst.cls in spec.target_classes else untouched).append(inst)
+
+    if spec.mode is PerturbationMode.MERGE_ADJACENT:
+        out = untouched + _reference_merge_closest_pair(targeted)
+    else:
+        out = untouched + [_reference_transform(inst, spec) for inst in targeted]
+
+    out = [inst.replace(score=1.0, content_box=None) for inst in out]
+    return AnnotationSet(gt.image_id, tuple(out), LabelMode.MULTI)
+
+
+def _reference_transform(inst: ComponentInstance, spec: PerturbationSpec) -> ComponentInstance:
+    if spec.mode is PerturbationMode.DILATE:
+        box = inst.box.inflate(spec.magnitude)
+        if not math.isfinite(2.0 * box.area):
+            raise ValueError(
+                f"dilate by magnitude {spec.magnitude} overflows the area of box "
+                f"{inst.box.as_tuple()}"
+            )
+        return inst.replace(box=box)
+    if spec.mode is PerturbationMode.SHRINK:
+        if 2 * spec.magnitude >= min(inst.box.width, inst.box.height):
+            raise ValueError(
+                f"shrink by {spec.magnitude} degenerates box {inst.box.as_tuple()}"
+            )
+        return inst.replace(box=inst.box.inflate(-spec.magnitude))
+    if spec.mode is PerturbationMode.SNAP_TO_MINIMAL:
+        if inst.content_box is None:
+            raise ValueError(
+                f"{inst.cls.name} at {inst.box.as_tuple()} carries no content extent"
+            )
+        return inst.replace(box=inst.content_box)
+    raise AssertionError(spec.mode)
+
+
+def _reference_merge_closest_pair(instances: list[ComponentInstance]) -> list[ComponentInstance]:
+    if len(instances) < 2:
+        return list(instances)
+    ordered = sorted(instances, key=lambda i: (i.box.y1, i.box.x1))
+    gaps = [
+        (ordered[i + 1].box.y1 - ordered[i].box.y2, i)
+        for i in range(len(ordered) - 1)
+    ]
+    _, at = min(gaps)
+    merged = ordered[at].replace(box=ordered[at].box.union_box(ordered[at + 1].box))
+    return ordered[:at] + [merged] + ordered[at + 2 :]

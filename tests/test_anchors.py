@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_best_iou
+from oracles import brute_force_best_iou, reference_anchors
 
 from tsrkit.anchors import (
     DEFAULT_ASPECT_RATIOS,
@@ -111,6 +112,39 @@ def test_generated_anchor_area_and_ratio():
     scales = np.repeat([8.0 * s for s in STRIDES], [n * 13 for n in centres_per_level])
     np.testing.assert_allclose(widths * heights, scales**2, rtol=1e-6)
     np.testing.assert_allclose(heights / widths, ratios, rtol=1e-6)
+
+
+# the gt-analysis page of the benchmark: 435,240 anchors at the 13 table ratios
+PAGE = (TABLE_ASPECT_RATIOS, 960, 420)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ((1.0,), 4, 4),  # one centre per level
+        ((0.5, 1.0, 2.0), 4, 4),
+        ((0.25, 4.0), 37.5, 23),  # sides that are no multiple of a stride
+        ((0.0125, 80.0), 131, 517.25),
+        ((2.0,), 640, 96),  # one ratio
+        PAGE,
+    ],
+)
+def test_generate_matches_stacked_reference(grid):
+    anchors = generate_anchors(*grid)
+    expected = reference_anchors(*grid)
+    assert anchors.shape == expected.shape
+    np.testing.assert_array_equal(anchors.view(np.int64), expected.view(np.int64))
+
+
+def test_generate_allocates_only_its_output():
+    tracemalloc.start()
+    try:
+        anchors = generate_anchors(*PAGE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert anchors.shape == (435240, 4)
+    assert peak <= 1.05 * anchors.nbytes
 
 
 def test_ratio_validation():
@@ -265,6 +299,7 @@ def anchor_problems(draw):
 def test_nearest_centre_matches_full_scan(problem):
     grid, gts = problem
     anchors = generate_anchors(*grid)
+    np.testing.assert_array_equal(anchors.view(np.int64), reference_anchors(*grid).view(np.int64))
     fast = best_iou_per_gt(anchors, gts, *grid)
     oracle = brute_force_best_iou(anchors, gts)
     np.testing.assert_allclose(fast, oracle, rtol=0.0, atol=1e-12)

@@ -12,7 +12,7 @@ import tsrkit.teds.tree
 from tsrkit.anchors import TABLE_ASPECT_RATIOS
 from tsrkit.cli import main, parse_perturbation_spec
 from tsrkit.labels import ComponentClass
-from tsrkit.misalign import ALL_CLASSES, PerturbationMode
+from tsrkit.misalign import ALL_CLASSES, PerturbationMode, PerturbationSpec
 
 
 @pytest.fixture
@@ -432,6 +432,51 @@ def test_misalign_cli_dilates_to_large_finite_area(fixture_files, capsys):
         assert main(["misalign", gt, "--spec", "dilate:1e150"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1].split()[:2] == ["dilate:1e+150", "0.0000"]
+
+
+# Rows of the per-instance perturbation, pinned on gen-fixtures --tables 6 --seed 3.
+@pytest.mark.parametrize(
+    "spec, row",
+    [
+        ("merge:column", "merge:column                     0.9336   0.8446"),
+        ("shrink:1:row+column", "shrink:1:column+row              0.9776   1.0000"),
+        ("dilate:0.5:table", "dilate:0.5:table                 1.0000   1.0000"),
+    ],
+)
+def test_misalign_cli_rows_are_pinned(fixture_files, capsys, spec, row):
+    gt, _ = fixture_files
+    assert main(["misalign", gt, "--spec", spec]) == 0
+    header = f"{'perturbation':<30} {'mAP':>8} {'TEDS':>8}"
+    assert capsys.readouterr().out == f"{header}\n{row}\n"
+
+
+def without_content_extent(gt, tmp_path, instance):
+    with open(gt, encoding="utf-8") as handle:
+        corpus = json.load(handle)
+    del corpus["images"][0]["instances"][instance]["content_bbox"]
+    path = tmp_path / "no_content.gt.json"
+    path.write_text(json.dumps(corpus), encoding="utf-8")
+    return str(path)
+
+
+# Each perturbation error names the image it failed on.
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("shrink:50", "table_000: shrink by 50.0 degenerates box (35.8, 43.99, 135.18, 156.57)"),
+        (
+            "dilate:1e200",
+            "table_000: dilate by magnitude 1e+200 overflows the area of box (22.33, 30.52, 417.84, 170.04)",
+        ),
+        ("snap", "table_000: COLUMN at (35.8, 43.99, 135.18, 156.57) carries no content extent"),
+    ],
+)
+def test_misalign_cli_perturbation_errors_name_the_image(fixture_files, capsys, tmp_path, spec, message):
+    gt = without_content_extent(fixture_files[0], tmp_path, 1)
+    with pytest.raises(SystemExit) as exc:
+        main(["misalign", gt, "--spec", spec])
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_kernels_check_cli(capsys):
@@ -914,3 +959,36 @@ def test_parse_perturbation_spec():
     for text in ("dilate:2:+", "snap:+", "merge: + "):
         with pytest.raises(ValueError, match=re.escape(repr(text))):
             parse_perturbation_spec(text)
+
+
+# The specs of the gt-analysis benchmark workload.
+@pytest.mark.parametrize(
+    "text, spec",
+    [
+        ("dilate:2", PerturbationSpec(PerturbationMode.DILATE, 2.0)),
+        ("shrink:2", PerturbationSpec(PerturbationMode.SHRINK, 2.0)),
+        ("snap", PerturbationSpec(PerturbationMode.SNAP_TO_MINIMAL)),
+        ("merge:row", PerturbationSpec(PerturbationMode.MERGE_ADJACENT, target_classes={ComponentClass.ROW})),
+    ],
+)
+def test_parse_perturbation_spec_reads_the_workload_specs(text, spec):
+    assert parse_perturbation_spec(text) == spec
+
+
+# A second magnitude, or one on a mode without a magnitude, used to be dropped
+# or to override the first: dilate:2:3 printed a dilate:3 row.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dilate:2:3", "more than one magnitude in 'dilate:2:3'"),
+        ("shrink:1:row:1", "more than one magnitude in 'shrink:1:row:1'"),
+        ("snap:5", "perturbation mode 'snap' takes no magnitude, got 'snap:5'"),
+        ("merge:4:row", "perturbation mode 'merge' takes no magnitude, got 'merge:4:row'"),
+    ],
+)
+def test_misalign_cli_rejects_a_magnitude_the_mode_does_not_take(fixture_files, capsys, text, message):
+    gt, _ = fixture_files
+    with pytest.raises(SystemExit) as exc:
+        main(["misalign", gt, "--spec", "dilate:2", "--spec", text])
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
