@@ -217,15 +217,15 @@ _MODE_BY_NAME = {mode.value: mode for mode in PerturbationMode}
 def parse_perturbation_spec(text: str) -> PerturbationSpec:
     """mode[:magnitude][:class+class+...], e.g. dilate:2 or merge:row.
 
-    Only dilate and shrink take a magnitude, and at most one.
+    Only dilate and shrink take a magnitude, and at most one; a spec has at
+    most one class part.
     """
     parts = text.split(":")
     mode_name = parts[0].strip().lower()
     if mode_name not in _MODE_BY_NAME:
         raise ValueError(f"unknown perturbation mode {mode_name!r}")
     mode = _MODE_BY_NAME[mode_name]
-    magnitudes = []
-    classes = frozenset({ComponentClass.ROW}) if mode is PerturbationMode.MERGE_ADJACENT else ALL_CLASSES
+    magnitudes, class_parts = [], []
     for part in parts[1:]:
         part = part.strip()
         if not part:
@@ -239,14 +239,21 @@ def parse_perturbation_spec(text: str) -> PerturbationSpec:
         if not names:
             raise ValueError(f"no component class in {text!r}")
         try:
-            classes = frozenset(ComponentClass[name] for name in names)
+            class_parts.append(frozenset(ComponentClass[name] for name in names))
         except KeyError as exc:
             raise ValueError(f"unknown component class in {part!r}") from exc
     if magnitudes and mode not in (PerturbationMode.DILATE, PerturbationMode.SHRINK):
         raise ValueError(f"perturbation mode {mode_name!r} takes no magnitude, got {text!r}")
     if len(magnitudes) > 1:
         raise ValueError(f"more than one magnitude in {text!r}")
-    return PerturbationSpec(mode=mode, magnitude=magnitudes[0] if magnitudes else 0.0, target_classes=classes)
+    if len(class_parts) > 1:
+        raise ValueError(f"more than one class part in {text!r}")
+    default_classes = frozenset({ComponentClass.ROW}) if mode is PerturbationMode.MERGE_ADJACENT else ALL_CLASSES
+    return PerturbationSpec(
+        mode=mode,
+        magnitude=magnitudes[0] if magnitudes else 0.0,
+        target_classes=class_parts[0] if class_parts else default_classes,
+    )
 
 
 def cmd_misalign(args) -> int:

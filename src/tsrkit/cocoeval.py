@@ -7,19 +7,19 @@ highest IoU at or above the threshold. Confidence ties keep image order
 (sorted ids), then input order. AP50 and AP75 are reported even when the
 thresholds omit them.
 
-The images are walked once. Each image gets one prediction x ground-truth
-IoU matrix across all classes; the per-image caps are rank masks. From it
-the walk gathers only the candidate pairs some threshold can accept (same
-class, IoU at or above the lowest threshold), ranked by image and then by
-confidence. One greedy matching pass then settles the whole corpus at every
+The corpus is read as columns, images in id order. The confidence order
+and the per-image caps are computed once for the corpus. Same-image,
+same-class prediction and ground-truth pairs are built for runs of whole
+images of at most ``_PAIR_BUDGET`` pairs (an image with more is a run of
+its own), one IoU per pair, and only the pairs some threshold can accept
+are kept. One greedy matching pass then settles the whole corpus at every
 threshold, for all sizes, and one more for the size buckets on same-size
 pairs. A prediction that shares no candidate ground truth with another one
 takes its best candidate at every threshold that candidate reaches, in one
-array step; only contested predictions are walked in rank order. Class,
-size code, score and true-positive flags are kept for the whole corpus,
-and AP is computed with numpy per (class, bucket) for all thresholds at
-once. The interpolated precisions are summed left to right, so every value
-equals, float for float, a plain list-based evaluation of the same rules.
+array step; only contested predictions are walked in rank order. AP is
+computed per (class, bucket) for all thresholds at once, and the
+interpolated precisions are summed left to right, so every value equals,
+float for float, a plain list-based evaluation of the same rules.
 
 The semantics differ from pycocotools' COCOeval in five ways:
 
@@ -52,6 +52,8 @@ _SIZE_LIMITS = np.array([SMALL_AREA_LIMIT, MEDIUM_AREA_LIMIT])
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 # the 101 recall points i / 100; np.linspace rounds some of them differently
 _RECALL_LEVELS = np.arange(101) / 100.0
+# pairs scored at once; a run of whole images stays within it unless one image has more
+_PAIR_BUDGET = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -104,13 +106,13 @@ class ApReport:
 
 def _sizes(boxes: np.ndarray) -> np.ndarray:
     """Size codes: how many of the ``geometry`` area limits the area reaches, 0 small, 1 medium, 2 large."""
-    return np.searchsorted(_SIZE_LIMITS, area_array(boxes), side="right")
+    return np.searchsorted(_SIZE_LIMITS, area_array(boxes), side="right").astype(np.int8)
 
 
-def _scores(preds: Instances) -> np.ndarray:
-    if np.isnan(preds.scores).any():
+def _scores(scores: np.ndarray) -> np.ndarray:
+    if np.isnan(scores).any():
         raise ValueError("prediction without confidence")
-    return preds.scores
+    return scores
 
 
 def _confidence_order(scores: np.ndarray) -> np.ndarray:
@@ -118,26 +120,26 @@ def _confidence_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def _candidates(ious, allowed, threshold, rank0, rows, col0):
-    """The pairs of an IoU matrix that ``threshold`` (the lowest) accepts, as ``_match`` reads them.
+def _accepted(ious: np.ndarray, threshold: float) -> np.ndarray:
+    """The pairs that ``threshold`` (the lowest) lets a greedy pass match: IoU at or above it, and above 0."""
+    return (ious >= threshold) & (ious > 0.0)
 
-    Rows of ``ious`` are predictions in confidence order, columns ground
-    truth; ``allowed`` masks the pairs that may match (True: all). Returns
-    each pair's rank (``rank0`` + matrix row), prediction id (``rows[row]``),
-    ground-truth id (``col0`` + column) and IoU.
-    """
-    r, c = np.nonzero(allowed & (ious >= threshold) & (ious > 0.0))
-    return rank0 + r, rows[r], col0 + c, ious[r, c]
+
+def _columns(lists: Sequence[Instances]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The boxes, classes and scores of ``lists``, each concatenated; empty for no lists."""
+    columns = zip(*((x.boxes, x.classes, x.scores) for x in (Instances.pack(()), *lists)))
+    return tuple(map(np.concatenate, columns))
 
 
 def _match(pairs, thresholds, n_predictions) -> np.ndarray:
     """Greedy matching of candidate ``pairs`` at every threshold of ``thresholds`` (ascending) at once.
 
-    ``pairs`` is a list of ``_candidates`` chunks whose ranks and ground-truth
-    ids are distinct across chunks. Predictions claim in rank order: each
-    claims, per threshold, the unclaimed ground truth of highest IoU at or
-    above it, the lowest id among ties. Returns the true-positive flags, one
-    row per threshold and one column per prediction id.
+    ``pairs`` is a list of (rank, prediction id, ground-truth id, IoU) array
+    chunks whose ranks and ground-truth ids are distinct across chunks.
+    Predictions claim in rank order: each claims, per threshold, the
+    unclaimed ground truth of highest IoU at or above it, the lowest id
+    among ties. Returns the true-positive flags, one row per threshold and
+    one column per prediction id.
 
     A prediction that shares no candidate ground truth with another one
     claims its best candidate at every threshold that candidate's IoU
@@ -210,10 +212,10 @@ def match_detections(
     input order, IoU ties go to the lowest ground-truth index.
     """
     preds, gts = Instances.pack(preds), Instances.pack(gts)
-    order = _confidence_order(_scores(preds))
+    order = _confidence_order(_scores(preds.scores))
     ious = iou_array(preds.boxes[order][:, None], gts.boxes[None])
-    pairs = [_candidates(ious, True, iou_threshold, 0, np.arange(len(preds)), 0)]
-    return _match(pairs, (iou_threshold,), len(preds))[0].tolist()
+    r, c = np.nonzero(_accepted(ious, iou_threshold))
+    return _match([(r, r, c, ious[r, c])], (iou_threshold,), len(preds))[0].tolist()
 
 
 def average_precision(tp_fp_sequence: list[bool], n_ground_truth: int) -> float:
@@ -250,57 +252,66 @@ def evaluate_corpus(
             f"predictions for images absent from ground truth: {sorted(missing)[:5]}"
         )
 
-    # Corpus-wide arrays hold what AP needs, images in id order; boxes and
-    # IoUs live one image at a time.
+    # Corpus-wide columns, images in id order; a prediction's or ground
+    # truth's id is its index here.
     image_ids = sorted(gts_by_image)
     gt_lists = [Instances.pack(gts_by_image[i]) for i in image_ids]
     pred_lists = [Instances.pack(preds_by_image.get(i, ())) for i in image_ids]
-    gt_starts = list(accumulate(map(len, gt_lists), initial=0))
+    gt_boxes, gt_cls, _ = _columns(gt_lists)
+    pred_boxes, pred_cls, scores = _columns(pred_lists)
+    order = _confidence_order(_scores(scores))  # ties keep image order, then input order
+    n_pred = len(order)
+    rank = np.empty(n_pred, dtype=np.intp)
+    rank[order] = np.arange(n_pred)
+    gt_size, pred_size = _sizes(gt_boxes), _sizes(pred_boxes)
     pred_starts = list(accumulate(map(len, pred_lists), initial=0))
-    n_gt, n_pred = gt_starts[-1], pred_starts[-1]
-    gt_cls, gt_size = np.empty(n_gt, dtype=np.int8), np.empty(n_gt, dtype=np.int8)
-    pred_cls, pred_size = np.empty(n_pred, dtype=np.int8), np.empty(n_pred, dtype=np.int8)
-    scores = np.empty(n_pred)
+    images = np.arange(len(image_ids))
+    gt_key = np.repeat(images, list(map(len, gt_lists))) * len(ComponentClass) + gt_cls  # image and class
+    pred_key = np.repeat(images, np.diff(pred_starts)) * len(ComponentClass) + pred_cls
+    cap = cfg.max_detections_per_image
+    kept_all = kept_size = np.ones(n_pred, dtype=bool)
+    if max(map(len, pred_lists), default=0) > cap:
+        kept_all = _within_cap(pred_key, order, cap)  # within the cap per image and class
+        kept_size = _within_cap(3 * pred_key + pred_size, order, cap)  # ... per image, class and bucket
 
-    # Candidate pairs, image by image; each pass then matches the whole
-    # corpus at once. The all-sizes pass also settles AP50 and AP75; the
-    # bucket pass pairs only predictions and ground truth of one size, so
-    # the three buckets share it.
+    # Prediction i pairs with gt_order[first[i]:first[i] + n_pairs[i]], the
+    # ground truth of its image and class; its pairs are numbered from pair_at[i].
+    gt_order = np.argsort(gt_key, kind="stable")
+    first = np.searchsorted(gt_key[gt_order], pred_key, "left")
+    n_pairs = np.searchsorted(gt_key[gt_order], pred_key, "right") - first
+    pair_at = np.concatenate(([0], np.cumsum(n_pairs)))
+    image_at = pair_at[pred_starts].tolist()
+    runs = [0]  # image k starts a new run when it would take the current one past the budget
+    for k in range(1, len(image_ids)):
+        if image_at[k + 1] - image_at[runs[-1]] > _PAIR_BUDGET:
+            runs.append(k)
+    runs.append(len(image_ids))
+
+    # Candidate pairs, run by run; each pass then matches the whole corpus
+    # at once. The all-sizes pass also settles AP50 and AP75; the bucket
+    # pass pairs only predictions and ground truth of one size, so the three
+    # buckets share it.
     all_thresholds = sorted(set((*cfg.iou_thresholds, 0.5, 0.75)))
     pairs_all, pairs_size = [], []
-    cap = cfg.max_detections_per_image
-    kept_all = np.ones(n_pred, dtype=bool)  # within the cap per image and class
-    kept_size = np.ones(n_pred, dtype=bool)  # ... per image, class and bucket
-    for k, (gts, preds) in enumerate(zip(gt_lists, pred_lists)):
-        g0, g1, p0, p1 = gt_starts[k], gt_starts[k + 1], pred_starts[k], pred_starts[k + 1]
-        g_box, g_cls, g_size = gts.boxes, gts.classes, gt_size[g0:g1]
-        gt_cls[g0:g1], g_size[:] = g_cls, _sizes(g_box)
-        if not preds:
-            continue
-        scores[p0:p1] = _scores(preds)
-        p_box, p_cls, p_size = preds.boxes, preds.classes, pred_size[p0:p1]
-        pred_cls[p0:p1], p_size[:] = p_cls, _sizes(p_box)
-        by_confidence = _confidence_order(scores[p0:p1])
-        if p1 - p0 > cap:
-            kept_all[p0:p1] = _within_cap(p_cls, by_confidence, cap)
-            kept_size[p0:p1] = _within_cap(3 * p_cls + p_size, by_confidence, cap)
-        if not gts:
-            continue
-        rows = p0 + by_confidence
-        ious = iou_array(p_box[by_confidence][:, None], g_box[None])
-        same_class = p_cls[by_confidence, None] == g_cls[None, :]
-        allowed = same_class & kept_all[rows, None]
-        pairs_all.append(_candidates(ious, allowed, all_thresholds[0], p0, rows, g0))
-        allowed = same_class & (p_size[by_confidence, None] == g_size[None, :]) & kept_size[rows, None]
-        pairs_size.append(_candidates(ious, allowed, cfg.iou_thresholds[0], p0, rows, g0))
+    for r0, r1 in zip(runs, runs[1:]):
+        p0, p1 = pred_starts[r0], pred_starts[r1]
+        p = np.repeat(np.arange(p0, p1), n_pairs[p0:p1])
+        shift = np.repeat(first[p0:p1] - pair_at[p0:p1], n_pairs[p0:p1])  # gt_order position less pair number
+        g = gt_order[shift + np.arange(pair_at[p0], pair_at[p1])]
+        ious = iou_array(pred_boxes[p], gt_boxes[g])
+        for pairs, hit in (
+            (pairs_all, kept_all[p] & _accepted(ious, all_thresholds[0])),
+            (pairs_size, kept_size[p] & (pred_size[p] == gt_size[g]) & _accepted(ious, cfg.iou_thresholds[0])),
+        ):
+            pairs.append((rank[p[hit]], p[hit], g[hit], ious[hit]))
+        del p, shift, g, ious, hit  # one run's arrays at a time
+    del rank, pred_key, first, n_pairs, pair_at, pred_boxes, gt_boxes  # matching and AP read none of them
     tp_all = _match(pairs_all, all_thresholds, n_pred)
     del pairs_all
     tp_size = _match(pairs_size, cfg.iou_thresholds, n_pred)
     del pairs_size
 
-    # AP per class and bucket, over the corpus-wide confidence order: ties
-    # keep image order, then input order.
-    order = _confidence_order(scores)
+    # AP per class and bucket, over the corpus-wide confidence order.
     ordered_cls, ordered_size = pred_cls[order], pred_size[order]
     classes = [ComponentClass(c) for c in sorted(set(gt_cls.tolist()).union(pred_cls.tolist()))]
 

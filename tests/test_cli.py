@@ -440,6 +440,7 @@ def test_misalign_cli_dilates_to_large_finite_area(fixture_files, capsys):
     [
         ("merge:column", "merge:column                     0.9336   0.8446"),
         ("shrink:1:row+column", "shrink:1:column+row              0.9776   1.0000"),
+        ("dilate:5:row+column", "dilate:5:column+row              0.8599   0.9653"),
         ("dilate:0.5:table", "dilate:0.5:table                 1.0000   1.0000"),
     ],
 )
@@ -975,8 +976,9 @@ def test_parse_perturbation_spec_reads_the_workload_specs(text, spec):
     assert parse_perturbation_spec(text) == spec
 
 
-# A second magnitude, or one on a mode without a magnitude, used to be dropped
-# or to override the first: dilate:2:3 printed a dilate:3 row.
+# A second magnitude or class part, or a magnitude on a mode without one, used
+# to be dropped or to override the first: dilate:2:3 printed a dilate:3 row,
+# and dilate:2:row:column perturbed only columns.
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -984,6 +986,8 @@ def test_parse_perturbation_spec_reads_the_workload_specs(text, spec):
         ("shrink:1:row:1", "more than one magnitude in 'shrink:1:row:1'"),
         ("snap:5", "perturbation mode 'snap' takes no magnitude, got 'snap:5'"),
         ("merge:4:row", "perturbation mode 'merge' takes no magnitude, got 'merge:4:row'"),
+        ("dilate:2:row:column", "more than one class part in 'dilate:2:row:column'"),
+        ("merge:column:row", "more than one class part in 'merge:column:row'"),
     ],
 )
 def test_misalign_cli_rejects_a_magnitude_the_mode_does_not_take(fixture_files, capsys, text, message):

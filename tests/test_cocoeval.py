@@ -1,11 +1,15 @@
 import math
 import random
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import interpolated_ap_oracle, reference_evaluate_corpus
 
+from tsrkit import cocoeval
 from tsrkit.cocoeval import (
     ApReport,
     MatchConfig,
@@ -16,7 +20,7 @@ from tsrkit.cocoeval import (
 from tsrkit.errors import CorpusError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.geometry import BBox
-from tsrkit.labels import MULTI_LABEL_CLASSES, ComponentClass, ComponentInstance
+from tsrkit.labels import MULTI_LABEL_CLASSES, ComponentClass, ComponentInstance, Instances
 
 
 def box(x1, y1, x2, y2):
@@ -404,3 +408,96 @@ def ap_problems(draw):
 def test_evaluate_corpus_matches_list_based_oracle(problem):
     preds, gts, cfg = problem
     assert evaluate_corpus(preds, gts, cfg) == reference_evaluate_corpus(preds, gts, cfg)
+
+
+# Budgets of 1 and 3 pairs split the corpus into runs of one image or of a
+# few, and put most images over budget.
+@pytest.mark.parametrize("budget", [1, 3])
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(problem=ap_problems())
+def test_evaluate_corpus_matches_the_oracle_in_small_runs(budget, problem):
+    preds, gts, cfg = problem
+    with mock.patch.object(cocoeval, "_PAIR_BUDGET", budget):
+        assert evaluate_corpus(preds, gts, cfg) == reference_evaluate_corpus(preds, gts, cfg)
+
+
+def row(y):
+    return box(0, y, 100, y + 10)
+
+
+# Image a has 3 x 2 Row pairs, b no predictions, c no ground truth and d
+# 2 x 3 Row pairs. Under a budget of 1 or 4, a and d are over budget and runs
+# of their own, with b and c between them; a budget of 8 falls inside d,
+# which starts the second run.
+RUN_CORPUS = (
+    {
+        "a": [pred(row(0), 0.9), pred(row(1), 0.8), pred(row(10), 0.7)],
+        "c": [pred(row(0), 0.6)],
+        "d": [pred(row(0), 0.5), pred(row(20), 0.4)],
+    },
+    {"a": [gt(row(0)), gt(row(10))], "b": [gt(row(0))], "c": [], "d": [gt(row(0)), gt(row(10)), gt(row(20))]},
+)
+
+
+@pytest.mark.parametrize("budget, run_pairs", [(1, [6, 0, 6]), (4, [6, 0, 6]), (8, [6, 6]), (1 << 12, [12])])
+def test_runs_hold_whole_images(monkeypatch, budget, run_pairs):
+    preds, gts = RUN_CORPUS
+    seen, original = [], cocoeval.iou_array
+
+    def iou_array(a, b):
+        seen.append(len(a))
+        return original(a, b)
+
+    monkeypatch.setattr(cocoeval, "_PAIR_BUDGET", budget)
+    monkeypatch.setattr(cocoeval, "iou_array", iou_array)
+    cfg = MatchConfig(iou_thresholds=(0.5, 0.9))
+    report = evaluate_corpus(preds, gts, cfg)
+    assert seen == run_pairs  # each image's pairs once, in one run
+    assert report == reference_evaluate_corpus(preds, gts, cfg)
+
+
+def dense_corpus(n_tables, n_false=90, seed=4):
+    """Fixture ground truth with about 100 detections per image, as a detector gives them.
+
+    Each ground-truth box comes back jittered by up to 2 px and scored 0.55-1.0,
+    followed by ``n_false`` false positives of any class scored below 0.45.
+    """
+    rng = np.random.default_rng(seed)
+    gt_file, _ = generate_fixtures(FixtureSpec(n_tables=n_tables, seed=seed))
+    preds, gts = {}, {}
+    for ann in gt_file.annotation_sets():
+        truth = gts[ann.image_id] = Instances.pack(ann.instances)
+        n = len(truth)
+        x, y = rng.uniform(0, 300, n_false), rng.uniform(0, 150, n_false)
+        false = np.stack([x, y, x + rng.uniform(5, 150, n_false), y + rng.uniform(5, 60, n_false)], axis=1)
+        preds[ann.image_id] = Instances(
+            np.concatenate([truth.boxes + rng.uniform(-2, 2, (n, 4)), false]),
+            np.concatenate([truth.classes, rng.choice(np.array(MULTI_LABEL_CLASSES, np.int8), n_false)]),
+            np.concatenate([rng.uniform(0.55, 1.0, n), rng.uniform(0.0, 0.45, n_false)]),
+        )
+    return preds, gts
+
+
+# Bytes a detection's corpus-wide columns take (box, class, score, size, the
+# confidence order and the pair index), and bytes a pair of a run takes
+# (ids, gathered boxes and the IoU temporaries), both with some room.
+COLUMN_BYTES_PER_DETECTION = 160
+RUN_BYTES_PER_PAIR = 200
+RUN_PAIRS = 1 << 12  # cocoeval._PAIR_BUDGET, written out so that a larger budget fails
+
+
+def test_evaluate_corpus_memory_follows_detections_and_runs_not_pairs():
+    preds, gts = dense_corpus(100)
+    n_pred = sum(map(len, preds.values()))
+    n_pairs = sum(
+        np.count_nonzero(p.classes[:, None] == g.classes[None, :]) for p, g in zip(preds.values(), gts.values())
+    )
+    assert n_pairs > 4 * RUN_PAIRS  # several runs' worth: scored all at once, they would pass the bound
+    evaluate_corpus(preds, gts)  # first calls may fill caches
+    tracemalloc.start()
+    try:
+        evaluate_corpus(preds, gts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= COLUMN_BYTES_PER_DETECTION * n_pred + RUN_BYTES_PER_PAIR * RUN_PAIRS
