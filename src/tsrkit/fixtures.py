@@ -3,9 +3,10 @@
 Each generated table carries three mutually consistent views: the component
 annotations (padded boxes, the way real corpora annotate along ruling
 lines), the content extents (minimum boxes recovering the structure), and
-the ground-truth HTML emitted directly from the logical layout, independent
-of the reconstruction pipeline. Predictions default to perfect copies with
-score 1.0.
+the ground-truth HTML. That HTML is the layout's own ``TableTree``
+(``TableLayout.to_tree``), written by ``TableTree.to_html``; it is built
+from the logical layout, independent of ``reconstruct``. Predictions default
+to perfect copies with score 1.0.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from .formats import CorpusFile, ImageRecord
 from .geometry import BBox
 from .labels import ComponentClass, ComponentInstance, LabelMode
+from .teds import TableTree
 
 # component annotation padding; kept small against the minimum cell extents
 # (rows >= 9 px, columns >= 18 px) so padded boxes never absorb a grid
@@ -68,61 +70,33 @@ class TableLayout:
     padding: float
     table_padding: float
 
-    def row_content_box(self, r: int) -> BBox:
-        return BBox(self.col_edges[0], self.row_edges[r], self.col_edges[-1], self.row_edges[r + 1])
+    def content_box(self, r0: int, c0: int, r1: int, c1: int) -> BBox:
+        """Content extent of rows ``r0`` to ``r1`` and columns ``c0`` to ``c1``, ends excluded."""
+        return BBox(self.col_edges[c0], self.row_edges[r0], self.col_edges[c1], self.row_edges[r1])
 
-    def col_content_box(self, c: int) -> BBox:
-        return BBox(self.col_edges[c], self.row_edges[0], self.col_edges[c + 1], self.row_edges[-1])
-
-    def span_content_box(self, span) -> BBox:
-        r, c, rs, cs = span
-        return BBox(self.col_edges[c], self.row_edges[r], self.col_edges[c + cs], self.row_edges[r + rs])
-
-    def table_content_box(self) -> BBox:
-        return BBox(self.col_edges[0], self.row_edges[0], self.col_edges[-1], self.row_edges[-1])
-
-    def header_content_box(self) -> BBox:
-        return BBox(
-            self.col_edges[0], self.row_edges[0], self.col_edges[-1], self.row_edges[self.header_rows]
-        )
-
-    def to_html(self) -> str:
-        covered = set()
-        anchors = {}
-        for r, c, rs, cs in self.spans:
-            anchors[(r, c)] = (rs, cs)
-            covered.update(
-                (rr, cc)
-                for rr in range(r, r + rs)
-                for cc in range(c, c + cs)
-                if (rr, cc) != (r, c)
-            )
-        rows_html = []
+    def to_tree(self) -> TableTree:
+        """The ground-truth structure tree, built from the layout's own fields."""
+        anchors = {(r, c): (rs, cs) for r, c, rs, cs in self.spans}
+        covered = {
+            (rr, cc)
+            for r, c, rs, cs in self.spans
+            for rr in range(r, r + rs)
+            for cc in range(c, c + cs)
+        }.difference(anchors)
+        rows = []
         for r in range(self.n_rows):
             if r == self.projected_row:
-                rows_html.append(f'<tr><td colspan="{self.n_cols}"></td></tr>')
-                continue
-            cells = []
-            for c in range(self.n_cols):
-                if (r, c) in covered:
-                    continue
-                attrs = ""
-                if (r, c) in anchors:
-                    rs, cs = anchors[(r, c)]
-                    if cs != 1:
-                        attrs += f' colspan="{cs}"'
-                    if rs != 1:
-                        attrs += f' rowspan="{rs}"'
-                cells.append(f"<td{attrs}></td>")
-            rows_html.append("<tr>" + "".join(cells) + "</tr>")
-        head = "".join(rows_html[: self.header_rows])
-        body = "".join(rows_html[self.header_rows :])
-        parts = ["<table>"]
-        if self.header_rows:
-            parts.append(f"<thead>{head}</thead>")
-        parts.append(f"<tbody>{body}</tbody>")
-        parts.append("</table>")
-        return "".join(parts)
+                cells = [TableTree("td", self.n_cols, 1, [])]
+            else:
+                cells = []
+                for c in range(self.n_cols):
+                    if (r, c) not in covered:
+                        rs, cs = anchors.get((r, c), (1, 1))
+                        cells.append(TableTree("td", cs, rs, []))
+            rows.append(TableTree("tr", 1, 1, cells))
+        thead = TableTree("thead", 1, 1, rows[: self.header_rows])
+        tbody = TableTree("tbody", 1, 1, rows[self.header_rows :])
+        return TableTree("table", 1, 1, [thead, tbody] if thead.children else [tbody])
 
 
 def _valid_span(layout_rows, layout_cols, header_rows, projected_row, taken, rng):
@@ -218,23 +192,20 @@ def layout_instances(layout: TableLayout) -> list[ComponentInstance]:
             content_box=_rounded(content),
         )
 
-    records = [record(ComponentClass.TABLE, layout.table_content_box(), layout.table_padding)]
-    for c in range(layout.n_cols):
-        records.append(record(ComponentClass.COLUMN, layout.col_content_box(c), pad))
-    for r in range(layout.n_rows):
-        records.append(record(ComponentClass.ROW, layout.row_content_box(r), pad))
-    for span in layout.spans:
-        records.append(record(ComponentClass.SPANNING_CELL, layout.span_content_box(span), pad))
+    rows, cols = layout.n_rows, layout.n_cols
+    records = [record(ComponentClass.TABLE, layout.content_box(0, 0, rows, cols), layout.table_padding)]
+    for c in range(cols):
+        records.append(record(ComponentClass.COLUMN, layout.content_box(0, c, rows, c + 1), pad))
+    for r in range(rows):
+        records.append(record(ComponentClass.ROW, layout.content_box(r, 0, r + 1, cols), pad))
+    for r, c, rs, cs in layout.spans:
+        records.append(record(ComponentClass.SPANNING_CELL, layout.content_box(r, c, r + rs, c + cs), pad))
     if layout.projected_row is not None:
-        records.append(
-            record(
-                ComponentClass.PROJECTED_ROW_HEADER,
-                layout.row_content_box(layout.projected_row),
-                pad,
-            )
-        )
+        r = layout.projected_row
+        records.append(record(ComponentClass.PROJECTED_ROW_HEADER, layout.content_box(r, 0, r + 1, cols), pad))
     if layout.header_rows:
-        records.append(record(ComponentClass.COLUMN_HEADER, layout.header_content_box(), pad))
+        header = layout.content_box(0, 0, layout.header_rows, cols)
+        records.append(record(ComponentClass.COLUMN_HEADER, header, pad))
     return records
 
 
@@ -256,7 +227,7 @@ def generate_fixtures(spec: FixtureSpec) -> tuple[CorpusFile, CorpusFile]:
                 width=width,
                 height=height,
                 instances=instances,
-                html=layout.to_html(),
+                html=layout.to_tree().to_html(),
             )
         )
         det_images.append(

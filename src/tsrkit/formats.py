@@ -386,15 +386,24 @@ def serialize(corpus: CorpusFile) -> str:
 
 
 def atomic_write_text(path: str, text: str):
+    """Write ``text`` to ``path`` through a temporary file in its directory.
+
+    The temporary file is removed on failure. An ``OSError`` is raised again
+    as the same subclass with ``path`` as its filename, so it names the file
+    asked for, not the temporary one.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tsrkit-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tsrkit-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 

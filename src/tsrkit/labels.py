@@ -5,7 +5,10 @@ Header is always also a Row, and a one-row Column Header shares its box with
 that Row. The single-label form removes Rows coincident with Projected Row
 Headers and folds coincident Row/Column-Header pairs into a seventh pseudo
 class, so that no two instances with different classes share a box. The
-inverse transform duplicates predictions back into the multi-label form.
+encoder compares each pair of instances once, into a list per instance of
+the instances coincident with it, in instance order; its three checks (a box
+shared by three classes, Row pairing, the encoded result) read those lists.
+The inverse transform duplicates predictions back into the multi-label form.
 
 A ``ComponentInstance`` is an immutable tuple with named fields, like the
 ``geometry.BBox`` it holds. ``Instances`` holds one image's instances as
@@ -49,6 +52,8 @@ MULTI_LABEL_CLASSES = tuple(c for c in ComponentClass if c.value <= 5)
 
 # Two boxes coincide when every coordinate differs by at most this many px.
 BOX_MATCH_TOLERANCE = 1.0
+# The classes a coincident Row pairs with on encoding.
+_ROW_PARTNERS = (ComponentClass.PROJECTED_ROW_HEADER, ComponentClass.COLUMN_HEADER)
 
 # The extra fields of a pseudo header row that hold its Column Header's fields
 # and content extent.
@@ -194,10 +199,6 @@ class AnnotationSet:
         if not isinstance(self.instances, Instances):
             object.__setattr__(self, "instances", tuple(self.instances))
 
-    def as_pairs(self) -> set[tuple[tuple[float, float, float, float], ComponentClass]]:
-        """The (box, class) set; collapses duplicates, which the transforms never emit."""
-        return {(inst.box.as_tuple(), inst.cls) for inst in self.instances}
-
 
 def boxes_match(a: BBox, b: BBox) -> bool:
     """True when all four coordinates differ by at most ``BOX_MATCH_TOLERANCE`` px."""
@@ -207,16 +208,6 @@ def boxes_match(a: BBox, b: BBox) -> bool:
         and abs(a.x2 - b.x2) <= BOX_MATCH_TOLERANCE
         and abs(a.y2 - b.y2) <= BOX_MATCH_TOLERANCE
     )
-
-
-def _check_single_label_invariants(instances, image_id: str):
-    for i, a in enumerate(instances):
-        for b in instances[i + 1 :]:
-            if a.cls != b.cls and boxes_match(a.box, b.box):
-                raise LabelConsistencyError(
-                    f"{image_id}: distinct classes {a.cls.name} and {b.cls.name} share box "
-                    f"{a.box.as_tuple()} after pseudo-class encoding"
-                )
 
 
 def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
@@ -244,29 +235,28 @@ def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
         raise LabelModeError(f"{gt.image_id}: input already in single-label mode")
 
     instances = list(gt.instances)
+    # the indices of the instances coincident with each one, in instance order
+    coincident: list[list[int]] = [[] for _ in instances]
+    for i, a in enumerate(instances):
+        for j in range(i + 1, len(instances)):
+            if boxes_match(a.box, instances[j].box):
+                coincident[i].append(j)
+                coincident[j].append(i)
 
     # Reject box sharing beyond the two sanctioned two-class patterns.
     for i, a in enumerate(instances):
-        sharers = {a.cls}
-        for j, b in enumerate(instances):
-            if i != j and b.cls != a.cls and boxes_match(a.box, b.box):
-                sharers.add(b.cls)
+        sharers = {a.cls, *(instances[j].cls for j in coincident[i])}
         if len(sharers) > 2:
             names = ", ".join(sorted(c.name for c in sharers))
             raise LabelConsistencyError(
                 f"{gt.image_id}: box {a.box.as_tuple()} shared by classes {{{names}}}"
             )
 
-    partners = [
-        j
-        for j, inst in enumerate(instances)
-        if inst.cls in (ComponentClass.PROJECTED_ROW_HEADER, ComponentClass.COLUMN_HEADER)
-    ]
     row_of: dict[int, int] = {}  # partner index -> index of its Row
     for idx, inst in enumerate(instances):
         if inst.cls != ComponentClass.ROW:
             continue
-        matches = [j for j in partners if boxes_match(inst.box, instances[j].box)]
+        matches = [j for j in coincident[idx] if instances[j].cls in _ROW_PARTNERS]
         if not matches:
             continue
         free = next((j for j in matches if j not in row_of), None)
@@ -278,27 +268,36 @@ def encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
         row_of[free] = idx
     partner_of = {row: j for j, row in row_of.items()}
 
-    result = []
+    result: dict[int, ComponentInstance] = {}  # instance index -> what it becomes
     for idx, inst in enumerate(instances):
         if idx in partner_of:
             partner = instances[partner_of[idx]]
             if partner.cls == ComponentClass.COLUMN_HEADER:
                 extra = _absorb(inst, partner, HEADER_EXTRA_KEY, HEADER_CONTENT_KEY)
-                result.append(inst.replace(cls=ComponentClass.PSEUDO_HEADER_ROW, extra=extra))
+                result[idx] = inst.replace(cls=ComponentClass.PSEUDO_HEADER_ROW, extra=extra)
             # a Row under a Projected Row Header is dropped
         elif idx in row_of:
             if inst.cls == ComponentClass.PROJECTED_ROW_HEADER:
                 extra = _absorb(inst, instances[row_of[idx]], ROW_EXTRA_KEY, ROW_CONTENT_KEY)
-                result.append(inst.replace(extra=extra))
+                result[idx] = inst.replace(extra=extra)
             # a Column Header is folded into its Row's pseudo header row
         elif inst.cls == ComponentClass.PROJECTED_ROW_HEADER:
             raise LabelConsistencyError(
                 f"{gt.image_id}: Projected Row Header at box {inst.box.as_tuple()} coincides with no Row of its own"
             )
         else:
-            result.append(inst)
-    _check_single_label_invariants(result, gt.image_id)
-    return AnnotationSet(gt.image_id, tuple(result), LabelMode.SINGLE)
+            result[idx] = inst
+
+    # Each kept instance keeps its box, so the coincidences above still hold.
+    for i, a in result.items():
+        for j in coincident[i]:
+            b = result.get(j)
+            if j > i and b is not None and b.cls != a.cls:
+                raise LabelConsistencyError(
+                    f"{gt.image_id}: distinct classes {a.cls.name} and {b.cls.name} share box "
+                    f"{a.box.as_tuple()} after pseudo-class encoding"
+                )
+    return AnnotationSet(gt.image_id, tuple(result.values()), LabelMode.SINGLE)
 
 
 def _absorb(kept: ComponentInstance, absorbed: ComponentInstance, extra_key: str, content_key: str) -> dict:

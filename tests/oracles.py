@@ -9,7 +9,8 @@ per threshold and its own size buckets, the table-HTML parser reference is
 the character scanner that the regex tokenizer replaced, the instance
 loader reference is the parser that inline checks replaced, the corpus
 loader, label decode and perturbation references are the instance-building
-versions that columns replaced, the anchor pyramid reference is the
+versions that columns replaced, the label encode reference is the pairwise
+version that one coincidence scan replaced, the anchor pyramid reference is the
 meshgrid-and-stack version that in-place writes replaced, the grid
 reference is ``build_grid`` as it was before merge placement became one rule,
 the box reference is the scalar geometry as it was before it unpacked each
@@ -37,7 +38,14 @@ import numpy as np
 
 from tsrkit.anchors import STRIDES
 from tsrkit.cocoeval import ApReport, MatchConfig
-from tsrkit.errors import CorpusError, EmptyStructureError, HtmlParseError, LabelConsistencyError, SchemaError
+from tsrkit.errors import (
+    CorpusError,
+    EmptyStructureError,
+    HtmlParseError,
+    LabelConsistencyError,
+    LabelModeError,
+    SchemaError,
+)
 from tsrkit.geometry import BBox
 from tsrkit.labels import AnnotationSet, ComponentClass, ComponentInstance, LabelMode
 from tsrkit.misalign import PerturbationMode, PerturbationSpec
@@ -941,6 +949,97 @@ def reference_decode_pseudo(instances, image_id: str) -> list[ComponentInstance]
         else:
             out.append(inst)
     return out
+
+
+# --------------------------------------------------------------- label encode
+# ``labels.encode_pseudo`` as it was before one coincidence scan served its
+# checks: a pairwise scan for box sharing, one for Row-to-header pairing and
+# one for the encoded result. Kept as it was, apart from names and imports.
+
+def _reference_check_single_label_invariants(instances, image_id: str):
+    for i, a in enumerate(instances):
+        for b in instances[i + 1 :]:
+            if a.cls != b.cls and _reference_boxes_match(a.box, b.box):
+                raise LabelConsistencyError(
+                    f"{image_id}: distinct classes {a.cls.name} and {b.cls.name} share box "
+                    f"{a.box.as_tuple()} after pseudo-class encoding"
+                )
+
+
+def reference_encode_pseudo(gt: AnnotationSet) -> AnnotationSet:
+    """Multi-label ground truth to the single-label formulation."""
+    if gt.mode is LabelMode.SINGLE:
+        raise LabelModeError(f"{gt.image_id}: input already in single-label mode")
+
+    instances = list(gt.instances)
+
+    # Reject box sharing beyond the two sanctioned two-class patterns.
+    for i, a in enumerate(instances):
+        sharers = {a.cls}
+        for j, b in enumerate(instances):
+            if i != j and b.cls != a.cls and _reference_boxes_match(a.box, b.box):
+                sharers.add(b.cls)
+        if len(sharers) > 2:
+            names = ", ".join(sorted(c.name for c in sharers))
+            raise LabelConsistencyError(
+                f"{gt.image_id}: box {a.box.as_tuple()} shared by classes {{{names}}}"
+            )
+
+    partners = [
+        j
+        for j, inst in enumerate(instances)
+        if inst.cls in (ComponentClass.PROJECTED_ROW_HEADER, ComponentClass.COLUMN_HEADER)
+    ]
+    row_of: dict[int, int] = {}  # partner index -> index of its Row
+    for idx, inst in enumerate(instances):
+        if inst.cls != ComponentClass.ROW:
+            continue
+        matches = [j for j in partners if _reference_boxes_match(inst.box, instances[j].box)]
+        if not matches:
+            continue
+        free = next((j for j in matches if j not in row_of), None)
+        if free is None:
+            raise LabelConsistencyError(
+                f"{gt.image_id}: a second Row at box {inst.box.as_tuple()} coincides with one "
+                f"{instances[matches[0]].cls.name}"
+            )
+        row_of[free] = idx
+    partner_of = {row: j for j, row in row_of.items()}
+
+    result = []
+    for idx, inst in enumerate(instances):
+        if idx in partner_of:
+            partner = instances[partner_of[idx]]
+            if partner.cls == ComponentClass.COLUMN_HEADER:
+                extra = _reference_absorb(inst, partner, "column_header_extra", "column_header_content_bbox")
+                result.append(inst.replace(cls=ComponentClass.PSEUDO_HEADER_ROW, extra=extra))
+            # a Row under a Projected Row Header is dropped
+        elif idx in row_of:
+            if inst.cls == ComponentClass.PROJECTED_ROW_HEADER:
+                extra = _reference_absorb(inst, instances[row_of[idx]], "row_extra", "row_content_bbox")
+                result.append(inst.replace(extra=extra))
+            # a Column Header is folded into its Row's pseudo header row
+        elif inst.cls == ComponentClass.PROJECTED_ROW_HEADER:
+            raise LabelConsistencyError(
+                f"{gt.image_id}: Projected Row Header at box {inst.box.as_tuple()} coincides with no Row of its own"
+            )
+        else:
+            result.append(inst)
+    _reference_check_single_label_invariants(result, gt.image_id)
+    return AnnotationSet(gt.image_id, tuple(result), LabelMode.SINGLE)
+
+
+def _reference_absorb(kept: ComponentInstance, absorbed: ComponentInstance, extra_key: str, content_key: str) -> dict:
+    extra = kept.extra if absorbed.extra == kept.extra else {**kept.extra, extra_key: absorbed.extra}
+    if absorbed.content_box != kept.content_box:
+        content = absorbed.content_box
+        extra = {**extra, content_key: None if content is None else list(content)}
+    return extra
+
+
+def as_pairs(ann: AnnotationSet) -> set[tuple[tuple[float, float, float, float], ComponentClass]]:
+    """The (box, class) set; collapses duplicates, which the transforms never emit."""
+    return {(inst.box.as_tuple(), inst.cls) for inst in ann.instances}
 
 
 # ----------------------------------------------------------- grid reference

@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import os
@@ -46,6 +47,25 @@ def test_gen_fixtures_rejects_probability_outside_unit_interval(tmp_path, capsys
     field = option.replace("-", "_")
     assert capsys.readouterr().err == f"error: {field}: must lie in [0, 1], got {float(value)!r}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["gen-fixtures", "stats", "encode-labels"])
+def test_write_error_names_the_output_path(fixture_files, capsys, tmp_path, command):
+    gt, _ = fixture_files
+    missing = tmp_path / "missing"
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    argv, target, code = {
+        "gen-fixtures": (["gen-fixtures", "-o", str(missing / "fx")], f"{missing / 'fx'}.gt.json", errno.ENOENT),
+        "stats": (["stats", gt, "--csv", str(missing / "h.csv")], str(missing / "h.csv"), errno.ENOENT),
+        "encode-labels": (["encode-labels", gt, "-o", str(taken)], str(taken), errno.EISDIR),
+    }[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: {target}: {os.strerror(code)}\n"
+    assert list(tmp_path.rglob(".tsrkit-*.tmp")) == []
 
 
 def test_stats_output(fixture_files, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -741,6 +742,40 @@ def test_fixture_generation_deterministic():
     second = generate_fixtures(spec)
     assert serialize(first[0]) == serialize(second[0])
     assert serialize(first[1]) == serialize(second[1])
+
+
+# The sha256 of the serialized ground truth and predictions, computed when the
+# ground-truth HTML still came from a writer of its own in the generator.
+@pytest.mark.parametrize(
+    "fields, gt_digest, det_digest",
+    [
+        (
+            {},
+            "da24032c5b4b665e7fc70c5409410d5fcc3e2f5a41e0f5c0a4856e49037834cf",
+            "17156e7c20b079fc456c9662ae2e9fd6c0ec7c50402c49405ec21bbde42dc3a3",
+        ),
+        (
+            {"span_probability": 1.0, "header_probability": 1.0},
+            "d357db011af81f3c5daeb66287beb2bceb2209624ed3cb0cf832c649c523425d",
+            "67aced96066ca9aaeca0ec0bf71c0081665595511738d5df3dd54aa1dfe2a9f1",
+        ),
+        (
+            {"span_probability": 0.0, "header_probability": 0.0},
+            "377d50109022c5769c92c4cf91643e30fbf256dcf0b83392fc5d8f316601818d",
+            "89e8a45be7619d2250754482c5d65aaa9d1a099b0517d077e964fec8727d4988",
+        ),
+        (
+            {"min_rows": 9, "max_rows": 9, "min_cols": 9, "max_cols": 9},
+            "3ca464d85ade00017951eab15a022877958a8a2e58f3fff7038053f6baca3120",
+            "590586ff8a561a7da1780679a8043f45dbecef7bd513c02e32abf05d8096a148",
+        ),
+    ],
+    ids=["default", "all-spans-and-headers", "no-spans-or-headers", "9x9"],
+)
+def test_fixture_bytes_are_pinned(fields, gt_digest, det_digest):
+    gt, det = generate_fixtures(FixtureSpec(n_tables=8, seed=3, **fields))
+    assert hashlib.sha256(serialize(gt).encode()).hexdigest() == gt_digest
+    assert hashlib.sha256(serialize(det).encode()).hexdigest() == det_digest
 
 
 def test_fixture_seed_changes_output():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import as_pairs, reference_encode_pseudo
 
 from tsrkit.errors import LabelConsistencyError, LabelModeError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
@@ -260,7 +261,7 @@ def test_round_trip_on_generated_corpus():
             key = i.box.as_tuple()
             assert key not in boxes or boxes[key] == i.cls
             boxes[key] = i.cls
-        assert decode_pseudo(encoded).as_pairs() == ann.as_pairs()
+        assert as_pairs(decode_pseudo(encoded)) == as_pairs(ann)
 
 
 def test_round_trip_keeps_each_instance_extra():
@@ -378,3 +379,50 @@ def consistent_multi_label_sets(draw):
 def test_decode_inverts_encode(gt):
     decoded = decode_pseudo(encode_pseudo(gt))
     assert Counter(map(_instance_key, decoded.instances)) == Counter(map(_instance_key, gt.instances))
+
+
+# Coincidence is not transitive: offsets of 0.5 px apart chain boxes that
+# match their neighbours but not each other, and 1.0 px is exactly the tolerance.
+BASE_BOXES = [(10, 10, 200, 30), (10, 40, 200, 60)]
+OFFSETS = [0, 0.5, 1.0, 1.5]
+# every class, with the three that encoding pairs drawn twice as often
+ENCODED_CLASSES = [
+    *MULTI_LABEL_CLASSES,
+    ComponentClass.ROW,
+    ComponentClass.PROJECTED_ROW_HEADER,
+    ComponentClass.COLUMN_HEADER,
+]
+
+
+@st.composite
+def multi_label_sets(draw):
+    """Up to 8 instances of any multi-label class at base boxes offset per coordinate."""
+    extras = st.dictionaries(st.sampled_from(["a", "b"]), st.integers(0, 2), max_size=2)
+    instances = []
+    for _ in range(draw(st.integers(0, 8))):
+        base = draw(st.sampled_from(BASE_BOXES))
+        coords = [v + draw(st.sampled_from(OFFSETS)) for v in base]
+        if draw(st.booleans()):
+            coords = [int(v) if v == int(v) else v for v in coords]
+        else:
+            coords = [float(v) for v in coords]
+        box = BBox(*coords)
+        content = draw(st.sampled_from([None, box, BBox(12, base[1] + 2, 100, base[3] - 2)]))
+        cls = draw(st.sampled_from(ENCODED_CLASSES))
+        instances.append(ComponentInstance(box, cls, None, content, draw(extras)))
+    return multi(*instances)
+
+
+def _encoding(encode, gt):
+    """What ``encode`` makes of ``gt``: each instance's fields, or the error it raises."""
+    try:
+        out = encode(gt)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.image_id, out.mode, [(repr(i.box), i.cls, repr(i.content_box), i.extra) for i in out.instances]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(multi_label_sets())
+def test_encode_matches_pairwise_reference(gt):
+    assert _encoding(encode_pseudo, gt) == _encoding(reference_encode_pseudo, gt)
