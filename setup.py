@@ -1,7 +1,8 @@
-"""Build script for the optional compiled tree-edit-distance core.
+"""Build script for the optional compiled core: the tree-edit-distance kernel
+and the corpus loader's column packer.
 
 The extension is a pure speedup: if no C compiler is available the install
-still succeeds and tsrkit falls back to the pure-Python kernel.
+still succeeds and tsrkit falls back to the pure-Python kernel and packer.
 """
 
 from setuptools import Extension, setup

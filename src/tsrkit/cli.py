@@ -8,8 +8,10 @@ byte-reproducible for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
+import stat
 import sys
 
 from . import formats
@@ -163,6 +165,9 @@ def cmd_teds(args) -> int:
     missing_html = [img.image_id for img in corpus.images if img.image_id not in trees]
     if missing_html:
         _fail(f"ground truth without html for: {missing_html[:5]}")
+    # a mistyped directory would otherwise score every table 0
+    if not stat.S_ISDIR(os.stat(args.predictions_dir).st_mode):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.predictions_dir)
     scored_zero = []  # one stderr line per prediction that scores 0, in id order
 
     def pairs():

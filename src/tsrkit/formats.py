@@ -23,6 +23,14 @@ every instance would load as it stands. Any doubt, such as an int beyond
 with its JSON path and logs each clamp in order; its records are packed into
 the same columns. That path locates errors; it is not a second loader, and
 both give the same records.
+
+The compiled extension that holds the TED kernel also holds
+``pack_columns``, the same checks in C filling arrays allocated here; it
+accepts the images ``_columns`` accepts, with bit-identical columns, and
+declines the others to ``_parse_instance`` in the same way. Each load picks
+one of the two by ``teds.backend_name()``, the rule that picks the TED
+kernel, so ``_columns`` runs with TSRKIT_PURE_PYTHON=1 or without a C
+compiler and stays the reference for the packer.
 """
 
 from __future__ import annotations
@@ -31,10 +39,9 @@ import json
 import logging
 import math
 import os
-import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import itemgetter, le
 
@@ -43,7 +50,7 @@ import numpy as np
 from .errors import HtmlParseError, SchemaError
 from .geometry import NUMBER_TYPES, BBox, float_box, is_number, unchecked_bbox
 from .labels import AnnotationSet, ComponentClass, ComponentInstance, Instances, LabelMode
-from .teds import TableTree, parse_table_html
+from .teds import TableTree, distance, parse_table_html
 
 SCHEMA_VERSION = 1
 
@@ -250,7 +257,23 @@ def _columns(
     return Instances(boxes, np.array(class_ids, dtype=np.int8), scores, side)
 
 
-def _parse_image(raw, label_mode, is_ground_truth, image) -> ImageRecord:
+def _packed_columns(
+    pack_columns, raws: list, width: float, height: float, label_mode: LabelMode, is_ground_truth: bool
+) -> Instances | None:
+    """``_columns`` by the compiled ``pack_columns``: the same columns, or None for the same images."""
+    n = len(raws)
+    boxes, classes, scores = np.empty((n, 4)), np.empty(n, dtype=np.int8), np.full(n, np.nan)
+    optional = np.empty((n, 4)) if is_ground_truth else scores
+    max_class = 6 if label_mode is LabelMode.SINGLE else 5
+    if not pack_columns(raws, width, height, max_class, is_ground_truth, boxes, classes, optional):
+        return None
+    side = None
+    if is_ground_truth and n and "content_bbox" in raws[0]:
+        side = {i: (box, {}) for i, box in enumerate(map(unchecked_bbox, optional.tolist()))}
+    return Instances(boxes, classes, scores, side)
+
+
+def _parse_image(raw, label_mode, is_ground_truth, image, columns) -> ImageRecord:
     if not isinstance(raw, dict):
         raise SchemaError(f"{_at(image)}: image record must be an object")
     known = {"image_id", "width", "height", "instances", "html"}
@@ -272,7 +295,7 @@ def _parse_image(raw, label_mode, is_ground_truth, image) -> ImageRecord:
     instances_raw = raw.get("instances", [])
     if not isinstance(instances_raw, list):
         raise SchemaError(f"{_at(image)}.instances: must be an array")
-    instances = _columns(instances_raw, width, height, label_mode, is_ground_truth)
+    instances = columns(instances_raw, width, height, label_mode, is_ground_truth)
     if instances is None:
         # one instance at a time, to raise the first error and log each clamp in order
         instances = Instances.pack([
@@ -329,11 +352,14 @@ def _corpus_file(raw, is_ground_truth: bool) -> CorpusFile:
     images_raw = raw.get("images")
     if not isinstance(images_raw, list):
         raise SchemaError("$.images: must be an array")
+    columns = _columns
+    if distance.backend_name() == "compiled":
+        columns = partial(_packed_columns, distance._speedup.pack_columns)
     # Each image's JSON is dropped once parsed, so the whole tree and the
     # records made from it are never held at once.
     images = []
     for i in range(len(images_raw)):
-        images.append(_parse_image(images_raw[i], label_mode, is_ground_truth, i))
+        images.append(_parse_image(images_raw[i], label_mode, is_ground_truth, i, columns))
         images_raw[i] = None
     seen = set()
     for i, rec in enumerate(images):
@@ -385,17 +411,32 @@ def serialize(corpus: CorpusFile) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
+def _create_temporary(directory: str) -> tuple[int, str]:
+    """A new file in ``directory`` under an unused name, opened for writing.
+
+    It is created with mode 0o666, so the process umask sets its
+    permissions, as it does for a file made by ``open``.
+    """
+    while True:
+        tmp = os.path.join(directory, f".tsrkit-{os.urandom(8).hex()}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def atomic_write_text(path: str, text: str):
     """Write ``text`` to ``path`` through a temporary file in its directory.
 
-    The temporary file is removed on failure. An ``OSError`` is raised again
-    as the same subclass with ``path`` as its filename, so it names the file
-    asked for, not the temporary one.
+    The file gets the permissions the umask leaves of 0o666. The temporary
+    file is removed on failure. An ``OSError`` is raised again as the same
+    subclass with ``path`` as its filename, so it names the file asked for,
+    not the temporary one.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tsrkit-", suffix=".tmp")
+        fd, tmp = _create_temporary(directory)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)

@@ -1,29 +1,45 @@
-/* Compiled ordered-tree edit distance kernel.
+/* Compiled paths for the two hot loops: the ordered-tree edit distance kernel
+ * and the corpus loader's column packer.
  *
- * Same keyroot/forest recurrence (Zhang & Shasha, SIAM J. Comput. 1989) as
- * _ted_py.tree_distance, which stays the reference and the fallback.
- * tsrkit.teds.distance.backend_name() chooses between the two on every
- * distance call; this one whenever it is built and TSRKIT_PURE_PYTHON is
- * unset. Every edit has cost 1: insert, delete, and a rename between
- * unequal labels. Trees arrive flattened in postorder: leftmost-leaf-
- * descendant indices, interned label ids and keyroots, each a 1-d
+ * tsrkit.teds.distance.backend_name() chooses between this module and the
+ * pure-Python references for both: this module whenever it is built and
+ * TSRKIT_PURE_PYTHON is unset. The choice is read on every distance call
+ * and once per corpus load.
+ *
+ * tree_distance has the same keyroot/forest recurrence (Zhang & Shasha,
+ * SIAM J. Comput. 1989) as _ted_py.tree_distance, which stays the reference
+ * and the fallback. Every edit has cost 1: insert, delete, and a rename
+ * between unequal labels. Trees arrive flattened in postorder: leftmost-
+ * leaf-descendant indices, interned label ids and keyroots, each a 1-d
  * C-contiguous int64 buffer.
+ *
+ * pack_columns makes the checks of tsrkit.formats._columns, which stays the
+ * reference and the fallback: it fills one image's box, class and score or
+ * content-box columns from its parsed JSON instances, or declines, so that
+ * the loader parses the image one instance at a time.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
-/* Acquire a buffer of native 8-byte integers; TypeError for anything else. */
-static int get_int64(PyObject *obj, Py_buffer *view)
+/* Acquire a C-contiguous buffer of ndim dimensions whose items are itemsize
+ * bytes in one of the struct formats listed in formats; with cols > 0 its
+ * last dimension must be cols long, and with writable set it must be
+ * writable. TypeError for anything else. */
+static int get_buffer(PyObject *obj, Py_buffer *view, const char *formats, Py_ssize_t itemsize, int ndim,
+                      Py_ssize_t cols, int writable)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
         return -1;
     const char *f = view->format[0] == '@' ? view->format + 1 : view->format;
-    if (view->ndim != 1 || view->itemsize != 8 || (f[0] != 'l' && f[0] != 'q') || f[1] != '\0'
-        || !PyBuffer_IsContiguous(view, 'C')) {
-        PyErr_Format(PyExc_TypeError, "expected a 1-d C-contiguous int64 buffer, got format "
-                     "'%s' with %d dimension(s)", view->format, view->ndim);
+    if (view->ndim != ndim || view->itemsize != itemsize || f[0] == '\0' || f[1] != '\0'
+        || strchr(formats, f[0]) == NULL || (cols > 0 && view->shape[ndim - 1] != cols)
+        || (writable && view->readonly) || !PyBuffer_IsContiguous(view, 'C')) {
+        PyErr_Format(PyExc_TypeError, "expected a %s%d-d C-contiguous buffer of format '%s', got format "
+                     "'%s' with %d dimension(s)", writable ? "writable " : "", ndim, formats, view->format,
+                     view->ndim);
         PyBuffer_Release(view);
         return -1;
     }
@@ -106,7 +122,7 @@ static PyObject *tree_distance(PyObject *Py_UNUSED(self), PyObject *args)
                           &objs[3], &objs[4], &objs[5]))
         return NULL;
     for (; got < 6; got++)
-        if (get_int64(objs[got], &views[got]) < 0)
+        if (get_buffer(objs[got], &views[got], "lq", 8, 1, 0, 0) < 0)
             goto done;
     const int64_t *a[6];
     Py_ssize_t len[6];
@@ -135,10 +151,172 @@ done:
     return result;
 }
 
+/* ---------------------------------------------------------- column packer */
+
+#define EXACT_INT (1LL << 53) /* every int up to this size is exactly a double */
+
+/* Column-wide state of one box column: an int anywhere in it, and its largest right or bottom edge. */
+struct box_column {
+    int any_int;
+    double max_edge;
+};
+
+/* Store a corpus number, an exact float or an exact int (not a bool), in *out;
+ * 0 for anything else. An int beyond 2**53 is refused too: in a box it leaves
+ * the image or makes the column's largest edge pass 2**53 beside an int,
+ * which _columns refuses, and a score must lie in [0, 1]. */
+static int read_number(PyObject *obj, double *out, int *any_int)
+{
+    if (PyFloat_CheckExact(obj)) {
+        *out = PyFloat_AS_DOUBLE(obj);
+        return 1;
+    }
+    if (!PyLong_CheckExact(obj))
+        return 0;
+    int overflow;
+    long long value = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (overflow || value > EXACT_INT || value < -EXACT_INT)
+        return 0;
+    *out = (double)value;
+    *any_int = 1;
+    return 1;
+}
+
+/* Store one box, an exact list of four numbers, ordered and inside the image,
+ * in out; 0 for anything else. NaN fails every comparison. */
+static int read_box(PyObject *obj, double width, double height, double *out, struct box_column *column)
+{
+    if (!PyList_CheckExact(obj) || PyList_GET_SIZE(obj) != 4)
+        return 0;
+    for (Py_ssize_t k = 0; k < 4; k++)
+        if (!read_number(PyList_GET_ITEM(obj, k), &out[k], &column->any_int))
+            return 0;
+    if (!(0.0 <= out[0] && out[0] <= out[2] && out[2] <= width && 0.0 <= out[1] && out[1] <= out[3]
+          && out[3] <= height))
+        return 0;
+    if (out[2] > column->max_edge)
+        column->max_edge = out[2];
+    if (out[3] > column->max_edge)
+        column->max_edge = out[3];
+    return 1;
+}
+
+/* The index among the n names of a field key, or -1. A key matched once is
+ * kept in seen, so the key objects json.loads shares between the instances
+ * of one document are then matched by identity. */
+static int field_index(PyObject *key, const char *const *names, PyObject **seen, int n)
+{
+    for (int k = 0; k < n; k++)
+        if (key == seen[k])
+            return k;
+    if (!PyUnicode_CheckExact(key))
+        return -1;
+    for (int k = 0; k < n; k++)
+        if (PyUnicode_CompareWithASCIIString(key, names[k]) == 0) {
+            seen[k] = key;
+            return k;
+        }
+    return -1;
+}
+
+/* Fill the columns from raws, an exact list, or return 0 where _columns
+ * returns None. No Python code runs here, so the borrowed references stay
+ * valid throughout. */
+static int pack(PyObject *raws, double width, double height, long max_class, int ground_truth,
+                double *boxes, int8_t *classes, double *optional)
+{
+    const char *const names[3] = {"bbox", "class_id", ground_truth ? "content_bbox" : "score"};
+    PyObject *seen[3] = {NULL, NULL, NULL}, *key, *value;
+    struct box_column box_column = {0, 0.0}, content_column = {0, 0.0};
+    Py_ssize_t n = PyList_GET_SIZE(raws), pos = 0;
+    if (n == 0)
+        return 1;
+    /* the first instance decides whether every instance carries the optional field */
+    PyObject *first = PyList_GET_ITEM(raws, 0);
+    if (!PyDict_CheckExact(first))
+        return 0;
+    int n_fields = 2;
+    while (PyDict_Next(first, &pos, &key, &value))
+        if (field_index(key, names + 2, seen + 2, 1) == 0)
+            n_fields = 3;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *raw = PyList_GET_ITEM(raws, i), *fields[3] = {NULL, NULL, NULL};
+        /* dict keys are distinct, so n_fields keys that each name a field name every field once */
+        if (!PyDict_CheckExact(raw) || PyDict_GET_SIZE(raw) != n_fields)
+            return 0;
+        for (pos = 0; PyDict_Next(raw, &pos, &key, &value);) {
+            int k = field_index(key, names, seen, n_fields);
+            if (k < 0)
+                return 0;
+            fields[k] = value;
+        }
+        if (!read_box(fields[0], width, height, boxes + 4 * i, &box_column))
+            return 0;
+        if (!PyLong_CheckExact(fields[1]))
+            return 0;
+        int overflow;
+        long class_id = PyLong_AsLongAndOverflow(fields[1], &overflow);
+        if (overflow || class_id < 0 || class_id > max_class)
+            return 0;
+        classes[i] = (int8_t)class_id;
+        if (n_fields == 2)
+            continue;
+        if (ground_truth) {
+            if (!read_box(fields[2], width, height, optional + 4 * i, &content_column))
+                return 0;
+        } else {
+            int any_int = 0;
+            if (!read_number(fields[2], &optional[i], &any_int) || !(0.0 <= optional[i] && optional[i] <= 1.0))
+                return 0;
+        }
+    }
+    return !(box_column.any_int && box_column.max_edge > (double)EXACT_INT)
+        && !(content_column.any_int && content_column.max_edge > (double)EXACT_INT);
+}
+
+static PyObject *pack_columns(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *raws, *objs[3];
+    double width, height;
+    int max_class, ground_truth;
+    Py_buffer views[3];
+    int got = 0;
+    PyObject *result = NULL;
+    if (!PyArg_ParseTuple(args, "O!ddipOOO:pack_columns", &PyList_Type, &raws, &width, &height, &max_class,
+                          &ground_truth, &objs[0], &objs[1], &objs[2]))
+        return NULL;
+    if (get_buffer(objs[0], &views[0], "d", 8, 2, 4, 1) < 0)
+        goto done;
+    got++;
+    if (get_buffer(objs[1], &views[1], "b", 1, 1, 0, 1) < 0)
+        goto done;
+    got++;
+    if (get_buffer(objs[2], &views[2], "d", 8, ground_truth ? 2 : 1, ground_truth ? 4 : 0, 1) < 0)
+        goto done;
+    got++;
+    Py_ssize_t n = PyList_GET_SIZE(raws);
+    for (int k = 0; k < 3; k++)
+        if (views[k].shape[0] != n) {
+            PyErr_Format(PyExc_TypeError, "expected output buffers of %zd rows, got %zd", n, views[k].shape[0]);
+            goto done;
+        }
+    result = PyBool_FromLong(pack(raws, width, height, max_class, ground_truth, views[0].buf, views[1].buf,
+                                  views[2].buf));
+done:
+    while (got > 0)
+        PyBuffer_Release(&views[--got]);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"tree_distance", tree_distance, METH_VARARGS,
      "tree_distance(lmld1, labels1, keyroots1, lmld2, labels2, keyroots2)\n--\n\n"
      "Minimal unit-cost edit distance between two flattened trees."},
+    {"pack_columns", pack_columns, METH_VARARGS,
+     "pack_columns(raws, width, height, max_class, ground_truth, boxes, classes, optional)\n--\n\n"
+     "Fill the (n, 4) float64 boxes, the int8 classes and the optional column, (n,) float64 scores or,\n"
+     "in ground truth, (n, 4) float64 content boxes, from an image's n parsed JSON instances and\n"
+     "return True; return False, leaving them partly filled, where tsrkit.formats._columns returns None."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -14,7 +14,9 @@ The distance kernel exists twice: a compiled C extension (_speedup.c) for
 corpus scoring (the DP dominates evaluation runtime) and a pure-Python
 fallback with the same recurrence. ``backend_name()`` picks one on every
 distance call, so TSRKIT_PURE_PYTHON=1 forces the fallback even when set
-in-process, after import (perfbench/kernelbench.py relies on this).
+in-process, after import (perfbench/kernelbench.py relies on this). The
+same extension holds the corpus loader's column packer, and the same rule,
+read once per load, picks it or ``formats._columns``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,12 @@ except ImportError:
 
 
 def backend_name() -> str:
-    """Which distance kernel is active: 'compiled' or 'python'."""
+    """Which backend is active: 'compiled' or 'python'.
+
+    It governs both compiled paths, the distance kernel and the corpus
+    loader's column packer: 'compiled' whenever the extension is built and
+    TSRKIT_PURE_PYTHON is unset.
+    """
     if _speedup is not None and not os.environ.get("TSRKIT_PURE_PYTHON"):
         return "compiled"
     return "python"

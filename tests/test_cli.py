@@ -68,6 +68,22 @@ def test_write_error_names_the_output_path(fixture_files, capsys, tmp_path, comm
     assert list(tmp_path.rglob(".tsrkit-*.tmp")) == []
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_output_files_get_the_mode_the_umask_leaves(tmp_path, umask, mode):
+    prefix = str(tmp_path / "fx")
+    previous = os.umask(umask)
+    try:
+        assert main(["gen-fixtures", "-o", prefix, "--tables", "2", "--seed", "3"]) == 0
+        assert main(["reconstruct", f"{prefix}.pred.json", "-o", str(tmp_path / "html")]) == 0
+        assert main(["stats", f"{prefix}.gt.json", "--csv", str(tmp_path / "h.csv")]) == 0
+    finally:
+        os.umask(previous)
+    written = [f"{prefix}.gt.json", f"{prefix}.pred.json", str(tmp_path / "h.csv")]
+    written += [str(path) for path in (tmp_path / "html").iterdir()]
+    assert len(written) == 5
+    assert {path: oct(os.stat(path).st_mode & 0o777) for path in written} == dict.fromkeys(written, oct(mode))
+
+
 def test_stats_output(fixture_files, capsys, tmp_path):
     gt, _ = fixture_files
     csv_path = str(tmp_path / "hist.csv")
@@ -150,6 +166,17 @@ def test_teds_missing_prediction_scores_zero(fixture_files, capsys, tmp_path):
     captured = capsys.readouterr()
     assert "TEDS overall = 1.0000" not in captured.out
     assert captured.err == "prediction missing table_000\n"
+
+
+@pytest.mark.parametrize("kind, code", [("missing", errno.ENOENT), ("file", errno.ENOTDIR)], ids=["missing", "file"])
+def test_teds_rejects_a_predictions_dir_that_is_not_a_directory(fixture_files, capsys, tmp_path, kind, code):
+    gt, pred = fixture_files
+    predictions_dir = pred if kind == "file" else str(tmp_path / "missing")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["teds", predictions_dir, gt])
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", f"error: {predictions_dir}: {os.strerror(code)}\n")
 
 
 @pytest.fixture

@@ -1,18 +1,23 @@
+import contextlib
 import hashlib
 import json
 import logging
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_decode_pseudo, reference_load, reference_parse_instance
 
+from tsrkit import formats
+from tsrkit.cli import main
 from tsrkit.errors import LabelConsistencyError, SchemaError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.formats import (
     _columns,
+    _packed_columns,
     _parse_instance,
     atomic_write_text,
     load_detections,
@@ -31,7 +36,7 @@ from tsrkit.labels import (
     LabelMode,
     decode_pseudo,
 )
-from tsrkit.teds import parse_table_html
+from tsrkit.teds import distance, parse_table_html
 
 
 @pytest.fixture
@@ -328,6 +333,133 @@ def test_generated_corpora_load_in_bulk():
             )
             assert columns is not None and len(columns) == len(image["instances"])
             assert all(type(inst) is ComponentInstance and type(inst.box) is BBox for inst in columns)
+
+
+@contextlib.contextmanager
+def backend(name, kernel):
+    """Select the ``name`` backend for loading, with ``kernel`` standing in for the compiled extension."""
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "python":
+            patch.setenv("TSRKIT_PURE_PYTHON", "1")
+        else:
+            patch.delenv("TSRKIT_PURE_PYTHON", raising=False)
+            patch.setattr(distance, "_speedup", kernel)
+        assert distance.backend_name() == name
+        yield
+
+
+def _packers_agree(kernel, raws, width, height, label_mode, is_ground_truth):
+    """The packer accepts the instances exactly when ``_columns`` does, with bit-identical columns."""
+    expected = _columns(raws, width, height, label_mode, is_ground_truth)
+    packed = _packed_columns(kernel.pack_columns, raws, width, height, label_mode, is_ground_truth)
+    assert (packed is None) == (expected is None)
+    if packed is not None:
+        for column in ("boxes", "classes", "scores"):
+            got, want = getattr(packed, column), getattr(expected, column)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), column
+        assert [_record(inst) for inst in packed] == [_record(inst) for inst in expected]
+
+
+@pytest.mark.parametrize("damage", IMAGE_DAMAGE)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_compiled_packer_accepts_what_columns_accepts(compiled_kernel, damage, data):
+    instances, label_mode, is_ground_truth = data.draw(image_problems(damage))
+    raws = json.loads(json.dumps(instances))  # what json.load makes of the damage
+    _packers_agree(compiled_kernel, raws, 100.0, 50.0, label_mode, is_ground_truth)
+
+
+BIG = 2**53
+INT_BOX = {"bbox": [0, 0, 1, 1], "class_id": 2}
+
+
+@pytest.mark.parametrize(
+    "raws, width",
+    [
+        pytest.param([], 100.0, id="empty"),
+        pytest.param([{"bbox": [-0.0, -0.0, 0.0, 0.0], "class_id": 0}], 100.0, id="negative-zero"),
+        pytest.param([{"bbox": [0, 0, BIG, 1], "class_id": 2}], 1e17, id="int-2**53"),
+        pytest.param([{"bbox": [0, 0, BIG + 1, 1], "class_id": 2}], 1e17, id="int-beyond-2**53"),
+        pytest.param([{"bbox": [BIG + 1, 0, float(BIG), 1], "class_id": 2}], 1e17, id="ordered-only-as-floats"),
+        pytest.param(
+            [INT_BOX, {"bbox": [0.0, 0.0, 1e17, 1.0], "class_id": 2}], 1e18, id="float-beyond-2**53-beside-int"
+        ),
+        pytest.param([{"bbox": [0.0, 0.0, 1e17, 1.0], "class_id": 2}], 1e18, id="float-beyond-2**53"),
+        pytest.param([{"bbox": [0, 0, 10**400, 1], "class_id": 2}], 1e300, id="400-digit-int"),
+        pytest.param([{"bbox": [0, 0, -(10**400), 1], "class_id": 2}], 1e300, id="negative-400-digit-int"),
+        pytest.param([{**INT_BOX, "class_id": 2**70}], 100.0, id="huge-class"),
+        pytest.param([{**INT_BOX, "class_id": -(2**70)}], 100.0, id="huge-negative-class"),
+        pytest.param([{**INT_BOX, "score": 1}, {**INT_BOX, "score": 0}], 100.0, id="int-scores"),
+        pytest.param([{**INT_BOX, "score": -0.0}], 100.0, id="negative-zero-score"),
+        pytest.param([{**INT_BOX, "score": 2**64}], 100.0, id="huge-int-score"),
+        pytest.param([{**INT_BOX, "score": 0.5}, INT_BOX], 100.0, id="score-dropped"),
+        pytest.param([INT_BOX, {**INT_BOX, "score": 0.5}], 100.0, id="score-added"),
+        pytest.param([{"class_id": 2, "bbox": [0, 0, 1, 1], "score": 0.5}], 100.0, id="keys-reordered"),
+        pytest.param([{**INT_BOX, "score": 0.5, "flagged": True}], 100.0, id="unknown-key"),
+        pytest.param([{"bbox": [0, 0, 1, 1], "class": 2}], 100.0, id="misspelt-key"),
+    ],
+)
+@pytest.mark.parametrize("label_mode", list(LabelMode))
+def test_compiled_packer_accepts_what_columns_accepts_at_the_edges(compiled_kernel, raws, width, label_mode):
+    # in ground truth, each score becomes a content extent equal to the box
+    gt_raws = [
+        {("content_bbox" if key == "score" else key): (raw["bbox"] if key == "score" else value)
+         for key, value in raw.items()}
+        for raw in raws
+    ]
+    _packers_agree(compiled_kernel, raws, width, 50.0, label_mode, False)
+    _packers_agree(compiled_kernel, gt_raws, width, 50.0, label_mode, True)
+
+
+def test_compiled_packer_rejects_bad_buffers(compiled_kernel):
+    raws = [{"bbox": [0.0, 0.0, 1.0, 1.0], "class_id": 2, "score": 0.5}] * 3
+    n = len(raws)
+
+    def pack(boxes=None, classes=None, optional=None, ground_truth=False, instances=raws):
+        boxes = np.empty((n, 4)) if boxes is None else boxes
+        classes = np.empty(n, dtype=np.int8) if classes is None else classes
+        optional = np.empty((n, 4) if ground_truth else n) if optional is None else optional
+        return compiled_kernel.pack_columns(instances, 100.0, 50.0, 5, ground_truth, boxes, classes, optional)
+
+    assert pack() is True
+    read_only = np.empty((n, 4))
+    read_only.flags.writeable = False
+    for bad_boxes in (
+        np.empty((n, 4), dtype=np.float32),
+        np.empty((n, 4), dtype=np.int64),
+        np.empty((n, 3)),
+        np.empty((n + 1, 4)),
+        np.empty(4 * n),
+        np.empty((n, 8))[:, ::2],  # strided view
+        read_only,
+        [[0.0] * 4] * n,
+        b"\0" * 32 * n,
+    ):
+        with pytest.raises(TypeError):
+            pack(boxes=bad_boxes)
+    for bad_classes in (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.uint8), np.empty(n - 1, dtype=np.int8)):
+        with pytest.raises(TypeError):
+            pack(classes=bad_classes)
+    for bad_scores in (np.empty((n, 4)), np.empty(n, dtype=np.float32), np.empty(0)):
+        with pytest.raises(TypeError):
+            pack(optional=bad_scores)
+    with pytest.raises(TypeError):
+        pack(optional=np.empty(n), ground_truth=True)
+    with pytest.raises(TypeError):
+        pack(instances=tuple(raws))
+
+
+@pytest.mark.parametrize("name", ["python", "compiled"])
+def test_generated_corpora_never_load_one_instance_at_a_time(compiled_kernel, tmp_path, monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError("an instance of a generated corpus went to _parse_instance")
+
+    prefix = str(tmp_path / "fx")
+    assert main(["gen-fixtures", "-o", prefix, "--tables", "20", "--seed", "4"]) == 0
+    monkeypatch.setattr(formats, "_parse_instance", refuse)
+    with backend(name, compiled_kernel):
+        assert len(load_ground_truth(f"{prefix}.gt.json").images) == 20
+        assert len(load_detections(f"{prefix}.pred.json").images) == 20
 
 
 # Unknown fields an instance may carry, among them the keys under which the
@@ -707,6 +839,41 @@ def test_any_json_value_in_a_file_or_image_slot_loads_or_raises_schema_error(cor
             assert inst.score is None or (type(inst.score) is float and 0.0 <= inst.score <= 1.0)
             assert not (is_ground_truth and inst.score is not None)
         assert (image.html is None) == (image.tree is None)
+
+
+def _loads_alike(kernel, path, data, is_ground_truth):
+    """Both backends load ``data`` into the same records, or raise the same error, and log the same clamps."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    loader = load_ground_truth if is_ground_truth else load_detections
+    outcomes = []
+    for name in ("python", "compiled"):
+        with backend(name, kernel):
+            outcomes.append(_logged(lambda: loader(path), _corpus_summary))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("damage", IMAGE_DAMAGE)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_damaged_image_loads_alike_under_both_backends(compiled_kernel, corpus_path, damage, data):
+    instances, label_mode, is_ground_truth = data.draw(image_problems(damage))
+    image = {"image_id": "t0", "width": 100.0, "height": 50.0, "instances": instances}
+    data = {"schema_version": 1, "label_mode": label_mode.value, "images": [image]}
+    _loads_alike(compiled_kernel, corpus_path, data, is_ground_truth)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(corpus_problems())
+def test_loader_gives_the_same_records_errors_and_clamps_under_both_backends(compiled_kernel, corpus_path, problem):
+    data, _, is_ground_truth = problem
+    _loads_alike(compiled_kernel, corpus_path, data, is_ground_truth)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(files_with_one_slot_filled())
+def test_any_json_value_loads_alike_under_both_backends(compiled_kernel, corpus_path, problem):
+    _loads_alike(compiled_kernel, corpus_path, *problem)
 
 
 def test_failed_replace_leaves_no_temporary_file(tmp_path):
