@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import iou_array
-from .labels import AnnotationSet
+from .labels import AnnotationSet, Instances
 
 # Height/width ratios used by the extreme-aspect table-component anchor setup.
 TABLE_ASPECT_RATIOS = (
@@ -80,11 +80,14 @@ def dataset_stats(annotations: list[AnnotationSet]) -> DatasetStats:
     histogram: dict[int, int] = {}
     for ann in annotations:
         n_objects += len(ann.instances)
-        for inst in ann.instances:
-            if inst.box.width <= 0.0 or inst.box.height <= 0.0:
+        for x1, y1, x2, y2 in Instances.pack(ann.instances).boxes.tolist():
+            width, height = x2 - x1, y2 - y1
+            if width <= 0.0 or height <= 0.0:
                 continue
-            folded = fold_ratio(inst.box.height / inst.box.width)
-            # an extreme box's ratio overflows to inf, which int() cannot take
+            ratio = height / width
+            # an extreme box's ratio overflows to inf, which int() cannot take,
+            # or underflows to 0, which fold_ratio rejects; both fold to inf
+            folded = fold_ratio(ratio) if ratio > 0.0 else math.inf
             bucket = int(min(folded, HISTOGRAM_TOP_BUCKET))
             histogram[bucket] = histogram.get(bucket, 0) + 1
     return DatasetStats(

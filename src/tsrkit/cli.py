@@ -14,13 +14,15 @@ import os
 import stat
 import sys
 
+import numpy as np
+
 from . import formats
 from .anchors import DEFAULT_ASPECT_RATIOS, anchor_coverage, dataset_stats, generate_anchors
 from .cocoeval import evaluate_corpus
 from .errors import HtmlParseError, SchemaError, TsrkitError
 from .fixtures import FixtureSpec, generate_fixtures
-from .labels import AnnotationSet, ComponentClass, LabelMode, decode_pseudo, encode_pseudo
-from .misalign import ALL_CLASSES, PerturbationMode, PerturbationSpec, misalignment_report
+from .labels import AnnotationSet, LabelMode, decode_pseudo, encode_pseudo
+from .misalign import misalignment_report, parse_perturbation_spec
 from .reconstruct import build_grid, grid_to_html
 from .teds import corpus_teds, parse_table_html
 
@@ -40,12 +42,23 @@ def _multi_label_sets(corpus: formats.CorpusFile) -> list[AnnotationSet]:
 _NOT_A_FILE_NAME = "image id is not a file name"
 
 
-def _html_path(directory: str, image_id: str) -> str | None:
-    """``{image_id}.html`` in ``directory``, or None when the id is not one path component."""
+def _name_max(directory: str) -> int:
+    """The longest file name, in bytes, that ``directory`` takes; 255 where the system does not say."""
+    try:
+        limit = os.pathconf(directory, "PC_NAME_MAX")
+    except (AttributeError, ValueError, OSError):  # no pathconf, or no such limit here
+        return 255
+    return limit if limit > 0 else 255
+
+
+def _html_path(directory: str, image_id: str, name_max: int) -> str | None:
+    """``{image_id}.html`` in ``directory``, or None when the id is not one path
+    component or makes a name longer than ``name_max`` bytes."""
     separators = {"/", os.sep, os.altsep} - {None}
     if image_id in (".", "..") or "\0" in image_id or any(sep in image_id for sep in separators):
         return None
-    return os.path.join(directory, f"{image_id}.html")
+    name = f"{image_id}.html"
+    return None if len(name.encode("utf-8")) > name_max else os.path.join(directory, name)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]):
@@ -88,11 +101,9 @@ def cmd_stats(args) -> int:
 
 def cmd_anchors(args) -> int:
     corpus = formats.load_ground_truth(args.ground_truth)
-    gt_boxes = [
-        inst.box for ann in corpus.annotation_sets() for inst in ann.instances
-    ]
-    if not gt_boxes:
+    if not any(img.instances for img in corpus.images):
         _fail("ground truth contains no boxes")
+    gt_boxes = np.concatenate([img.instances.boxes for img in corpus.images])
     ratios = tuple(sorted(args.ratios))
     width = max(img.width for img in corpus.images)
     height = max(img.height for img in corpus.images)
@@ -105,19 +116,8 @@ def cmd_anchors(args) -> int:
     return 0
 
 
-def _load_any_corpus(path: str):
-    """Detections or ground truth; transforms accept either carrier."""
-    try:
-        return formats.load_detections(path)
-    except SchemaError as detection_error:
-        try:
-            return formats.load_ground_truth(path)
-        except SchemaError:
-            raise detection_error from None
-
-
 def _transform_labels(args, encode: bool) -> int:
-    corpus = formats.load_ground_truth(args.input) if encode else _load_any_corpus(args.input)
+    corpus = formats.load_ground_truth(args.input) if encode else formats.load_any(args.input)
     expected = LabelMode.MULTI if encode else LabelMode.SINGLE
     if corpus.label_mode is not expected:
         _fail(f"input must be label_mode={expected.value}")
@@ -141,9 +141,10 @@ def cmd_decode_labels(args) -> int:
 def cmd_reconstruct(args) -> int:
     sets = _multi_label_sets(formats.load_detections(args.predictions))
     os.makedirs(args.output, exist_ok=True)
+    name_max = _name_max(args.output)
     failures = []
     for ann in sets:
-        path = _html_path(args.output, ann.image_id)
+        path = _html_path(args.output, ann.image_id, name_max)
         if path is None:
             failures.append((ann.image_id, _NOT_A_FILE_NAME))
             continue
@@ -168,11 +169,12 @@ def cmd_teds(args) -> int:
     # a mistyped directory would otherwise score every table 0
     if not stat.S_ISDIR(os.stat(args.predictions_dir).st_mode):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.predictions_dir)
+    name_max = _name_max(args.predictions_dir)
     scored_zero = []  # one stderr line per prediction that scores 0, in id order
 
     def pairs():
         for image_id in sorted(trees):
-            path, tree = _html_path(args.predictions_dir, image_id), None
+            path, tree = _html_path(args.predictions_dir, image_id, name_max), None
             if path is None:
                 scored_zero.append(f"failed {image_id}: {_NOT_A_FILE_NAME}")
             elif not os.path.exists(path):
@@ -214,51 +216,6 @@ def cmd_coco_eval(args) -> int:
     for line in report.format_lines():
         print(line)
     return 0
-
-
-_MODE_BY_NAME = {mode.value: mode for mode in PerturbationMode}
-
-
-def parse_perturbation_spec(text: str) -> PerturbationSpec:
-    """mode[:magnitude][:class+class+...], e.g. dilate:2 or merge:row.
-
-    Only dilate and shrink take a magnitude, and at most one; a spec has at
-    most one class part.
-    """
-    parts = text.split(":")
-    mode_name = parts[0].strip().lower()
-    if mode_name not in _MODE_BY_NAME:
-        raise ValueError(f"unknown perturbation mode {mode_name!r}")
-    mode = _MODE_BY_NAME[mode_name]
-    magnitudes, class_parts = [], []
-    for part in parts[1:]:
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            magnitudes.append(float(part))
-            continue
-        except ValueError:
-            pass
-        names = {p.strip().upper() for p in part.split("+") if p.strip()}
-        if not names:
-            raise ValueError(f"no component class in {text!r}")
-        try:
-            class_parts.append(frozenset(ComponentClass[name] for name in names))
-        except KeyError as exc:
-            raise ValueError(f"unknown component class in {part!r}") from exc
-    if magnitudes and mode not in (PerturbationMode.DILATE, PerturbationMode.SHRINK):
-        raise ValueError(f"perturbation mode {mode_name!r} takes no magnitude, got {text!r}")
-    if len(magnitudes) > 1:
-        raise ValueError(f"more than one magnitude in {text!r}")
-    if len(class_parts) > 1:
-        raise ValueError(f"more than one class part in {text!r}")
-    default_classes = frozenset({ComponentClass.ROW}) if mode is PerturbationMode.MERGE_ADJACENT else ALL_CLASSES
-    return PerturbationSpec(
-        mode=mode,
-        magnitude=magnitudes[0] if magnitudes else 0.0,
-        target_classes=class_parts[0] if class_parts else default_classes,
-    )
 
 
 def cmd_misalign(args) -> int:
@@ -322,7 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_encode_labels)
 
-    p = sub.add_parser("decode-labels", help="single-label predictions to multi-label")
+    p = sub.add_parser(
+        "decode-labels",
+        help="single-label detections or ground truth to multi-label",
+        description="The first score, content_bbox or html in the file decides its kind: "
+        "a score means detections, the other two ground truth.",
+    )
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_decode_labels)

@@ -327,7 +327,7 @@ def read_text(path: str) -> str:
             raise SchemaError(f"{path}: not UTF-8 text: {exc.reason} (at byte {exc.start})") from None
 
 
-def _load(path: str, is_ground_truth: bool) -> CorpusFile:
+def _load(path: str, is_ground_truth: bool | None) -> CorpusFile:
     try:
         raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -339,7 +339,24 @@ def _load(path: str, is_ground_truth: bool) -> CorpusFile:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _corpus_file(raw, is_ground_truth: bool) -> CorpusFile:
+def _carries_ground_truth(images_raw: list) -> bool:
+    """Whether the first carrier-only field in file order is ground truth's: a
+    ``content_bbox`` or an ``html``, not a ``score``. False where there is none."""
+    for image in images_raw:
+        if not isinstance(image, dict):
+            continue
+        for key, value in image.items():
+            if key == "html" and value is not None:
+                return True
+            if key == "instances" and isinstance(value, list):
+                for inst in filter(lambda inst: isinstance(inst, dict), value):
+                    for field_key, field_value in inst.items():
+                        if field_key in ("score", "content_bbox") and field_value is not None:
+                            return field_key == "content_bbox"
+    return False
+
+
+def _corpus_file(raw, is_ground_truth: bool | None) -> CorpusFile:
     if not isinstance(raw, dict):
         raise SchemaError("$: top level must be an object")
     version = raw.get("schema_version")
@@ -352,6 +369,8 @@ def _corpus_file(raw, is_ground_truth: bool) -> CorpusFile:
     images_raw = raw.get("images")
     if not isinstance(images_raw, list):
         raise SchemaError("$.images: must be an array")
+    if is_ground_truth is None:  # decided before parsing, which drops each image's JSON
+        is_ground_truth = _carries_ground_truth(images_raw)
     columns = _columns
     if distance.backend_name() == "compiled":
         columns = partial(_packed_columns, distance._speedup.pack_columns)
@@ -376,6 +395,12 @@ def load_detections(path: str) -> CorpusFile:
 
 def load_ground_truth(path: str) -> CorpusFile:
     return _load(path, is_ground_truth=True)
+
+
+def load_any(path: str) -> CorpusFile:
+    """Detections or ground truth, by the first carrier-only field in file
+    order; a file with neither loads the same under both rules."""
+    return _load(path, is_ground_truth=None)
 
 
 def _instance_json(inst: ComponentInstance) -> dict:

@@ -31,6 +31,7 @@ class PerturbationMode(enum.Enum):
     MERGE_ADJACENT = "merge"
 
 
+MAGNITUDE_MODES = frozenset({PerturbationMode.DILATE, PerturbationMode.SHRINK})
 ALL_CLASSES = frozenset(MULTI_LABEL_CLASSES)
 
 
@@ -48,12 +49,57 @@ class PerturbationSpec:
         object.__setattr__(self, "target_classes", frozenset(self.target_classes))
 
     def describe(self) -> str:
+        """The spec in the grammar ``parse_perturbation_spec`` reads."""
         parts = [self.mode.value]
-        if self.mode in (PerturbationMode.DILATE, PerturbationMode.SHRINK):
+        if self.mode in MAGNITUDE_MODES:
             parts.append(f"{self.magnitude:g}")
         if self.target_classes != ALL_CLASSES:
             parts.append("+".join(sorted(c.name.lower() for c in self.target_classes)))
         return ":".join(parts)
+
+
+def parse_perturbation_spec(text: str) -> PerturbationSpec:
+    """mode[:magnitude][:class+class+...], e.g. dilate:2 or merge:row.
+
+    Only the ``MAGNITUDE_MODES`` take a magnitude, and at most one; a spec
+    has at most one class part. merge targets rows unless a class part
+    says otherwise; every other mode targets all classes.
+    """
+    parts = text.split(":")
+    mode_name = parts[0].strip().lower()
+    try:
+        mode = PerturbationMode(mode_name)
+    except ValueError:
+        raise ValueError(f"unknown perturbation mode {mode_name!r}") from None
+    magnitudes, class_parts = [], []
+    for part in parts[1:]:
+        part = part.strip()
+        if not part:
+            continue
+        try:
+            magnitudes.append(float(part))
+            continue
+        except ValueError:
+            pass
+        names = {p.strip().upper() for p in part.split("+") if p.strip()}
+        if not names:
+            raise ValueError(f"no component class in {text!r}")
+        try:
+            class_parts.append(frozenset(ComponentClass[name] for name in names))
+        except KeyError as exc:
+            raise ValueError(f"unknown component class in {part!r}") from exc
+    if magnitudes and mode not in MAGNITUDE_MODES:
+        raise ValueError(f"perturbation mode {mode_name!r} takes no magnitude, got {text!r}")
+    if len(magnitudes) > 1:
+        raise ValueError(f"more than one magnitude in {text!r}")
+    if len(class_parts) > 1:
+        raise ValueError(f"more than one class part in {text!r}")
+    default_classes = frozenset({ComponentClass.ROW}) if mode is PerturbationMode.MERGE_ADJACENT else ALL_CLASSES
+    return PerturbationSpec(
+        mode=mode,
+        magnitude=magnitudes[0] if magnitudes else 0.0,
+        target_classes=class_parts[0] if class_parts else default_classes,
+    )
 
 
 def perturb(gt: AnnotationSet, spec: PerturbationSpec) -> AnnotationSet:

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import gc
 import json
@@ -11,9 +12,9 @@ import pytest
 import tsrkit.formats
 import tsrkit.teds.tree
 from tsrkit.anchors import TABLE_ASPECT_RATIOS
-from tsrkit.cli import main, parse_perturbation_spec
+from tsrkit.cli import build_parser, main
 from tsrkit.labels import ComponentClass
-from tsrkit.misalign import ALL_CLASSES, PerturbationMode, PerturbationSpec
+from tsrkit.misalign import ALL_CLASSES, PerturbationMode, PerturbationSpec, parse_perturbation_spec
 
 
 @pytest.fixture
@@ -129,6 +130,22 @@ def test_stats_buckets_a_ratio_that_overflows(tmp_path, capsys):
             "instances": [{"bbox": [0, 0, 5e-324, 1], "class_id": 2}]}
     path = tmp_path / "thin.json"
     path.write_text(json.dumps({"schema_version": 1, "label_mode": "multi", "images": [thin]}))
+    csv_path = tmp_path / "hist.csv"
+    assert main(["stats", str(path), "--csv", str(csv_path)]) == 0
+    assert read(csv_path) == b"ratio_bucket,count\n140,1\n"
+
+
+# height / width underflows to 0 for the wide box, which fold_ratio rejects,
+# and overflows to inf for the tall one; both are as extreme as a ratio gets
+@pytest.mark.parametrize(
+    "width, height, bbox",
+    [(1e300, 1.0, [0, 0, 1e300, 1e-300]), (1.0, 1e300, [0, 0, 1e-300, 1e300])],
+    ids=["underflows", "overflows"],
+)
+def test_stats_buckets_an_extreme_box_at_the_top(tmp_path, capsys, width, height, bbox):
+    image = {"image_id": "x", "width": width, "height": height, "instances": [{"bbox": bbox, "class_id": 2}]}
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps({"schema_version": 1, "label_mode": "multi", "images": [image]}))
     csv_path = tmp_path / "hist.csv"
     assert main(["stats", str(path), "--csv", str(csv_path)]) == 0
     assert read(csv_path) == b"ratio_bucket,count\n140,1\n"
@@ -348,6 +365,78 @@ def test_encode_decode_round_trip(fixture_files, tmp_path):
     assert all(
         inst["class_id"] != 6 for img in raw["images"] for inst in img["instances"]
     )
+
+
+@pytest.fixture
+def json_loads_count(monkeypatch):
+    """The texts ``formats`` parses with ``json.loads``."""
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(tsrkit.formats.json, "loads", lambda text: calls.append(text) or loads(text))
+    return calls
+
+
+def single_label_detections(encoded: dict) -> dict:
+    """Single-label ground truth as detections: each instance scored, no content extents or html."""
+    for image in encoded["images"]:
+        image.pop("html")
+        for inst in image["instances"]:
+            inst.pop("content_bbox", None)
+            inst["score"] = 0.9
+    return encoded
+
+
+@pytest.mark.parametrize("kind", ["ground truth", "detections"])
+def test_decode_labels_parses_its_input_once(fixture_files, tmp_path, json_loads_count, kind):
+    gt, _ = fixture_files
+    single = tmp_path / "single.json"
+    assert main(["encode-labels", gt, "-o", str(single)]) == 0
+    if kind == "detections":
+        single.write_text(json.dumps(single_label_detections(json.loads(read(single)))))
+    json_loads_count.clear()
+    decoded = str(tmp_path / "multi.json")
+    assert main(["decode-labels", str(single), "-o", decoded]) == 0
+    assert len(json_loads_count) == 1
+    image = json.loads(read(decoded))["images"][0]
+    assert ("html" in image) == (kind == "ground truth")
+    assert all(("score" in inst) == (kind == "detections") for inst in image["instances"])
+
+
+def unscored(data, images):
+    for i in images:
+        for inst in data["images"][i]["instances"]:
+            del inst["score"]
+
+
+# The first score, content_bbox or html in file order decides which rules a
+# file is read by, so the error named is the first one under those rules.
+@pytest.mark.parametrize(
+    "kind, edit, where",
+    [
+        ("ground truth", lambda data: data["images"][2]["instances"][1].update(bbox=[5, 5, "x", 9]),
+         "$.images[2].instances[1].bbox: bbox holds non-finite or non-numeric values [5, 5, 'x', 9]"),
+        ("detections", lambda data: unscored(data, [0, 1]) or data["images"][0].update(html="<table></table>"),
+         "$.images[2].instances[0].score: ground truth must not carry scores"),
+        ("detections", lambda data: data["images"][2]["instances"][0].update(content_bbox=[0, 0, 1, 1]),
+         "$.images[2].instances[0].content_bbox: only ground truth carries content extents"),
+    ],
+    ids=["damaged ground truth", "html then score", "score then content_bbox"],
+)
+def test_decode_labels_names_the_fault_under_the_first_carrier(fixture_files, tmp_path, capsys, kind, edit, where):
+    gt, _ = fixture_files
+    single = tmp_path / "single.json"
+    assert main(["encode-labels", gt, "-o", str(single)]) == 0
+    data = json.loads(read(single))
+    if kind == "detections":
+        data = single_label_detections(data)
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["decode-labels", str(bad), "-o", str(tmp_path / "out.json")])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: SchemaError: {bad}: {where}\n"
 
 
 def test_instance_unknown_fields_survive_label_transforms(fixture_files, tmp_path):
@@ -746,6 +835,32 @@ def test_teds_reads_no_file_for_an_id_that_is_not_a_file_name(unsafe_id_files, c
     )
 
 
+def test_an_id_too_long_for_a_file_name_fails_only_its_image(tmp_path, capsys):
+    prefix = str(tmp_path / "fx")
+    assert main(["gen-fixtures", "-o", prefix, "--tables", "4", "--seed", "3"]) == 0
+    html_dir = tmp_path / "html"
+    html_dir.mkdir()
+    name_max = os.pathconf(html_dir, "PC_NAME_MAX")
+    # two-byte characters, so the limit counts UTF-8 bytes, not characters
+    at_limit = "t" * ((name_max - 5) % 2) + "é" * ((name_max - 5) // 2)
+    too_long = "t" * 300
+    for suffix in ("gt", "pred"):
+        path = f"{prefix}.{suffix}.json"
+        data = json.loads(read(path))
+        data["images"][1]["image_id"] = too_long
+        data["images"][2]["image_id"] = at_limit
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle, ensure_ascii=False)
+    capsys.readouterr()
+    assert main(["reconstruct", f"{prefix}.pred.json", "-o", str(html_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 3 table(s) to {html_dir}\n"
+    assert captured.err == f"failed {too_long}: image id is not a file name\n"
+    assert sorted(os.listdir(html_dir)) == sorted(["table_000.html", f"{at_limit}.html", "table_003.html"])
+    assert main(["teds", str(html_dir), f"{prefix}.gt.json"]) == 0
+    assert capsys.readouterr().err == f"prediction failed {too_long}: image id is not a file name\n"
+
+
 @pytest.fixture
 def surrogate_id_files(tmp_path):
     """A two-table corpus whose first image id holds a lone surrogate, which UTF-8 cannot encode."""
@@ -1043,3 +1158,16 @@ def test_misalign_cli_rejects_a_magnitude_the_mode_does_not_take(fixture_files, 
         main(["misalign", gt, "--spec", "dilate:2", "--spec", text])
     assert exc.value.code == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+SUBCOMMANDS = next(
+    action.choices for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_every_subcommand_prints_its_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: tsrkit {command} ")

@@ -20,6 +20,7 @@ from tsrkit.formats import (
     _packed_columns,
     _parse_instance,
     atomic_write_text,
+    load_any,
     load_detections,
     load_ground_truth,
     save,
@@ -540,6 +541,23 @@ def test_loader_and_decode_match_instance_building_references(corpus_path, probl
             assert _decoded(lambda: decode_pseudo(ann).instances) == _decoded(
                 lambda: reference_decode_pseudo(reference.instances, image.image_id)
             )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(corpus_problems())
+def test_load_any_loads_what_either_loader_accepts(corpus_path, problem):
+    # one of the two loaders' outcomes, and a file that either accepts loads
+    data, _, _ = problem
+    with open(corpus_path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    outcomes = [_logged(lambda: loader(corpus_path), _corpus_summary) for loader in (load_detections, load_ground_truth)]
+    loaded = _logged(lambda: load_any(corpus_path), _corpus_summary)
+    assert loaded in outcomes
+    assert (loaded[0][0] == "ok") == any(result == "ok" for (result, _), _ in outcomes)
+    # a file without a score or content_bbox loads the same under both rules
+    instances = [inst for image in data["images"] for inst in image["instances"] if isinstance(inst, dict)]
+    if all(inst.get(key) is None for inst in instances for key in ("score", "content_bbox")):
+        assert outcomes[0] == outcomes[1]
 
 
 def base_file(**overrides):
