@@ -318,8 +318,12 @@ def _parse_image(raw, label_mode, is_ground_truth, image, columns) -> ImageRecor
 
 
 def read_text(path: str) -> str:
-    """The whole of a UTF-8 text file; other bytes raise ``SchemaError`` with the path and offset."""
-    with open(path, encoding="utf-8") as handle:
+    """The whole of a UTF-8 text file; other bytes raise ``SchemaError`` with the path and offset.
+
+    Line ends are kept as they are, so the character offsets that parse and
+    JSON errors report index the file's own characters.
+    """
+    with open(path, encoding="utf-8", newline="") as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:

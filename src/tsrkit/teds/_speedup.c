@@ -1,10 +1,10 @@
-/* Compiled paths for the two hot loops: the ordered-tree edit distance kernel
- * and the corpus loader's column packer.
+/* Compiled paths for the three hot loops: the ordered-tree edit distance
+ * kernel, the corpus loader's column packer and the structure-HTML parser.
  *
  * tsrkit.teds.distance.backend_name() chooses between this module and the
- * pure-Python references for both: this module whenever it is built and
- * TSRKIT_PURE_PYTHON is unset. The choice is read on every distance call
- * and once per corpus load.
+ * pure-Python references for all three: this module whenever it is built
+ * and TSRKIT_PURE_PYTHON is unset. The choice is read on every distance
+ * call, once per corpus load and on every parse.
  *
  * tree_distance has the same keyroot/forest recurrence (Zhang & Shasha,
  * SIAM J. Comput. 1989) as _ted_py.tree_distance, which stays the reference
@@ -17,6 +17,10 @@
  * reference and the fallback: it fills one image's box, class and score or
  * content-box columns from its parsed JSON instances, or declines, so that
  * the loader parses the image one instance at a time.
+ *
+ * parse_canonical reads exactly the HTML that TableTree.to_html writes and
+ * declines everything else to tsrkit.teds.tree.parse_table_html, which stays
+ * the grammar, the reference and the only source of parse errors.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -308,6 +312,118 @@ done:
     return result;
 }
 
+/* --------------------------------------------------------- canonical parser */
+
+/* The tag names, interned once at import. */
+enum { TABLE, THEAD, TBODY, TR, TD, N_TAGS };
+static const char *const tag_names[N_TAGS] = {"table", "thead", "tbody", "tr", "td"};
+static PyObject *tags[N_TAGS];
+
+struct cursor {
+    const char *text;
+    Py_ssize_t pos, len;
+};
+
+/* Step past literal when the text continues with it; 0 otherwise. */
+static int take(struct cursor *c, const char *literal)
+{
+    size_t n = strlen(literal);
+    if ((size_t)(c->len - c->pos) < n || memcmp(c->text + c->pos, literal, n) != 0)
+        return 0;
+    c->pos += (Py_ssize_t)n;
+    return 1;
+}
+
+/* Step past a span value and its closing quote: a decimal number from 2 to
+ * limit without a leading zero, the only values to_html writes. 0 for
+ * anything else. */
+static long take_span(struct cursor *c, long limit)
+{
+    long value = 0;
+    if (c->pos == c->len || c->text[c->pos] < '1' || c->text[c->pos] > '9')
+        return 0;
+    while (c->pos < c->len && c->text[c->pos] >= '0' && c->text[c->pos] <= '9') {
+        value = value * 10 + (c->text[c->pos++] - '0');
+        if (value > limit)
+            return 0;
+    }
+    return value > 1 && take(c, "\"") ? value : 0;
+}
+
+/* node_class(tag, colspan, rowspan, children); steals children, which may be NULL. */
+static PyObject *make_node(PyObject *node_class, int tag, long colspan, long rowspan, PyObject *children)
+{
+    PyObject *result = NULL, *args[4] = {tags[tag], PyLong_FromLong(colspan), PyLong_FromLong(rowspan), children};
+    if (children != NULL && args[1] != NULL && args[2] != NULL)
+        result = PyObject_Vectorcall(node_class, args, 4, NULL);
+    Py_XDECREF(args[1]);
+    Py_XDECREF(args[2]);
+    Py_XDECREF(children);
+    return result;
+}
+
+/* One cell, <td>, with a colspan and then a rowspan attribute where they are
+ * not 1, and </td> right after. NULL with *declined set for anything else. */
+static PyObject *cell(struct cursor *c, PyObject *node_class, int *declined)
+{
+    long colspan = 1, rowspan = 1;
+    if (!take(c, "<td") || (take(c, " colspan=\"") && !(colspan = take_span(c, 1000)))
+        || (take(c, " rowspan=\"") && !(rowspan = take_span(c, 65534))) || !take(c, "></td>")) {
+        *declined = 1;
+        return NULL;
+    }
+    return make_node(node_class, TD, colspan, rowspan, PyList_New(0));
+}
+
+/* The children of an open table (tag TABLE), section (THEAD or TBODY) or
+ * row (TR), up to and past the element's closing tag. A new list; NULL with
+ * an exception set, or with *declined set and no exception. */
+static PyObject *children(struct cursor *c, PyObject *node_class, int tag, int *declined)
+{
+    static const char *const closing[N_TAGS] = {"</table>", "</thead>", "</tbody>", "</tr>", NULL};
+    PyObject *list = PyList_New(0), *child;
+    while (list != NULL && !take(c, closing[tag])) {
+        if (tag == TR)
+            child = cell(c, node_class, declined);
+        else if (tag == TABLE && take(c, "<thead>"))
+            child = make_node(node_class, THEAD, 1, 1, children(c, node_class, THEAD, declined));
+        else if (tag == TABLE && take(c, "<tbody>"))
+            child = make_node(node_class, TBODY, 1, 1, children(c, node_class, TBODY, declined));
+        else if (tag != TABLE && take(c, "<tr>"))
+            child = make_node(node_class, TR, 1, 1, children(c, node_class, TR, declined));
+        else {
+            *declined = 1;
+            child = NULL;
+        }
+        if (child == NULL || PyList_Append(list, child) < 0)
+            Py_CLEAR(list);
+        Py_XDECREF(child);
+    }
+    return list;
+}
+
+static PyObject *parse_canonical(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *fragment, *node_class;
+    int declined = 0;
+    if (!PyArg_ParseTuple(args, "OO:parse_canonical", &fragment, &node_class))
+        return NULL;
+    /* to_html writes ASCII only, so every other str is declined unread */
+    if (!PyUnicode_CheckExact(fragment) || !PyUnicode_IS_ASCII(fragment))
+        Py_RETURN_NONE;
+    struct cursor c = {(const char *)PyUnicode_1BYTE_DATA(fragment), 0, PyUnicode_GET_LENGTH(fragment)};
+    if (!take(&c, "<table>"))
+        Py_RETURN_NONE;
+    PyObject *root = make_node(node_class, TABLE, 1, 1, children(&c, node_class, TABLE, &declined));
+    if (root != NULL && c.pos != c.len) {
+        Py_CLEAR(root);
+        declined = 1;
+    }
+    if (declined)
+        Py_RETURN_NONE;
+    return root;
+}
+
 static PyMethodDef methods[] = {
     {"tree_distance", tree_distance, METH_VARARGS,
      "tree_distance(lmld1, labels1, keyroots1, lmld2, labels2, keyroots2)\n--\n\n"
@@ -317,6 +433,10 @@ static PyMethodDef methods[] = {
      "Fill the (n, 4) float64 boxes, the int8 classes and the optional column, (n,) float64 scores or,\n"
      "in ground truth, (n, 4) float64 content boxes, from an image's n parsed JSON instances and\n"
      "return True; return False, leaving them partly filled, where tsrkit.formats._columns returns None."},
+    {"parse_canonical", parse_canonical, METH_VARARGS,
+     "parse_canonical(fragment, node_class)\n--\n\n"
+     "The structure tree of fragment, built by calling node_class(tag, colspan, rowspan, children) for\n"
+     "each node, when fragment is exactly what TableTree.to_html writes; None for any other argument."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -326,5 +446,8 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__speedup(void)
 {
+    for (int k = 0; k < N_TAGS; k++)
+        if (tags[k] == NULL && (tags[k] = PyUnicode_InternFromString(tag_names[k])) == NULL)
+            return NULL;
     return PyModule_Create(&module);
 }

@@ -15,8 +15,10 @@ corpus scoring (the DP dominates evaluation runtime) and a pure-Python
 fallback with the same recurrence. ``backend_name()`` picks one on every
 distance call, so TSRKIT_PURE_PYTHON=1 forces the fallback even when set
 in-process, after import (perfbench/kernelbench.py relies on this). The
-same extension holds the corpus loader's column packer, and the same rule,
-read once per load, picks it or ``formats._columns``.
+same extension holds two more compiled paths, and the same rule picks each
+of them or its fallback: the corpus loader's column packer, read once per
+load, against ``formats._columns``, and the canonical structure-HTML
+scanner, read on every parse, against the grammar in ``tree``.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ except ImportError:
 def backend_name() -> str:
     """Which backend is active: 'compiled' or 'python'.
 
-    It governs both compiled paths, the distance kernel and the corpus
-    loader's column packer: 'compiled' whenever the extension is built and
-    TSRKIT_PURE_PYTHON is unset.
+    It governs all three compiled paths, the distance kernel, the corpus
+    loader's column packer and the structure-HTML scanner: 'compiled'
+    whenever the extension is built and TSRKIT_PURE_PYTHON is unset.
     """
     if _speedup is not None and not os.environ.get("TSRKIT_PURE_PYTHON"):
         return "compiled"

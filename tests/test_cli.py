@@ -766,6 +766,26 @@ def test_teds_reports_each_prediction_that_scores_zero(fixture_files, capsys, tm
     )
 
 
+def test_teds_reports_offsets_in_a_crlf_prediction_as_file_indexes(fixture_files, capsys, tmp_path):
+    gt, pred = fixture_files
+    html_dir = tmp_path / "html"
+    assert main(["reconstruct", pred, "-o", str(html_dir)]) == 0
+    capsys.readouterr()
+    assert main(["teds", str(html_dir), gt]) == 0
+    scores = capsys.readouterr().out
+    # CRLF between the tags of a prediction changes no tree
+    crlf = html_dir / "table_001.html"
+    crlf.write_bytes(crlf.read_bytes().replace(b"><", b">\r\n<"))
+    assert main(["teds", str(html_dir), gt]) == 0
+    assert capsys.readouterr() == (scores, "")
+    bad = "<table>\r\n<tbody>\r\n<tr><td></td></tr>\r\n<p>\r\n</tbody>\r\n</table>\r\n"
+    (html_dir / "table_000.html").write_bytes(bad.encode())
+    assert main(["teds", str(html_dir), gt]) == 0
+    assert capsys.readouterr().err == (
+        f"prediction failed table_000: unexpected tag <p> (at character {bad.index('<p>')})\n"
+    )
+
+
 # Ids that are not one path component; with the ids of a two-table fixture
 # replaced by them, "../escaped" would name a file beside the output
 # directory and "sub/inner" one below it.

@@ -659,6 +659,20 @@ def test_non_utf8_bytes_rejected_with_path_and_byte_offset(tmp_path, loader, bad
         loader(str(path))
 
 
+@pytest.mark.parametrize("loader", [load_ground_truth, load_detections])
+def test_crlf_corpus_error_offset_indexes_the_file(tmp_path, loader):
+    """Line ends are read as written, so a JSON error's char offset is an index into the file."""
+    text = json.dumps(base_file(), indent=1).replace("\n", "\r\n")
+    crlf, lf = tmp_path / "crlf.json", tmp_path / "lf.json"
+    crlf.write_bytes(text.encode())
+    lf.write_bytes(text.replace("\r\n", "\n").encode())
+    assert serialize(loader(str(crlf))) == serialize(loader(str(lf)))
+    fault = text.index('"instances"')
+    crlf.write_bytes((text[:fault] + "?" + text[fault:]).encode())
+    with pytest.raises(SchemaError, match=re.escape(f"(char {fault})")):
+        loader(str(crlf))
+
+
 @pytest.mark.parametrize(
     "text, message",
     [("{", "not valid JSON: Expecting property name enclosed in double quotes"), ("[]", "$: top level must be an object")],

@@ -1,9 +1,10 @@
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import (
     brute_force_tree_distance,
@@ -26,9 +27,27 @@ from tsrkit.teds import (
 from tsrkit.reconstruct import build_grid, grid_to_html, grid_to_tree
 from tsrkit.teds import _ted_py, distance
 from tsrkit.teds.distance import _distance_and_sizes, _flatten
-from tsrkit.teds.tree import _decode
+from tsrkit.teds.tree import _TAG_TEXT, _decode
 
 MINIMAL = "<table><tbody><tr><td></td></tr></tbody></table>"
+
+
+def _backend(monkeypatch, name, kernel):
+    """Select the ``name`` backend, with ``kernel`` standing in for the compiled extension."""
+    if name == "python":
+        monkeypatch.setenv("TSRKIT_PURE_PYTHON", "1")
+    else:
+        monkeypatch.delenv("TSRKIT_PURE_PYTHON", raising=False)
+        monkeypatch.setattr(distance, "_speedup", kernel)
+    assert distance.backend_name() == name
+
+
+@pytest.fixture(params=["compiled", "python"])
+def parse_backend(request, monkeypatch):
+    """Each backend in turn, the compiled one built from the current source."""
+    kernel = request.getfixturevalue("compiled_kernel") if request.param == "compiled" else None
+    _backend(monkeypatch, request.param, kernel)
+    return request.param
 
 
 # ---------------------------------------------------------------- parsing
@@ -165,9 +184,13 @@ grammar_trees = st.builds(
 )
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+# parse_backend selects a backend once per test function, and every example runs under it
+_BACKEND_FIXTURE = [HealthCheck.function_scoped_fixture]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=_BACKEND_FIXTURE)
 @given(grammar_trees)
-def test_parse_inverts_to_html(tree):
+def test_parse_inverts_to_html(parse_backend, tree):
     assert parse_table_html(tree.to_html()) == tree
 
 
@@ -214,12 +237,116 @@ def _parse_outcome(parse, text):
         return str(exc), exc.offset
 
 
-@settings(max_examples=600, derandomize=True, deadline=None)
+@settings(max_examples=600, derandomize=True, deadline=None, suppress_health_check=_BACKEND_FIXTURE)
 @given(_fragment_text | _mutated_tables())
-def test_parse_matches_reference_scanner(text):
+def test_parse_matches_reference_scanner(parse_backend, text):
     """Any text gives a tree or an HtmlParseError, the scanner's tree or its message and offset."""
     expected = _parse_outcome(reference_parse_table_html, text)
     assert _parse_outcome(parse_table_html, text) == expected
+
+
+def test_canonical_scanner_declines_no_generated_table(compiled_kernel):
+    """Ground truth from the fixture generator and tables from reconstruct are all canonical."""
+    tables = []
+    for spec in (FixtureSpec(n_tables=40, seed=3), FixtureSpec(n_tables=20, seed=17, max_rows=30, max_cols=12)):
+        gt, pred = generate_fixtures(spec)
+        tables += [image.html for image in gt.images]
+        tables += [grid_to_html(build_grid(ann)) for ann in pred.annotation_sets()]
+    trees = [compiled_kernel.parse_canonical(html, TableTree) for html in tables]
+    assert sum(tree is None for tree in trees) == 0
+    assert trees == list(map(reference_parse_table_html, tables))
+    assert any(tree.children[0].tag == "thead" for tree in trees)
+    assert any(tree_is_complex(tree) for tree in trees)
+
+
+_CANONICAL = '<table><thead><tr><td colspan="2"></td></tr></thead><tbody><tr><td rowspan="3"></td></tr></tbody></table>'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _CANONICAL.replace("td", "th"),
+        _CANONICAL.replace("<td", "<td "),
+        _CANONICAL.replace("<tbody>", "<tbody\n>"),
+        _CANONICAL.replace("</tr>", "</tr >", 1),
+        _CANONICAL.replace('colspan="2"', 'colspan = "2"'),
+        _CANONICAL.replace('colspan="2"', 'colspan="2"  '),
+        _CANONICAL.upper(),
+        _CANONICAL.replace("<table>", "<TABLE>"),
+        _CANONICAL.replace('colspan="2"', 'colspan="1"'),
+        _CANONICAL.replace('rowspan="3"', 'rowspan="1"'),
+        _CANONICAL.replace('colspan="2"', 'colspan="02"'),
+        _CANONICAL.replace('rowspan="3"', 'rowspan="03"'),
+        _CANONICAL.replace('colspan="2"', "colspan='2'"),
+        _CANONICAL.replace('colspan="2"', "colspan=2"),
+        _CANONICAL.replace('colspan="2"', 'colspan="+2"'),
+        _CANONICAL.replace('<td rowspan="3">', '<td rowspan="3" colspan="2">'),
+        _CANONICAL.replace('<td rowspan="3">', '<td colspan="2" colspan="3">'),
+        _CANONICAL.replace('colspan="2"', 'colspan="1001"'),
+        _CANONICAL.replace('rowspan="3"', 'rowspan="65535"'),
+        _CANONICAL.replace('colspan="2"', f'colspan="{"9" * 30}"'),
+        _CANONICAL.replace("></td>", ">x</td>", 1),
+        _CANONICAL.replace("></td>", "><b></b></td>", 1),
+        _CANONICAL.replace("></td>", ">\u00e9</td>", 1),
+        _CANONICAL.replace("<tbody>", "<tbody>\u3000"),
+        _CANONICAL.replace("<td", "<td\u00a0"),
+        _CANONICAL.replace("</td>", "", 1),
+        _CANONICAL.replace("<tbody>", "<tr>"),
+        _CANONICAL.replace("</table>", ""),
+        _CANONICAL + "<p>",
+        _CANONICAL + "</table>",
+        "<table><td></td></table>",
+        "<table/>",
+        "<table>",
+        "",
+    ],
+)
+def test_canonical_scanner_declines_every_other_form(compiled_kernel, monkeypatch, text):
+    """Anything to_html does not write is left to the grammar, which then decides as it always has."""
+    assert compiled_kernel.parse_canonical(text, TableTree) is None
+    _backend(monkeypatch, "compiled", compiled_kernel)
+    assert _parse_outcome(parse_table_html, text) == _parse_outcome(reference_parse_table_html, text)
+
+
+def test_canonical_scanner_builds_each_node_through_the_class(compiled_kernel):
+    calls = []
+
+    def node(*args):
+        calls.append(args)
+        return TableTree(*args)
+
+    assert compiled_kernel.parse_canonical(_CANONICAL, node) == parse_table_html(_CANONICAL)
+    assert sorted(args[:3] for args in calls) == sorted(
+        (n.tag, n.colspan, n.rowspan) for n in postorder(parse_table_html(_CANONICAL))
+    )
+
+    def refuse(*args):
+        raise RuntimeError(f"no {args[0]}")
+
+    with pytest.raises(RuntimeError, match="no td"):
+        compiled_kernel.parse_canonical(_CANONICAL, refuse)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"junk{MINIMAL}",
+        f"{MINIMAL}trailing",
+        MINIMAL.replace("<tbody>", "<tbody>\n  text ").replace("</tr>", "</tr>\r\n"),
+        f" \u00e9 {MINIMAL} > ",
+    ],
+)
+def test_parse_discards_text_outside_tags(parse_backend, text):
+    """Text before <table>, between structure tags and after </table> is discarded, not rejected."""
+    assert parse_table_html(text) == parse_table_html(MINIMAL) == reference_parse_table_html(text)
+
+
+@pytest.mark.parametrize("fragment", [MINIMAL.encode(), None, 4, ["<table>", "</table>"]])
+def test_parse_rejects_what_is_not_a_str(parse_backend, fragment):
+    with pytest.raises(TypeError) as expected:
+        _TAG_TEXT.findall(fragment)
+    with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+        parse_table_html(fragment)
 
 
 def test_parse_repeated_malformed_tag_reports_each_offset():
@@ -338,16 +465,6 @@ def test_flatten_matches_reference():
         assert interner == expected_interner
 
 
-def _backend(monkeypatch, name, kernel):
-    """Select the ``name`` backend, with ``kernel`` standing in for the compiled extension."""
-    if name == "python":
-        monkeypatch.setenv("TSRKIT_PURE_PYTHON", "1")
-    else:
-        monkeypatch.delenv("TSRKIT_PURE_PYTHON", raising=False)
-        monkeypatch.setattr(distance, "_speedup", kernel)
-    assert distance.backend_name() == name
-
-
 def _equal_but_distinct_pairs():
     fragment = '<table><thead><tr><td colspan="2"></td></tr></thead><tbody><tr><td></td><td></td></tr></tbody></table>'
     pairs = [(parse_table_html(fragment), parse_table_html(fragment))]
@@ -363,9 +480,10 @@ def test_equal_trees_score_without_the_dp(monkeypatch, backend):
     def no_dp(*args):
         raise AssertionError("equal trees reached the DP")
 
+    pairs = _equal_but_distinct_pairs()  # parsed before the stand-in, which has no parser, is patched in
     monkeypatch.setattr(_ted_py, "tree_distance", no_dp)
     _backend(monkeypatch, backend, SimpleNamespace(tree_distance=no_dp))
-    for a, b in _equal_but_distinct_pairs():
+    for a, b in pairs:
         assert a == b and a is not b
         assert teds(a, b) == 1.0
         assert tree_edit_distance(a, b) == 0.0
