@@ -108,8 +108,11 @@ def _check_ratios(ratios) -> None:
         raise ValueError("aspect_ratios: need at least one value")
     if not all(math.isfinite(r) and r > 0 for r in ratios):
         raise ValueError(f"aspect_ratios: values must be finite and positive, got {list(ratios)}")
-    if any(b <= a for a, b in zip(ratios, ratios[1:])):
-        raise ValueError("aspect_ratios: must be strictly ascending")
+    for a, b in zip(ratios, ratios[1:]):
+        if b == a:
+            raise ValueError(f"aspect_ratios: {a!r} is given more than once")
+        if b < a:
+            raise ValueError("aspect_ratios: must be strictly ascending")
 
 
 def _levels(width: float, height: float) -> list[tuple[int, int, int]]:

@@ -161,11 +161,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_teds(args) -> int:
-    corpus = formats.load_ground_truth(args.ground_truth)
-    trees = corpus.trees_by_image()
-    missing_html = [img.image_id for img in corpus.images if img.image_id not in trees]
-    if missing_html:
-        _fail(f"ground truth without html for: {missing_html[:5]}")
+    trees = formats.load_ground_truth(args.ground_truth).trees_by_image()
     # a mistyped directory would otherwise score every table 0
     if not stat.S_ISDIR(os.stat(args.predictions_dir).st_mode):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.predictions_dir)
@@ -220,17 +216,19 @@ def cmd_coco_eval(args) -> int:
 
 def cmd_misalign(args) -> int:
     corpus = formats.load_ground_truth(args.ground_truth)
+    trees = corpus.trees_by_image()
     specs = [parse_perturbation_spec(s) for s in args.spec]
-    report = misalignment_report(corpus.annotation_sets(), corpus.trees_by_image(), specs)
+    report = misalignment_report(corpus.annotation_sets(), trees, specs)
     for line in report.format_lines():
         print(line)
     if args.csv:
-        rows = [
-            [row.label, f"{row.mean_ap:.6f}", f"{row.teds_overall:.6f}"]
-            for row in report.rows
-        ]
+        rows = [[row.label, *row.metrics(".6f")] for row in report.rows]
         _write_csv(args.csv, ["perturbation", "mAP", "TEDS"], rows)
         print(f"wrote {args.csv}")
+    # one line per table scored 0, by spec and then in file order, as reconstruct reports them
+    for row in report.rows:
+        for image_id, message in row.failures:
+            print(f"failed {row.label} {image_id}: {message}", file=sys.stderr)
     return 0
 
 

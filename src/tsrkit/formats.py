@@ -41,7 +41,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter, le
 
@@ -66,11 +66,6 @@ class ImageRecord:
     html: str | None = None
     extra: dict = field(default_factory=dict)
 
-    @cached_property
-    def tree(self) -> TableTree | None:
-        """The structure tree of ``html``, parsed on first use and kept."""
-        return None if self.html is None else parse_table_html(self.html)
-
 
 @dataclass
 class CorpusFile:
@@ -79,6 +74,7 @@ class CorpusFile:
     label_mode: LabelMode
     images: list[ImageRecord] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
+    path: str | None = field(default=None, compare=False)  # None when built in memory
 
     def annotation_sets(self) -> list[AnnotationSet]:
         return [
@@ -87,7 +83,19 @@ class CorpusFile:
         ]
 
     def trees_by_image(self) -> dict[str, TableTree]:
-        return {rec.image_id: rec.tree for rec in self.images if rec.html is not None}
+        """Each image's structure tree, parsed from its html in file order and not kept: the
+        one place html becomes a tree. The first html the grammar rejects, else the first
+        image without html, raises ``SchemaError`` naming the file and the image."""
+        trees, where = {}, "" if self.path is None else f"{self.path}: "
+        for i, rec in enumerate(self.images):
+            try:
+                trees[rec.image_id] = None if rec.html is None else parse_table_html(rec.html)
+            except HtmlParseError as exc:
+                raise SchemaError(f"{where}{_at(i)}.html: does not parse: {exc}") from exc
+        missing = [i for i, rec in enumerate(self.images) if rec.html is None]
+        if missing:
+            raise SchemaError(f"{where}{_at(missing[0])}: missing html")
+        return trees
 
 
 # The parsers below run once per image and instance: they carry record
@@ -309,12 +317,7 @@ def _parse_image(raw, label_mode, is_ground_truth, image, columns) -> ImageRecor
         if not isinstance(html, str):
             raise SchemaError(f"{_at(image)}.html: must be a string")
         _check_utf8(html, image, "html")
-    record = ImageRecord(image_id, width, height, instances, html, _unknown_fields(raw, known, image))
-    try:
-        record.tree  # validates the html; scoring reads the kept tree
-    except HtmlParseError as exc:
-        raise SchemaError(f"{_at(image)}.html: does not parse: {exc}") from exc
-    return record
+    return ImageRecord(image_id, width, height, instances, html, _unknown_fields(raw, known, image))
 
 
 def read_text(path: str) -> str:
@@ -337,7 +340,7 @@ def _load(path: str, is_ground_truth: bool | None) -> CorpusFile:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     try:
-        return _corpus_file(raw, is_ground_truth)
+        return _corpus_file(raw, is_ground_truth, path)
     except SchemaError as exc:
         # a command may read two corpus files; the message names which one
         raise SchemaError(f"{path}: {exc}") from exc
@@ -360,7 +363,7 @@ def _carries_ground_truth(images_raw: list) -> bool:
     return False
 
 
-def _corpus_file(raw, is_ground_truth: bool | None) -> CorpusFile:
+def _corpus_file(raw, is_ground_truth: bool | None, path: str) -> CorpusFile:
     if not isinstance(raw, dict):
         raise SchemaError("$: top level must be an object")
     version = raw.get("schema_version")
@@ -390,7 +393,7 @@ def _corpus_file(raw, is_ground_truth: bool | None) -> CorpusFile:
             raise SchemaError(f"{_at(i)}.image_id: duplicate id {rec.image_id!r}")
         seen.add(rec.image_id)
     extra = _unknown_fields(raw, ("schema_version", "label_mode", "images"))
-    return CorpusFile(label_mode=label_mode, images=images, extra=extra)
+    return CorpusFile(label_mode=label_mode, images=images, extra=extra, path=path)
 
 
 def load_detections(path: str) -> CorpusFile:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cocoeval import ApReport, evaluate_corpus
-from .errors import CorpusError, HtmlParseError
+from .errors import CorpusError, TsrkitError
 from .geometry import BBox, area_array
 from .labels import MULTI_LABEL_CLASSES, AnnotationSet, ComponentClass, Instances, LabelMode
 from .reconstruct import build_grid, grid_to_html
@@ -181,21 +181,28 @@ def perturb(gt: AnnotationSet, spec: PerturbationSpec) -> AnnotationSet:
     return AnnotationSet(gt.image_id, out, LabelMode.MULTI)
 
 
-def _reconstructed_tree(ann: AnnotationSet) -> TableTree | None:
-    """The tree of the reconstruction's HTML, or None, scoring 0, where the grammar
-    rejects it: only a merge beyond the WHATWG span limits (1000 columns, 65534 rows)."""
-    html = grid_to_html(build_grid(ann))
+def _reconstructed_tree(ann: AnnotationSet, failures: list) -> TableTree | None:
+    """The tree of the reconstruction's HTML, or None, scoring 0 as in ``reconstruct``
+    and ``teds``, where reconstruction fails or the grammar rejects its HTML (only a
+    merge beyond the WHATWG span limits, 1000 columns and 65534 rows). Each failure
+    is appended to ``failures`` as (image id, message)."""
     try:
-        return parse_table_html(html)
-    except HtmlParseError:
+        return parse_table_html(grid_to_html(build_grid(ann)))
+    except TsrkitError as exc:
+        failures.append((ann.image_id, str(exc)))
         return None
 
 
 @dataclass(frozen=True)
 class MisalignmentRow:
     label: str
-    mean_ap: float
-    teds_overall: float
+    mean_ap: float | None
+    teds_overall: float | None
+    failures: tuple[tuple[str, str], ...]  # (image id, message) per table scored 0
+
+    def metrics(self, spec: str) -> list[str]:
+        """mAP and TEDS in the format ``spec``, n/a where there was nothing to average."""
+        return ["n/a" if value is None else format(value, spec) for value in (self.mean_ap, self.teds_overall)]
 
 
 @dataclass(frozen=True)
@@ -206,7 +213,8 @@ class MisalignmentReport:
         header = f"{'perturbation':<30} {'mAP':>8} {'TEDS':>8}"
         lines = [header]
         for row in self.rows:
-            lines.append(f"{row.label:<30} {row.mean_ap:>8.4f} {row.teds_overall:>8.4f}")
+            ap, teds = row.metrics(".4f")
+            lines.append(f"{row.label:<30} {ap:>8} {teds:>8}")
         return lines
 
 
@@ -219,6 +227,8 @@ def misalignment_report(
 
     ``gt_trees`` maps image ids to ground-truth structure trees; every
     image needs one because structure similarity is half of the comparison.
+    A table that cannot be reconstructed scores TEDS 0 and is listed in its
+    row's ``failures``; a metric with nothing to average is None.
     """
     missing = [ann.image_id for ann in gt_sets if ann.image_id not in gt_trees]
     if missing:
@@ -230,12 +240,9 @@ def misalignment_report(
         perturbed = [perturb(ann, spec) for ann in gt_sets]
         preds_by_image = {ann.image_id: ann.instances for ann in perturbed}
         ap: ApReport = evaluate_corpus(preds_by_image, gts_by_image)
-        teds_report = corpus_teds((_reconstructed_tree(ann), gt_trees[ann.image_id]) for ann in perturbed)
-        rows.append(
-            MisalignmentRow(
-                label=spec.describe(),
-                mean_ap=ap.mean_ap if ap.mean_ap is not None else 0.0,
-                teds_overall=teds_report.overall_mean if teds_report.overall_mean is not None else 0.0,
-            )
+        failures = []
+        teds_report = corpus_teds(
+            (_reconstructed_tree(ann, failures), gt_trees[ann.image_id]) for ann in perturbed
         )
+        rows.append(MisalignmentRow(spec.describe(), ap.mean_ap, teds_report.overall_mean, tuple(failures)))
     return MisalignmentReport(tuple(rows))

@@ -856,10 +856,6 @@ def _reference_image(raw, label_mode, is_ground_truth, image) -> ReferenceImage:
             raise SchemaError(f"{_at(image)}.html: only ground truth carries structure html")
         if not isinstance(html, str):
             raise SchemaError(f"{_at(image)}.html: must be a string")
-        try:
-            parse_table_html(html)
-        except HtmlParseError as exc:
-            raise SchemaError(f"{_at(image)}.html: does not parse: {exc}") from exc
     extra = {k: v for k, v in raw.items() if k not in known}
     return ReferenceImage(image_id, width, height, instances, html, extra)
 
@@ -894,6 +890,26 @@ def reference_load(path: str, is_ground_truth: bool) -> tuple[LabelMode, list[Re
         raise SchemaError(f"{path}: {exc}") from exc
     extra = {k: v for k, v in raw.items() if k not in ("schema_version", "label_mode", "images")}
     return label_mode, images, extra
+
+
+def reference_trees(path: str, images) -> dict:
+    """``CorpusFile.trees_by_image`` of the ``images`` loaded from ``path``.
+
+    Every html is parsed by ``parse_table_html``; the first that does not
+    parse raises ``SchemaError`` naming the file and ``$.images[i].html``.
+    Only then is the first image without html rejected.
+    """
+    trees = {}
+    for i, rec in enumerate(images):
+        if rec.html is not None:
+            try:
+                trees[rec.image_id] = parse_table_html(rec.html)
+            except HtmlParseError as exc:
+                raise SchemaError(f"{path}: {_at(i)}.html: does not parse: {exc}") from exc
+    for i, rec in enumerate(images):
+        if rec.html is None:
+            raise SchemaError(f"{path}: {_at(i)}: missing html")
+    return trees
 
 
 # --------------------------------------------------------------- label decode

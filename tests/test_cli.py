@@ -13,8 +13,10 @@ import tsrkit.formats
 import tsrkit.teds.tree
 from tsrkit.anchors import TABLE_ASPECT_RATIOS
 from tsrkit.cli import build_parser, main
+from tsrkit.errors import HtmlParseError
 from tsrkit.labels import ComponentClass
 from tsrkit.misalign import ALL_CLASSES, PerturbationMode, PerturbationSpec, parse_perturbation_spec
+from tsrkit.teds import parse_table_html
 
 
 @pytest.fixture
@@ -215,7 +217,7 @@ def parse_count(monkeypatch):
 
 
 def test_teds_parses_each_table_twice(fixture_files, tmp_path, parse_count):
-    # the ground truth once, at load, and the prediction once
+    # the ground truth once, when its trees are read, and the prediction once
     gt, pred = fixture_files
     html_dir = str(tmp_path / "html")
     assert main(["reconstruct", pred, "-o", html_dir]) == 0
@@ -225,11 +227,29 @@ def test_teds_parses_each_table_twice(fixture_files, tmp_path, parse_count):
 
 
 def test_misalign_parses_ground_truth_once(fixture_files, parse_count):
-    # the ground truth once, at load, and one prediction per spec
+    # the ground truth once, when its trees are read, and one prediction per spec
     gt, _ = fixture_files
     specs = ["dilate:2", "snap", "merge:row"]
     assert main(["misalign", gt, *(arg for spec in specs for arg in ("--spec", spec))]) == 0
     assert len(parse_count) == (1 + len(specs)) * 6
+
+
+@pytest.mark.parametrize("command", ["stats", "anchors", "encode-labels", "decode-labels", "coco-eval"])
+def test_commands_that_score_no_structure_parse_no_html(fixture_files, tmp_path, parse_count, command):
+    # loading checks that html is text; only teds and misalign read it as a tree
+    gt, pred = fixture_files
+    single = str(tmp_path / "single.json")
+    assert main(["encode-labels", gt, "-o", single]) == 0
+    argv = {
+        "stats": ["stats", gt],
+        "anchors": ["anchors", gt],
+        "encode-labels": ["encode-labels", gt, "-o", str(tmp_path / "out.json")],
+        "decode-labels": ["decode-labels", single, "-o", str(tmp_path / "out.json")],
+        "coco-eval": ["coco-eval", pred, gt],
+    }[command]
+    parse_count.clear()
+    assert main(argv) == 0
+    assert parse_count == []
 
 
 @pytest.fixture
@@ -249,7 +269,7 @@ def test_teds_rejects_ground_truth_without_html(gt_missing_html, capsys, tmp_pat
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: ground truth without html for: ['table_002']\n"
+    assert captured.err == f"error: SchemaError: {gt_missing_html}: $.images[2]: missing html\n"
 
 
 def test_misalign_rejects_ground_truth_without_html(gt_missing_html, capsys):
@@ -258,7 +278,88 @@ def test_misalign_rejects_ground_truth_without_html(gt_missing_html, capsys):
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: CorpusError: images without ground-truth html: ['table_002']\n"
+    assert captured.err == f"error: SchemaError: {gt_missing_html}: $.images[2]: missing html\n"
+
+
+UNPARSABLE_HTML = "<table><tbody><tr><td></td></tbody></table>"
+
+
+@pytest.fixture
+def gt_unparsable_html(fixture_files, tmp_path):
+    """The fixture ground truth with image 1's html rejected by the grammar, and the error it gives."""
+    gt, _ = fixture_files
+    data = json.loads(read(gt))
+    data["images"][1]["html"] = UNPARSABLE_HTML
+    path = str(tmp_path / "bad_html.gt.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    with pytest.raises(HtmlParseError) as reason:
+        parse_table_html(UNPARSABLE_HTML)
+    return path, f"error: SchemaError: {path}: $.images[1].html: does not parse: {reason.value}\n"
+
+
+@pytest.mark.parametrize("command", ["teds", "misalign"])
+def test_commands_that_read_trees_reject_html_that_does_not_parse(gt_unparsable_html, tmp_path, capsys, command):
+    path, error = gt_unparsable_html
+    argv = ["teds", str(tmp_path), path] if command == "teds" else ["misalign", path, "--spec", "snap"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", error)
+
+
+def test_misalign_reads_trees_before_its_specs(gt_unparsable_html, capsys):
+    # as when the loader parsed html: the ground truth is at fault before the spec is read
+    path, error = gt_unparsable_html
+    with pytest.raises(SystemExit):
+        main(["misalign", path, "--spec", "bogus"])
+    assert capsys.readouterr().err == error
+
+
+@pytest.mark.parametrize("command", ["teds", "misalign"])
+def test_a_schema_fault_is_reported_before_html_that_does_not_parse(gt_unparsable_html, tmp_path, capsys, command):
+    # the whole file loads before any html is parsed, so a fault in a later image comes first
+    path, _ = gt_unparsable_html
+    data = json.loads(read(path))
+    data["images"][3]["width"] = -1
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    argv = ["teds", str(tmp_path), path] if command == "teds" else ["misalign", path, "--spec", "snap"]
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert capsys.readouterr().err == (
+        f"error: SchemaError: {path}: $.images[3].width: must be a positive finite number, got -1\n"
+    )
+
+
+REPORT_ARGV = {  # commands that print a report read from the ground truth {gt}
+    "stats": ["stats", "{gt}"],
+    "anchors": ["anchors", "{gt}"],
+    "coco-eval": ["coco-eval", "{pred}", "{gt}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_ARGV))
+def test_reports_that_score_no_structure_ignore_html_that_does_not_parse(
+    gt_unparsable_html, fixture_files, capsys, command
+):
+    path, _ = gt_unparsable_html
+    gt, pred = fixture_files
+    reports = []
+    for ground_truth in (gt, path):
+        capsys.readouterr()
+        assert main([arg.format(gt=ground_truth, pred=pred) for arg in REPORT_ARGV[command]]) == 0
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]
+
+
+def test_label_transforms_write_html_that_does_not_parse_back_verbatim(gt_unparsable_html, tmp_path):
+    path, _ = gt_unparsable_html
+    single, multi = str(tmp_path / "single.json"), str(tmp_path / "multi.json")
+    assert main(["encode-labels", path, "-o", single]) == 0
+    assert main(["decode-labels", single, "-o", multi]) == 0
+    for written in (single, multi):
+        assert json.loads(read(written))["images"][1]["html"] == UNPARSABLE_HTML
 
 
 def test_reconstruct_accepts_single_label_detections(tmp_path, capsys):
@@ -587,6 +688,54 @@ def test_misalign_cli_rows_are_pinned(fixture_files, capsys, spec, row):
     assert capsys.readouterr().out == f"{header}\n{row}\n"
 
 
+def test_misalign_scores_a_table_it_cannot_reconstruct_zero(fixture_files, tmp_path, capsys):
+    # as reconstruct and teds do: image 1 without Rows fails, the other tables are scored
+    gt, _ = fixture_files
+    data = json.loads(read(gt))
+    image = data["images"][1]
+    image["instances"] = [inst for inst in image["instances"] if inst["class_id"] != ComponentClass.ROW]
+    no_rows = tmp_path / "no_rows.gt.json"
+    no_rows.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["misalign", str(no_rows), "--spec", "dilate:2", "--spec", "snap"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split()[0] for line in lines] == ["perturbation", "dilate:2", "snap"]
+    assert [line.split()[2] for line in lines[1:]] == ["0.8333", "0.8333"]  # 5 of 6 tables exact
+    n_columns = sum(inst["class_id"] == ComponentClass.COLUMN for inst in image["instances"])
+    reason = f"table_001: 0 rows and {n_columns} columns survive thresholding"
+    assert captured.err == f"failed dilate:2 table_001: {reason}\nfailed snap table_001: {reason}\n"
+
+
+def test_misalign_reports_a_merge_the_grammar_rejects(tmp_path, capsys):
+    # a merge over 1001 columns renders colspan="1001", beyond the WHATWG limit, and scores 0
+    width = 10.0 * 1001
+    instances = [{"bbox": [0.0, 20.0 * r, width, 20.0 * (r + 1)], "class_id": 2} for r in range(2)]
+    instances += [{"bbox": [10.0 * c, 0.0, 10.0 * (c + 1), 40.0], "class_id": 1} for c in range(1001)]
+    instances.append({"bbox": [0.0, 0.0, width, 20.0], "class_id": 3})
+    html = "<table><tbody><tr><td></td></tr></tbody></table>"
+    image = {"image_id": "wide", "width": width, "height": 40.0, "instances": instances, "html": html}
+    path = tmp_path / "wide.gt.json"
+    path.write_text(json.dumps({"schema_version": 1, "label_mode": "multi", "images": [image]}))
+    assert main(["misalign", str(path), "--spec", "dilate:0"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].split()[::2] == ["dilate:0", "0.0000"]
+    with pytest.raises(HtmlParseError) as reason:
+        parse_table_html('<table><tbody><tr><td colspan="1001"></td></tr></tbody></table>')
+    assert err == f"failed dilate:0 wide: {reason.value}\n"
+
+
+def test_misalign_prints_n_a_for_metrics_without_tables(tmp_path, capsys):
+    # as teds and coco-eval do; there is no AP and no TEDS over no images
+    path = tmp_path / "empty.gt.json"
+    path.write_text(json.dumps({"schema_version": 1, "label_mode": "multi", "images": []}))
+    csv_path = tmp_path / "report.csv"
+    assert main(["misalign", str(path), "--spec", "snap", "--csv", str(csv_path)]) == 0
+    header = f"{'perturbation':<30} {'mAP':>8} {'TEDS':>8}"
+    assert capsys.readouterr() == (f"{header}\n{'snap':<30} {'n/a':>8} {'n/a':>8}\nwrote {csv_path}\n", "")
+    assert read(csv_path) == b"perturbation,mAP,TEDS\nsnap,n/a,n/a\n"
+
+
 def without_content_extent(gt, tmp_path, instance):
     with open(gt, encoding="utf-8") as handle:
         corpus = json.load(handle)
@@ -653,6 +802,18 @@ def test_anchors_cli_rejects_nonfinite_ratios(fixture_files, capsys, ratios):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "aspect_ratios" in captured.err
+
+
+@pytest.mark.parametrize(
+    "ratios, repeated", [(["2", "1", "2"], "2.0"), (["1", "1"], "1.0"), (["3", "0.5", "3", "0.5"], "0.5")]
+)
+def test_anchors_cli_names_a_repeated_ratio(fixture_files, capsys, ratios, repeated):
+    # the command sorts the list itself, so the order is never at fault
+    gt, _ = fixture_files
+    with pytest.raises(SystemExit) as exc:
+        main(["anchors", gt, "--ratios", *ratios])
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", f"error: aspect_ratios: {repeated} is given more than once\n")
 
 
 def test_schema_error_exit_code(tmp_path, capsys):

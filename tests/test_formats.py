@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_decode_pseudo, reference_load, reference_parse_instance
+from oracles import reference_decode_pseudo, reference_load, reference_parse_instance, reference_trees
 
 from tsrkit import formats
 from tsrkit.cli import main
-from tsrkit.errors import LabelConsistencyError, SchemaError
+from tsrkit.errors import HtmlParseError, LabelConsistencyError, SchemaError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.formats import (
+    CorpusFile,
     _columns,
     _packed_columns,
     _parse_instance,
@@ -624,18 +625,36 @@ def test_score_range_checked(tmp_path):
 
 
 def test_bad_html_rejected(tmp_path):
+    # the loader checks only that html is text; reading the trees rejects it
     data = base_file()
     data["images"][0]["html"] = "<table><tr>"
-    with pytest.raises(SchemaError, match="html"):
-        load_ground_truth(write(tmp_path, data))
+    path = write(tmp_path, data)
+    loaded = load_ground_truth(path)
+    with pytest.raises(HtmlParseError) as reason:
+        parse_table_html("<table><tr>")
+    with pytest.raises(SchemaError) as exc:
+        loaded.trees_by_image()
+    assert str(exc.value) == f"{path}: $.images[0].html: does not parse: {reason.value}"
+    # a corpus built in memory has no file to name
+    with pytest.raises(SchemaError) as exc:
+        CorpusFile(loaded.label_mode, loaded.images).trees_by_image()
+    assert str(exc.value) == f"$.images[0].html: does not parse: {reason.value}"
 
 
-def test_ground_truth_tree_kept_from_load(corpus):
+def test_ground_truth_trees_parse_when_read_not_at_load(corpus, monkeypatch):
     gt_path, det_path = corpus
-    for rec in load_ground_truth(str(gt_path)).images:
-        assert "tree" in vars(rec)  # parsed by the loader's validation
-        assert rec.tree == parse_table_html(rec.html)
-    assert all(rec.tree is None for rec in load_detections(str(det_path)).images)
+
+    def refuse(html):
+        raise AssertionError("html parsed at load")
+
+    monkeypatch.setattr(formats, "parse_table_html", refuse)
+    gt, det = load_ground_truth(str(gt_path)), load_detections(str(det_path))
+    monkeypatch.undo()
+    assert gt.trees_by_image() == {rec.image_id: parse_table_html(rec.html) for rec in gt.images}
+    assert all(rec.html is None for rec in det.images)
+    with pytest.raises(SchemaError) as exc:
+        det.trees_by_image()
+    assert str(exc.value) == f"{det_path}: $.images[0]: missing html"
 
 
 def test_generated_records_parse_lazily():
@@ -870,7 +889,9 @@ def test_any_json_value_in_a_file_or_image_slot_loads_or_raises_schema_error(cor
             assert 0.0 <= inst.box.y1 <= inst.box.y2 <= image.height
             assert inst.score is None or (type(inst.score) is float and 0.0 <= inst.score <= 1.0)
             assert not (is_ground_truth and inst.score is not None)
-        assert (image.html is None) == (image.tree is None)
+    # every html parses to its tree, or the first that does not, or the first image without html, is named
+    expected = _logged(lambda: reference_trees(corpus_path, corpus.images), dict)
+    assert _logged(corpus.trees_by_image, dict) == expected
 
 
 def _loads_alike(kernel, path, data, is_ground_truth):
