@@ -21,7 +21,7 @@ from .anchors import DEFAULT_ASPECT_RATIOS, anchor_coverage, dataset_stats, gene
 from .cocoeval import evaluate_corpus
 from .errors import HtmlParseError, SchemaError, TsrkitError
 from .fixtures import FixtureSpec, generate_fixtures
-from .labels import AnnotationSet, LabelMode, decode_pseudo, encode_pseudo
+from .labels import LabelMode, decode_pseudo, encode_pseudo
 from .misalign import misalignment_report, parse_perturbation_spec
 from .reconstruct import build_grid, grid_to_html
 from .teds import corpus_teds, parse_table_html
@@ -30,13 +30,6 @@ from .teds import corpus_teds, parse_table_html
 def _fail(message: str):
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(1)
-
-
-def _multi_label_sets(corpus: formats.CorpusFile) -> list[AnnotationSet]:
-    sets = corpus.annotation_sets()
-    if corpus.label_mode is LabelMode.SINGLE:
-        sets = [decode_pseudo(ann) for ann in sets]
-    return sets
 
 
 _NOT_A_FILE_NAME = "image id is not a file name"
@@ -139,7 +132,7 @@ def cmd_decode_labels(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    sets = _multi_label_sets(formats.load_detections(args.predictions))
+    sets = formats.load_detections(args.predictions).multi_label_sets()
     os.makedirs(args.output, exist_ok=True)
     name_max = _name_max(args.output)
     failures = []
@@ -193,8 +186,8 @@ def cmd_teds(args) -> int:
 
 def cmd_coco_eval(args) -> int:
     predictions = formats.load_detections(args.predictions)
-    preds = _multi_label_sets(predictions)
-    gts = _multi_label_sets(formats.load_ground_truth(args.ground_truth))
+    preds = predictions.multi_label_sets()
+    gts = formats.load_ground_truth(args.ground_truth).multi_label_sets()
     try:
         report = evaluate_corpus(
             {ann.image_id: ann.instances for ann in preds},
@@ -218,14 +211,14 @@ def cmd_misalign(args) -> int:
     corpus = formats.load_ground_truth(args.ground_truth)
     trees = corpus.trees_by_image()
     specs = [parse_perturbation_spec(s) for s in args.spec]
-    report = misalignment_report(corpus.annotation_sets(), trees, specs)
+    report = misalignment_report(corpus, trees, specs)
     for line in report.format_lines():
         print(line)
     if args.csv:
         rows = [[row.label, *row.metrics(".6f")] for row in report.rows]
         _write_csv(args.csv, ["perturbation", "mAP", "TEDS"], rows)
         print(f"wrote {args.csv}")
-    # one line per table scored 0, by spec and then in file order, as reconstruct reports them
+    # one line per table scored 0, by spec and then in image id order, as teds scores them
     for row in report.rows:
         for image_id, message in row.failures:
             print(f"failed {row.label} {image_id}: {message}", file=sys.stderr)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import HtmlParseError, SchemaError
 from .geometry import NUMBER_TYPES, BBox, float_box, is_number, unchecked_bbox
-from .labels import AnnotationSet, ComponentClass, ComponentInstance, Instances, LabelMode
+from .labels import AnnotationSet, ComponentClass, ComponentInstance, Instances, LabelMode, decode_pseudo
 from .teds import TableTree, distance, parse_table_html
 
 SCHEMA_VERSION = 1
@@ -81,6 +81,13 @@ class CorpusFile:
             AnnotationSet(rec.image_id, rec.instances, self.label_mode)
             for rec in self.images
         ]
+
+    def multi_label_sets(self) -> list[AnnotationSet]:
+        """``annotation_sets``, decoded by ``decode_pseudo`` where the file is single-label."""
+        sets = self.annotation_sets()
+        if self.label_mode is LabelMode.SINGLE:
+            sets = [decode_pseudo(ann) for ann in sets]
+        return sets
 
     def trees_by_image(self) -> dict[str, TableTree]:
         """Each image's structure tree, parsed from its html in file order and not kept: the

@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cocoeval import ApReport, evaluate_corpus
-from .errors import CorpusError, TsrkitError
-from .geometry import BBox, area_array
+from .errors import CorpusError, LabelModeError, TsrkitError
+from .formats import CorpusFile
+from .geometry import BBox
 from .labels import MULTI_LABEL_CLASSES, AnnotationSet, ComponentClass, Instances, LabelMode
 from .reconstruct import build_grid, grid_to_html
-from .teds import TableTree, corpus_teds, parse_table_html
+from .teds import CorpusTedsReport, TableTree, corpus_teds, parse_table_html
 
 
 class PerturbationMode(enum.Enum):
@@ -102,21 +103,28 @@ def parse_perturbation_spec(text: str) -> PerturbationSpec:
     )
 
 
-def perturb(gt: AnnotationSet, spec: PerturbationSpec) -> AnnotationSet:
-    """Turn ground truth into a synthetic prediction set (confidences 1.0).
+def perturb(gt: AnnotationSet, spec: PerturbationSpec, width: float, height: float) -> AnnotationSet:
+    """Turn multi-label ground truth into a synthetic prediction set (confidences 1.0).
 
     dilate grows target boxes by ``magnitude`` px per side (past the padded
-    ground truth); shrink cuts inward by the same amount, into the content
-    extent once the padding is exceeded; snap replaces boxes by their content
-    extents; merge unions the vertically closest adjacent pair of target
-    boxes into one instance, which keeps the upper one's class and fields.
+    ground truth) and clamps them into the ``width`` x ``height`` image by
+    the loader's rule, ``min(max(v, 0), limit)`` per coordinate; shrink cuts
+    inward by the same amount, into the content extent once the padding is
+    exceeded; snap replaces boxes by their content extents; merge unions the
+    vertically closest adjacent pair of target boxes into one instance, which
+    keeps the upper one's class and fields.
 
     Works on the ``Instances`` columns. The untargeted instances come first
     and the targeted ones after them, in their order, or for merge in
     (y1, x1) order. Every instance keeps its unknown fields and loses its
-    content extent. The first targeted instance that cannot be perturbed
-    raises a ``ValueError`` naming the image.
+    content extent. Single-label input raises ``LabelModeError``, and the
+    first targeted instance that cannot be perturbed ``ValueError``, naming
+    the image.
     """
+    if gt.mode is not LabelMode.MULTI:
+        raise LabelModeError(
+            f"{gt.image_id}: perturb expects multi-label ground truth (apply decode_pseudo first)"
+        )
     columns = Instances.pack(gt.instances)
     is_target = np.zeros(len(ComponentClass), dtype=bool)  # by class id
     is_target[list(spec.target_classes)] = True
@@ -134,16 +142,9 @@ def perturb(gt: AnnotationSet, spec: PerturbationSpec) -> AnnotationSet:
             boxes = np.delete(boxes, at + 1, axis=0)
             boxes[at] = upper.union_box(lower)
     elif spec.mode is PerturbationMode.DILATE:
-        with np.errstate(over="ignore", invalid="ignore"):
-            boxes = boxes - np.array([m, m, -m, -m])
-            # Twice the area bounded keeps the IoU union of any two such boxes finite.
-            bad = ~np.isfinite(2.0 * area_array(boxes))
-        if bad.any():
-            at = int(bad.argmax())
-            raise ValueError(
-                f"{gt.image_id}: dilate by magnitude {m} overflows the area of box "
-                f"{tuple(columns.boxes[targets[at]].tolist())}"
-            )
+        boxes, limits = boxes - np.array([m, m, -m, -m]), np.array([width, height, width, height])
+        # np.where keeps a -0.0 inside the image, as the loader does
+        boxes = np.where(boxes < 0.0, 0.0, np.where(boxes > limits, limits, boxes))
     elif spec.mode is PerturbationMode.SHRINK:
         # a float 2m below a rounded side is at most the exact side, so each result stays ordered
         bad = 2 * m >= np.minimum(boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1])
@@ -172,25 +173,9 @@ def perturb(gt: AnnotationSet, spec: PerturbationSpec) -> AnnotationSet:
         position[source] = np.arange(len(source))
         at = position.tolist()
         side = dict(sorted((at[i], (None, extra)) for i, extra in extras if at[i] >= 0))
-    out = Instances(
-        np.concatenate([columns.boxes[untouched], boxes]),
-        columns.classes[source],
-        np.ones(len(source)),
-        side,
-    )
+    boxes = np.concatenate([columns.boxes[untouched], boxes])
+    out = Instances(boxes, columns.classes[source], np.ones(len(source)), side)
     return AnnotationSet(gt.image_id, out, LabelMode.MULTI)
-
-
-def _reconstructed_tree(ann: AnnotationSet, failures: list) -> TableTree | None:
-    """The tree of the reconstruction's HTML, or None, scoring 0 as in ``reconstruct``
-    and ``teds``, where reconstruction fails or the grammar rejects its HTML (only a
-    merge beyond the WHATWG span limits, 1000 columns and 65534 rows). Each failure
-    is appended to ``failures`` as (image id, message)."""
-    try:
-        return parse_table_html(grid_to_html(build_grid(ann)))
-    except TsrkitError as exc:
-        failures.append((ann.image_id, str(exc)))
-        return None
 
 
 @dataclass(frozen=True)
@@ -210,39 +195,53 @@ class MisalignmentReport:
     rows: tuple[MisalignmentRow, ...]
 
     def format_lines(self) -> list[str]:
-        header = f"{'perturbation':<30} {'mAP':>8} {'TEDS':>8}"
-        lines = [header]
-        for row in self.rows:
-            ap, teds = row.metrics(".4f")
-            lines.append(f"{row.label:<30} {ap:>8} {teds:>8}")
-        return lines
+        cells = [("perturbation", "mAP", "TEDS")] + [(row.label, *row.metrics(".4f")) for row in self.rows]
+        return [f"{label:<30} {ap:>8} {teds:>8}" for label, ap, teds in cells]
+
+
+def compare(
+    preds: list[AnnotationSet], gt_sets: list[AnnotationSet], gt_trees: dict[str, TableTree]
+) -> tuple[ApReport, CorpusTedsReport, list[tuple[str, str]]]:
+    """Score multi-label predictions, one set per image of ``gt_trees``, as
+    ``coco-eval`` and ``reconstruct`` + ``teds`` score them written to a file:
+    the AP report, the TEDS report in ``teds``'s image id order, and (image id,
+    message) per table scored TEDS 0 because it cannot be reconstructed or the
+    grammar rejects its HTML.
+    """
+    by_image = {ann.image_id: ann for ann in preds}
+    ap = evaluate_corpus(
+        {image_id: ann.instances for image_id, ann in by_image.items()},
+        {ann.image_id: ann.instances for ann in gt_sets},
+    )
+    failures = []
+
+    def pairs():
+        for image_id in sorted(gt_trees):
+            tree = None
+            try:
+                tree = parse_table_html(grid_to_html(build_grid(by_image[image_id])))
+            except TsrkitError as exc:
+                failures.append((image_id, str(exc)))
+            yield tree, gt_trees[image_id]
+
+    return ap, corpus_teds(pairs()), failures
 
 
 def misalignment_report(
-    gt_sets: list[AnnotationSet],
-    gt_trees: dict[str, TableTree],
-    specs: list[PerturbationSpec],
+    corpus: CorpusFile, gt_trees: dict[str, TableTree], specs: list[PerturbationSpec]
 ) -> MisalignmentReport:
-    """Evaluate each perturbation with both metrics, in the order given.
-
-    ``gt_trees`` maps image ids to ground-truth structure trees; every
-    image needs one because structure similarity is half of the comparison.
-    A table that cannot be reconstructed scores TEDS 0 and is listed in its
-    row's ``failures``; a metric with nothing to average is None.
+    """One row per spec, in order: ``compare`` of the perturbed ground truth
+    of ``corpus``, decoded once if single-label, with the ground truth and
+    ``gt_trees``, a tree for every image. A metric with nothing to average
+    is None.
     """
-    missing = [ann.image_id for ann in gt_sets if ann.image_id not in gt_trees]
+    missing = [rec.image_id for rec in corpus.images if rec.image_id not in gt_trees]
     if missing:
         raise CorpusError(f"images without ground-truth html: {missing[:5]}")
-
-    gts_by_image = {ann.image_id: ann.instances for ann in gt_sets}
+    gt_sets = corpus.multi_label_sets()
     rows = []
     for spec in specs:
-        perturbed = [perturb(ann, spec) for ann in gt_sets]
-        preds_by_image = {ann.image_id: ann.instances for ann in perturbed}
-        ap: ApReport = evaluate_corpus(preds_by_image, gts_by_image)
-        failures = []
-        teds_report = corpus_teds(
-            (_reconstructed_tree(ann, failures), gt_trees[ann.image_id]) for ann in perturbed
-        )
+        perturbed = [perturb(ann, spec, rec.width, rec.height) for ann, rec in zip(gt_sets, corpus.images)]
+        ap, teds_report, failures = compare(perturbed, gt_sets, gt_trees)
         rows.append(MisalignmentRow(spec.describe(), ap.mean_ap, teds_report.overall_mean, tuple(failures)))
     return MisalignmentReport(tuple(rows))

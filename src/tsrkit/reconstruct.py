@@ -156,8 +156,7 @@ def build_grid(detections: AnnotationSet) -> TableGrid:
     col_boxes = sorted(clipped(kept[ComponentClass.COLUMN]), key=lambda b: (b.x1, b.y1))
     if not row_boxes or not col_boxes:
         raise EmptyStructureError(
-            f"{detections.image_id}: {len(row_boxes)} rows and {len(col_boxes)} columns "
-            "survive thresholding"
+            f"{len(row_boxes)} rows and {len(col_boxes)} columns survive thresholding"
         )
     n_rows, n_cols = len(row_boxes), len(col_boxes)
 

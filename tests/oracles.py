@@ -1135,10 +1135,7 @@ def reference_build_grid(detections) -> ReferenceGrid:
     row_boxes = sorted(clipped(by_class[ComponentClass.ROW]), key=lambda b: (b.y1, b.x1))
     col_boxes = sorted(clipped(by_class[ComponentClass.COLUMN]), key=lambda b: (b.x1, b.y1))
     if not row_boxes or not col_boxes:
-        raise EmptyStructureError(
-            f"{detections.image_id}: {len(row_boxes)} rows and {len(col_boxes)} columns "
-            "survive thresholding"
-        )
+        raise EmptyStructureError(f"{len(row_boxes)} rows and {len(col_boxes)} columns survive thresholding")
     n_rows, n_cols = len(row_boxes), len(col_boxes)
 
     projected_rows = set()
@@ -1213,9 +1210,10 @@ def reference_grid_html(grid: ReferenceGrid) -> str:
 # ---------------------------------------------------------- perturbations
 # ``misalign.perturb`` as it was before it worked on columns: one
 # ``ComponentInstance`` at a time, copied with ``replace``, and with error
-# messages that name no image.
+# messages that name no image. A dilated box is clamped into the image one
+# coordinate at a time, as the loader clamps a box it reads.
 
-def reference_perturb(gt: AnnotationSet, spec: PerturbationSpec) -> AnnotationSet:
+def reference_perturb(gt: AnnotationSet, spec: PerturbationSpec, width: float, height: float) -> AnnotationSet:
     targeted, untouched = [], []
     for inst in gt.instances:
         (targeted if inst.cls in spec.target_classes else untouched).append(inst)
@@ -1223,21 +1221,24 @@ def reference_perturb(gt: AnnotationSet, spec: PerturbationSpec) -> AnnotationSe
     if spec.mode is PerturbationMode.MERGE_ADJACENT:
         out = untouched + _reference_merge_closest_pair(targeted)
     else:
-        out = untouched + [_reference_transform(inst, spec) for inst in targeted]
+        out = untouched + [_reference_transform(inst, spec, width, height) for inst in targeted]
 
     out = [inst.replace(score=1.0, content_box=None) for inst in out]
     return AnnotationSet(gt.image_id, tuple(out), LabelMode.MULTI)
 
 
-def _reference_transform(inst: ComponentInstance, spec: PerturbationSpec) -> ComponentInstance:
+def _reference_transform(
+    inst: ComponentInstance, spec: PerturbationSpec, width: float, height: float
+) -> ComponentInstance:
     if spec.mode is PerturbationMode.DILATE:
-        box = inst.box.inflate(spec.magnitude)
-        if not math.isfinite(2.0 * box.area):
-            raise ValueError(
-                f"dilate by magnitude {spec.magnitude} overflows the area of box "
-                f"{inst.box.as_tuple()}"
-            )
-        return inst.replace(box=box)
+        x1, y1, x2, y2 = inst.box.inflate(spec.magnitude)
+        clamped = (
+            min(max(x1, 0.0), width),
+            min(max(y1, 0.0), height),
+            min(max(x2, 0.0), width),
+            min(max(y2, 0.0), height),
+        )
+        return inst.replace(box=BBox(*clamped))
     if spec.mode is PerturbationMode.SHRINK:
         if 2 * spec.magnitude >= min(inst.box.width, inst.box.height):
             raise ValueError(

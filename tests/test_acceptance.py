@@ -307,7 +307,6 @@ def test_criterion_8_misalignment_reproduction():
     gt, _ = generate_fixtures(
         FixtureSpec(n_tables=8, seed=42, span_probability=0.0, header_probability=0.0)
     )
-    sets = gt.annotation_sets()
     trees = gt.trees_by_image()
     specs = [
         PerturbationSpec(PerturbationMode.DILATE, 2.0),
@@ -318,7 +317,7 @@ def test_criterion_8_misalignment_reproduction():
             target_classes=frozenset({ComponentClass.ROW}),
         ),
     ]
-    rows = misalignment_report(sets, trees, specs).rows
+    rows = misalignment_report(gt, trees, specs).rows
     dilate, snap, shrink, merge = rows
     assert dilate.mean_ap > snap.mean_ap
     assert dilate.teds_overall == snap.teds_overall

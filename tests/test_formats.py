@@ -659,8 +659,10 @@ def test_ground_truth_trees_parse_when_read_not_at_load(corpus, monkeypatch):
 
 def test_generated_records_parse_lazily():
     gt, _ = generate_fixtures(FixtureSpec(n_tables=3, seed=1))
-    assert not any("tree" in vars(rec) for rec in gt.images)
-    assert gt.trees_by_image() == {rec.image_id: parse_table_html(rec.html) for rec in gt.images}
+    first, second = gt.trees_by_image(), gt.trees_by_image()
+    assert first == second == {rec.image_id: parse_table_html(rec.html) for rec in gt.images}
+    # each call parses anew: a tree cached on a record would come back as the same object
+    assert not any(first[image_id] is second[image_id] for image_id in first)
 
 
 @pytest.mark.parametrize("loader", [load_ground_truth, load_detections])

@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -5,19 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_perturb
 
+from tsrkit import formats
+from tsrkit.cli import main
+from tsrkit.errors import LabelModeError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
+from tsrkit.formats import CorpusFile, ImageRecord
 from tsrkit.geometry import BBox
 from tsrkit.labels import MULTI_LABEL_CLASSES, AnnotationSet, ComponentClass, ComponentInstance, Instances, LabelMode
 from tsrkit.misalign import (
     PerturbationMode,
     PerturbationSpec,
+    compare,
     misalignment_report,
+    parse_perturbation_spec,
     perturb,
 )
 from tsrkit.reconstruct import build_grid, grid_to_html
 from tsrkit.teds import parse_table_html
 
 ROW_ONLY = frozenset({ComponentClass.ROW})
+IMAGE = (200.0, 200.0)  # width and height of an image that holds every box of the unit tests below
 
 
 def row(x1, y1, x2, y2, content=None):
@@ -34,20 +42,20 @@ def annset(*instances):
 
 def test_magnitude_zero_is_identity():
     gt = annset(row(0, 0, 100, 20), row(0, 20, 100, 40))
-    out = perturb(gt, PerturbationSpec(PerturbationMode.DILATE, 0.0))
+    out = perturb(gt, PerturbationSpec(PerturbationMode.DILATE, 0.0), *IMAGE)
     assert [i.box for i in out.instances] == [i.box for i in gt.instances]
     assert all(i.score == 1.0 for i in out.instances)
 
 
 def test_dilate_grows_each_side():
     gt = annset(row(10, 10, 110, 30))
-    out = perturb(gt, PerturbationSpec(PerturbationMode.DILATE, 2.0, ROW_ONLY))
+    out = perturb(gt, PerturbationSpec(PerturbationMode.DILATE, 2.0, ROW_ONLY), *IMAGE)
     assert out.instances[0].box == BBox(8, 8, 112, 32)
 
 
 def test_shrink_cuts_inward():
     gt = annset(row(10, 10, 110, 30))
-    out = perturb(gt, PerturbationSpec(PerturbationMode.SHRINK, 3.0, ROW_ONLY))
+    out = perturb(gt, PerturbationSpec(PerturbationMode.SHRINK, 3.0, ROW_ONLY), *IMAGE)
     assert out.instances[0].box == BBox(13, 13, 107, 27)
 
 
@@ -63,12 +71,12 @@ def test_shrink_degenerate_is_error():
     gt = annset(row(10, 10, 110, 30))
     message = "img: shrink by 10.0 degenerates box (10.0, 10.0, 110.0, 30.0)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        perturb(gt, PerturbationSpec(PerturbationMode.SHRINK, 10.0, ROW_ONLY))
+        perturb(gt, PerturbationSpec(PerturbationMode.SHRINK, 10.0, ROW_ONLY), *IMAGE)
 
 
 def test_snap_returns_content_extent():
     gt = annset(row(10, 10, 110, 30, content=(12, 12, 108, 28)))
-    out = perturb(gt, PerturbationSpec(PerturbationMode.SNAP_TO_MINIMAL, target_classes=ROW_ONLY))
+    out = perturb(gt, PerturbationSpec(PerturbationMode.SNAP_TO_MINIMAL, target_classes=ROW_ONLY), *IMAGE)
     assert out.instances[0].box == BBox(12, 12, 108, 28)
 
 
@@ -76,53 +84,70 @@ def test_snap_without_content_is_error():
     gt = annset(row(10, 10, 110, 30))
     message = "img: ROW at (10.0, 10.0, 110.0, 30.0) carries no content extent"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        perturb(gt, PerturbationSpec(PerturbationMode.SNAP_TO_MINIMAL, target_classes=ROW_ONLY))
+        perturb(gt, PerturbationSpec(PerturbationMode.SNAP_TO_MINIMAL, target_classes=ROW_ONLY), *IMAGE)
 
 
 def test_merge_unions_closest_pair():
     gt = annset(row(0, 0, 100, 20), row(0, 22, 100, 40), row(0, 90, 100, 110))
-    out = perturb(gt, PerturbationSpec(PerturbationMode.MERGE_ADJACENT, target_classes=ROW_ONLY))
+    out = perturb(gt, PerturbationSpec(PerturbationMode.MERGE_ADJACENT, target_classes=ROW_ONLY), *IMAGE)
     boxes = sorted(i.box.as_tuple() for i in out.instances)
     assert boxes == [(0, 0, 100, 40), (0, 90, 100, 110)]
 
 
 def test_merge_leaves_single_instance_alone():
     gt = annset(row(0, 0, 100, 20))
-    out = perturb(gt, PerturbationSpec(PerturbationMode.MERGE_ADJACENT, target_classes=ROW_ONLY))
+    out = perturb(gt, PerturbationSpec(PerturbationMode.MERGE_ADJACENT, target_classes=ROW_ONLY), *IMAGE)
     assert out.instances[0].box == BBox(0, 0, 100, 20)
 
 
 def test_untargeted_classes_pass_through():
     table = ComponentInstance(BBox(0, 0, 100, 40), ComponentClass.TABLE)
     gt = annset(row(0, 0, 100, 20), table)
-    out = perturb(gt, PerturbationSpec(PerturbationMode.DILATE, 5.0, ROW_ONLY))
+    out = perturb(gt, PerturbationSpec(PerturbationMode.DILATE, 5.0, ROW_ONLY), *IMAGE)
     table_out = next(i for i in out.instances if i.cls == ComponentClass.TABLE)
     assert table_out.box == table.box
+
+
+@pytest.mark.parametrize(
+    "magnitude, inner", [(20.0, (30, 0, 80, 38)), (1e308, (0, 0, 120, 40))], ids=["20", "1e308"]
+)
+def test_dilate_past_the_image_ends_on_its_edges(magnitude, inner):
+    # as the loader clamps a box it reads: each coordinate into [0, width] or [0, height]
+    gt = annset(row(10, 10, 110, 30), row(50, 15, 60, 18))
+    out = perturb(gt, PerturbationSpec(PerturbationMode.DILATE, magnitude), 120.0, 40.0)
+    assert [i.box.as_tuple() for i in out.instances] == [(0, 0, 120, 40), inner]
+
+
+def test_perturb_rejects_single_label_ground_truth():
+    gt = AnnotationSet("img", (row(0, 0, 100, 20),), LabelMode.SINGLE)
+    message = "img: perturb expects multi-label ground truth (apply decode_pseudo first)"
+    with pytest.raises(LabelModeError, match=f"^{re.escape(message)}$"):
+        perturb(gt, PerturbationSpec(PerturbationMode.DILATE, 2.0), *IMAGE)
 
 
 def misalign_fixture():
     gt_file, _ = generate_fixtures(
         FixtureSpec(n_tables=8, seed=42, span_probability=0.0, header_probability=0.0)
     )
-    return gt_file.annotation_sets(), gt_file.trees_by_image()
+    return gt_file, gt_file.trees_by_image()
 
 
 def test_identity_report_row():
-    sets, trees = misalign_fixture()
-    report = misalignment_report(sets, trees, [PerturbationSpec(PerturbationMode.DILATE, 0.0)])
+    corpus, trees = misalign_fixture()
+    report = misalignment_report(corpus, trees, [PerturbationSpec(PerturbationMode.DILATE, 0.0)])
     assert report.rows[0].mean_ap == 1.0
     assert report.rows[0].teds_overall == 1.0
 
 
 def test_divergence_pattern():
-    sets, trees = misalign_fixture()
+    corpus, trees = misalign_fixture()
     specs = [
         PerturbationSpec(PerturbationMode.DILATE, 2.0),
         PerturbationSpec(PerturbationMode.SNAP_TO_MINIMAL),
         PerturbationSpec(PerturbationMode.SHRINK, 4.0),
         PerturbationSpec(PerturbationMode.MERGE_ADJACENT, target_classes=ROW_ONLY),
     ]
-    report = misalignment_report(sets, trees, specs)
+    report = misalignment_report(corpus, trees, specs)
     dilate, snap, shrink, merge = report.rows
 
     # a prediction hugging the padded ground truth beats the minimal box on
@@ -137,12 +162,12 @@ def test_divergence_pattern():
 
 
 def test_report_rows_keep_spec_order():
-    sets, trees = misalign_fixture()
+    corpus, trees = misalign_fixture()
     specs = [
         PerturbationSpec(PerturbationMode.SNAP_TO_MINIMAL),
         PerturbationSpec(PerturbationMode.DILATE, 1.0),
     ]
-    report = misalignment_report(sets, trees, specs)
+    report = misalignment_report(corpus, trees, specs)
     assert [r.label for r in report.rows] == ["snap", "dilate:1"]
 
 
@@ -156,25 +181,26 @@ def test_reconstruction_the_html_grammar_rejects_scores_zero():
     gt = annset(row(0, 0, width, 20), row(0, 20, width, 40), *columns, merge)
     assert '<td colspan="1001">' in grid_to_html(build_grid(gt))
     trees = {"img": parse_table_html("<table><tbody><tr><td></td></tr></tbody></table>")}
-    (result,) = misalignment_report([gt], trees, [PerturbationSpec(PerturbationMode.DILATE, 0.0)]).rows
+    corpus = CorpusFile(LabelMode.MULTI, [ImageRecord("img", width, 40.0, gt.instances)])
+    (result,) = misalignment_report(corpus, trees, [PerturbationSpec(PerturbationMode.DILATE, 0.0)]).rows
     assert result.teds_overall == 0.0
 
 
 # ------------------------------------------------- columns against instances
 
-def outcome(function, gt, spec):
+def outcome(function, gt, spec, size):
     """The perturbed set and None, or None and the raised (type, text)."""
     try:
-        return function(gt, spec), None
+        return function(gt, spec, *size), None
     except Exception as exc:  # the type is compared too
         return None, (type(exc), str(exc))
 
 
-def assert_matches_reference(gt, spec):
+def assert_matches_reference(gt, spec, size):
     # the reference reads float coordinates, as the loader gives them
     packed = AnnotationSet(gt.image_id, Instances.pack(gt.instances), gt.mode)
-    expected, expected_error = outcome(reference_perturb, packed, spec)
-    got, error = outcome(perturb, gt, spec)
+    expected, expected_error = outcome(reference_perturb, packed, spec, size)
+    got, error = outcome(perturb, gt, spec, size)
     if expected_error is not None:
         kind, text = expected_error
         assert error == (kind, f"{gt.image_id}: {text}")
@@ -190,7 +216,7 @@ def assert_matches_reference(gt, spec):
 SPEC_MODES = st.sampled_from(list(PerturbationMode))
 MAGNITUDES = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, 2.0, 4.0, 50.0]),
-    st.sampled_from([1e150, 6e153, 1e200, 1e308]),  # the last three overflow a dilated area
+    st.sampled_from([1e150, 6e153, 1e200, 1e308]),  # dilate clamps each to the image
     st.floats(min_value=0.0, max_value=80.0),
 )
 TARGETS = st.frozensets(st.sampled_from(MULTI_LABEL_CLASSES), min_size=1)
@@ -198,8 +224,9 @@ TARGETS = st.frozensets(st.sampled_from(MULTI_LABEL_CLASSES), min_size=1)
 
 @st.composite
 def perturbation_problems(draw):
-    """A packed fixture table, some instances without content or with unknown fields, and a spec."""
-    (gt,) = generate_fixtures(FixtureSpec(n_tables=1, seed=draw(st.integers(0, 10_000))))[0].annotation_sets()
+    """A packed fixture table, some instances without content or with unknown fields, a spec and the image size."""
+    corpus, _ = generate_fixtures(FixtureSpec(n_tables=1, seed=draw(st.integers(0, 10_000))))
+    ((gt,), (image,)) = corpus.annotation_sets(), corpus.images
     instances = list(gt.instances)
     indices = st.sets(st.integers(0, len(instances) - 1), max_size=4)
     for i in draw(indices):
@@ -207,7 +234,7 @@ def perturbation_problems(draw):
     for i in draw(indices):
         instances[i] = instances[i].replace(extra={"note": i})
     spec = PerturbationSpec(draw(SPEC_MODES), draw(MAGNITUDES), draw(TARGETS))
-    return AnnotationSet(gt.image_id, Instances.pack(instances), gt.mode), spec
+    return AnnotationSet(gt.image_id, Instances.pack(instances), gt.mode), spec, (image.width, image.height)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -247,6 +274,7 @@ def hand_built_sets():
     PerturbationSpec(PerturbationMode.MERGE_ADJACENT, target_classes=ROW_ONLY),
     PerturbationSpec(PerturbationMode.MERGE_ADJACENT),
     PerturbationSpec(PerturbationMode.MERGE_ADJACENT, target_classes={ComponentClass.COLUMN}),
+    PerturbationSpec(PerturbationMode.DILATE, 0.0),
     PerturbationSpec(PerturbationMode.DILATE, 1.5),
     PerturbationSpec(PerturbationMode.DILATE, 1e200, {ComponentClass.COLUMN, ComponentClass.ROW}),
     PerturbationSpec(PerturbationMode.SHRINK, 2.0, ROW_ONLY),
@@ -256,4 +284,59 @@ def hand_built_sets():
 ])
 @pytest.mark.parametrize("gt", hand_built_sets(), ids=lambda gt: gt.image_id)
 def test_perturb_matches_instance_reference_on_hand_built_sets(gt, spec):
-    assert_matches_reference(gt, spec)
+    assert_matches_reference(gt, spec, (100.0, 60.0))  # the smallest image that holds every set
+
+
+# ------------------------------------------------- the core against the CLI
+
+IDENTITY_SPECS = ["dilate:2", "shrink:2", "snap", "merge:row", "dilate:5:row+column", "dilate:40", "dilate:1e308"]
+
+
+@pytest.fixture(scope="module")
+def identity_ground_truth(tmp_path_factory):
+    """gen-fixtures --tables 12 --seed 11 without the Rows of image 3, multi- and single-label."""
+    root = tmp_path_factory.mktemp("identity")
+    prefix, multi, single = str(root / "fx"), str(root / "multi.gt.json"), str(root / "single.gt.json")
+    assert main(["gen-fixtures", "-o", prefix, "--tables", "12", "--seed", "11"]) == 0
+    with open(f"{prefix}.gt.json", encoding="utf-8") as handle:
+        data = json.load(handle)
+    image = data["images"][3]
+    image["instances"] = [inst for inst in image["instances"] if inst["class_id"] != ComponentClass.ROW]
+    with open(multi, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    assert main(["encode-labels", multi, "-o", single]) == 0
+    return {"multi": multi, "single": single}
+
+
+@pytest.mark.parametrize("spec", IDENTITY_SPECS)
+@pytest.mark.parametrize("label_mode", ["multi", "single"])
+def test_misalign_scores_what_the_cli_scores(identity_ground_truth, tmp_path, capsys, label_mode, spec):
+    gt_path = identity_ground_truth[label_mode]
+    corpus = formats.load_ground_truth(gt_path)
+    gt_sets = corpus.multi_label_sets()
+    perturbed = [
+        perturb(ann, parse_perturbation_spec(spec), rec.width, rec.height)
+        for ann, rec in zip(gt_sets, corpus.images)
+    ]
+    ap, teds_report, failures = compare(perturbed, gt_sets, corpus.trees_by_image())
+    assert [image_id for image_id, _ in failures] == ["table_003"]
+
+    # the same predictions, written with each image's size and scored by the CLI
+    pred_path, html_dir = str(tmp_path / "pred.json"), str(tmp_path / "html")
+    records = [ImageRecord(a.image_id, r.width, r.height, a.instances) for a, r in zip(perturbed, corpus.images)]
+    formats.save(CorpusFile(LabelMode.MULTI, records), pred_path)
+    capsys.readouterr()
+    assert main(["coco-eval", pred_path, gt_path]) == 0
+    coco_out = capsys.readouterr().out.splitlines()
+    assert coco_out == ap.format_lines()
+    assert main(["reconstruct", pred_path, "-o", html_dir]) == 1
+    assert capsys.readouterr().err == "".join(f"failed {image_id}: {message}\n" for image_id, message in failures)
+    assert main(["teds", html_dir, gt_path]) == 0
+    teds_out = capsys.readouterr().out.splitlines()
+    assert teds_out == teds_report.format_lines()
+
+    assert main(["misalign", gt_path, "--spec", spec]) == 0
+    out, err = capsys.readouterr()
+    label = parse_perturbation_spec(spec).describe()
+    assert out.splitlines()[1].split() == [label, coco_out[0].split(" = ")[1], teds_out[-1].split(" = ")[1]]
+    assert err == "".join(f"failed {label} {image_id}: {message}\n" for image_id, message in failures)
