@@ -186,22 +186,17 @@ def cmd_teds(args) -> int:
 
 def cmd_coco_eval(args) -> int:
     predictions = formats.load_detections(args.predictions)
-    preds = predictions.multi_label_sets()
-    gts = formats.load_ground_truth(args.ground_truth).multi_label_sets()
-    try:
-        report = evaluate_corpus(
-            {ann.image_id: ann.instances for ann in preds},
-            {ann.image_id: ann.instances for ann in gts},
-        )
-    except ValueError:
-        # The check names no detection; the file's first one without a score is the cause.
+    preds = {ann.image_id: ann.instances for ann in predictions.multi_label_sets()}
+    ground_truth = formats.load_ground_truth(args.ground_truth)
+    gts = {ann.image_id: ann.instances for ann in ground_truth.multi_label_sets()}
+    # evaluate_corpus reports images absent from the ground truth first, and names no scoreless detection
+    if preds.keys() <= gts.keys():
         for i, image in enumerate(predictions.images):
-            for j, inst in enumerate(image.instances):
-                if inst.score is None:
-                    raise SchemaError(
-                        f"{args.predictions}: $.images[{i}].instances[{j}]: prediction without confidence"
-                    ) from None
-        raise
+            unscored = np.isnan(image.instances.scores)  # NaN: no score
+            if unscored.any():
+                where = f"$.images[{i}].instances[{unscored.argmax()}]"
+                raise SchemaError(f"{args.predictions}: {where}: prediction without confidence")
+    report = evaluate_corpus(preds, gts)
     for line in report.format_lines():
         print(line)
     return 0

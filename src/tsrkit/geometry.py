@@ -58,14 +58,6 @@ class BBox(_BoxFields):
         return tuple.__new__(cls, (x1, y1, x2, y2))
 
     @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
     def area(self) -> float:
         x1, y1, x2, y2 = self
         return (x2 - x1) * (y2 - y1)
@@ -95,15 +87,6 @@ class BBox(_BoxFields):
         if x2 < x1 or y2 < y1:
             return None
         return BBox(x1, y1, x2, y2)
-
-    def union_box(self, other: "BBox") -> "BBox":
-        """Smallest box enclosing both operands."""
-        return BBox(
-            min(self.x1, other.x1),
-            min(self.y1, other.y1),
-            max(self.x2, other.x2),
-            max(self.y2, other.y2),
-        )
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         """The coordinates as a plain tuple, which prints without field names."""

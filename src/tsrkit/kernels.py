@@ -176,18 +176,18 @@ class SpatialAttentionParams:
         return (self.branch7, self.branch11, self.branch21)
 
     @classmethod
-    def random(cls, channels: int, seed: int = 0, magnitude: float = 0.3):
+    def random(cls, channels: int, seed: int = 0):
         rng = np.random.default_rng(seed)
         def branch(k):
             return SeparableParams(
-                magnitude * rng.standard_normal((channels, k)),
-                magnitude * rng.standard_normal((channels, k)),
+                0.3 * rng.standard_normal((channels, k)),
+                0.3 * rng.standard_normal((channels, k)),
             )
         return cls(
             branch7=branch(7),
             branch11=branch(11),
             branch21=branch(21),
-            projection=magnitude * rng.standard_normal((channels, 3 * channels)),
+            projection=0.3 * rng.standard_normal((channels, 3 * channels)),
         )
 
 

@@ -42,12 +42,8 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.measured:.3e} <= {self.tolerance:.0e}"
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def check_deformable_zero_offsets(seed: int = 11) -> CheckResult:
-    rng = _rng(seed)
+def check_deformable_zero_offsets() -> CheckResult:
+    rng = np.random.default_rng(11)
     x = rng.standard_normal((3, 9, 11))
     weights = rng.standard_normal((3, 3, 3))
     offsets = np.zeros((18, 9, 11))
@@ -60,8 +56,8 @@ def check_deformable_zero_offsets(seed: int = 11) -> CheckResult:
     )
 
 
-def check_deformable_column_shift(seed: int = 12) -> CheckResult:
-    rng = _rng(seed)
+def check_deformable_column_shift() -> CheckResult:
+    rng = np.random.default_rng(12)
     x = rng.standard_normal((2, 8, 10))
     weights = rng.standard_normal((2, 3, 3))
     offsets = np.zeros((18, 8, 10))
@@ -78,8 +74,8 @@ def check_deformable_column_shift(seed: int = 12) -> CheckResult:
     )
 
 
-def check_separable_rank1(seed: int = 13) -> CheckResult:
-    rng = _rng(seed)
+def check_separable_rank1() -> CheckResult:
+    rng = np.random.default_rng(13)
     worst = 0.0
     for k in (7, 11, 21):
         x = rng.standard_normal((2, 16, 16))
@@ -95,8 +91,8 @@ def check_separable_rank1(seed: int = 13) -> CheckResult:
     )
 
 
-def check_conv_linearity(seed: int = 14) -> CheckResult:
-    rng = _rng(seed)
+def check_conv_linearity() -> CheckResult:
+    rng = np.random.default_rng(14)
     x = rng.standard_normal((3, 10, 10))
     y = rng.standard_normal((3, 10, 10))
     kernels = rng.standard_normal((3, 5, 5))
@@ -108,11 +104,11 @@ def check_conv_linearity(seed: int = 14) -> CheckResult:
     )
 
 
-def check_attention_shape_and_zero(seed: int = 15) -> CheckResult:
-    rng = _rng(seed)
+def check_attention_shape_and_zero() -> CheckResult:
+    rng = np.random.default_rng(15)
     worst = 0.0
     for channels, height, width in ((1, 8, 8), (2, 12, 7), (4, 5, 16)):
-        params = SpatialAttentionParams.random(channels, seed=seed + channels)
+        params = SpatialAttentionParams.random(channels, seed=15 + channels)
         x = rng.standard_normal((channels, height, width))
         out = spatial_attention_forward(x, params)
         if out.shape != x.shape:
@@ -124,8 +120,8 @@ def check_attention_shape_and_zero(seed: int = 15) -> CheckResult:
     )
 
 
-def check_grad_pointwise(seed: int = 16) -> CheckResult:
-    rng = _rng(seed)
+def check_grad_pointwise() -> CheckResult:
+    rng = np.random.default_rng(16)
     x = rng.standard_normal((6, 5, 5))
     weights = rng.standard_normal((2, 6))
     err = grad_check(
@@ -133,7 +129,7 @@ def check_grad_pointwise(seed: int = 16) -> CheckResult:
         [x, weights],
         lambda x_, w_, g: pointwise_projection_vjp(x_, w_, g),
         epsilon=1e-5,
-        seed=seed,
+        seed=16,
     )
     return CheckResult("pointwise projection gradient (finite differences)", err, 1e-7)
 
@@ -170,17 +166,17 @@ def composite_attention_vjp(x, *arrays_and_grad):
     return flat
 
 
-def check_grad_attention_composite(seed: int = 17) -> CheckResult:
-    rng = _rng(seed)
+def check_grad_attention_composite() -> CheckResult:
+    rng = np.random.default_rng(17)
     channels = 2
     x = rng.standard_normal((channels, 6, 6))
-    params = SpatialAttentionParams.random(channels, seed=seed)
+    params = SpatialAttentionParams.random(channels, seed=17)
     err = grad_check(
         composite_attention_forward,
         [x, *composite_attention_arrays(params)],
         composite_attention_vjp,
         epsilon=1e-5,
-        seed=seed,
+        seed=17,
     )
     return CheckResult("spatial attention composite gradient", err, 1e-4)
 

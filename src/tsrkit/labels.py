@@ -326,7 +326,8 @@ def _split(
 
 
 def _content_box(value, image_id: str, key: str) -> BBox | None:
-    """A content extent stored by ``_absorb``: null, or a box by the loader's rule."""
+    """A content extent stored by ``_absorb``: null, or a box read by the loader's number and order
+    rule. It is not clamped, since no image size is known here; ``misalign.perturb`` clamps a snapped box."""
     if value is None:
         return None
     coords = float_box(value)

@@ -19,7 +19,6 @@ import numpy as np
 from .cocoeval import ApReport, evaluate_corpus
 from .errors import CorpusError, LabelModeError, TsrkitError
 from .formats import CorpusFile
-from .geometry import BBox
 from .labels import MULTI_LABEL_CLASSES, AnnotationSet, ComponentClass, Instances, LabelMode
 from .reconstruct import build_grid, grid_to_html
 from .teds import CorpusTedsReport, TableTree, corpus_teds, parse_table_html
@@ -104,22 +103,22 @@ def parse_perturbation_spec(text: str) -> PerturbationSpec:
 
 
 def perturb(gt: AnnotationSet, spec: PerturbationSpec, width: float, height: float) -> AnnotationSet:
-    """Turn multi-label ground truth into a synthetic prediction set (confidences 1.0).
+    """Turn multi-label ground truth into the prediction set its written file loads as (confidences 1.0).
 
     dilate grows target boxes by ``magnitude`` px per side (past the padded
-    ground truth) and clamps them into the ``width`` x ``height`` image by
-    the loader's rule, ``min(max(v, 0), limit)`` per coordinate; shrink cuts
-    inward by the same amount, into the content extent once the padding is
-    exceeded; snap replaces boxes by their content extents; merge unions the
-    vertically closest adjacent pair of target boxes into one instance, which
-    keeps the upper one's class and fields.
+    ground truth); shrink cuts inward by the same amount, into the content
+    extent once the padding is exceeded; snap replaces boxes by their
+    content extents; merge unions the vertically closest adjacent pair of
+    target boxes, in (y1, x1) order, into the upper one, which keeps its
+    class and fields, and drops the lower one.
 
-    Works on the ``Instances`` columns. The untargeted instances come first
-    and the targeted ones after them, in their order, or for merge in
-    (y1, x1) order. Every instance keeps its unknown fields and loses its
-    content extent. Single-label input raises ``LabelModeError``, and the
-    first targeted instance that cannot be perturbed ``ValueError``, naming
-    the image.
+    Then every box is clamped into the ``width`` x ``height`` image by the
+    loader's rule, ``min(max(v, 0), limit)`` per coordinate, and the
+    instances come out in stable (class, y1, x1) order, so a row depends on
+    neither the input's instance order nor its label formulation. Every
+    instance keeps its unknown fields and loses its content extent.
+    Single-label input raises ``LabelModeError``, and the first targeted
+    instance that cannot be perturbed ``ValueError``, naming the image.
     """
     if gt.mode is not LabelMode.MULTI:
         raise LabelModeError(
@@ -129,30 +128,27 @@ def perturb(gt: AnnotationSet, spec: PerturbationSpec, width: float, height: flo
     is_target = np.zeros(len(ComponentClass), dtype=bool)  # by class id
     is_target[list(spec.target_classes)] = True
     targeted = is_target[columns.classes]
-    untouched, targets = (~targeted).nonzero()[0], targeted.nonzero()[0]
-    boxes = columns.boxes[targets]
+    targets = targeted.nonzero()[0]
+    boxes, lower = columns.boxes.copy(), None  # lower: the instance a merge drops
     m = spec.magnitude
     if spec.mode is PerturbationMode.MERGE_ADJACENT:
         if len(targets) >= 2:
-            order = np.lexsort((boxes[:, 0], boxes[:, 1]))  # stable, so ties keep their order
-            boxes = boxes[order]
-            at = int(np.argmin(boxes[1:, 1] - boxes[:-1, 3]))
-            upper, lower = (BBox(*box) for box in boxes[at : at + 2].tolist())
-            targets = np.delete(targets[order], at + 1)
-            boxes = np.delete(boxes, at + 1, axis=0)
-            boxes[at] = upper.union_box(lower)
+            order = targets[np.lexsort((boxes[targets, 0], boxes[targets, 1]))]  # stable: ties keep their order
+            at = int(np.argmin(boxes[order[1:], 1] - boxes[order[:-1], 3]))
+            upper, lower = order[at], order[at + 1]
+            a, b = boxes[upper], boxes[lower]
+            # the lower box's coordinate only where it is strictly beyond, so a -0.0 tie keeps the upper one's
+            boxes[upper] = np.where(np.concatenate((b[:2] < a[:2], b[2:] > a[2:])), b, a)
     elif spec.mode is PerturbationMode.DILATE:
-        boxes, limits = boxes - np.array([m, m, -m, -m]), np.array([width, height, width, height])
-        # np.where keeps a -0.0 inside the image, as the loader does
-        boxes = np.where(boxes < 0.0, 0.0, np.where(boxes > limits, limits, boxes))
+        np.subtract(boxes, [m, m, -m, -m], out=boxes, where=targeted[:, None])
     elif spec.mode is PerturbationMode.SHRINK:
         # a float 2m below a rounded side is at most the exact side, so each result stays ordered
-        bad = 2 * m >= np.minimum(boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1])
+        bad = targeted & (2 * m >= np.minimum(boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]))
         if bad.any():
             raise ValueError(
                 f"{gt.image_id}: shrink by {m} degenerates box {tuple(boxes[bad.argmax()].tolist())}"
             )
-        boxes = boxes - np.array([-m, -m, m, m])
+        np.subtract(boxes, [-m, -m, m, m], out=boxes, where=targeted[:, None])
     elif spec.mode is PerturbationMode.SNAP_TO_MINIMAL:
         contents = [columns.side.get(i, (None, {}))[0] for i in targets.tolist()]
         if None in contents:
@@ -161,11 +157,17 @@ def perturb(gt: AnnotationSet, spec: PerturbationSpec, width: float, height: flo
                 f"{gt.image_id}: {ComponentClass(columns.classes[at].item()).name} at "
                 f"{tuple(columns.boxes[at].tolist())} carries no content extent"
             )
-        boxes = np.array(contents, dtype=np.float64).reshape(-1, 4)
+        boxes[targets] = np.array(contents, dtype=np.float64).reshape(-1, 4)
     else:
         raise AssertionError(spec.mode)
 
-    source = np.concatenate([untouched, targets])
+    # only a coordinate outside the image moves, so a -0.0 stays, as in the loader
+    limits = np.array([width, height, width, height])
+    np.copyto(boxes, 0.0, where=boxes < 0.0)
+    np.copyto(boxes, limits, where=boxes > limits)
+    source = np.lexsort((boxes[:, 0], boxes[:, 1], columns.classes))  # stable: ties keep their order
+    if lower is not None:
+        source = source[source != lower]
     side = {}
     extras = [(i, extra) for i, (_, extra) in columns.side.items() if extra]
     if extras:
@@ -173,8 +175,7 @@ def perturb(gt: AnnotationSet, spec: PerturbationSpec, width: float, height: flo
         position[source] = np.arange(len(source))
         at = position.tolist()
         side = dict(sorted((at[i], (None, extra)) for i, extra in extras if at[i] >= 0))
-    boxes = np.concatenate([columns.boxes[untouched], boxes])
-    out = Instances(boxes, columns.classes[source], np.ones(len(source)), side)
+    out = Instances(boxes[source], columns.classes[source], np.ones(len(source)), side)
     return AnnotationSet(gt.image_id, out, LabelMode.MULTI)
 
 

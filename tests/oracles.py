@@ -1208,39 +1208,47 @@ def reference_grid_html(grid: ReferenceGrid) -> str:
 
 
 # ---------------------------------------------------------- perturbations
-# ``misalign.perturb`` as it was before it worked on columns: one
-# ``ComponentInstance`` at a time, copied with ``replace``, and with error
-# messages that name no image. A dilated box is clamped into the image one
-# coordinate at a time, as the loader clamps a box it reads.
+# ``misalign.perturb`` one ``ComponentInstance`` at a time, copied with
+# ``replace``, and with error messages that name no image: each target is
+# transformed where it stands (a merge unions the closest pair into the upper
+# box with ``min`` and ``max`` and drops the lower one), every box is then
+# clamped into the image one coordinate at a time, as the loader clamps a box
+# it reads, and the instances are sorted stably by (class, y1, x1).
 
 def reference_perturb(gt: AnnotationSet, spec: PerturbationSpec, width: float, height: float) -> AnnotationSet:
-    targeted, untouched = [], []
-    for inst in gt.instances:
-        (targeted if inst.cls in spec.target_classes else untouched).append(inst)
-
+    out = list(gt.instances)
+    targets = [i for i, inst in enumerate(out) if inst.cls in spec.target_classes]
     if spec.mode is PerturbationMode.MERGE_ADJACENT:
-        out = untouched + _reference_merge_closest_pair(targeted)
+        if len(targets) >= 2:
+            ordered = sorted(targets, key=lambda i: (out[i].box.y1, out[i].box.x1))
+            gaps = [(out[ordered[k + 1]].box.y1 - out[ordered[k]].box.y2, k) for k in range(len(ordered) - 1)]
+            _, at = min(gaps)
+            upper, lower = ordered[at], ordered[at + 1]
+            a, b = out[upper].box, out[lower].box
+            union = BBox(min(a.x1, b.x1), min(a.y1, b.y1), max(a.x2, b.x2), max(a.y2, b.y2))
+            out[upper] = out[upper].replace(box=union)
+            del out[lower]
     else:
-        out = untouched + [_reference_transform(inst, spec, width, height) for inst in targeted]
+        for i in targets:
+            out[i] = _reference_transform(out[i], spec)
 
-    out = [inst.replace(score=1.0, content_box=None) for inst in out]
+    def clamped(box):
+        x1, y1, x2, y2 = box
+        return BBox(
+            min(max(x1, 0.0), width), min(max(y1, 0.0), height), min(max(x2, 0.0), width), min(max(y2, 0.0), height)
+        )
+
+    out = [inst.replace(box=clamped(inst.box), score=1.0, content_box=None) for inst in out]
+    out.sort(key=lambda inst: (inst.cls, inst.box.y1, inst.box.x1))
     return AnnotationSet(gt.image_id, tuple(out), LabelMode.MULTI)
 
 
-def _reference_transform(
-    inst: ComponentInstance, spec: PerturbationSpec, width: float, height: float
-) -> ComponentInstance:
+def _reference_transform(inst: ComponentInstance, spec: PerturbationSpec) -> ComponentInstance:
     if spec.mode is PerturbationMode.DILATE:
-        x1, y1, x2, y2 = inst.box.inflate(spec.magnitude)
-        clamped = (
-            min(max(x1, 0.0), width),
-            min(max(y1, 0.0), height),
-            min(max(x2, 0.0), width),
-            min(max(y2, 0.0), height),
-        )
-        return inst.replace(box=BBox(*clamped))
+        return inst.replace(box=inst.box.inflate(spec.magnitude))
     if spec.mode is PerturbationMode.SHRINK:
-        if 2 * spec.magnitude >= min(inst.box.width, inst.box.height):
+        x1, y1, x2, y2 = inst.box
+        if 2 * spec.magnitude >= min(x2 - x1, y2 - y1):
             raise ValueError(
                 f"shrink by {spec.magnitude} degenerates box {inst.box.as_tuple()}"
             )
@@ -1252,16 +1260,3 @@ def _reference_transform(
             )
         return inst.replace(box=inst.content_box)
     raise AssertionError(spec.mode)
-
-
-def _reference_merge_closest_pair(instances: list[ComponentInstance]) -> list[ComponentInstance]:
-    if len(instances) < 2:
-        return list(instances)
-    ordered = sorted(instances, key=lambda i: (i.box.y1, i.box.x1))
-    gaps = [
-        (ordered[i + 1].box.y1 - ordered[i].box.y2, i)
-        for i in range(len(ordered) - 1)
-    ]
-    _, at = min(gaps)
-    merged = ordered[at].replace(box=ordered[at].box.union_box(ordered[at + 1].box))
-    return ordered[:at] + [merged] + ordered[at + 2 :]

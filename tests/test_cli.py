@@ -433,6 +433,23 @@ def test_coco_eval_names_the_first_detection_without_a_score(fixture_files, caps
     assert captured.err == f"error: SchemaError: {unscored}: $.images[2].instances[4]: prediction without confidence\n"
 
 
+def test_coco_eval_names_images_absent_from_the_ground_truth_before_a_scoreless_detection(
+    fixture_files, capsys, tmp_path
+):
+    gt, pred = fixture_files
+    data = json.loads(read(pred))
+    del data["images"][2]["instances"][4]["score"]
+    data["images"][5]["image_id"] = "stray"
+    unscored = tmp_path / "unscored.json"
+    unscored.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["coco-eval", str(unscored), gt])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: CorpusError: predictions for images absent from ground truth: ['stray']\n"
+
+
 @pytest.mark.parametrize("which", ["predictions", "ground truth"])
 def test_coco_eval_rejects_an_image_whose_area_overflows(fixture_files, capsys, tmp_path, which):
     gt, pred = fixture_files

@@ -1,5 +1,8 @@
 import json
+import logging
+import os
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,15 @@ from tsrkit.errors import LabelModeError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.formats import CorpusFile, ImageRecord
 from tsrkit.geometry import BBox
-from tsrkit.labels import MULTI_LABEL_CLASSES, AnnotationSet, ComponentClass, ComponentInstance, Instances, LabelMode
+from tsrkit.labels import (
+    HEADER_CONTENT_KEY,
+    MULTI_LABEL_CLASSES,
+    AnnotationSet,
+    ComponentClass,
+    ComponentInstance,
+    Instances,
+    LabelMode,
+)
 from tsrkit.misalign import (
     PerturbationMode,
     PerturbationSpec,
@@ -287,6 +298,57 @@ def test_perturb_matches_instance_reference_on_hand_built_sets(gt, spec):
     assert_matches_reference(gt, spec, (100.0, 60.0))  # the smallest image that holds every set
 
 
+OVERHANGS = st.sampled_from([0.0, -0.0, 5.0, 40.0, 1e4])  # px past a box side, most past the image
+
+
+def widened(box: BBox, draw) -> BBox:
+    x1, y1, x2, y2 = box
+    return BBox(x1 - draw(OVERHANGS), y1 - draw(OVERHANGS), x2 + draw(OVERHANGS), y2 + draw(OVERHANGS))
+
+
+@st.composite
+def round_trip_problems(draw):
+    """A packed fixture table with content extents and untargeted boxes widened past the image, unknown
+    fields on some instances, a spec that perturbs it without error and the image size."""
+    corpus, _ = generate_fixtures(FixtureSpec(n_tables=1, seed=draw(st.integers(0, 10_000))))
+    ((gt,), (image,)) = corpus.annotation_sets(), corpus.images
+    mode = draw(SPEC_MODES)
+    magnitude = draw(st.sampled_from([0.0, 0.5, 1.0]) if mode is PerturbationMode.SHRINK else MAGNITUDES)
+    spec = PerturbationSpec(mode, magnitude, draw(TARGETS))
+    instances = list(gt.instances)
+    indices = st.sets(st.integers(0, len(instances) - 1), max_size=6)
+    for i in draw(indices):
+        instances[i] = instances[i].replace(content_box=widened(instances[i].content_box, draw))
+    for i in draw(indices):
+        if instances[i].cls not in spec.target_classes:
+            instances[i] = instances[i].replace(box=widened(instances[i].box, draw))
+    for i in draw(indices):
+        instances[i] = instances[i].replace(extra={"note": i, "at": [i, -0.0]})
+    return AnnotationSet(gt.image_id, Instances.pack(instances), gt.mode), spec, (image.width, image.height)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(round_trip_problems())
+def test_perturb_returns_what_its_written_file_loads_as(problem):
+    gt, spec, (width, height) = problem
+    out = perturb(gt, spec, width, height)
+    records, handler = [], logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("tsrkit.formats")
+    logger.addHandler(handler)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "pred.json")
+        formats.save(CorpusFile(LabelMode.MULTI, [ImageRecord(gt.image_id, width, height, out.instances)]), path)
+        try:
+            (loaded,) = formats.load_detections(path).images
+        finally:
+            logger.removeHandler(handler)
+    assert records == []  # every box already lies in its image
+    assert tuple(loaded.instances) == tuple(out.instances)
+    assert [i.extra for i in loaded.instances] == [i.extra for i in out.instances]
+    assert repr(tuple(loaded.instances)) == repr(tuple(out.instances))
+
+
 # ------------------------------------------------- the core against the CLI
 
 IDENTITY_SPECS = ["dilate:2", "shrink:2", "snap", "merge:row", "dilate:5:row+column", "dilate:40", "dilate:1e308"]
@@ -294,9 +356,11 @@ IDENTITY_SPECS = ["dilate:2", "shrink:2", "snap", "merge:row", "dilate:5:row+col
 
 @pytest.fixture(scope="module")
 def identity_ground_truth(tmp_path_factory):
-    """gen-fixtures --tables 12 --seed 11 without the Rows of image 3, multi- and single-label."""
+    """gen-fixtures --tables 12 --seed 11 without the Rows of image 3: multi-label, single-label, and
+    single-label with each stored column-header extent reaching past both sides of its image."""
     root = tmp_path_factory.mktemp("identity")
     prefix, multi, single = str(root / "fx"), str(root / "multi.gt.json"), str(root / "single.gt.json")
+    wide = str(root / "wide.gt.json")
     assert main(["gen-fixtures", "-o", prefix, "--tables", "12", "--seed", "11"]) == 0
     with open(f"{prefix}.gt.json", encoding="utf-8") as handle:
         data = json.load(handle)
@@ -305,11 +369,25 @@ def identity_ground_truth(tmp_path_factory):
     with open(multi, "w", encoding="utf-8") as handle:
         json.dump(data, handle)
     assert main(["encode-labels", multi, "-o", single]) == 0
-    return {"multi": multi, "single": single}
+    with open(single, encoding="utf-8") as handle:
+        data = json.load(handle)
+    headers = [
+        (inst, image["width"])
+        for image in data["images"]
+        for inst in image["instances"]
+        if inst["class_id"] == ComponentClass.PSEUDO_HEADER_ROW
+    ]
+    assert headers
+    for inst, width in headers:
+        _, y1, _, y2 = inst["bbox"]
+        inst[HEADER_CONTENT_KEY] = [-40, y1 + 2, width + 40, y2 - 2]
+    with open(wide, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    return {"multi": multi, "single": single, "wide": wide}
 
 
 @pytest.mark.parametrize("spec", IDENTITY_SPECS)
-@pytest.mark.parametrize("label_mode", ["multi", "single"])
+@pytest.mark.parametrize("label_mode", ["multi", "single", "wide"])
 def test_misalign_scores_what_the_cli_scores(identity_ground_truth, tmp_path, capsys, label_mode, spec):
     gt_path = identity_ground_truth[label_mode]
     corpus = formats.load_ground_truth(gt_path)
@@ -340,3 +418,20 @@ def test_misalign_scores_what_the_cli_scores(identity_ground_truth, tmp_path, ca
     label = parse_perturbation_spec(spec).describe()
     assert out.splitlines()[1].split() == [label, coco_out[0].split(" = ")[1], teds_out[-1].split(" = ")[1]]
     assert err == "".join(f"failed {label} {image_id}: {message}\n" for image_id, message in failures)
+
+
+def test_misalign_prints_the_same_rows_for_both_label_formulations(tmp_path, capsys):
+    # every perturbed confidence is 1.0, so AP reads the order within a class
+    prefix, single = str(tmp_path / "id"), str(tmp_path / "single.gt.json")
+    assert main(["gen-fixtures", "-o", prefix, "--tables", "40", "--seed", "11"]) == 0
+    assert main(["encode-labels", f"{prefix}.gt.json", "-o", single]) == 0
+    specs = ["--spec", "snap", "--spec", "shrink:2", "--spec", "merge:row", "--spec", "dilate:2", "--spec", "dilate:40"]
+    capsys.readouterr()
+    assert main(["misalign", f"{prefix}.gt.json", *specs]) == 0
+    multi = capsys.readouterr()
+    assert main(["misalign", single, *specs]) == 0
+    assert capsys.readouterr() == multi
+    assert [line.split() for line in multi.out.splitlines()[1:3]] == [
+        ["snap", "0.4654", "1.0000"],
+        ["shrink:2", "0.6636", "1.0000"],
+    ]
