@@ -324,7 +324,6 @@ def main(argv=None) -> int:
     finally:
         if was_enabled:
             gc.enable()
-    return 0
 
 
 if __name__ == "__main__":

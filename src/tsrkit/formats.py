@@ -24,13 +24,9 @@ with its JSON path and logs each clamp in order; its records are packed into
 the same columns. That path locates errors; it is not a second loader, and
 both give the same records.
 
-The compiled extension that holds the TED kernel also holds
-``pack_columns``, the same checks in C filling arrays allocated here; it
-accepts the images ``_columns`` accepts, with bit-identical columns, and
-declines the others to ``_parse_instance`` in the same way. Each load picks
-one of the two by ``teds.backend_name()``, the rule that picks the TED
-kernel, so ``_columns`` runs with TSRKIT_PURE_PYTHON=1 or without a C
-compiler and stays the reference for the packer.
+``_columns`` is the pure-Python twin of the extension's ``pack_columns``:
+the same arguments and checks, and bit-identical columns. The backend rule,
+``teds.distance.compiled()``, picks one of the two per load.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter, le
 
@@ -202,85 +197,80 @@ def _parse_instance(raw, width, height, label_mode, is_ground_truth, image, inst
 _EXACT_INT = 2**53  # every int up to this size is exactly a float64
 
 
-def _box_column(raws: list, width: float, height: float) -> np.ndarray | None:
-    """The raw bboxes as an (N, 4) array, or None unless each is four ordered numbers inside the image."""
+def _box_column(raws: list, width: float, height: float, out: np.ndarray) -> bool:
+    """Fill ``out`` with the raw bboxes; False unless each is four ordered numbers inside the image."""
     if set(map(type, raws)) != {list} or set(map(len, raws)) != {4}:
-        return None
+        return False
     flat = list(chain.from_iterable(raws))
     types = set(map(type, flat))
     # Every type check runs before any comparison: a string must not meet a float.
     if not types <= NUMBER_TYPES:
-        return None
+        return False
     # Each coordinate meets one operator.le test, which a NaN fails; min and
     # max would skip a NaN after the first value. Ordered boxes are inside
     # the image when the extreme edges are, and so within float range.
     x1, y1, x2, y2 = flat[0::4], flat[1::4], flat[2::4], flat[3::4]
     if not (all(map(le, x1, x2)) and all(map(le, y1, y2)) and 0.0 <= min(x1) and 0.0 <= min(y1)):
-        return None
+        return False
     right, bottom = max(x2), max(y2)
     if not (right <= width and bottom <= height) or (int in types and max(right, bottom) > _EXACT_INT):
-        return None
-    return np.array(flat, dtype=np.float64).reshape(-1, 4)
+        return False
+    out.reshape(-1)[:] = flat
+    return True
 
 
-def _columns(
-    raws: list, width: float, height: float, label_mode: LabelMode, is_ground_truth: bool
-) -> Instances | None:
-    """Every instance of one image as columns, checked one field at a time across the image.
+def _columns(raws, width, height, max_class, is_ground_truth, boxes, classes, optional) -> bool:
+    """The pure-Python twin of ``_speedup.pack_columns``.
 
-    Returns None unless ``_parse_instance`` would accept each instance as it
-    stands: every instance an object with the same known fields, every value
+    Fills one image's (N, 4) ``boxes``, ``classes`` and ``optional`` column,
+    (N,) scores or, in ground truth, (N, 4) content boxes, and returns True
+    only if ``_parse_instance`` would accept each instance as it stands:
+    every instance an object with the same known fields, every value
     well-formed, every box inside the image, so nothing to clamp and no
-    unknown field to keep.
+    unknown field to keep. Otherwise it returns False, the columns partly
+    filled.
     """
     if not raws:
-        return Instances.pack(())
+        return True
     if set(map(type, raws)) != {dict}:
-        return None
-    optional = "content_bbox" if is_ground_truth else "score"
-    keys = ("bbox", "class_id", optional) if optional in raws[0] else ("bbox", "class_id")
+        return False
+    optional_key = "content_bbox" if is_ground_truth else "score"
+    keys = ("bbox", "class_id", optional_key) if optional_key in raws[0] else ("bbox", "class_id")
     if set(map(len, raws)) != {len(keys)}:
-        return None
+        return False
     try:
         bboxes, class_ids, *optionals = [list(map(itemgetter(key), raws)) for key in keys]
     except KeyError:
-        return None
+        return False
+    if not (set(map(type, class_ids)) == {int} and min(class_ids) >= 0 and max(class_ids) <= max_class):
+        return False
+    if not _box_column(bboxes, width, height, boxes):
+        return False
+    classes[:] = class_ids
+    if not optionals:
+        return True
+    if is_ground_truth:
+        return _box_column(optionals[0], width, height, optional)
+    scores = optionals[0]
     if not (
-        set(map(type, class_ids)) == {int}
-        and min(class_ids) >= 0
-        and max(class_ids) <= (6 if label_mode is LabelMode.SINGLE else 5)
+        set(map(type, scores)) <= NUMBER_TYPES
+        and all(map(le, repeat(0.0), scores))
+        and all(map(le, scores, repeat(1.0)))
     ):
-        return None
-    boxes = _box_column(bboxes, width, height)
-    if boxes is None:
-        return None
-    scores, side = np.full(len(raws), np.nan), None
-    if optionals and is_ground_truth:
-        content = _box_column(optionals[0], width, height)
-        if content is None:
-            return None
-        side = {i: (box, {}) for i, box in enumerate(map(unchecked_bbox, content.tolist()))}
-    elif optionals:
-        scores = optionals[0]
-        if not (
-            set(map(type, scores)) <= NUMBER_TYPES
-            and all(map(le, repeat(0.0), scores))
-            and all(map(le, scores, repeat(1.0)))
-        ):
-            return None
-        scores = np.array(scores, dtype=np.float64)
-    return Instances(boxes, np.array(class_ids, dtype=np.int8), scores, side)
+        return False
+    optional[:] = scores
+    return True
 
 
-def _packed_columns(
-    pack_columns, raws: list, width: float, height: float, label_mode: LabelMode, is_ground_truth: bool
+def _column_instances(
+    pack, raws: list, width: float, height: float, label_mode: LabelMode, is_ground_truth: bool
 ) -> Instances | None:
-    """``_columns`` by the compiled ``pack_columns``: the same columns, or None for the same images."""
+    """One image's instances in columns that ``pack``, either twin, fills; None where it declines."""
     n = len(raws)
     boxes, classes, scores = np.empty((n, 4)), np.empty(n, dtype=np.int8), np.full(n, np.nan)
     optional = np.empty((n, 4)) if is_ground_truth else scores
     max_class = 6 if label_mode is LabelMode.SINGLE else 5
-    if not pack_columns(raws, width, height, max_class, is_ground_truth, boxes, classes, optional):
+    if not pack(raws, width, height, max_class, is_ground_truth, boxes, classes, optional):
         return None
     side = None
     if is_ground_truth and n and "content_bbox" in raws[0]:
@@ -288,7 +278,7 @@ def _packed_columns(
     return Instances(boxes, classes, scores, side)
 
 
-def _parse_image(raw, label_mode, is_ground_truth, image, columns) -> ImageRecord:
+def _parse_image(raw, label_mode, is_ground_truth, image, pack) -> ImageRecord:
     if not isinstance(raw, dict):
         raise SchemaError(f"{_at(image)}: image record must be an object")
     known = {"image_id", "width", "height", "instances", "html"}
@@ -310,7 +300,7 @@ def _parse_image(raw, label_mode, is_ground_truth, image, columns) -> ImageRecor
     instances_raw = raw.get("instances", [])
     if not isinstance(instances_raw, list):
         raise SchemaError(f"{_at(image)}.instances: must be an array")
-    instances = columns(instances_raw, width, height, label_mode, is_ground_truth)
+    instances = _column_instances(pack, instances_raw, width, height, label_mode, is_ground_truth)
     if instances is None:
         # one instance at a time, to raise the first error and log each clamp in order
         instances = Instances.pack([
@@ -385,14 +375,13 @@ def _corpus_file(raw, is_ground_truth: bool | None, path: str) -> CorpusFile:
         raise SchemaError("$.images: must be an array")
     if is_ground_truth is None:  # decided before parsing, which drops each image's JSON
         is_ground_truth = _carries_ground_truth(images_raw)
-    columns = _columns
-    if distance.backend_name() == "compiled":
-        columns = partial(_packed_columns, distance._speedup.pack_columns)
+    extension = distance.compiled()
+    pack = _columns if extension is None else extension.pack_columns
     # Each image's JSON is dropped once parsed, so the whole tree and the
     # records made from it are never held at once.
     images = []
     for i in range(len(images_raw)):
-        images.append(_parse_image(images_raw[i], label_mode, is_ground_truth, i, columns))
+        images.append(_parse_image(images_raw[i], label_mode, is_ground_truth, i, pack))
         images_raw[i] = None
     seen = set()
     for i, rec in enumerate(images):

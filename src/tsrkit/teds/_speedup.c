@@ -1,20 +1,18 @@
 /* Compiled paths for the three hot loops: the ordered-tree edit distance
  * kernel, the corpus loader's column packer and the structure-HTML parser.
  *
- * tsrkit.teds.distance.backend_name() chooses between this module and the
- * pure-Python references for all three: this module whenever it is built
- * and TSRKIT_PURE_PYTHON is unset. The choice is read on every distance
- * call, once per corpus load and on every parse.
+ * Each has a pure-Python twin, which stays its reference and fallback.
+ * tsrkit.teds.distance.compiled() is the one rule that picks this module or
+ * the twins for all three; its module docstring states it.
  *
  * tree_distance has the same keyroot/forest recurrence (Zhang & Shasha,
- * SIAM J. Comput. 1989) as _ted_py.tree_distance, which stays the reference
- * and the fallback. Every edit has cost 1: insert, delete, and a rename
- * between unequal labels. Trees arrive flattened in postorder: leftmost-
- * leaf-descendant indices, interned label ids and keyroots, each a 1-d
- * C-contiguous int64 buffer.
+ * SIAM J. Comput. 1989) as its twin _ted_py.tree_distance. Every edit has
+ * cost 1: insert, delete, and a rename between unequal labels. Trees arrive
+ * flattened in postorder: leftmost-leaf-descendant indices, interned label
+ * ids and keyroots, each a 1-d C-contiguous int64 buffer.
  *
- * pack_columns makes the checks of tsrkit.formats._columns, which stays the
- * reference and the fallback: it fills one image's box, class and score or
+ * pack_columns is the twin of tsrkit.formats._columns, with the same
+ * arguments and checks: it fills one image's box, class and score or
  * content-box columns from its parsed JSON instances, or declines, so that
  * the loader parses the image one instance at a time.
  *
@@ -224,7 +222,7 @@ static int field_index(PyObject *key, const char *const *names, PyObject **seen,
 }
 
 /* Fill the columns from raws, an exact list, or return 0 where _columns
- * returns None. No Python code runs here, so the borrowed references stay
+ * returns False. No Python code runs here, so the borrowed references stay
  * valid throughout. */
 static int pack(PyObject *raws, double width, double height, long max_class, int ground_truth,
                 double *boxes, int8_t *classes, double *optional)
@@ -432,7 +430,7 @@ static PyMethodDef methods[] = {
      "pack_columns(raws, width, height, max_class, ground_truth, boxes, classes, optional)\n--\n\n"
      "Fill the (n, 4) float64 boxes, the int8 classes and the optional column, (n,) float64 scores or,\n"
      "in ground truth, (n, 4) float64 content boxes, from an image's n parsed JSON instances and\n"
-     "return True; return False, leaving them partly filled, where tsrkit.formats._columns returns None."},
+     "return True; return False, leaving them partly filled, where its twin tsrkit.formats._columns does."},
     {"parse_canonical", parse_canonical, METH_VARARGS,
      "parse_canonical(fragment, node_class)\n--\n\n"
      "The structure tree of fragment, built by calling node_class(tag, colspan, rowspan, children) for\n"

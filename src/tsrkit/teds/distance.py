@@ -12,24 +12,31 @@ or any node with a left sibling.
 
 The distance kernel exists twice: a compiled C extension (_speedup.c) for
 corpus scoring (the DP dominates evaluation runtime) and a pure-Python
-fallback with the same recurrence. ``backend_name()`` picks one on every
-distance call, so TSRKIT_PURE_PYTHON=1 forces the fallback even when set
-in-process, after import (perfbench/kernelbench.py relies on this). The
-same extension holds two more compiled paths, and the same rule picks each
-of them or its fallback: the corpus loader's column packer, read once per
-load, against ``formats._columns``, and the canonical structure-HTML
-scanner, read on every parse, against the grammar in ``tree``.
+fallback with the same recurrence. The extension holds two more compiled
+paths, each with a pure-Python twin that stays its reference: the corpus
+loader's column packer, twin of ``formats._columns``, and the canonical
+structure-HTML scanner, twin of the grammar in ``tree``.
+
+This module alone imports the extension, and ``compiled()`` is the one rule
+that picks it for all three paths: the extension whenever it is built and
+TSRKIT_PURE_PYTHON is unset, else None and the twins. It is read on every
+distance call, at the start of every corpus load and on every parse, so
+setting the variable in-process, after import, switches all three
+(perfbench/kernelbench.py relies on this).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _ted_py
-from .tree import TableTree
+
+if TYPE_CHECKING:
+    from .tree import TableTree
 
 try:
     from . import _speedup
@@ -37,16 +44,14 @@ except ImportError:
     _speedup = None
 
 
-def backend_name() -> str:
-    """Which backend is active: 'compiled' or 'python'.
+def compiled():
+    """The compiled extension module where it is active, else None (see the module docstring)."""
+    return None if os.environ.get("TSRKIT_PURE_PYTHON") else _speedup
 
-    It governs all three compiled paths, the distance kernel, the corpus
-    loader's column packer and the structure-HTML scanner: 'compiled'
-    whenever the extension is built and TSRKIT_PURE_PYTHON is unset.
-    """
-    if _speedup is not None and not os.environ.get("TSRKIT_PURE_PYTHON"):
-        return "compiled"
-    return "python"
+
+def backend_name() -> str:
+    """Which backend ``compiled()`` picks for all three paths: 'compiled' or 'python'."""
+    return "python" if compiled() is None else "compiled"
 
 
 def _walk(node: TableTree, keyroot: bool, lmld: list[int], labels: list[int], keyroots: list[int], interner: dict):
@@ -74,10 +79,11 @@ def _distance_and_sizes(a: TableTree, b: TableTree) -> tuple[float, int, int]:
     flat_a = _flatten(a, interner)
     flat_b = _flatten(b, interner)
     flat = (*flat_a, *flat_b)
-    if backend_name() == "compiled":
-        distance = _speedup.tree_distance(*(np.ascontiguousarray(seq, dtype=np.int64) for seq in flat))
-    else:
+    extension = compiled()
+    if extension is None:
         distance = _ted_py.tree_distance(*flat)
+    else:
+        distance = extension.tree_distance(*(np.ascontiguousarray(seq, dtype=np.int64) for seq in flat))
     return distance, len(flat_a[1]), len(flat_b[1])
 
 

@@ -9,12 +9,12 @@ in ASCII digits, at most 1000 for colspan and 65534 for rowspan (the WHATWG
 HTML limits). Parse errors report the character offset of the offending
 token (an index into the ``str``, not a UTF-8 byte count).
 
-When ``distance.backend_name()`` is 'compiled', ``parse_table_html`` first
-offers the fragment to the extension's scanner, which reads exactly the
-canonical form ``TableTree.to_html`` writes: lowercase tags without
-whitespace, text or th, a td's colspan and then rowspan written only when
-not 1, in double quotes without a leading zero, and nothing before <table>
-or after </table>. It builds each node by calling ``TableTree``. It
+Where ``distance.compiled()``, the backend rule, returns the extension,
+``parse_table_html`` first offers the fragment to its scanner, which reads
+exactly the canonical form ``TableTree.to_html`` writes: lowercase tags
+without whitespace, text or th, a td's colspan and then rowspan written only
+when not 1, in double quotes without a leading zero, and nothing before
+<table> or after </table>. It builds each node by calling ``TableTree``. It
 declines every other fragment, and the grammar below then parses it as it
 would without the extension; the grammar is the only source of
 ``HtmlParseError``.
@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass, field
 
 from ..errors import HtmlParseError
-from . import distance  # distance imports this module first; only its attributes are read, at call time
+from .distance import compiled
 
 # parent tag -> tags allowed directly underneath; the keys are the structure tags
 _ALLOWED_CHILDREN = {
@@ -180,8 +180,9 @@ def parse_table_html(fragment: str) -> TableTree:
     dropped. Structural violations (unbalanced tags, td outside tr, bad span
     values) raise HtmlParseError with the character offset.
     """
-    if distance.backend_name() == "compiled":
-        tree = distance._speedup.parse_canonical(fragment, TableTree)
+    extension = compiled()
+    if extension is not None:
+        tree = extension.parse_canonical(fragment, TableTree)
         if tree is not None:
             return tree
     tags = _TAG_TEXT.findall(fragment)

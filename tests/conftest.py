@@ -1,4 +1,4 @@
-"""Shared fixtures: the compiled TED kernel, built from source into a temp dir."""
+"""Shared fixtures: the compiled extension, built from source into a temp dir, and the backend selection."""
 
 import importlib.util
 import shutil
@@ -6,6 +6,8 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+
+from tsrkit.teds import distance
 
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "tsrkit" / "teds" / "_speedup.c"
 
@@ -34,3 +36,19 @@ def compiled_kernel(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(params=["compiled", "python"])
+def backend(request, monkeypatch):
+    """Each backend in turn, for the TED kernel, the column packer and the canonical parser alike.
+
+    The compiled one is ``compiled_kernel``, put in place as the module that
+    ``distance.compiled()`` returns; the python one sets TSRKIT_PURE_PYTHON.
+    """
+    if request.param == "compiled":
+        monkeypatch.delenv("TSRKIT_PURE_PYTHON", raising=False)
+        monkeypatch.setattr(distance, "_speedup", request.getfixturevalue("compiled_kernel"))
+    else:
+        monkeypatch.setenv("TSRKIT_PURE_PYTHON", "1")
+    assert distance.backend_name() == request.param
+    return request.param

@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import json
 import logging
@@ -7,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import reference_decode_pseudo, reference_load, reference_parse_instance, reference_trees
 
@@ -17,8 +16,8 @@ from tsrkit.errors import HtmlParseError, LabelConsistencyError, SchemaError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
 from tsrkit.formats import (
     CorpusFile,
+    _column_instances,
     _columns,
-    _packed_columns,
     _parse_instance,
     atomic_write_text,
     load_any,
@@ -38,7 +37,7 @@ from tsrkit.labels import (
     LabelMode,
     decode_pseudo,
 )
-from tsrkit.teds import distance, parse_table_html
+from tsrkit.teds import parse_table_html
 
 
 @pytest.fixture
@@ -280,7 +279,7 @@ def _check_image(corpus_path, instances, label_mode, is_ground_truth):
     if outcome == "error":  # the loader names the file before the reference parser's message
         expected = (outcome, f"{corpus_path}: {message}"), log
     assert _logged(lambda: loader(corpus_path).images[0].instances) == expected
-    columns = _columns(raws, 100.0, 50.0, label_mode, is_ground_truth)
+    columns = _column_instances(_columns, raws, 100.0, 50.0, label_mode, is_ground_truth)
     if columns is not None:  # the columnar check only answers for an image that loads as it stands
         assert expected == (("ok", [_record(inst) for inst in columns]), [])
 
@@ -330,36 +329,23 @@ def test_generated_corpora_load_in_bulk():
     gt, det = generate_fixtures(FixtureSpec(n_tables=20, seed=4))
     for corpus, is_ground_truth in ((gt, True), (det, False)):
         for image in json.loads(serialize(corpus))["images"]:
-            columns = _columns(
-                image["instances"], image["width"], image["height"], LabelMode.MULTI, is_ground_truth
+            columns = _column_instances(
+                _columns, image["instances"], image["width"], image["height"], LabelMode.MULTI, is_ground_truth
             )
             assert columns is not None and len(columns) == len(image["instances"])
             assert all(type(inst) is ComponentInstance and type(inst.box) is BBox for inst in columns)
 
 
-@contextlib.contextmanager
-def backend(name, kernel):
-    """Select the ``name`` backend for loading, with ``kernel`` standing in for the compiled extension."""
-    with pytest.MonkeyPatch.context() as patch:
-        if name == "python":
-            patch.setenv("TSRKIT_PURE_PYTHON", "1")
-        else:
-            patch.delenv("TSRKIT_PURE_PYTHON", raising=False)
-            patch.setattr(distance, "_speedup", kernel)
-        assert distance.backend_name() == name
-        yield
-
-
 def _packers_agree(kernel, raws, width, height, label_mode, is_ground_truth):
-    """The packer accepts the instances exactly when ``_columns`` does, with bit-identical columns."""
-    expected = _columns(raws, width, height, label_mode, is_ground_truth)
-    packed = _packed_columns(kernel.pack_columns, raws, width, height, label_mode, is_ground_truth)
-    assert (packed is None) == (expected is None)
-    if packed is not None:
-        for column in ("boxes", "classes", "scores"):
-            got, want = getattr(packed, column), getattr(expected, column)
-            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), column
-        assert [_record(inst) for inst in packed] == [_record(inst) for inst in expected]
+    """Both twins accept or both decline the instances; where they accept, their columns are bit-identical."""
+    n, max_class = len(raws), 6 if label_mode is LabelMode.SINGLE else 5
+    outcomes = []
+    for pack in (_columns, kernel.pack_columns):
+        columns = (np.zeros((n, 4)), np.zeros(n, dtype=np.int8), np.zeros((n, 4) if is_ground_truth else n))
+        accepted = pack(raws, width, height, max_class, is_ground_truth, *columns)
+        filled = [column.tobytes() for column in columns] if accepted else None
+        outcomes.append((type(accepted), accepted, filled))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("damage", IMAGE_DAMAGE)
@@ -451,17 +437,15 @@ def test_compiled_packer_rejects_bad_buffers(compiled_kernel):
         pack(instances=tuple(raws))
 
 
-@pytest.mark.parametrize("name", ["python", "compiled"])
-def test_generated_corpora_never_load_one_instance_at_a_time(compiled_kernel, tmp_path, monkeypatch, name):
+def test_generated_corpora_never_load_one_instance_at_a_time(backend, tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("an instance of a generated corpus went to _parse_instance")
 
     prefix = str(tmp_path / "fx")
     assert main(["gen-fixtures", "-o", prefix, "--tables", "20", "--seed", "4"]) == 0
     monkeypatch.setattr(formats, "_parse_instance", refuse)
-    with backend(name, compiled_kernel):
-        assert len(load_ground_truth(f"{prefix}.gt.json").images) == 20
-        assert len(load_detections(f"{prefix}.pred.json").images) == 20
+    assert len(load_ground_truth(f"{prefix}.gt.json").images) == 20
+    assert len(load_detections(f"{prefix}.pred.json").images) == 20
 
 
 # Unknown fields an instance may carry, among them the keys under which the
@@ -770,7 +754,7 @@ def test_ints_beyond_2_53_load_one_instance_at_a_time(tmp_path, big):
     # cannot hold exactly; it goes through float() as the per-instance parser does
     instances = [{"bbox": [0, 0, 10, 10], "class_id": 2, "score": 0.5},
                  {"bbox": [big, 0, 2 * big, 10], "class_id": 1, "score": 0.5}]
-    assert _columns(instances, 1e301, 50.0, LabelMode.MULTI, False) is None
+    assert _column_instances(_columns, instances, 1e301, 50.0, LabelMode.MULTI, False) is None
     data = base_file()
     data["images"][0].update(width=1e301, instances=instances)
     path = write(tmp_path, data)
@@ -896,39 +880,43 @@ def test_any_json_value_in_a_file_or_image_slot_loads_or_raises_schema_error(cor
     assert _logged(corpus.trees_by_image, dict) == expected
 
 
-def _loads_alike(kernel, path, data, is_ground_truth):
-    """Both backends load ``data`` into the same records, or raise the same error, and log the same clamps."""
+def _loads_alike(path, data, is_ground_truth):
+    """The active backend loads ``data`` into the same records, or raises the same error, and logs the
+    same clamps, as a load that sends every image to ``_parse_instance``; so both backends load alike."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle)
     loader = load_ground_truth if is_ground_truth else load_detections
-    outcomes = []
-    for name in ("python", "compiled"):
-        with backend(name, kernel):
-            outcomes.append(_logged(lambda: loader(path), _corpus_summary))
-    assert outcomes[0] == outcomes[1]
+    loaded = _logged(lambda: loader(path), _corpus_summary)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_column_instances", lambda *args: None)
+        assert _logged(lambda: loader(path), _corpus_summary) == loaded
+
+
+# the backend fixture selects a backend once per test function, and every example runs under it
+_BACKEND_FIXTURE = [HealthCheck.function_scoped_fixture]
 
 
 @pytest.mark.parametrize("damage", IMAGE_DAMAGE)
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40, derandomize=True, deadline=None, suppress_health_check=_BACKEND_FIXTURE)
 @given(data=st.data())
-def test_damaged_image_loads_alike_under_both_backends(compiled_kernel, corpus_path, damage, data):
+def test_damaged_image_loads_alike_under_both_backends(backend, corpus_path, damage, data):
     instances, label_mode, is_ground_truth = data.draw(image_problems(damage))
     image = {"image_id": "t0", "width": 100.0, "height": 50.0, "instances": instances}
     data = {"schema_version": 1, "label_mode": label_mode.value, "images": [image]}
-    _loads_alike(compiled_kernel, corpus_path, data, is_ground_truth)
+    _loads_alike(corpus_path, data, is_ground_truth)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=_BACKEND_FIXTURE)
 @given(corpus_problems())
-def test_loader_gives_the_same_records_errors_and_clamps_under_both_backends(compiled_kernel, corpus_path, problem):
+def test_loader_gives_the_same_records_errors_and_clamps_under_both_backends(backend, corpus_path, problem):
     data, _, is_ground_truth = problem
-    _loads_alike(compiled_kernel, corpus_path, data, is_ground_truth)
+    _loads_alike(corpus_path, data, is_ground_truth)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=_BACKEND_FIXTURE)
 @given(files_with_one_slot_filled())
-def test_any_json_value_loads_alike_under_both_backends(compiled_kernel, corpus_path, problem):
-    _loads_alike(compiled_kernel, corpus_path, *problem)
+def test_any_json_value_loads_alike_under_both_backends(backend, corpus_path, problem):
+    _loads_alike(corpus_path, *problem)
 
 
 def test_failed_replace_leaves_no_temporary_file(tmp_path):

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,8 +15,10 @@ from oracles import (
     reference_parse_table_html,
 )
 
+from tsrkit.cli import main
 from tsrkit.errors import HtmlParseError
 from tsrkit.fixtures import FixtureSpec, generate_fixtures
+from tsrkit.formats import load_detections, load_ground_truth
 from tsrkit.teds import (
     TableTree,
     corpus_teds,
@@ -30,24 +33,6 @@ from tsrkit.teds.distance import _distance_and_sizes, _flatten
 from tsrkit.teds.tree import _TAG_TEXT, _decode
 
 MINIMAL = "<table><tbody><tr><td></td></tr></tbody></table>"
-
-
-def _backend(monkeypatch, name, kernel):
-    """Select the ``name`` backend, with ``kernel`` standing in for the compiled extension."""
-    if name == "python":
-        monkeypatch.setenv("TSRKIT_PURE_PYTHON", "1")
-    else:
-        monkeypatch.delenv("TSRKIT_PURE_PYTHON", raising=False)
-        monkeypatch.setattr(distance, "_speedup", kernel)
-    assert distance.backend_name() == name
-
-
-@pytest.fixture(params=["compiled", "python"])
-def parse_backend(request, monkeypatch):
-    """Each backend in turn, the compiled one built from the current source."""
-    kernel = request.getfixturevalue("compiled_kernel") if request.param == "compiled" else None
-    _backend(monkeypatch, request.param, kernel)
-    return request.param
 
 
 # ---------------------------------------------------------------- parsing
@@ -184,13 +169,13 @@ grammar_trees = st.builds(
 )
 
 
-# parse_backend selects a backend once per test function, and every example runs under it
+# the backend fixture selects a backend once per test function, and every example runs under it
 _BACKEND_FIXTURE = [HealthCheck.function_scoped_fixture]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=_BACKEND_FIXTURE)
 @given(grammar_trees)
-def test_parse_inverts_to_html(parse_backend, tree):
+def test_parse_inverts_to_html(backend, tree):
     assert parse_table_html(tree.to_html()) == tree
 
 
@@ -239,7 +224,7 @@ def _parse_outcome(parse, text):
 
 @settings(max_examples=600, derandomize=True, deadline=None, suppress_health_check=_BACKEND_FIXTURE)
 @given(_fragment_text | _mutated_tables())
-def test_parse_matches_reference_scanner(parse_backend, text):
+def test_parse_matches_reference_scanner(backend, text):
     """Any text gives a tree or an HtmlParseError, the scanner's tree or its message and offset."""
     expected = _parse_outcome(reference_parse_table_html, text)
     assert _parse_outcome(parse_table_html, text) == expected
@@ -301,10 +286,10 @@ _CANONICAL = '<table><thead><tr><td colspan="2"></td></tr></thead><tbody><tr><td
         "",
     ],
 )
-def test_canonical_scanner_declines_every_other_form(compiled_kernel, monkeypatch, text):
+@pytest.mark.parametrize("backend", ["compiled"], indirect=True)
+def test_canonical_scanner_declines_every_other_form(compiled_kernel, backend, text):
     """Anything to_html does not write is left to the grammar, which then decides as it always has."""
     assert compiled_kernel.parse_canonical(text, TableTree) is None
-    _backend(monkeypatch, "compiled", compiled_kernel)
     assert _parse_outcome(parse_table_html, text) == _parse_outcome(reference_parse_table_html, text)
 
 
@@ -336,13 +321,13 @@ def test_canonical_scanner_builds_each_node_through_the_class(compiled_kernel):
         f" \u00e9 {MINIMAL} > ",
     ],
 )
-def test_parse_discards_text_outside_tags(parse_backend, text):
+def test_parse_discards_text_outside_tags(backend, text):
     """Text before <table>, between structure tags and after </table> is discarded, not rejected."""
     assert parse_table_html(text) == parse_table_html(MINIMAL) == reference_parse_table_html(text)
 
 
 @pytest.mark.parametrize("fragment", [MINIMAL.encode(), None, 4, ["<table>", "</table>"]])
-def test_parse_rejects_what_is_not_a_str(parse_backend, fragment):
+def test_parse_rejects_what_is_not_a_str(backend, fragment):
     with pytest.raises(TypeError) as expected:
         _TAG_TEXT.findall(fragment)
     with pytest.raises(TypeError, match=re.escape(str(expected.value))):
@@ -475,38 +460,35 @@ def _equal_but_distinct_pairs():
     return pairs
 
 
-@pytest.mark.parametrize("backend", ["compiled", "python"])
+def _active_kernel():
+    """The module whose ``tree_distance`` the selected backend calls."""
+    return distance.compiled() or _ted_py
+
+
 def test_equal_trees_score_without_the_dp(monkeypatch, backend):
     def no_dp(*args):
         raise AssertionError("equal trees reached the DP")
 
-    pairs = _equal_but_distinct_pairs()  # parsed before the stand-in, which has no parser, is patched in
+    pairs = _equal_but_distinct_pairs()
     monkeypatch.setattr(_ted_py, "tree_distance", no_dp)
-    _backend(monkeypatch, backend, SimpleNamespace(tree_distance=no_dp))
+    monkeypatch.setattr(_active_kernel(), "tree_distance", no_dp)
     for a, b in pairs:
         assert a == b and a is not b
         assert teds(a, b) == 1.0
         assert tree_edit_distance(a, b) == 0.0
 
 
-def _kernel(request, backend):
-    """The real kernel module of ``backend``; only the compiled one needs a C compiler."""
-    return request.getfixturevalue("compiled_kernel") if backend == "compiled" else _ted_py
-
-
-@pytest.mark.parametrize("backend", ["compiled", "python"])
-def test_spans_off_cells_still_reach_the_dp(monkeypatch, request, backend):
+def test_spans_off_cells_still_reach_the_dp(monkeypatch, backend):
     """Spans count only on cells, so these unequal trees are 0 apart, and the DP says so."""
     calls = []
-    tree_distance = _kernel(request, backend).tree_distance
+    kernel = _active_kernel()
+    tree_distance = kernel.tree_distance
 
     def counted(*args):
         calls.append(len(args[0]))
         return tree_distance(*args)
 
-    if backend == "python":
-        monkeypatch.setattr(_ted_py, "tree_distance", counted)
-    _backend(monkeypatch, backend, SimpleNamespace(tree_distance=counted))
+    monkeypatch.setattr(kernel, "tree_distance", counted)
     a, b = TableTree("tr", colspan=2), TableTree("tr")
     assert a != b
     assert tree_edit_distance(a, b) == 0.0
@@ -514,9 +496,7 @@ def test_spans_off_cells_still_reach_the_dp(monkeypatch, request, backend):
     assert calls == [1, 1]
 
 
-@pytest.mark.parametrize("backend", ["compiled", "python"])
-def test_kernels_return_zero_on_equal_trees(monkeypatch, request, backend):
-    _backend(monkeypatch, backend, _kernel(request, backend))
+def test_kernels_return_zero_on_equal_trees(backend):
     rng = random.Random(8)
     pairs = _equal_but_distinct_pairs() + [(t, t) for t in (TableTree("td"), random_table_tree(rng, 14))]
     for _ in range(20):
@@ -524,6 +504,41 @@ def test_kernels_return_zero_on_equal_trees(monkeypatch, request, backend):
         pairs.append((tree, tree))
     for a, b in pairs:
         assert _distance_and_sizes(a, b) == (0.0, a.size(), b.size())
+
+
+def test_one_switch_sends_all_three_paths_to_their_twins_at_call_time(compiled_kernel, monkeypatch, tmp_path):
+    """TSRKIT_PURE_PYTHON is read at the start of every corpus load, on every parse and on every
+    distance call, so setting it in a running process moves the packer, the canonical parser and
+    the TED kernel to their pure-Python twins at once."""
+    prefix = str(tmp_path / "fx")
+    assert main(["gen-fixtures", "-o", prefix, "--tables", "5", "--seed", "2"]) == 0
+    a, b = parse_table_html(MINIMAL), parse_table_html(_CANONICAL)
+    calls = Counter()
+
+    def counted(name):
+        function = getattr(compiled_kernel, name)
+
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return call
+
+    names = ("pack_columns", "parse_canonical", "tree_distance")
+    monkeypatch.setattr(distance, "_speedup", SimpleNamespace(**{name: counted(name) for name in names}))
+    monkeypatch.delenv("TSRKIT_PURE_PYTHON", raising=False)
+
+    def load_parse_and_score():
+        calls.clear()
+        images = load_ground_truth(f"{prefix}.gt.json").images + load_detections(f"{prefix}.pred.json").images
+        return len(images), parse_table_html(_CANONICAL), teds(a, b)
+
+    compiled = load_parse_and_score()
+    assert compiled[2] < 1.0
+    assert calls == {"pack_columns": 10, "parse_canonical": 1, "tree_distance": 1}
+    monkeypatch.setenv("TSRKIT_PURE_PYTHON", "1")
+    assert load_parse_and_score() == compiled
+    assert calls == {}
 
 
 def test_compiled_kernel_rejects_bad_buffers(compiled_kernel):
