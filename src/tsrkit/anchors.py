@@ -49,14 +49,16 @@ HISTOGRAM_TOP_BUCKET = 140
 class DatasetStats:
     n_images: int
     n_objects: int
-    avg_objects_per_image: float
+    avg_objects_per_image: float | None  # None without images
     folded_aspect_ratio_histogram: dict[int, int] = field(default_factory=dict)
 
     def format_lines(self) -> list[str]:
+        """The report lines, n/a for the average over no images."""
+        average = self.avg_objects_per_image
         return [
             f"images = {self.n_images}",
             f"objects = {self.n_objects}",
-            f"objects/image = {self.avg_objects_per_image:.2f}",
+            f"objects/image = {'n/a' if average is None else format(average, '.2f')}",
         ]
 
 
@@ -71,10 +73,8 @@ def dataset_stats(annotations: list[AnnotationSet]) -> DatasetStats:
     """Counts, objects per image, and the folded aspect-ratio histogram.
 
     Boxes with zero width or height have no ratio and are skipped by the
-    histogram only.
+    histogram only. With no images there is no average: it is None.
     """
-    if not annotations:
-        raise ValueError("no images")
     n_images = len(annotations)
     n_objects = 0
     histogram: dict[int, int] = {}
@@ -93,7 +93,7 @@ def dataset_stats(annotations: list[AnnotationSet]) -> DatasetStats:
     return DatasetStats(
         n_images=n_images,
         n_objects=n_objects,
-        avg_objects_per_image=n_objects / n_images,
+        avg_objects_per_image=n_objects / n_images if n_images else None,
         folded_aspect_ratio_histogram=dict(sorted(histogram.items())),
     )
 

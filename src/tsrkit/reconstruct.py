@@ -1,16 +1,17 @@
 """Rule-based post-processing: detected components to a logical grid to HTML.
 
 The lattice comes from Row and Column boxes (rows sorted by top edge, columns
-by left edge). Column Header boxes mark header rows by row-center
-containment; a Projected Row Header collapses its matching row into one
-full-width cell. A Spanning Cell covers the rectangle around the grid cells
-it overlaps sufficiently. One placement rule, ``_claim``, decides where such
-a merge may go: inside the grid, on one side of the header/body boundary,
-and on cells no projected row or earlier merge owns. ``TableGrid`` rejects a
-merge that breaks it; ``build_grid`` skips that span, and a span covering a
-single cell. The grid becomes the structure tree TEDS scores; its HTML is
-structure-only: lowercase tags, double-quoted span attributes, no
-whitespace, no text.
+by left edge). Column Header boxes mark the header rows: counted from the
+top, while each row's center lies in one, so a marked row below a body row
+stays in the body. A Projected Row Header collapses its matching row into a
+merge over the whole row, placed before any Spanning Cell. A Spanning Cell
+covers the rectangle around the grid cells it overlaps sufficiently. One
+placement rule, ``_claim``, decides where a merge may go: inside the grid, on
+one side of the header/body boundary, and on cells no earlier merge owns.
+``TableGrid`` rejects a merge that breaks it; ``build_grid`` skips that span,
+and a span covering a single cell. The grid becomes the structure tree TEDS
+scores; its HTML is structure-only: lowercase tags, double-quoted span
+attributes, no whitespace, no text.
 """
 
 from __future__ import annotations
@@ -37,18 +38,13 @@ class MergedCell:
             raise ValueError(f"merge spans must be >= 1: {self}")
 
 
-def _owner_matrix(n_rows: int, n_cols: int, projected_rows) -> list[list[tuple[int, int] | None]]:
-    """Anchor of each grid position's claimed cell, None while unclaimed; projected rows start claimed."""
-    return [[(r, 0)] * n_cols if r in projected_rows else [None] * n_cols for r in range(n_rows)]
-
-
-def _claim(owner: list[list[tuple[int, int] | None]], merge: MergedCell, header_rows) -> str | None:
-    """Claim ``merge``'s cells for its anchor, or claim nothing and return why it cannot go there."""
+def _claim(owner: list[list[tuple[int, int] | None]], merge: MergedCell, header_rows: int) -> str | None:
+    """Claim ``merge``'s cells in ``owner`` (anchors, None where free), or claim none and say why not."""
     r0, c0 = merge.row_start, merge.col_start
     r1, c1 = r0 + merge.row_span, c0 + merge.col_span
     if r0 < 0 or c0 < 0 or r1 > len(owner) or c1 > len(owner[0]):
         return f"merge {merge} exceeds grid bounds"
-    if len({r in header_rows for r in range(r0, r1)}) > 1:
+    if r0 < header_rows < r1:
         return f"merge {merge} crosses the header/body boundary"
     for r in range(r0, r1):
         for c in range(c0, c1):
@@ -61,30 +57,28 @@ def _claim(owner: list[list[tuple[int, int] | None]], merge: MergedCell, header_
 
 @dataclass(frozen=True)
 class TableGrid:
-    """Logical r x c lattice with merges, header rows, and projected rows.
+    """Logical r x c lattice with merges and a count of leading header rows.
 
-    ``merges`` are validated in the order given and kept in reading order, by
-    anchor, so the order they are given in does not tell grids apart.
-    ``grid_to_tree`` names the grids that differ but share a tree.
+    The first ``header_rows`` rows go in thead, the rest in tbody. A projected
+    row is a merge over its whole row. ``merges`` are validated in the order
+    given and kept in reading order, by anchor, so the order they are given
+    in does not tell grids apart. ``grid_to_tree`` names the grids that
+    differ but share a tree.
     """
 
     n_rows: int
     n_cols: int
     merges: tuple[MergedCell, ...] = ()
-    header_rows: frozenset[int] = frozenset()
-    projected_rows: frozenset[int] = frozenset()
+    header_rows: int = 0
     _anchors: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "merges", tuple(self.merges))
-        object.__setattr__(self, "header_rows", frozenset(self.header_rows))
-        object.__setattr__(self, "projected_rows", frozenset(self.projected_rows))
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("grid needs at least one row and one column")
-        for r in self.header_rows | self.projected_rows:
-            if not 0 <= r < self.n_rows:
-                raise ValueError(f"row index {r} outside grid")
-        owner = _owner_matrix(self.n_rows, self.n_cols, self.projected_rows)
+        if not 0 <= self.header_rows <= self.n_rows:
+            raise ValueError(f"header row count {self.header_rows} outside 0..{self.n_rows}")
+        owner = [[None] * self.n_cols for _ in range(self.n_rows)]
         for m in self.merges:
             reason = _claim(owner, m, self.header_rows)
             if reason is not None:
@@ -161,13 +155,19 @@ def build_grid(detections: AnnotationSet) -> TableGrid:
     n_rows, n_cols = len(row_boxes), len(col_boxes)
 
     projected, headers = kept[ComponentClass.PROJECTED_ROW_HEADER], kept[ComponentClass.COLUMN_HEADER]
-    projected_rows = {r for r, row in enumerate(row_boxes) if any(boxes_match(row, p) for p in projected)}
-    header_rows = {
-        r for r, row in enumerate(row_boxes) if any(h.contains_point(*row.center) for h in headers)
-    }
+    # rows from the top while each center lies in a Column Header: a marked row below the body stays there
+    marked = (any(h.contains_point(*row.center) for h in headers) for row in row_boxes)
+    header_rows = next((r for r, is_header in enumerate(marked) if not is_header), n_rows)
 
-    merges: list[MergedCell] = []
-    owner = _owner_matrix(n_rows, n_cols, projected_rows)
+    # a projected row is a merge over its whole row, claimed before any span
+    merges = [
+        MergedCell(r, 0, 1, n_cols)
+        for r, row in enumerate(row_boxes)
+        if any(boxes_match(row, p) for p in projected)
+    ]
+    owner = [[None] * n_cols for _ in range(n_rows)]
+    for merge in merges:
+        _claim(owner, merge, header_rows)
     cells = None  # (row, col, box, area) of each grid cell with positive area, built at the first span
     for span in kept[ComponentClass.SPANNING_CELL]:
         if cells is None:
@@ -191,21 +191,17 @@ def build_grid(detections: AnnotationSet) -> TableGrid:
         if (r0, c0) != (r1, c1) and _claim(owner, merge, header_rows) is None:
             merges.append(merge)
 
-    return TableGrid(n_rows, n_cols, tuple(merges), frozenset(header_rows), frozenset(projected_rows))
+    return TableGrid(n_rows, n_cols, tuple(merges), header_rows)
 
 
 def grid_to_tree(grid: TableGrid) -> TableTree:
-    """Structure tree: thead holds exactly the header rows, tbody the rest.
+    """Structure tree: thead holds the leading ``header_rows`` rows, tbody the rest.
 
-    Distinct grids give distinct trees when both are canonical: header rows
-    form a prefix, projected rows sit in grids of two or more columns, and
-    no merge covers a single cell or exactly one whole row. Outside that form
-    grids may share a tree: a header row below the body moves into thead,
-    a projected row equals a merge over its row (or, in one column, a plain
-    row), and a one-cell merge equals no merge.
+    A projected row is a merge over its whole row, so it is one full-width
+    cell. Distinct grids give distinct trees, with one exception: a one-cell
+    merge equals no merge.
     """
     spans = {(m.row_start, m.col_start): (m.col_span, m.row_span) for m in grid.merges}
-    spans.update(((r, 0), (grid.n_cols, 1)) for r in grid.projected_rows)
     thead, tbody = TableTree("thead"), TableTree("tbody")
     for r, anchors in enumerate(grid.cell_matrix()):
         tr = TableTree("tr")
@@ -213,7 +209,7 @@ def grid_to_tree(grid: TableGrid) -> TableTree:
             if anchor == (r, c):
                 colspan, rowspan = spans.get(anchor, (1, 1))
                 tr.children.append(TableTree("td", colspan=colspan, rowspan=rowspan))
-        (thead if r in grid.header_rows else tbody).children.append(tr)
+        (thead if r < grid.header_rows else tbody).children.append(tr)
     return TableTree("table", children=[thead, tbody] if thead.children else [tbody])
 
 

@@ -1064,14 +1064,16 @@ def as_pairs(ann: AnnotationSet) -> set[tuple[tuple[float, float, float, float],
 # ``taken`` matrix with skip rules of their own. The grid is then checked by
 # the old ``TableGrid`` validation (an ``owner`` matrix) and rendered through
 # the old cell matrix. Kept as it was, apart from names, inlined helpers and
-# constants, and a plain tuple as the grid.
+# constants, a plain tuple as the grid, and two rules stated as they now are:
+# the header is the run of rows from the top whose centres lie in a Column
+# Header, and a projected row is a merge over its whole row, listed before
+# every span.
 
 class ReferenceGrid(NamedTuple):
     n_rows: int
     n_cols: int
     merges: tuple[tuple[int, int, int, int], ...]  # (row, col, row_span, col_span)
-    header_rows: frozenset[int]
-    projected_rows: frozenset[int]
+    header_rows: int  # the first header_rows rows form the header
 
 
 def _reference_boxes_match(a: BBox, b: BBox, tolerance: float = 1.0) -> bool:
@@ -1086,25 +1088,21 @@ def _reference_boxes_match(a: BBox, b: BBox, tolerance: float = 1.0) -> bool:
 def _reference_validate(grid: ReferenceGrid):
     if grid.n_rows < 1 or grid.n_cols < 1:
         raise ValueError("grid needs at least one row and one column")
-    for r in grid.header_rows | grid.projected_rows:
-        if not 0 <= r < grid.n_rows:
-            raise ValueError(f"row index {r} outside grid")
+    if grid.header_rows < 0 or grid.header_rows > grid.n_rows:
+        raise ValueError(f"header row count {grid.header_rows} outside 0..{grid.n_rows}")
     owner = [[None] * grid.n_cols for _ in range(grid.n_rows)]
-    for r in grid.projected_rows:
-        for c in range(grid.n_cols):
-            owner[r][c] = ("projected", r)
     for m in grid.merges:
         r0, c0, rs, cs = m
         if r0 + rs > grid.n_rows or c0 + cs > grid.n_cols:
             raise ValueError(f"merge {m} exceeds grid bounds")
-        header_overlap = [r in grid.header_rows for r in range(r0, r0 + rs)]
+        header_overlap = [r < grid.header_rows for r in range(r0, r0 + rs)]
         if any(header_overlap) and not all(header_overlap):
             raise ValueError(f"merge {m} crosses the header/body boundary")
         for r in range(r0, r0 + rs):
             for c in range(c0, c0 + cs):
                 if owner[r][c] is not None:
                     raise ValueError(f"cell ({r},{c}) claimed twice")
-                owner[r][c] = ("merge", m)
+                owner[r][c] = m
 
 
 def reference_build_grid(detections) -> ReferenceGrid:
@@ -1138,20 +1136,19 @@ def reference_build_grid(detections) -> ReferenceGrid:
         raise EmptyStructureError(f"{len(row_boxes)} rows and {len(col_boxes)} columns survive thresholding")
     n_rows, n_cols = len(row_boxes), len(col_boxes)
 
-    projected_rows = set()
-    for prh in by_class[ComponentClass.PROJECTED_ROW_HEADER]:
-        for r, row in enumerate(row_boxes):
-            if _reference_boxes_match(row, prh.box):
-                projected_rows.add(r)
-
-    header_rows = set()
-    for r, row in enumerate(row_boxes):
+    header_rows = 0
+    for row in row_boxes:
         cx, cy = row.center
-        if any(h.box.contains_point(cx, cy) for h in by_class[ComponentClass.COLUMN_HEADER]):
-            header_rows.add(r)
+        if not any(h.box.contains_point(cx, cy) for h in by_class[ComponentClass.COLUMN_HEADER]):
+            break
+        header_rows += 1
 
     merges = []
-    taken = [[r in projected_rows for _ in range(n_cols)] for r in range(n_rows)]
+    taken = [[False] * n_cols for _ in range(n_rows)]
+    for r, row in enumerate(row_boxes):
+        if any(_reference_boxes_match(row, prh.box) for prh in by_class[ComponentClass.PROJECTED_ROW_HEADER]):
+            taken[r] = [True] * n_cols
+            merges.append((r, 0, 1, n_cols))
     for span in by_class[ComponentClass.SPANNING_CELL]:
         covered = []
         for r in range(n_rows):
@@ -1169,7 +1166,7 @@ def reference_build_grid(detections) -> ReferenceGrid:
         c1 = max(c for _, c in covered)
         if r0 == r1 and c0 == c1:
             continue
-        in_header = [r in header_rows for r in range(r0, r1 + 1)]
+        in_header = [r < header_rows for r in range(r0, r1 + 1)]
         if any(in_header) and not all(in_header):
             continue
         if any(taken[r][c] for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)):
@@ -1179,15 +1176,13 @@ def reference_build_grid(detections) -> ReferenceGrid:
                 taken[r][c] = True
         merges.append((r0, c0, r1 - r0 + 1, c1 - c0 + 1))
 
-    grid = ReferenceGrid(n_rows, n_cols, tuple(merges), frozenset(header_rows), frozenset(projected_rows))
+    grid = ReferenceGrid(n_rows, n_cols, tuple(merges), header_rows)
     _reference_validate(grid)
     return grid
 
 
 def reference_grid_html(grid: ReferenceGrid) -> str:
     anchors = [[(r, c) for c in range(grid.n_cols)] for r in range(grid.n_rows)]
-    for r in grid.projected_rows:
-        anchors[r] = [(r, 0)] * grid.n_cols
     for r0, c0, rs, cs in grid.merges:
         for r in range(r0, r0 + rs):
             for c in range(c0, c0 + cs):
@@ -1196,14 +1191,11 @@ def reference_grid_html(grid: ReferenceGrid) -> str:
     thead, tbody = TableTree("thead"), TableTree("tbody")
     for r in range(grid.n_rows):
         tr = TableTree("tr")
-        if r in grid.projected_rows:
-            tr.children.append(TableTree("td", colspan=grid.n_cols))
-        else:
-            for c in range(grid.n_cols):
-                if anchors[r][c] == (r, c):
-                    colspan, rowspan = spans.get((r, c), (1, 1))
-                    tr.children.append(TableTree("td", colspan=colspan, rowspan=rowspan))
-        (thead if r in grid.header_rows else tbody).children.append(tr)
+        for c in range(grid.n_cols):
+            if anchors[r][c] == (r, c):
+                colspan, rowspan = spans.get((r, c), (1, 1))
+                tr.children.append(TableTree("td", colspan=colspan, rowspan=rowspan))
+        (thead if r < grid.header_rows else tbody).children.append(tr)
     return TableTree("table", children=[thead, tbody] if thead.children else [tbody]).to_html()
 
 

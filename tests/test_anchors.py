@@ -12,6 +12,7 @@ from tsrkit.anchors import (
     DEFAULT_ASPECT_RATIOS,
     STRIDES,
     TABLE_ASPECT_RATIOS,
+    DatasetStats,
     anchor_coverage,
     best_iou_per_gt,
     dataset_stats,
@@ -74,9 +75,10 @@ def test_dataset_stats_top_bucket_open():
     assert stats.folded_aspect_ratio_histogram == {140: 1}
 
 
-def test_dataset_stats_rejects_empty():
-    with pytest.raises(ValueError):
-        dataset_stats([])
+def test_dataset_stats_reports_an_empty_corpus():
+    stats = dataset_stats([])
+    assert stats == DatasetStats(0, 0, None, {})
+    assert stats.format_lines() == ["images = 0", "objects = 0", "objects/image = n/a"]
 
 
 # ----------------------------------------------------------------- anchors

@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import re
+import shlex
 import sys
 import warnings
 
@@ -124,6 +125,16 @@ def test_stats_two_image_average(tmp_path, capsys):
     assert main(["stats", str(path)]) == 0
     out = capsys.readouterr().out
     assert "objects/image = 4.00" in out
+
+
+def test_stats_reports_a_corpus_without_images(tmp_path, capsys):
+    # as teds, coco-eval and misalign do; there is no average over no images
+    path = tmp_path / "empty.gt.json"
+    path.write_text(json.dumps({"schema_version": 1, "label_mode": "multi", "images": []}))
+    csv_path = tmp_path / "hist.csv"
+    assert main(["stats", str(path), "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr() == (f"images = 0\nobjects = 0\nobjects/image = n/a\nwrote {csv_path}\n", "")
+    assert read(csv_path) == b"ratio_bucket,count\n"
 
 
 def test_stats_buckets_a_ratio_that_overflows(tmp_path, capsys):
@@ -392,6 +403,30 @@ def test_reconstruct_accepts_single_label_detections(tmp_path, capsys):
         "<table><thead><tr><td></td><td></td></tr></thead>"
         "<tbody><tr><td></td><td></td></tr></tbody></table>"
     )
+
+
+def test_a_column_header_below_the_first_body_row_is_not_scored_as_the_header(tmp_path, capsys):
+    # two rows by two columns; the ground truth's header is the first row,
+    # the detected Column Header covers only the second, below a body row
+    lattice = [{"bbox": [0.0, 20.0 * r, 100.0, 20.0 * (r + 1)], "class_id": 2} for r in (0, 1)]
+    lattice += [{"bbox": [x, 0.0, x + 50.0, 40.0], "class_id": 1} for x in (0.0, 50.0)]
+
+    def corpus(header_row, **fields):
+        header = {"bbox": [0.0, 20.0 * header_row, 100.0, 20.0 * (header_row + 1)], "class_id": 5}
+        image = {"image_id": "t", "width": 120.0, "height": 60.0, "instances": lattice + [header], **fields}
+        return json.dumps({"schema_version": 1, "label_mode": "multi", "images": [image]})
+
+    tr = "<tr><td></td><td></td></tr>"
+    gt_path, pred_path = tmp_path / "gt.json", tmp_path / "pred.json"
+    gt_path.write_text(corpus(0, html=f"<table><thead>{tr}</thead><tbody>{tr}</tbody></table>"))
+    pred_path.write_text(corpus(1))
+    html_dir = str(tmp_path / "html")
+    assert main(["reconstruct", str(pred_path), "-o", html_dir]) == 0
+    assert read(os.path.join(html_dir, "t.html")).decode() == f"<table><tbody>{tr * 2}</tbody></table>"
+    capsys.readouterr()
+    assert main(["teds", html_dir, str(gt_path)]) == 0
+    # three edits against the ground truth's nine nodes
+    assert "TEDS overall = 0.6667" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("label_mode", ["multi", "single"])
@@ -777,6 +812,19 @@ def test_misalign_cli_perturbation_errors_name_the_image(fixture_files, capsys, 
         main(["misalign", gt, "--spec", spec])
     assert exc.value.code == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_readme_cli_block_runs_in_order(tmp_path, monkeypatch, capsys):
+    # every `tsrkit ...` line of the README's CLI block, its comment dropped
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        block = re.search(r"^## CLI\n+```sh\n(.*?)^```", handle.read(), re.M | re.S).group(1)
+    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("tsrkit ")]
+    assert len(lines) == 10
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_kernels_check_cli(capsys):

@@ -37,9 +37,6 @@ def logical_cells(grid: TableGrid) -> list[tuple[int, int, int, int]]:
     matrix = grid.cell_matrix()
     merge_at = {(m.row_start, m.col_start): m for m in grid.merges}
     for r in range(grid.n_rows):
-        if r in grid.projected_rows:
-            cells.append((r, 0, 1, grid.n_cols))
-            continue
         for c in range(grid.n_cols):
             if matrix[r][c] != (r, c):
                 continue
@@ -71,8 +68,7 @@ def test_pure_lattice():
     grid = build_grid(lattice(2, 2))
     assert (grid.n_rows, grid.n_cols) == (2, 2)
     assert grid.merges == ()
-    assert grid.header_rows == frozenset()
-    assert grid.projected_rows == frozenset()
+    assert grid.header_rows == 0
 
 
 def test_spanning_cell_absorbs_full_row():
@@ -105,7 +101,27 @@ def test_column_header_marks_row_by_center():
     header = inst(ComponentClass.COLUMN_HEADER, 0, 0, 100, 22)
     grid = build_grid(lattice(3, 2, extras=[header]))
     # row 0 center y = 10 inside [0, 22]; row 1 center y = 30 outside
-    assert grid.header_rows == frozenset({0})
+    assert grid.header_rows == 1
+
+
+@pytest.mark.parametrize(
+    "header_boxes, count",
+    [
+        # one box over the centres of rows 0 and 1
+        (((0, 0, 100, 40),), 2),
+        # a box over row 1 only: row 0 is body, so row 1 stays in the body below it
+        (((0, 20, 100, 40),), 0),
+        # boxes over rows 0 and 2: the run from the top ends at row 1
+        (((0, 0, 100, 20), (0, 40, 100, 60)), 1),
+    ],
+    ids=["rows-0-1", "row-1-only", "rows-0-and-2"],
+)
+def test_header_is_the_run_of_marked_rows_from_the_top(header_boxes, count):
+    headers = [inst(ComponentClass.COLUMN_HEADER, *box) for box in header_boxes]
+    grid = build_grid(lattice(3, 2, extras=headers))
+    assert grid.header_rows == count
+    assert grid_to_html(grid).count("<tr>") == 3
+    assert grid_to_html(grid).startswith("<table><thead>" if count else "<table><tbody>")
 
 
 def test_spanning_cell_outside_grid_ignored():
@@ -117,13 +133,13 @@ def test_spanning_cell_outside_grid_ignored():
 def test_unmatched_projected_header_ignored():
     stray = inst(ComponentClass.PROJECTED_ROW_HEADER, 0, 200, 100, 230)
     grid = build_grid(lattice(2, 2, extras=[stray]))
-    assert grid.projected_rows == frozenset()
+    assert grid.merges == ()
 
 
 def test_projected_row_collapses_to_full_width():
     prh = inst(ComponentClass.PROJECTED_ROW_HEADER, 0, 20, 100, 40)
     grid = build_grid(lattice(3, 2, extras=[prh]))
-    assert grid.projected_rows == frozenset({1})
+    assert grid.merges == (MergedCell(1, 0, 1, 2),)
     html = grid_to_html(grid)
     assert '<tr><td colspan="2"></td></tr>' in html
 
@@ -242,7 +258,7 @@ def test_span_across_header_boundary_skipped():
     crossing = cells_span(0, 0, 1, 0, score=0.9)
     body = cells_span(1, 0, 2, 0, score=0.8)
     grid = build_grid(lattice(3, 2, extras=[header, crossing, body]))
-    assert grid.header_rows == frozenset({0})
+    assert grid.header_rows == 1
     assert grid.merges == (MergedCell(1, 0, 2, 1),)
 
 
@@ -260,8 +276,16 @@ def test_span_over_projected_row_skipped():
     prh = inst(ComponentClass.PROJECTED_ROW_HEADER, 0, 20, 100, 40)
     span = cells_span(1, 0, 2, 0, score=0.9)
     grid = build_grid(lattice(3, 2, extras=[prh, span]))
-    assert grid.projected_rows == frozenset({1})
-    assert grid.merges == ()
+    assert grid.merges == (MergedCell(1, 0, 1, 2),)
+
+
+def test_projected_row_in_one_column_claims_its_cell():
+    # a one-cell merge: the HTML shows no merge, but a span over the row is still skipped
+    prh = inst(ComponentClass.PROJECTED_ROW_HEADER, 0, 20, 50, 40)
+    span = cells_span(1, 0, 2, 0, score=0.9)
+    grid = build_grid(lattice(3, 1, extras=[prh, span]))
+    assert grid.merges == (MergedCell(1, 0, 1, 1),)
+    assert grid_to_html(grid) == grid_to_html(TableGrid(3, 1))
 
 
 def test_span_over_one_cell_skipped_and_claims_nothing():
@@ -289,7 +313,8 @@ def noisy_multi_label_sets(draw):
     """A fixture table's components with jittered boxes, some dropped and
     scored around the 0.5 cut, plus stray Spanning Cells over rectangles of
     grid cells (single cells, header crossings, projected rows and overlaps
-    among them) and spurious Column Headers and Projected Row Headers."""
+    among them), spurious Column Headers over any run of rows, the top one
+    or another, and spurious Projected Row Headers."""
     ann = draw(st.sampled_from(FIXTURE_SETS))
     rows = sorted(i.box for i in ann.instances if i.cls is ComponentClass.ROW)
     cols = sorted(i.box for i in ann.instances if i.cls is ComponentClass.COLUMN)
@@ -306,8 +331,8 @@ def noisy_multi_label_sets(draw):
         rect = BBox(cols[c0].x1, rows[r0].y1, cols[c1].x2, rows[r1].y2).inflate(-inset)
         instances.append(ComponentInstance(rect, ComponentClass.SPANNING_CELL, draw(SCORES)))
     for _ in range(draw(st.integers(0, 2))):
-        last = draw(st.integers(0, len(rows) - 1))
-        box = BBox(cols[0].x1, rows[0].y1, cols[-1].x2, rows[last].y2 + draw(JITTER))
+        first, last = sorted(draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        box = BBox(cols[0].x1, rows[first].y1, cols[-1].x2, rows[last].y2 + draw(JITTER))
         instances.append(ComponentInstance(box, ComponentClass.COLUMN_HEADER, draw(SCORES)))
     for _ in range(draw(st.integers(0, 2))):
         near = st.sampled_from((-1.5, -1.0, 0.0, 0.5, 1.0, 1.5))  # around the 1 px match tolerance
@@ -329,7 +354,7 @@ def test_build_grid_matches_reference(ann):
     merges = tuple((m.row_start, m.col_start, m.row_span, m.col_span) for m in grid.merges)
     # the reference lists merges in span rank order, a grid in reading order
     in_reading_order = expected._replace(merges=tuple(sorted(expected.merges)))
-    assert ReferenceGrid(grid.n_rows, grid.n_cols, merges, grid.header_rows, grid.projected_rows) == in_reading_order
+    assert ReferenceGrid(grid.n_rows, grid.n_cols, merges, grid.header_rows) == in_reading_order
     assert grid_to_html(grid) == reference_grid_html(expected)
 
 
@@ -388,12 +413,12 @@ def test_grid_validates_merges_in_the_given_order():
     [
         (lambda: TableGrid(0, 2), "grid needs at least one row and one column"),
         (lambda: TableGrid(2, 0), "grid needs at least one row and one column"),
-        (lambda: TableGrid(2, 2, header_rows={2}), "row index 2 outside grid"),
-        (lambda: TableGrid(2, 2, projected_rows={-1}), "row index -1 outside grid"),
+        (lambda: TableGrid(2, 2, header_rows=3), "header row count 3 outside 0..2"),
+        (lambda: TableGrid(2, 2, header_rows=-1), "header row count -1 outside 0..2"),
         (lambda: MergedCell(0, 0, 0, 1), "merge spans must be >= 1"),
         (lambda: MergedCell(0, 0, 1, -1), "merge spans must be >= 1"),
     ],
-    ids=["no-rows", "no-columns", "header-row-outside", "projected-row-outside", "zero-row-span", "negative-col-span"],
+    ids=["no-rows", "no-columns", "header-count-above", "header-count-negative", "zero-row-span", "negative-col-span"],
 )
 def test_grid_and_merge_reject_impossible_shapes(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -412,12 +437,13 @@ def test_grid_rejects_merge_outside():
 
 def test_grid_rejects_merge_crossing_header_boundary():
     with pytest.raises(ValueError):
-        TableGrid(3, 2, merges=(MergedCell(0, 0, 2, 1),), header_rows={0})
+        TableGrid(3, 2, merges=(MergedCell(0, 0, 2, 1),), header_rows=1)
 
 
 def test_grid_rejects_merge_on_projected_row():
-    with pytest.raises(ValueError):
-        TableGrid(3, 2, merges=(MergedCell(1, 0, 1, 2),), projected_rows={1})
+    # a projected row is a merge over its whole row, which owns every cell of it
+    with pytest.raises(ValueError, match=re.escape("cell (1,0) claimed twice")):
+        TableGrid(3, 2, merges=(MergedCell(1, 0, 1, 2), MergedCell(1, 0, 2, 1)))
 
 
 def test_grid_rejects_merge_with_negative_start():
@@ -428,25 +454,25 @@ def test_grid_rejects_merge_with_negative_start():
 def test_grid_rejection_names_the_first_broken_rule():
     # outside the grid and across the header boundary
     with pytest.raises(ValueError, match="exceeds grid bounds"):
-        TableGrid(3, 2, merges=(MergedCell(0, 0, 4, 1),), header_rows={0})
+        TableGrid(3, 2, merges=(MergedCell(0, 0, 4, 1),), header_rows=1)
     # across the header boundary and on a claimed cell
     with pytest.raises(ValueError, match="crosses the header/body boundary"):
-        TableGrid(3, 2, merges=(MergedCell(0, 0, 1, 2), MergedCell(0, 0, 2, 1)), header_rows={0})
+        TableGrid(3, 2, merges=(MergedCell(0, 0, 1, 2), MergedCell(0, 0, 2, 1)), header_rows=1)
     # the first claimed cell in reading order
     with pytest.raises(ValueError, match=re.escape("cell (1,1) claimed twice")):
         TableGrid(3, 3, merges=(MergedCell(1, 1, 1, 2), MergedCell(0, 0, 2, 2)))
 
 
 def test_cell_matrix_lies_outside_grid_equality():
-    grid = TableGrid(3, 2, merges=(MergedCell(0, 0, 1, 2),), projected_rows={2})
+    grid = TableGrid(3, 2, merges=(MergedCell(0, 0, 1, 2), MergedCell(2, 0, 1, 2)))
     assert grid.cell_matrix() == (((0, 0), (0, 0)), ((1, 0), (1, 1)), ((2, 0), (2, 0)))
     assert grid.cell_matrix() is grid.cell_matrix()
-    twin = TableGrid(3, 2, merges=[MergedCell(0, 0, 1, 2)], projected_rows=[2])
+    twin = TableGrid(3, 2, merges=[MergedCell(2, 0, 1, 2), MergedCell(0, 0, 1, 2)])
     assert twin == grid and hash(twin) == hash(grid)
     assert repr(grid) == (
         "TableGrid(n_rows=3, n_cols=2, "
-        "merges=(MergedCell(row_start=0, col_start=0, row_span=1, col_span=2),), "
-        "header_rows=frozenset(), projected_rows=frozenset({2}))"
+        "merges=(MergedCell(row_start=0, col_start=0, row_span=1, col_span=2), "
+        "MergedCell(row_start=2, col_start=0, row_span=1, col_span=2)), header_rows=0)"
     )
 
 
@@ -474,7 +500,7 @@ def test_html_merge_emits_colspan_once():
 
 
 def test_html_header_split():
-    grid = TableGrid(2, 2, header_rows={0})
+    grid = TableGrid(2, 2, header_rows=1)
     html = grid_to_html(grid)
     assert html == (
         "<table><thead><tr><td></td><td></td></tr></thead>"
@@ -483,7 +509,7 @@ def test_html_header_split():
 
 
 def test_html_all_rows_in_header():
-    grid = TableGrid(2, 2, header_rows={0, 1})
+    grid = TableGrid(2, 2, header_rows=2)
     html = grid_to_html(grid)
     assert html.endswith("<tbody></tbody></table>")
     # table + thead + 2 tr + 4 td + the empty tbody
@@ -513,7 +539,7 @@ def test_html_round_trips_through_parser():
             for n in postorder(section)
             if n.tag == "td"
         )
-        assert header_cells == len(grid.header_rows) * grid.n_cols
+        assert header_cells == grid.header_rows * grid.n_cols
 
 
 def expand_table_tree(tree):
@@ -549,11 +575,12 @@ def random_valid_grid(rng):
     n_cols = rng.randint(1, 5)
     header = rng.randint(0, n_rows - 1) if rng.random() < 0.5 else 0
     body_rows = [r for r in range(header, n_rows)]
-    projected = set()
-    if body_rows and rng.random() < 0.3:
-        projected = {rng.choice(body_rows)}
-    taken = {(r, c) for r in projected for c in range(n_cols)}
     merges = []
+    taken = set()
+    if body_rows and rng.random() < 0.3:  # a projected row
+        r = rng.choice(body_rows)
+        merges.append(MergedCell(r, 0, 1, n_cols))
+        taken = {(r, c) for c in range(n_cols)}
     for _ in range(rng.randint(0, 3)):
         rs = min(rng.randint(1, 2), n_rows)
         cs = min(rng.randint(1, 2), n_cols)
@@ -567,13 +594,7 @@ def random_valid_grid(rng):
             continue
         taken |= region
         merges.append(MergedCell(r0, c0, rs, cs))
-    return TableGrid(
-        n_rows,
-        n_cols,
-        merges=tuple(merges),
-        header_rows=frozenset(range(header)),
-        projected_rows=frozenset(projected),
-    )
+    return TableGrid(n_rows, n_cols, merges=tuple(merges), header_rows=header)
 
 
 def test_random_grids_round_trip_exactly():
@@ -584,65 +605,52 @@ def test_random_grids_round_trip_exactly():
         n_rows, n_cols, cells, header_count = expand_table_tree(tree)
         assert n_rows == grid.n_rows
         assert n_cols == grid.n_cols
-        assert header_count == len(grid.header_rows)
+        assert header_count == grid.header_rows
         expected = {(r, c, rs, cs) for r, c, rs, cs in logical_cells(grid)}
         assert cells == expected
 
 
 @st.composite
-def canonical_grids(draw):
-    """Grids in the one form ``grid_to_tree`` keeps apart: header rows are a
-    prefix, projected rows need two or more columns, and every merge covers
-    two or more cells and is not one whole row (a projected row is)."""
+def grids_without_one_cell_merges(draw):
+    """Any grid whose merges each cover two or more cells: any header count,
+    and merges anywhere on one side of the header boundary, whole rows too."""
     n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    header_rows = frozenset(range(draw(st.integers(0, n_rows))))
-    projected = draw(st.frozensets(st.integers(0, n_rows - 1))) if n_cols > 1 else frozenset()
-    taken = {(r, c) for r in projected for c in range(n_cols)}
+    header_rows = draw(st.integers(0, n_rows))
+    taken = set()
     merges = []
     for _ in range(draw(st.integers(0, 4))):
         r0, c0 = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
         rs, cs = draw(st.integers(1, n_rows - r0)), draw(st.integers(1, n_cols - c0))
         region = {(r, c) for r in range(r0, r0 + rs) for c in range(c0, c0 + cs)}
-        if rs * cs < 2 or (rs, cs) == (1, n_cols) or region & taken:
-            continue
-        if len({r in header_rows for r in range(r0, r0 + rs)}) > 1:
+        if rs * cs < 2 or region & taken or r0 < header_rows < r0 + rs:
             continue
         taken |= region
         merges.append(MergedCell(r0, c0, rs, cs))
-    return TableGrid(n_rows, n_cols, tuple(merges), header_rows, projected)
+    return TableGrid(n_rows, n_cols, tuple(merges), header_rows)
 
 
-def canonical_grid_from_html(html: str) -> TableGrid:
-    """The canonical grid whose tree ``html`` is: a left inverse of ``grid_to_tree`` there."""
+def grid_from_html(html: str) -> TableGrid:
+    """The grid without one-cell merges whose tree ``html`` is: a left inverse of ``grid_to_tree`` there."""
     n_rows, n_cols, cells, header_count = expand_table_tree(parse_table_html(html))
-    projected = {r for r, _, rs, cs in cells if n_cols > 1 and (rs, cs) == (1, n_cols)}
-    merges = [
-        MergedCell(r, c, rs, cs) for r, c, rs, cs in cells if rs * cs > 1 and (rs, cs) != (1, n_cols)
-    ]
-    return TableGrid(n_rows, n_cols, tuple(merges), frozenset(range(header_count)), frozenset(projected))
+    merges = [MergedCell(r, c, rs, cs) for r, c, rs, cs in cells if rs * cs > 1]
+    return TableGrid(n_rows, n_cols, tuple(merges), header_count)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(canonical_grids(), canonical_grids())
-def test_grid_to_tree_is_injective_on_canonical_grids(a, b):
+@given(grids_without_one_cell_merges(), grids_without_one_cell_merges())
+def test_grid_to_tree_is_injective_on_grids_without_one_cell_merges(a, b):
     html = grid_to_tree(a).to_html()
-    assert canonical_grid_from_html(html) == a  # a left inverse, so no two grids share the HTML
+    assert grid_from_html(html) == a  # a left inverse, so no two grids share the HTML
     assert (html == grid_to_tree(b).to_html()) == (a == b)
 
 
 @pytest.mark.parametrize(
     "a,b",
     [
-        # a projected row is a merge over one whole row
-        (TableGrid(1, 2, projected_rows={0}), TableGrid(1, 2, merges=(MergedCell(0, 0, 1, 2),))),
-        # ... and, in one column, a plain row
-        (TableGrid(2, 1, projected_rows={1}), TableGrid(2, 1)),
         # a merge of one cell merges nothing
         (TableGrid(1, 2, merges=(MergedCell(0, 0, 1, 1),)), TableGrid(1, 2)),
-        # thead holds the header rows wherever they sit in the grid
-        (TableGrid(2, 1, header_rows={1}), TableGrid(2, 1, header_rows={0})),
     ],
-    ids=["projected-merge", "projected-one-column", "one-cell-merge", "header-below-body"],
+    ids=["one-cell-merge"],
 )
 def test_grid_to_tree_joins_grids_outside_the_canonical_form(a, b):
     assert a != b
@@ -665,5 +673,5 @@ def test_complexity_one_by_one():
 
 
 def test_complexity_projected_single_column():
-    assert not tree_is_complex(grid_to_tree(TableGrid(2, 1, projected_rows={1})))
-    assert tree_is_complex(grid_to_tree(TableGrid(2, 2, projected_rows={1})))
+    assert not tree_is_complex(grid_to_tree(TableGrid(2, 1, merges=(MergedCell(1, 0, 1, 1),))))
+    assert tree_is_complex(grid_to_tree(TableGrid(2, 2, merges=(MergedCell(1, 0, 1, 2),))))
